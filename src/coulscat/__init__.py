@@ -31,7 +31,6 @@ from .kinematics import (
     time_shift_seconds,
 )
 from .observables import (
-    CrossSectionPoint,
     DeltaProfile,
     ScenarioFamily,
     conservation_weight_sum,

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from . import acceptance, observables, partialwave, scan
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, StrengthBoundError
 from .kinematics import (
     ALPHA_PARTICLE_MASS_MEV,
     DEFAULT_UNITS,
@@ -121,6 +121,9 @@ def _table_from_args(args):
 def cmd_profile_delta(args) -> int:
     if args.theta is None:
         raise ValueError("profile-delta requires --theta (flag or config file)")
+    if not (math.isfinite(args.delta_step) and args.delta_step > 0.0):
+        raise ValueError(
+            f"--delta-step must be positive and finite, got {args.delta_step:g}")
     scenario, table = _table_from_args(args)
     lo, hi = observables.default_delta_range(table)
     if args.delta_min is not None:
@@ -275,7 +278,7 @@ def cmd_energy_scan(args) -> int:
         try:
             rho, eta, dmax = observables.energy_ratio_rho(
                 family, ek * 1e-3, tail_tol=args.tail_tol)
-        except Exception as exc:  # strength bound exceeded at this energy
+        except StrengthBoundError as exc:
             print(f"warning: skipping E={ek:g} keV: {exc}", file=sys.stderr)
             continue
         rows.append((float(ek), eta, dmax, rho))
@@ -307,8 +310,13 @@ def cmd_selftest(args) -> int:
 
 
 def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None:
-    """Load key=value defaults from a --config file; flags still override."""
-    path = argv[argv.index("--config") + 1]
+    """Load key=value defaults from `--config PATH` or `--config=PATH`, if
+    given; flags still override."""
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return
     values = {}
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -386,13 +394,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     # config files provide defaults for the selected subcommand only
-    if "--config" in argv and argv and not argv[0].startswith("-"):
+    if argv and not argv[0].startswith("-"):
         subparsers = parser._subparsers._group_actions[0]._name_parser_map
         sub = subparsers.get(argv[0])
         if sub is not None:
             try:
                 _apply_config_file(argv, sub)
-            except (OSError, ValueError) as exc:
+            except (OSError, ValueError, argparse.ArgumentError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
     try:

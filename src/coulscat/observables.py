@@ -27,7 +27,6 @@ from .partialwave import PartialWaveTable, PhaseShiftKind, PhaseShiftModel
 
 __all__ = [
     "DeltaProfile",
-    "CrossSectionPoint",
     "ScenarioFamily",
     "OpticalCheck",
     "dcs",
@@ -46,7 +45,6 @@ __all__ = [
     "optical_ratio",
     "optical_theorem_check_short_range",
     "energy_ratio_rho",
-    "angular_curve",
 ]
 
 
@@ -66,13 +64,6 @@ class DeltaProfile:
     p_max: np.ndarray
     factorization_residual: np.ndarray
     p_max_integral: np.ndarray
-
-
-@dataclass(frozen=True)
-class CrossSectionPoint:
-    theta: float
-    value: float
-    delta_used: float
 
 
 @dataclass(frozen=True)
@@ -232,38 +223,42 @@ def delta_profile(table: PartialWaveTable, thetas,
     if coarse_n < 5:
         raise ValueError("coarse_n must be at least 5")
     deltas = np.linspace(lo, hi, coarse_n)
+    g = partialwave._delta_factors(table, deltas)
 
-    grid = partialwave.probability_grid(table, thetas, deltas)
-    delta_max = np.empty(thetas.size)
+    n = thetas.size
+    delta_max = np.zeros(n)
+    p_max, p_max_integral, residual = (np.empty(n) for _ in range(3))
     n_flat = 0
-    for i in range(thetas.size):
-        prominence = float(grid[i].max() - grid[i].min())
-        if prominence < 1e-12:
-            n_flat += 1
-            if grid[i].max() < 1e-30:
-                # below the double-precision noise floor of the series;
-                # the peak location is meaningless there
-                delta_max[i] = 0.0
-                continue
-        delta_max[i] = _refine_peak(deltas, grid[i])
+    # each chunk's Legendre rows serve the coarse scan, p_max and the local
+    # integral grid
+    for i0, i1 in partialwave._theta_chunks(n, table.l_max):
+        p_rows = specfun.legendre_rows(thetas[i0:i1], table.l_max)
+        grid = partialwave._abs2(*partialwave._eval_rows(table, p_rows, g, "full"))
+        for k, i in enumerate(range(i0, i1)):
+            flat = float(grid[k].max() - grid[k].min()) < 1e-12
+            n_flat += flat
+            # below the double-precision noise floor of the series the peak
+            # location is meaningless, and delta_max stays zero
+            if not (flat and grid[k].max() < 1e-30):
+                delta_max[i] = _refine_peak(deltas, grid[k])
+            # P at the peak, then (1/sqrt(4 pi)) * integral P d delta on a grid
+            # centred there (trapezoid; Gaussian integrand converges fast)
+            d_loc = delta_max[i] + np.linspace(-10.0, 10.0, 81)
+            g_loc = partialwave._delta_factors(
+                table, np.concatenate(([delta_max[i]], d_loc)))
+            p_loc = partialwave._abs2(*partialwave._eval_rows(
+                table, p_rows[k : k + 1], g_loc, "full"))[0]
+            p_max[i] = p_loc[0]
+            p_max_integral[i] = (float(np.trapezoid(p_loc[1:], d_loc))
+                                 / math.sqrt(4.0 * math.pi))
+            gauss = np.exp(-((deltas - delta_max[i]) ** 2) / 4.0) * p_max[i]
+            residual[i] = float(np.max(np.abs(grid[k] - gauss)))
     if n_flat:
         warnings.warn(
             f"flat delta profile (peak prominence < 1e-12) at {n_flat} of "
-            f"{thetas.size} angles",
+            f"{n} angles",
             stacklevel=2,
         )
-    p_max = partialwave.probability_pairs(table, thetas, delta_max)
-
-    # alternative extraction: (1/sqrt(4 pi)) * integral P d delta on a grid
-    # centred at the peak (trapezoid; Gaussian integrand converges fast)
-    p_max_integral = np.empty(thetas.size)
-    residual = np.empty(thetas.size)
-    for i in range(thetas.size):
-        d_loc = delta_max[i] + np.linspace(-10.0, 10.0, 81)
-        p_loc = partialwave.probability_grid(table, thetas[i : i + 1], d_loc)[0]
-        p_max_integral[i] = float(np.trapezoid(p_loc, d_loc)) / math.sqrt(4.0 * math.pi)
-        gauss = np.exp(-((deltas - delta_max[i]) ** 2) / 4.0) * p_max[i]
-        residual[i] = float(np.max(np.abs(grid[i] - gauss)))
 
     for arr in (delta_max, p_max, p_max_integral, residual):
         arr.flags.writeable = False
@@ -289,8 +284,7 @@ def scattering_amplitude_f(table: PartialWaveTable, scenario: PhysicalScenario,
     shifted unit Gaussian integrates to one against the 1/sqrt(8 pi) measure).
     """
     row = specfun.legendre_rows(np.array([float(theta)]), table.l_max)[0]
-    kern_re = table.weight * table.phase_sin * 0.5
-    kern_im = table.weight * (1.0 - table.phase_cos) * 0.5
+    kern_re, kern_im = partialwave._kern_scatter(table)
     re = float(np.sum(kern_re * row))
     im = float(np.sum(kern_im * row))
     return (re + 1j * im) / scenario.p
@@ -373,15 +367,3 @@ def energy_ratio_rho(family: ScenarioFamily, E_mev: float,
     rho = dcs(table, theta, dmax) / rutherford_dcs(scenario, theta)
     return rho, scenario.eta, dmax
 
-
-def angular_curve(table: PartialWaveTable, thetas, delta) -> list[CrossSectionPoint]:
-    """Differential cross section along a theta grid at fixed or per-theta delta."""
-    thetas = np.asarray(thetas, dtype=float)
-    deltas = np.broadcast_to(np.asarray(delta, dtype=float), thetas.shape)
-    sc = table.scenario
-    probs = partialwave.probability_pairs(table, thetas, np.ascontiguousarray(deltas))
-    pref = 1.0 / (16.0 * sc.eps ** 4 * sc.p ** 2)
-    return [
-        CrossSectionPoint(theta=float(t), value=float(p) * pref, delta_used=float(d))
-        for t, p, d in zip(thetas, probs, deltas)
-    ]

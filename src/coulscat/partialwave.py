@@ -17,9 +17,11 @@ logarithmic-phase trajectory shift is folded into the free-transit reference.
 For a short-range potential with phase shifts delta_l the same series applies
 with sigma_l -> delta_l and xi_l -> (2/sigma_x) d delta_l / dk.
 
-Evaluation is vectorized per theta row with a fixed ascending-l reduction
-order, so identical inputs give bit-identical results regardless of how work
-is partitioned across threads.
+One loop (`_eval_rows`) evaluates the series for every caller: the full
+amplitude A, its forward part A_F or its scattering part A_S, each a kernel
+and a prefactor from `_PARTS`.  It reduces one theta row at a time with a
+fixed ascending-l order, so identical inputs give bit-identical results
+regardless of how work is partitioned across threads.
 """
 
 from __future__ import annotations
@@ -50,17 +52,14 @@ __all__ = [
     "probability",
     "amplitude_forward",
     "amplitude_scatter",
-    "amplitude_grid",
     "probability_grid",
-    "forward_grid",
-    "scatter_grid",
-    "probability_pairs",
     "square_well_phase_shifts",
     "export_table_csv",
 ]
 
-# table rows processed per chunk when building Legendre values (memory bound)
-_CHUNK_ELEMENTS = 1 << 25
+# bytes of Legendre rows held at once (one row is 8 * (L+1) bytes): about
+# 698 rows, or 33.5 MB, at L = 6000
+_CHUNK_BYTES = 1 << 25
 
 
 class PhaseShiftKind(enum.Enum):
@@ -226,14 +225,14 @@ def build_table(scenario: PhysicalScenario, model: PhaseShiftModel,
 # series evaluation
 # ---------------------------------------------------------------------------
 
-def _delta_factors(table: PartialWaveTable, deltas: np.ndarray) -> np.ndarray:
+def _delta_factors(table: PartialWaveTable, deltas) -> np.ndarray:
     """Gaussian time-shift factors exp(-(delta - xi_l)^2 / 8), shape (n_delta, L+1)."""
-    d = deltas[:, None] - table.xi[None, :]
+    d = np.asarray(deltas, dtype=float)[:, None] - table.xi[None, :]
     return np.exp(-(d * d) / 8.0)
 
 
 def _theta_chunks(n_theta: int, l_max: int):
-    rows = max(1, _CHUNK_ELEMENTS // (8 * (l_max + 1)))
+    rows = max(1, _CHUNK_BYTES // (8 * (l_max + 1)))
     for i0 in range(0, n_theta, rows):
         yield i0, min(i0 + rows, n_theta)
 
@@ -252,22 +251,6 @@ def _series_row(table: PartialWaveTable, p_row: np.ndarray, g: np.ndarray,
     return re, im
 
 
-def _eval_grid(table: PartialWaveTable, thetas, deltas, kern_re, kern_im,
-               prefactor: float):
-    thetas = np.asarray(thetas, dtype=float)
-    deltas = np.asarray(deltas, dtype=float)
-    out_re = np.empty((thetas.size, deltas.size))
-    out_im = np.empty((thetas.size, deltas.size))
-    g = _delta_factors(table, deltas)
-    for i0, i1 in _theta_chunks(thetas.size, table.l_max):
-        p_chunk = specfun.legendre_rows(thetas[i0:i1], table.l_max)
-        for i in range(i0, i1):
-            re, im = _series_row(table, p_chunk[i - i0], g, kern_re, kern_im)
-            out_re[i] = prefactor * re
-            out_im[i] = prefactor * im
-    return out_re, out_im
-
-
 def _kern_full(table: PartialWaveTable):
     # e^{2i sigma_l} kernel
     return table.weight * table.phase_cos, table.weight * table.phase_sin
@@ -284,59 +267,61 @@ def _kern_scatter(table: PartialWaveTable):
             table.weight * (1.0 - table.phase_cos) * 0.5)
 
 
-def amplitude_grid(table: PartialWaveTable, thetas, deltas) -> np.ndarray:
-    """Complex amplitude A on the outer product of thetas and deltas."""
-    kr, ki = _kern_full(table)
-    pref = 2.0 * table.eps ** 2
-    re, im = _eval_grid(table, thetas, deltas, kr, ki, pref)
-    return re + 1j * im
+# part -> (kernel, prefactor / eps^2): A = A_F + i A_S, with
+# A = 2 eps^2 sum(full), A_F = 2 eps^2 sum(forward), A_S = 4 eps^2 sum(scatter)
+_PARTS = {
+    "full": (_kern_full, 2.0),
+    "forward": (_kern_forward, 2.0),
+    "scatter": (_kern_scatter, 4.0),
+}
+
+
+def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """|re + i im|^2, elementwise."""
+    return re * re + im * im
+
+
+def _eval_rows(table: PartialWaveTable, p_rows: np.ndarray, g: np.ndarray,
+               part: str) -> np.ndarray:
+    """The series `part` at each Legendre row of a block against the factor
+    matrix g; returns (re, im) stacked, shape (2, n_rows, n_delta).
+
+    This is the only evaluation loop: single points, grids, sweeps and delta
+    profiles all reduce their rows here.
+    """
+    kernel, pref = _PARTS[part]
+    kern_re, kern_im = kernel(table)
+    pref = pref * table.eps ** 2
+    out = np.empty((2, len(p_rows), g.shape[0]))
+    for i, p_row in enumerate(p_rows):
+        re, im = _series_row(table, p_row, g, kern_re, kern_im)
+        out[0, i] = pref * re
+        out[1, i] = pref * im
+    return out
+
+
+def _eval_grid(table: PartialWaveTable, thetas, g: np.ndarray,
+               part: str) -> np.ndarray:
+    """_eval_rows over thetas, building Legendre rows one chunk at a time."""
+    thetas = np.asarray(thetas, dtype=float)
+    out = np.empty((2, thetas.size, g.shape[0]))
+    for i0, i1 in _theta_chunks(thetas.size, table.l_max):
+        p_rows = specfun.legendre_rows(thetas[i0:i1], table.l_max)
+        out[:, i0:i1] = _eval_rows(table, p_rows, g, part)
+    return out
 
 
 def probability_grid(table: PartialWaveTable, thetas, deltas) -> np.ndarray:
     """P = |A|^2 on the outer product of thetas and deltas."""
-    kr, ki = _kern_full(table)
-    pref = 2.0 * table.eps ** 2
-    re, im = _eval_grid(table, thetas, deltas, kr, ki, pref)
-    return re * re + im * im
-
-
-def forward_grid(table: PartialWaveTable, thetas, deltas) -> np.ndarray:
-    """Forward-peak part A_F (real) on the outer product grid."""
-    kr, ki = _kern_forward(table)
-    re, _im = _eval_grid(table, thetas, deltas, kr, ki, 2.0 * table.eps ** 2)
-    return re
-
-
-def scatter_grid(table: PartialWaveTable, thetas, deltas) -> np.ndarray:
-    """Scattering part A_S (complex) on the outer product grid."""
-    kr, ki = _kern_scatter(table)
-    re, im = _eval_grid(table, thetas, deltas, kr, ki, 4.0 * table.eps ** 2)
-    return re + 1j * im
-
-
-def probability_pairs(table: PartialWaveTable, thetas, deltas) -> np.ndarray:
-    """P at paired (theta_i, delta_i) points; arrays must be equal length."""
-    thetas = np.asarray(thetas, dtype=float)
-    deltas = np.asarray(deltas, dtype=float)
-    if thetas.shape != deltas.shape or thetas.ndim != 1:
-        raise ValueError("thetas and deltas must be equal-length 1-D arrays")
-    kr, ki = _kern_full(table)
-    pref = 2.0 * table.eps ** 2
-    out = np.empty(thetas.size)
-    for i0, i1 in _theta_chunks(thetas.size, table.l_max):
-        p_chunk = specfun.legendre_rows(thetas[i0:i1], table.l_max)
-        for i in range(i0, i1):
-            g = _delta_factors(table, deltas[i : i + 1])
-            re, im = _series_row(table, p_chunk[i - i0], g, kr, ki)
-            out[i] = (pref * re[0]) ** 2 + (pref * im[0]) ** 2
-    return out
+    return _abs2(*_eval_grid(table, thetas, _delta_factors(table, deltas), "full"))
 
 
 def amplitude(table: PartialWaveTable, theta: float, delta: float) -> complex:
-    """A(theta, delta) at a single point (same code path as the grid forms)."""
+    """A(theta, delta) at a single point (same code path as the grids)."""
     if not (0.0 <= theta <= np.pi):
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    return complex(amplitude_grid(table, [theta], [delta])[0, 0])
+    re, im = _eval_grid(table, [theta], _delta_factors(table, [delta]), "full")
+    return complex((re + 1j * im)[0, 0])
 
 
 def probability(table: PartialWaveTable, theta: float, delta: float) -> float:
@@ -348,12 +333,14 @@ def probability(table: PartialWaveTable, theta: float, delta: float) -> float:
 
 def amplitude_forward(table: PartialWaveTable, theta: float, delta: float) -> float:
     """Forward-peak amplitude A_F(theta, delta); real by construction."""
-    return float(forward_grid(table, [theta], [delta])[0, 0])
+    re, _im = _eval_grid(table, [theta], _delta_factors(table, [delta]), "forward")
+    return float(re[0, 0])
 
 
 def amplitude_scatter(table: PartialWaveTable, theta: float, delta: float) -> complex:
     """Scattering amplitude part A_S(theta, delta); A = A_F + i A_S."""
-    return complex(scatter_grid(table, [theta], [delta])[0, 0])
+    re, im = _eval_grid(table, [theta], _delta_factors(table, [delta]), "scatter")
+    return complex((re + 1j * im)[0, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Grid sweeps over (theta, delta) and eta with caching and deterministic
 parallel assembly.
 
-Rows (fixed theta) are independent tasks sharing one immutable table and one
-precomputed delta-factor matrix; each task writes its own output slice, so
-results are bit-identical for any worker count.
+Blocks of rows (fixed theta) are independent tasks sharing one immutable
+table and one precomputed delta-factor matrix; each task evaluates its rows
+with `partialwave`'s series loop and writes its own output slice, so results
+are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import partialwave, specfun
+from . import partialwave
 from .errors import ResourceLimitError, StrengthBoundError
 from .kinematics import PhysicalScenario, build_scenario_from_eta
 from .partialwave import PartialWaveTable, PhaseShiftKind, PhaseShiftModel
@@ -115,20 +116,13 @@ def _input_checksum(table: PartialWaveTable, grid: GridSpec, quantity: Quantity)
     return h.hexdigest()
 
 
-def _row_block(table: PartialWaveTable, thetas: np.ndarray, g: np.ndarray,
-               kern_re: np.ndarray, kern_im: np.ndarray, pref: float,
-               quantity: Quantity, out: np.ndarray) -> None:
-    p_block = specfun.legendre_rows(thetas, table.l_max)
-    for i in range(thetas.size):
-        re, im = partialwave._series_row(table, p_block[i], g, kern_re, kern_im)
-        re = pref * re
-        im = pref * im
-        if quantity is Quantity.FORWARD_PART:
-            out[i] = re
-        elif quantity is Quantity.SCATTER_PART:
-            out[i] = re * re + im * im
-        else:
-            out[i] = re * re + im * im
+# quantity -> (series part, reduction of its (re, im) to the stored value)
+_QUANTITY_PARTS = {
+    Quantity.PROBABILITY: ("full", partialwave._abs2),
+    Quantity.DCS: ("full", partialwave._abs2),
+    Quantity.FORWARD_PART: ("forward", lambda re, _im: re),
+    Quantity.SCATTER_PART: ("scatter", partialwave._abs2),
+}
 
 
 def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
@@ -149,43 +143,25 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
         )
     start = time.perf_counter()
     thetas = grid.thetas
-    deltas = grid.deltas
-    eps2 = table.eps ** 2
-
-    if quantity is Quantity.FORWARD_PART:
-        kern_re, kern_im = partialwave._kern_forward(table)
-        pref = 2.0 * eps2
-    elif quantity is Quantity.SCATTER_PART:
-        kern_re, kern_im = partialwave._kern_scatter(table)
-        pref = 4.0 * eps2
-    else:
-        kern_re, kern_im = partialwave._kern_full(table)
-        pref = 2.0 * eps2
-
-    g = partialwave._delta_factors(table, deltas)
+    part, reduce = _QUANTITY_PARTS[quantity]
+    g = partialwave._delta_factors(table, grid.deltas)
     values = np.empty((grid.theta_n, grid.delta_n))
-    blocks = [
-        (i0, i1)
-        for i0, i1 in partialwave._theta_chunks(grid.theta_n, table.l_max)
-    ]
+    blocks = list(partialwave._theta_chunks(grid.theta_n, table.l_max))
     # split further so several workers can run even on one chunk-sized grid
     if workers > 1 and len(blocks) < workers:
         bounds = np.linspace(0, grid.theta_n, workers * 2 + 1).astype(int)
         blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
+    def fill(block):
+        i0, i1 = block
+        values[i0:i1] = reduce(*partialwave._eval_grid(table, thetas[i0:i1], g, part))
+
     if workers <= 1:
-        for i0, i1 in blocks:
-            _row_block(table, thetas[i0:i1], g, kern_re, kern_im, pref,
-                       quantity, values[i0:i1])
+        for block in blocks:
+            fill(block)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_row_block, table, thetas[i0:i1], g, kern_re,
-                            kern_im, pref, quantity, values[i0:i1])
-                for i0, i1 in blocks
-            ]
-            for fut in futures:
-                fut.result()
+            list(pool.map(fill, blocks))
 
     if quantity is Quantity.DCS:
         sc = table.scenario
@@ -240,9 +216,6 @@ class TableCache:
         return table
 
 
-_GLOBAL_CACHE = TableCache()
-
-
 @dataclass(frozen=True)
 class EtaSweepResult:
     etas: np.ndarray
@@ -254,15 +227,16 @@ def eta_sweep(scenario_template: PhysicalScenario, etas, theta: float,
               delta: float, model: Optional[PhaseShiftModel] = None,
               tail_tol: Optional[float] = None,
               cache: Optional[TableCache] = None) -> EtaSweepResult:
-    """One probability per eta, each from a freshly built (cached) table.
+    """One probability per eta, each from a table looked up in `cache`.
 
-    Strength-bound rejections are collected per eta rather than aborting the
-    sweep.  Charges, mass and eps come from the template scenario.
+    Without a `cache`, tables are cached for this call only.  Strength-bound
+    rejections are collected per eta rather than aborting the sweep.
+    Charges, mass and eps come from the template scenario.
     """
     if model is None:
         model = PhaseShiftModel.coulomb_exact()
     if cache is None:
-        cache = _GLOBAL_CACHE
+        cache = TableCache()
     etas = np.asarray(etas, dtype=float)
     values = np.full(etas.size, np.nan)
     errors: dict[float, str] = {}

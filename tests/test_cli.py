@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from coulscat import acceptance, scan
+from coulscat import acceptance, observables, scan
 from coulscat.acceptance import CriterionResult
 from coulscat.cli import main
 
@@ -45,6 +45,14 @@ class TestProfileDelta:
         doc = json.loads(out.read_text())
         assert doc["delta_max"] == pytest.approx(0.0, abs=1e-9)
         assert doc["p_max"] == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+    def test_bad_delta_step_is_config_error(self, step, capsys):
+        rc = main(["profile-delta", "--eta", "10", "--theta", "0.03",
+                   "--delta-step", step])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--delta-step" in err and len(err.strip().splitlines()) == 1
 
 
 class TestAngular:
@@ -128,6 +136,14 @@ class TestEnergyScan:
         assert rows[0][0] == 3.8
         assert 1.0e-7 <= rows[0][3] <= 5.5e-7
 
+    def test_unexpected_errors_are_not_swallowed(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a strength-bound error")
+
+        monkeypatch.setattr(observables, "energy_ratio_rho", broken)
+        with pytest.raises(RuntimeError, match="not a strength-bound error"):
+            main(["energy-scan", "--energies-kev", "3.8"])
+
 
 class TestTableDump:
     def test_dump(self, tmp_path):
@@ -153,6 +169,19 @@ class TestConfigAndErrors:
         _header, rows = read_csv(out)
         # step from config file (0.5), theta overridden by the flag
         assert rows[1][0] - rows[0][0] == pytest.approx(0.5, abs=1e-9)
+
+    def test_config_equals_form_loads_the_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta = 10\ntheta = 0.03\ndelta-step = 0.5\n")
+        out = tmp_path / "o.csv"
+        assert main(["profile-delta", f"--config={cfg}", "--out", str(out)]) == 0
+        _header, rows = read_csv(out)
+        assert rows[1][0] - rows[0][0] == pytest.approx(0.5, abs=1e-9)
+
+    def test_config_without_path_is_config_error(self, capsys):
+        assert main(["profile-delta", "--eta", "10", "--config"]) == 2
+        err = capsys.readouterr().err
+        assert "--config" in err and len(err.strip().splitlines()) == 1
 
     def test_missing_energy_is_config_error(self):
         assert main(["profile-delta", "--theta", "0.1"]) == 2

@@ -140,7 +140,7 @@ class TestSphereIntegral:
         table = build_table(build_scenario_from_eta(0.0, eps),
                             PhaseShiftModel.coulomb_exact())
         thetas = midpoint_thetas(4000)
-        p_max = partialwave.probability_pairs(table, thetas, np.zeros(thetas.size))
+        p_max = partialwave.probability_grid(table, thetas, [0.0])[:, 0]
         profile = DeltaProfile(thetas=thetas, delta_max=np.zeros(thetas.size),
                                p_max=p_max,
                                factorization_residual=np.zeros(thetas.size),
@@ -205,6 +205,32 @@ class TestDeltaProfile:
     def test_range_validation(self, table_eta10):
         with pytest.raises(ValueError):
             delta_profile(table_eta10, [0.1], delta_range=(-2.0, 8.0))
+
+    def test_each_angle_builds_one_legendre_row(self, table_eta10, monkeypatch):
+        # the coarse scan, p_max and the local integral share one row
+        rows = []
+        original = specfun.legendre_rows
+
+        def counting(thetas, l_max):
+            rows.append(np.size(thetas))
+            return original(thetas, l_max)
+
+        monkeypatch.setattr(specfun, "legendre_rows", counting)
+        delta_profile(table_eta10, [0.03, 0.5, 1.0, 2.0])
+        assert sum(rows) == 4
+        rows.clear()
+        delta_max_at(table_eta10, 0.7)
+        assert sum(rows) == 1
+
+    def test_p_max_is_the_single_point_probability(self, table_eta10, table_free):
+        thetas = [0.03, 0.5, 2.0]
+        prof = delta_profile(table_eta10, thetas)
+        for theta, d, p in zip(thetas, prof.delta_max, prof.p_max):
+            assert p == probability(table_eta10, theta, float(d))
+        # a flat angle, whose delta_max is pinned to zero
+        with pytest.warns(UserWarning, match="flat delta profile"):
+            flat = delta_profile(table_free, [2.0])
+        assert flat.p_max[0] == probability(table_free, 2.0, 0.0)
 
 
 class TestScatteringAmplitude:
@@ -298,11 +324,3 @@ class TestEnergyRatio:
         rho, eta, _ = observables.energy_ratio_rho(family, sc20.E)
         assert abs(eta - 20.0) <= 0.1
         assert abs(rho - 1.0) <= 0.1
-
-    def test_angular_curve_rows(self, table_eta10):
-        pts = observables.angular_curve(table_eta10, [0.5, 1.0], 0.4)
-        assert len(pts) == 2
-        sc = table_eta10.scenario
-        expected = probability(table_eta10, 0.5, 0.4) / (16 * sc.eps ** 4 * sc.p ** 2)
-        assert pts[0].value == pytest.approx(expected, rel=1e-12)
-        assert pts[0].delta_used == 0.4

@@ -88,7 +88,7 @@ class TestAmplitude:
     def test_modulus_bounded(self, table_eta10, rng):
         thetas = rng.uniform(0.0, math.pi, 40)
         deltas = rng.uniform(-8.0, 8.0, 40)
-        p = partialwave.probability_pairs(table_eta10, thetas, deltas)
+        p = np.diag(partialwave.probability_grid(table_eta10, thetas, deltas))
         assert np.all(p >= 0.0)
         assert np.all(p <= 1.0 + 1e-6)
 
@@ -167,8 +167,8 @@ class TestSymmetries:
                              l_max=2 * table_eta10.l_max)
         thetas = rng.uniform(0.0, math.pi, 20)
         deltas = rng.uniform(-4.0, 4.0, 20)
-        p1 = partialwave.probability_pairs(table_eta10, thetas, deltas)
-        p2 = partialwave.probability_pairs(bigger, thetas, deltas)
+        p1 = np.diag(partialwave.probability_grid(table_eta10, thetas, deltas))
+        p2 = np.diag(partialwave.probability_grid(bigger, thetas, deltas))
         assert np.max(np.abs(p1 - p2)) < 1e-8
 
     def test_rebuild_determinism(self, table_eta10):
