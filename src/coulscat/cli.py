@@ -243,6 +243,9 @@ def cmd_optical(args) -> int:
     if args.eta_min <= 0.0:
         raise ValueError("optical sweep requires positive --eta-min (gamma is "
                          "undefined in the free case)")
+    if not (args.eta_max >= args.eta_min):
+        raise ValueError(f"optical sweep requires --eta-max >= --eta-min, got "
+                         f"{args.eta_max:g} < {args.eta_min:g}")
     etas = np.geomspace(args.eta_min, args.eta_max, args.eta_n)
     rows = []
     for eta in etas:

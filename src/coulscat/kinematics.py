@@ -91,10 +91,10 @@ class PhysicalScenario:
 
 
 def _validate_inputs(m0: float, E: float, eps: float) -> None:
-    if not (m0 > 0.0):
-        raise ScenarioError(f"projectile mass must be positive, got {m0}")
-    if not (E > 0.0):
-        raise ScenarioError(f"kinetic energy must be positive, got {E}")
+    if not (0.0 < m0 < math.inf):
+        raise ScenarioError(f"projectile mass must be positive and finite, got {m0}")
+    if not (0.0 < E < math.inf):
+        raise ScenarioError(f"kinetic energy must be positive and finite, got {E}")
     if not (0.0 < eps < EPS_MAX):
         raise ScenarioError(
             f"fractional momentum spread must satisfy 0 < eps < {EPS_MAX}, got {eps}"
@@ -126,6 +126,8 @@ def build_scenario_from_eta(eta: float, eps: float, Z1: int = 79, Z2: int = 2,
     sign(eta).  At eta = 0 the energy is unconstrained; `E_free` is used and
     the field source charge is set to zero.
     """
+    if not math.isfinite(eta):
+        raise ScenarioError(f"strength parameter eta must be finite, got {eta}")
     if eta == 0.0:
         return build_scenario(0, Z2, m0, E_free, eps, alpha=alpha)
     if Z1 == 0 or Z2 == 0:

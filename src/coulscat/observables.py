@@ -363,7 +363,10 @@ def energy_ratio_rho(family: ScenarioFamily, E_mev: float,
     scenario = family.at_energy(E_mev)
     table = partialwave.build_table(scenario, model, tail_tol=tail_tol)
     theta = math.pi / 4.0
-    dmax, _pmax = delta_max_at(table, theta)
-    rho = dcs(table, theta, dmax) / rutherford_dcs(scenario, theta)
+    # p_max is the probability at dmax, so this is dcs(table, theta, dmax)
+    # without rebuilding the angle's Legendre row
+    dmax, p_max = delta_max_at(table, theta)
+    rho = (p_max / (16.0 * scenario.eps ** 4 * scenario.p ** 2)
+           / rutherford_dcs(scenario, theta))
     return rho, scenario.eta, dmax
 

@@ -126,17 +126,29 @@ class LegendreRow:
     values: np.ndarray
 
 
+# Up to this many angles, one Python-float loop per angle beats one numpy
+# loop vectorized across angles.  At l_max = 6000 the scalar loop costs
+# about 1 ms per angle, and the vectorized one a nearly flat 30-45 ms up to
+# 64 angles, so the two cross near 40 angles.
+_SCALAR_MAX_ANGLES = 32
+
+
 def legendre_rows(thetas, l_max: int) -> np.ndarray:
     """Legendre values P_l(cos theta), shape (n_theta, l_max+1).
 
-    Three-term recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, vectorized
-    across angles.  x is clamped to exactly +-1 at theta = 0 and theta = pi so
-    the endpoint columns come out as exact integers (+-1)^l.
+    Three-term recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, evaluated
+    as ((2l+1) x P_l - l P_{l-1}) / (l+1) in one of two forms: for a few
+    angles, a loop on Python floats per angle; otherwise a loop over l
+    vectorized across angles.  Both perform the same IEEE-754 operations in
+    the same order, so each row is bit-identical whichever form built it and
+    whatever batch it came in.  x is clamped to exactly +-1 at theta = 0 and
+    theta = pi so the endpoint columns come out as exact integers (+-1)^l.
+    NaN angles are rejected with the out-of-range ones.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
         raise ValueError("thetas must be one-dimensional")
-    if np.any((thetas < 0.0) | (thetas > np.pi)):
+    if not np.all((thetas >= 0.0) & (thetas <= np.pi)):
         raise ValueError("theta must lie in [0, pi]")
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
@@ -147,6 +159,18 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     P[:, 0] = 1.0
     if l_max >= 1:
         P[:, 1] = x
+    if thetas.size <= _SCALAR_MAX_ANGLES:
+        # 2l+1, l and l+1 as floats: exactly the conversions numpy makes below
+        l = np.arange(1.0, l_max)
+        coeffs = ((2.0 * l + 1.0).tolist(), l.tolist(), (l + 1.0).tolist())
+        for i, xi in enumerate(x.tolist()):
+            row = []
+            p0, p1 = 1.0, xi
+            for a, b, c in zip(*coeffs):
+                p0, p1 = p1, (a * xi * p1 - b * p0) / c
+                row.append(p1)
+            P[i, 2:] = row
+        return P
     for l in range(1, l_max):
         P[:, l + 1] = ((2 * l + 1) * x * P[:, l] - l * P[:, l - 1]) / (l + 1)
     return P

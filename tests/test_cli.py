@@ -123,6 +123,12 @@ class TestOptical:
     def test_missing_range_is_config_error(self):
         assert main(["optical"]) == 2
 
+    def test_descending_range_is_config_error(self, capsys):
+        rc = main(["optical", "--eta-min", "1", "--eta-max", "0.5"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--eta-max >= --eta-min" in err and len(err.strip().splitlines()) == 1
+
 
 class TestEnergyScan:
     def test_skips_over_strength_bound(self, tmp_path, capsys):
@@ -191,6 +197,20 @@ class TestConfigAndErrors:
             main(["profile-delta", "--theta", "0.1", "--eta", "1",
                   "--energy-kev", "10"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--energy-mev", "inf"], "kinetic energy"),
+        (["--energy-kev", "nan"], "kinetic energy"),
+        (["--energy-mev", "1", "--mass-mev", "inf"], "projectile mass"),
+        (["--eta", "inf"], "eta"),
+        (["--eta", "nan"], "eta"),
+    ])
+    def test_non_finite_scenario_input_is_config_error(self, flags, name, capsys):
+        assert main(["angular", "--delta", "0", "--theta-n", "3", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert name in captured.err and "finite" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_eps_out_of_range_is_config_error(self):
         assert main(["profile-delta", "--theta", "0.1", "--eta", "1",

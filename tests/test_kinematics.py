@@ -41,6 +41,10 @@ class TestBuildScenario:
         dict(E=1.0, eps=0.1, m0=M0),
         dict(E=1.0, eps=0.5, m0=M0),
         dict(E=1.0, eps=1e-3, m0=0.0),
+        dict(E=math.inf, eps=1e-3, m0=M0),
+        dict(E=math.nan, eps=1e-3, m0=M0),
+        dict(E=1.0, eps=1e-3, m0=math.inf),
+        dict(E=1.0, eps=math.nan, m0=M0),
     ])
     def test_rejects_invalid_inputs(self, kwargs):
         with pytest.raises(ScenarioError):
@@ -56,6 +60,11 @@ class TestBuildScenario:
     def test_sign_of_eta_follows_charge_product(self):
         assert build_scenario(79, -2, M0, 1.0, 1e-3).eta < 0.0
         assert build_scenario(79, 2, M0, 1.0, 1e-3).eta > 0.0
+
+    @pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan])
+    def test_from_eta_rejects_non_finite_eta(self, eta):
+        with pytest.raises(ScenarioError, match="finite"):
+            build_scenario_from_eta(eta, 1e-3)
 
     def test_from_eta_reproduces_requested_eta(self):
         for eta in (-10.0, 0.0, 0.1, 800.0):

@@ -259,6 +259,16 @@ class TestScatteringAmplitude:
                                 * np.sin(dl) * row)) / sc.p
         assert abs(f_damped - f_bare) / abs(f_bare) <= 100.0 * EPS ** 2
 
+    def test_nan_angle_is_rejected(self, table_eta10):
+        for evaluate in (
+            lambda: partialwave.amplitude_forward(table_eta10, math.nan, 0.0),
+            lambda: partialwave.amplitude_scatter(table_eta10, math.nan, 0.0),
+            lambda: scattering_amplitude_f(table_eta10, table_eta10.scenario,
+                                           math.nan),
+        ):
+            with pytest.raises(ValueError, match=r"\[0, pi\]"):
+                evaluate()
+
 
 class TestOptical:
     def test_free_case(self, table_free):
@@ -324,3 +334,23 @@ class TestEnergyRatio:
         rho, eta, _ = observables.energy_ratio_rho(family, sc20.E)
         assert abs(eta - 20.0) <= 0.1
         assert abs(rho - 1.0) <= 0.1
+
+    def test_one_legendre_row_per_energy(self, monkeypatch):
+        # rho comes from delta_max_at's p_max, not from a second evaluation
+        family = ScenarioFamily(79, 2, ALPHA_PARTICLE_MASS_MEV, EPS)
+        scenario = family.at_energy(build_scenario_from_eta(20.0, EPS).E)
+        table = build_table(scenario, PhaseShiftModel.coulomb_exact())
+        dmax, _ = delta_max_at(table, math.pi / 4.0)
+        expected = dcs(table, math.pi / 4.0, dmax) / rutherford_dcs(
+            scenario, math.pi / 4.0)
+        rows = []
+        original = specfun.legendre_rows
+
+        def counting(thetas, l_max):
+            rows.append(np.size(thetas))
+            return original(thetas, l_max)
+
+        monkeypatch.setattr(specfun, "legendre_rows", counting)
+        rho, _eta, _dmax = observables.energy_ratio_rho(family, scenario.E)
+        assert sum(rows) == 1
+        assert rho == expected

@@ -145,6 +145,26 @@ class TestLegendre:
         assert np.max(np.abs(resid)) <= 1e-12
         assert np.max(np.abs(row)) <= 1.0 + 1e-14
 
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 5, 100, 6000])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_rows_do_not_depend_on_the_batch(self, l_max, offset):
+        # batches just below, at and just above the scalar/vectorized switch
+        n = specfun._SCALAR_MAX_ANGLES + offset
+        interior = np.linspace(0.05, 3.05, n - 3)
+        thetas = np.concatenate(([0.0, math.pi / 2, math.pi], interior))
+        batch = specfun.legendre_rows(thetas, l_max)
+        assert batch.shape == (n, l_max + 1)
+        for i in range(n):
+            assert np.array_equal(batch[i],
+                                  specfun.legendre_rows(thetas[i : i + 1], l_max)[0])
+        assert np.all(batch[0] == 1.0)
+        assert np.array_equal(batch[2], (-1.0) ** np.arange(l_max + 1))
+
+    @pytest.mark.parametrize("theta", [math.nan, -0.1, math.pi + 1e-12])
+    def test_rejects_angles_outside_0_pi(self, theta):
+        with pytest.raises(ValueError, match=r"\[0, pi\]"):
+            specfun.legendre_rows(np.array([0.5, theta]), 10)
+
 
 class TestWignerD00:
     def test_unity_at_zero(self):
