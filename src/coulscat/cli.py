@@ -12,10 +12,8 @@ Exit status: 0 success, 2 configuration error, 3 tolerance breach,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -37,32 +35,16 @@ EXIT_RESOURCE = 4
 _MODEL_CHOICES = ("coulomb-exact", "coulomb-asym", "square-well")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_rows(path, header: str, rows) -> None:
-    out = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
-    try:
-        out.write(header + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-            out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-
-
-def _write_json(path, payload: dict) -> None:
-    payload = dict(payload)
-    payload["generated_unix"] = time.time()
-    out = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8")
-    try:
-        json.dump(payload, out)
-        out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+def _write_table(args, columns: str, rows, **meta) -> None:
+    """Write `rows` as CSV under the comma-separated `columns` header or, with
+    `--format json`, as one document: the command, `meta`, columns and rows."""
+    if args.format == "csv":
+        scan.write_csv(args.out, columns, rows)
+    else:
+        scan.write_json(args.out, {
+            "command": args.command, **meta, "columns": columns.split(","),
+            "rows": [[float(v) for v in row] for row in rows],
+        })
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -124,6 +106,9 @@ def cmd_profile_delta(args) -> int:
     if not (math.isfinite(args.delta_step) and args.delta_step > 0.0):
         raise ValueError(
             f"--delta-step must be positive and finite, got {args.delta_step:g}")
+    for flag, value in (("--delta-min", args.delta_min), ("--delta-max", args.delta_max)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value:g}")
     scenario, table = _table_from_args(args)
     lo, hi = observables.default_delta_range(table)
     if args.delta_min is not None:
@@ -141,13 +126,11 @@ def cmd_profile_delta(args) -> int:
     prof = observables.delta_profile(table, [args.theta], delta_range=(lo, hi),
                                      coarse_n=n)
     if args.format == "csv":
-        _write_rows(args.out, "delta,probability",
-                    [(float(d), float(p)) for d, p in zip(deltas, probs)])
+        scan.write_csv(args.out, "delta,probability", zip(deltas.tolist(), probs.tolist()))
     else:
-        _write_json(args.out, {
+        scan.write_json(args.out, {
             "command": "profile-delta", "theta": args.theta, "eta": scenario.eta,
-            "eps": scenario.eps, "delta": [float(d) for d in deltas],
-            "probability": [float(p) for p in probs],
+            "eps": scenario.eps, "delta": deltas.tolist(), "probability": probs.tolist(),
             "delta_max": float(prof.delta_max[0]), "p_max": float(prof.p_max[0]),
         })
     summary_to = sys.stdout if args.out not in (None, "-") else sys.stderr
@@ -185,16 +168,8 @@ def cmd_angular(args) -> int:
             ruth_d = math.inf
             ratio = 0.0
         rows.append((float(t), float(p), ruth_p, float(p) * pref, ruth_d, ratio))
-    if args.format == "csv":
-        _write_rows(args.out, "theta,probability,rutherford_probability,dcs,"
-                              "rutherford_dcs,ratio", rows)
-    else:
-        _write_json(args.out, {
-            "command": "angular", "eta": scenario.eta, "eps": scenario.eps,
-            "columns": ["theta", "probability", "rutherford_probability",
-                        "dcs", "rutherford_dcs", "ratio"],
-            "rows": [[float(v) for v in row] for row in rows],
-        })
+    _write_table(args, "theta,probability,rutherford_probability,dcs,rutherford_dcs,ratio",
+                 rows, eta=scenario.eta, eps=scenario.eps)
     return EXIT_OK
 
 
@@ -213,7 +188,7 @@ def cmd_conservation(args) -> int:
     print(f"sphere integral   = {sphere:.6f}  ({args.sphere_n} midpoint intervals, "
           f"|.-1| <= 0.01: {'ok' if sphere_ok else 'BREACH'})")
     if args.out:
-        _write_json(args.out, {
+        scan.write_json(args.out, {
             "command": "conservation", "eta": scenario.eta, "eps": scenario.eps,
             "weight_sum": wsum, "sphere_integral": sphere,
             "sphere_intervals": args.sphere_n,
@@ -230,7 +205,7 @@ def cmd_optical(args) -> int:
         print(f"(4 pi / p) Im f0  = {check.optical_sigma:.10e}")
         print(f"relative diff     = {check.rel_diff:.3e}")
         if args.out:
-            _write_json(args.out, {
+            scan.write_json(args.out, {
                 "command": "optical", "model": "square-well",
                 "sigma": check.sigma, "optical_sigma": check.optical_sigma,
                 "rel_diff": check.rel_diff,
@@ -259,14 +234,7 @@ def cmd_optical(args) -> int:
         sigma = observables.total_cross_section(table, scenario)
         f0 = observables.scattering_amplitude_f(table, scenario, 0.0)
         rows.append((float(eta), gamma, sigma, f0.imag))
-    if args.format == "csv":
-        _write_rows(args.out, "eta,gamma,sigma,im_f0", rows)
-    else:
-        _write_json(args.out, {
-            "command": "optical", "eps": args.eps,
-            "columns": ["eta", "gamma", "sigma", "im_f0"],
-            "rows": [[float(v) for v in row] for row in rows],
-        })
+    _write_table(args, "eta,gamma,sigma,im_f0", rows, eps=args.eps)
     return EXIT_OK
 
 
@@ -274,6 +242,8 @@ def cmd_energy_scan(args) -> int:
     family = observables.ScenarioFamily(args.Z1, args.Z2, args.mass_mev, args.eps)
     if args.energies_kev:
         energies = [float(x) for x in args.energies_kev.split(",")]
+    elif args.e_n < 1:
+        raise ValueError(f"--e-n must be >= 1, got {args.e_n}")
     else:
         energies = list(np.geomspace(args.e_min_kev, args.e_max_kev, args.e_n))
     rows = []
@@ -285,14 +255,7 @@ def cmd_energy_scan(args) -> int:
             print(f"warning: skipping E={ek:g} keV: {exc}", file=sys.stderr)
             continue
         rows.append((float(ek), eta, dmax, rho))
-    if args.format == "csv":
-        _write_rows(args.out, "E_keV,eta,delta_max,rho", rows)
-    else:
-        _write_json(args.out, {
-            "command": "energy-scan", "eps": args.eps,
-            "columns": ["E_keV", "eta", "delta_max", "rho"],
-            "rows": [[float(v) for v in row] for row in rows],
-        })
+    _write_table(args, "E_keV,eta,delta_max,rho", rows, eps=args.eps)
     return EXIT_OK
 
 
@@ -300,7 +263,10 @@ def cmd_table_dump(args) -> int:
     _scenario, table = _table_from_args(args)
     if args.out in (None, "-"):
         raise ValueError("table-dump requires --out")
-    partialwave.export_table_csv(table, args.out)
+    scan.write_csv(args.out, "l,weight,cos2sigma,sin2sigma,xi",
+                   zip(range(table.l_max + 1), table.weight.tolist(),
+                       table.phase_cos.tolist(), table.phase_sin.tolist(),
+                       table.xi.tolist()))
     print(f"wrote l_max={table.l_max} table to {args.out}", file=sys.stderr)
     return EXIT_OK
 
@@ -408,6 +374,8 @@ def main(argv=None) -> int:
                 return EXIT_CONFIG
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)

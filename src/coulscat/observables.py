@@ -337,14 +337,11 @@ def optical_theorem_check_short_range(model: PhaseShiftModel,
         raise NonConvergenceError(
             f"phase shifts not converged at table end (max tail |delta_l| = {tail:.3g})"
         )
-    eps = scenario.eps
-    p = scenario.p
-    l = np.arange(dl.size, dtype=float)
-    x = l + 0.5
-    base = (2.0 * l + 1.0) * np.sin(dl) ** 2
-    sigma = 4.0 * math.pi / p ** 2 * float(np.sum(base * np.exp(-4.0 * eps * eps * x * x)))
-    im_f0 = float(np.sum(base * np.exp(-2.0 * eps * eps * x * x))) / p
-    optical = 4.0 * math.pi / p * im_f0
+    table = partialwave.build_table(scenario, model, l_max=dl.size - 1)
+    heavy, light = _sin2_sums(table)
+    sigma = 4.0 * math.pi / scenario.p ** 2 * heavy
+    # (4 pi / p) Im f(0), with Im f(0) = light / p
+    optical = 4.0 * math.pi / scenario.p ** 2 * light
     rel = abs(sigma - optical) / optical if optical > 0.0 else 0.0
     return OpticalCheck(sigma=sigma, optical_sigma=optical, rel_diff=rel)
 

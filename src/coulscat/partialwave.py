@@ -54,7 +54,6 @@ __all__ = [
     "amplitude_scatter",
     "probability_grid",
     "square_well_phase_shifts",
-    "export_table_csv",
 ]
 
 # bytes of Legendre rows held at once (one row is 8 * (L+1) bytes): about
@@ -412,13 +411,3 @@ def square_well_phase_shifts(depth: float, radius: float,
     ddelta_dk[: l_cut + 1] = ddk
     return PhaseShiftModel.short_range(delta_l, ddelta_dk)
 
-
-def export_table_csv(table: PartialWaveTable, path) -> None:
-    """Columnar dump (l, weight, cos2sigma, sin2sigma, xi) for inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("l,weight,cos2sigma,sin2sigma,xi\n")
-        for l in range(table.l_max + 1):
-            fh.write(
-                f"{l},{table.weight[l]:.17g},{table.phase_cos[l]:.17g},"
-                f"{table.phase_sin[l]:.17g},{table.xi[l]:.17g}\n"
-            )

@@ -1,5 +1,5 @@
 """Grid sweeps over (theta, delta) and eta with caching and deterministic
-parallel assembly.
+parallel assembly, and the package's CSV and JSON file writers.
 
 Blocks of rows (fixed theta) are independent tasks sharing one immutable
 table and one precomputed delta-factor matrix; each task evaluates its rows
@@ -9,9 +9,11 @@ are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import hashlib
 import json
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +36,8 @@ __all__ = [
     "TableCache",
     "field_to_csv",
     "field_to_json",
+    "write_csv",
+    "write_json",
 ]
 
 DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of output matrix
@@ -58,6 +62,9 @@ class GridSpec:
     def __post_init__(self):
         if self.theta_n < 1 or self.delta_n < 1:
             raise ValueError("grid sizes must be >= 1")
+        if not np.all(np.isfinite([self.theta_min, self.theta_max,
+                                   self.delta_min, self.delta_max])):
+            raise ValueError("grid bounds must be finite")
         if self.theta_min > self.theta_max or self.delta_min > self.delta_max:
             raise ValueError("grid bounds must satisfy min <= max")
         if not (0.0 <= self.theta_min and self.theta_max <= np.pi):
@@ -256,21 +263,45 @@ def eta_sweep(scenario_template: PhysicalScenario, etas, theta: float,
     return EtaSweepResult(etas=etas, probabilities=values, errors=errors)
 
 
+def write_csv(path, header: str, rows) -> None:
+    """Write a `header` line and one comma-separated line per row.
+
+    Each row holds one value per header column.  Every value is written with
+    17 significant digits (ints as plain integers) and no timestamp is added,
+    so the bytes depend only on the data.  `path` None or '-' writes to
+    stdout.
+    """
+    line = (",".join(["{:.17g}"] * (header.count(",") + 1)) + "\n").format
+    with (open(path, "w", encoding="utf-8") if path not in (None, "-")
+          else contextlib.nullcontext(sys.stdout)) as out:
+        out.write(header + "\n")
+        out.writelines(line(*row) for row in rows)
+
+
+def write_json(path, payload: dict) -> None:
+    """Write `payload` plus a `generated_unix` timestamp as one JSON line.
+
+    `path` None or '-' writes to stdout.
+    """
+    text = json.dumps({**payload, "generated_unix": time.time()})
+    with (open(path, "w", encoding="utf-8") if path not in (None, "-")
+          else contextlib.nullcontext(sys.stdout)) as out:
+        out.write(text + "\n")
+
+
 def field_to_csv(result: FieldResult, path) -> None:
     """Long-form rows (theta, delta, value), 17 significant digits."""
-    thetas = result.grid.thetas
-    deltas = result.grid.deltas
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("theta,delta,value\n")
-        for i, t in enumerate(thetas):
-            for j, d in enumerate(deltas):
-                fh.write(f"{t:.17g},{d:.17g},{result.values[i, j]:.17g}\n")
+    deltas = result.grid.deltas.tolist()
+    write_csv(path, "theta,delta,value",
+              ((t, d, v)
+               for t, row in zip(result.grid.thetas.tolist(), result.values.tolist())
+               for d, v in zip(deltas, row)))
 
 
 def field_to_json(result: FieldResult, path) -> None:
     """JSON envelope carrying provenance metadata alongside the matrix."""
     sc = result.scenario
-    doc = {
+    write_json(path, {
         "quantity": result.quantity.value,
         "scenario": {
             "Z1": sc.Z1, "Z2": sc.Z2, "m0_mev": sc.m0, "E_mev": sc.E,
@@ -289,9 +320,5 @@ def field_to_json(result: FieldResult, path) -> None:
         "checksum": result.checksum,
         "terms_summed": result.terms_summed,
         "wall_time_s": result.wall_time_s,
-        "generated_unix": time.time(),
-        "values": [[float(v) for v in row] for row in result.values],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        "values": result.values.tolist(),
+    })

@@ -17,14 +17,12 @@ per-l spatial shifts, is Re psi(l+1+i eta) with psi the digamma function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import digamma, j0, loggamma
 
 __all__ = [
-    "LegendreRow",
     "log_gamma_complex",
     "coulomb_sigma_exact",
     "coulomb_sigma_table",
@@ -32,7 +30,6 @@ __all__ = [
     "coulomb_sigma_asymptotic_table",
     "dsigma_deta",
     "dsigma_deta_table",
-    "legendre_row",
     "legendre_rows",
     "wigner_d00_small_angle",
     "i_integral_closed_form",
@@ -118,14 +115,6 @@ def dsigma_deta_table(l_max: int, eta: float) -> np.ndarray:
     return np.real(digamma(np.arange(1.0, l_max + 2.0) + 1j * eta))
 
 
-@dataclass(frozen=True)
-class LegendreRow:
-    """P_l(cos theta) for l = 0 .. l_max at a single angle."""
-
-    theta: float
-    values: np.ndarray
-
-
 # Up to this many angles, one Python-float loop per angle beats one numpy
 # loop vectorized across angles.  At l_max = 6000 the scalar loop costs
 # about 1 ms per angle, and the vectorized one a nearly flat 30-45 ms up to
@@ -174,12 +163,6 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     for l in range(1, l_max):
         P[:, l + 1] = ((2 * l + 1) * x * P[:, l] - l * P[:, l - 1]) / (l + 1)
     return P
-
-
-def legendre_row(theta: float, l_max: int) -> LegendreRow:
-    values = legendre_rows(np.array([float(theta)]), l_max)[0]
-    values.flags.writeable = False
-    return LegendreRow(theta=float(theta), values=values)
 
 
 def _d00_bessel(l: int, theta) -> np.ndarray:

@@ -1,10 +1,20 @@
 import json
 
+import numpy as np
 import pytest
 
-from coulscat import acceptance, observables, scan
+from coulscat import (
+    DEFAULT_UNITS,
+    acceptance,
+    build_scenario,
+    build_table,
+    observables,
+    scan,
+    square_well_phase_shifts,
+)
 from coulscat.acceptance import CriterionResult
 from coulscat.cli import main
+from coulscat.kinematics import ALPHA_PARTICLE_MASS_MEV
 
 
 def read_csv(path):
@@ -54,6 +64,14 @@ class TestProfileDelta:
         err = capsys.readouterr().err
         assert "--delta-step" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("flag", ["--delta-min", "--delta-max"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_delta_bound_is_config_error(self, flag, value, capsys):
+        rc = main(["profile-delta", "--eta", "10", "--theta", "0.5", f"{flag}={value}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert flag in err and "finite" in err and len(err.strip().splitlines()) == 1
+
 
 class TestAngular:
     def test_weak_coupling_forward_peak(self, tmp_path):
@@ -85,6 +103,16 @@ class TestAngular:
         _header, rows = read_csv(out)
         # in the agreement regime the auto-delta ratio hugs unity
         assert all(abs(r[5] - 1.0) <= 0.05 for r in rows)
+
+    # an overflow warning would mean the field was evaluated before the check
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_delta_is_config_error(self, value, capsys):
+        rc = main(["angular", "--eta", "10", f"--delta={value}", "--theta-n", "3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "finite" in captured.err and len(captured.err.strip().splitlines()) == 1
 
 
 class TestConservation:
@@ -150,6 +178,13 @@ class TestEnergyScan:
         with pytest.raises(RuntimeError, match="not a strength-bound error"):
             main(["energy-scan", "--energies-kev", "3.8"])
 
+    @pytest.mark.parametrize("e_n", ["0", "-3"])
+    def test_empty_energy_range_is_config_error(self, e_n, capsys):
+        assert main(["energy-scan", f"--e-n={e_n}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--e-n" in captured.err and len(captured.err.strip().splitlines()) == 1
+
 
 class TestTableDump:
     def test_dump(self, tmp_path):
@@ -162,6 +197,45 @@ class TestTableDump:
 
     def test_requires_out(self):
         assert main(["table-dump", "--eta", "2", "--l-max", "50"]) == 2
+
+    def test_table_round_trip(self, tmp_path):
+        sc = build_scenario(79, 2, ALPHA_PARTICLE_MASS_MEV, 1.0, 1e-3)
+        radius_fm = DEFAULT_UNITS.length_to_fm(5.0 / sc.p)
+        model = square_well_phase_shifts(0.5, DEFAULT_UNITS.fm_to_length(radius_fm),
+                                         sc, l_max=40)
+        table = build_table(sc, model, l_max=40)
+        assert np.allclose(table.xi, 2.0 / sc.sigma_x * model.ddelta_dk)
+        path = tmp_path / "table.csv"
+        assert main(["table-dump", "--energy-mev", "1", "--model", "square-well",
+                     "--well-depth-mev", "0.5", "--well-radius-fm", repr(radius_fm),
+                     "--l-max", "40", "--out", str(path)]) == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == "l,weight,cos2sigma,sin2sigma,xi"
+        assert len(lines) == table.l_max + 2
+        cells = lines[1].split(",")
+        assert float(cells[1]) == table.weight[0]
+
+
+class TestOutputFormats:
+    @pytest.mark.parametrize("argv", [
+        ["angular", "--eta", "10", "--delta", "0.4", "--theta-min", "0.1",
+         "--theta-max", "1.0", "--theta-n", "5"],
+        ["optical", "--eta-min", "0.1", "--eta-max", "10", "--eta-n", "3"],
+        ["energy-scan", "--energies-kev", "3.8,10"],
+    ], ids=["angular", "optical", "energy-scan"])
+    def test_csv_and_json_carry_the_same_table(self, argv, tmp_path, capsys):
+        csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+        assert main(argv + ["--out", str(csv_out)]) == 0
+        assert main(argv + ["--format", "json", "--out", str(json_out)]) == 0
+        header, rows = read_csv(csv_out)
+        doc = json.loads(json_out.read_text())
+        assert doc["command"] == argv[0]
+        assert doc["columns"] == header
+        assert doc["rows"] == rows
+        assert "generated_unix" in doc
+        capsys.readouterr()
+        assert main(argv + ["--out", "-"]) == 0
+        assert capsys.readouterr().out == csv_out.read_text()
 
 
 class TestConfigAndErrors:
@@ -211,6 +285,15 @@ class TestConfigAndErrors:
         assert captured.out == ""
         assert name in captured.err and "finite" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_non_positive_workers_is_config_error(self, workers, capsys):
+        rc = main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "3",
+                   f"--workers={workers}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--workers" in captured.err and len(captured.err.strip().splitlines()) == 1
 
     def test_eps_out_of_range_is_config_error(self):
         assert main(["profile-delta", "--theta", "0.1", "--eta", "1",

@@ -265,16 +265,3 @@ class TestSquareWell:
         model = square_well_phase_shifts(0.5, radius, fast, l_max=60)
         # same well probed at 10x the reference momentum: weak shifts
         assert np.max(np.abs(model.delta_l[:6])) < 0.3
-
-    def test_table_round_trip(self, tmp_path):
-        sc = self._scenario()
-        model = square_well_phase_shifts(0.5, 5.0 / sc.p, sc, l_max=40)
-        table = build_table(sc, model, l_max=40)
-        assert np.allclose(table.xi, 2.0 / sc.sigma_x * model.ddelta_dk)
-        path = tmp_path / "table.csv"
-        partialwave.export_table_csv(table, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "l,weight,cos2sigma,sin2sigma,xi"
-        assert len(lines) == table.l_max + 2
-        cells = lines[1].split(",")
-        assert float(cells[1]) == table.weight[0]

@@ -33,6 +33,14 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(0.0, 4.0, 5, 0.0, 1.0, 5)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("position", [0, 1, 3, 4])
+    def test_rejects_non_finite_bounds(self, bad, position):
+        args = [0.1, 0.2, 3, -1.0, 1.0, 3]
+        args[position] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(*args)
+
     def test_degenerate_axes(self):
         g = GridSpec(0.3, 0.3, 1, -1.0, -1.0, 1)
         assert g.thetas.tolist() == [0.3]

@@ -114,17 +114,17 @@ class TestDsigmaDeta:
 
 class TestLegendre:
     def test_forward_direction_all_ones(self):
-        row = specfun.legendre_row(0.0, 500)
-        assert np.all(row.values == 1.0)
+        values = specfun.legendre_rows([0.0], 500)[0]
+        assert np.all(values == 1.0)
 
     def test_backward_direction_alternating(self):
-        row = specfun.legendre_row(math.pi, 500)
-        assert np.all(row.values == (-1.0) ** np.arange(501))
+        values = specfun.legendre_rows([math.pi], 500)[0]
+        assert np.all(values == (-1.0) ** np.arange(501))
 
     def test_right_angle_values(self):
-        row = specfun.legendre_row(math.pi / 2.0, 2)
-        assert row.values[1] == pytest.approx(0.0, abs=1e-16)
-        assert row.values[2] == pytest.approx(-0.5, rel=1e-14)
+        values = specfun.legendre_rows([math.pi / 2.0], 2)[0]
+        assert values[1] == pytest.approx(0.0, abs=1e-16)
+        assert values[2] == pytest.approx(-0.5, rel=1e-14)
 
     def test_orthogonality_by_quadrature(self):
         # Gauss-Legendre nodes make the integral exact for degree <= 2n-1
@@ -172,11 +172,11 @@ class TestWignerD00:
             assert specfun.wigner_d00_small_angle(l, 0.0) == 1.0
 
     def test_matches_legendre_l100(self):
-        exact = specfun.legendre_row(0.01, 100).values[100]
+        exact = specfun.legendre_rows([0.01], 100)[0][100]
         assert abs(specfun.wigner_d00_small_angle(100, 0.01) - exact) <= 1e-3
 
     def test_matches_legendre_l1000(self):
-        exact = specfun.legendre_row(0.005, 1000).values[1000]
+        exact = specfun.legendre_rows([0.005], 1000)[0][1000]
         assert abs(specfun.wigner_d00_small_angle(1000, 0.005) - exact) <= 1e-3
 
     def test_domain_guard(self):
