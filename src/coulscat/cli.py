@@ -120,11 +120,10 @@ def cmd_profile_delta(args) -> int:
     hi = lo + n * args.delta_step
     n += 1
     grid = scan.GridSpec(args.theta, args.theta, 1, lo, hi, n)
-    field = scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=args.workers)
-    deltas = grid.deltas
-    probs = field.values[0]
-    prof = observables.delta_profile(table, [args.theta], delta_range=(lo, hi),
-                                     coarse_n=n)
+    scan._check_budget(table, grid, [(0, 1)], 1)
+    # the CSV is the profile's own coarse scan: one Legendre row, one set of
+    # moments
+    prof, deltas, (probs,) = observables._delta_profile(table, [args.theta], (lo, hi), n)
     if args.format == "csv":
         scan.write_csv(args.out, "delta,probability", zip(deltas.tolist(), probs.tolist()))
     else:
@@ -141,6 +140,8 @@ def cmd_profile_delta(args) -> int:
 
 
 def cmd_angular(args) -> int:
+    if args.theta_n < 1:
+        raise ValueError(f"--theta-n must be >= 1, got {args.theta_n}")
     scenario, table = _table_from_args(args)
     thetas = np.linspace(args.theta_min, args.theta_max, args.theta_n)
     if args.delta == "auto":
@@ -244,6 +245,9 @@ def cmd_energy_scan(args) -> int:
         energies = [float(x) for x in args.energies_kev.split(",")]
     elif args.e_n < 1:
         raise ValueError(f"--e-n must be >= 1, got {args.e_n}")
+    elif not all(math.isfinite(e) and e > 0.0 for e in (args.e_min_kev, args.e_max_kev)):
+        raise ValueError(f"--e-min-kev and --e-max-kev must be positive and finite, "
+                         f"got {args.e_min_kev:g} and {args.e_max_kev:g}")
     else:
         energies = list(np.geomspace(args.e_min_kev, args.e_max_kev, args.e_n))
     rows = []

@@ -48,6 +48,11 @@ __all__ = [
 ]
 
 
+# rows per batch of delta_profile's local integral grids: 3.7 MB of Hermite
+# functions at eta = 800 (4 boxes, K = 22)
+_LOCAL_ROWS = 64
+
+
 @dataclass(frozen=True)
 class DeltaProfile:
     """delta_max(theta) and peak probabilities extracted by scanning.
@@ -212,6 +217,14 @@ def delta_profile(table: PartialWaveTable, thetas,
     refined location.  The range must span at least [-8, 8] so the scan
     cannot miss a peak pushed outside the xi hull by interference.
     """
+    return _delta_profile(table, thetas, delta_range, coarse_n)[0]
+
+
+def _delta_profile(table: PartialWaveTable, thetas,
+                   delta_range: Optional[tuple[float, float]],
+                   coarse_n: Optional[int]) -> tuple[DeltaProfile, np.ndarray, np.ndarray]:
+    """`delta_profile`, plus its coarse-scan deltas and P on them, shape
+    (n_theta, coarse_n); each cell equals the single-point probability."""
     thetas = np.asarray(thetas, dtype=float)
     if delta_range is None:
         delta_range = default_delta_range(table)
@@ -223,48 +236,57 @@ def delta_profile(table: PartialWaveTable, thetas,
     if coarse_n < 5:
         raise ValueError("coarse_n must be at least 5")
     deltas = np.linspace(lo, hi, coarse_n)
-    g = partialwave._delta_factors(table, deltas)
+    h = partialwave._hermite(table, deltas)
+    # (1/sqrt(4 pi)) * integral P d delta runs on a grid centred on each peak
+    # (trapezoid; Gaussian integrand converges fast)
+    offsets = np.linspace(-10.0, 10.0, 81)
 
     n = thetas.size
+    p_scan = np.empty((n, coarse_n))
     delta_max = np.zeros(n)
-    p_max, p_max_integral, residual = (np.empty(n) for _ in range(3))
+    p_max, p_max_integral = np.empty(n), np.empty(n)
     n_flat = 0
-    # each chunk's Legendre rows serve the coarse scan, p_max and the local
+    # each chunk's moments serve the coarse scan, p_max and the local
     # integral grid
     for i0, i1 in partialwave._theta_chunks(n, table.l_max):
-        p_rows = specfun.legendre_rows(thetas[i0:i1], table.l_max)
-        grid = partialwave._abs2(*partialwave._eval_rows(table, p_rows, g, "full"))
-        for k, i in enumerate(range(i0, i1)):
-            flat = float(grid[k].max() - grid[k].min()) < 1e-12
+        moments = partialwave._moments(
+            table, specfun.legendre_rows(thetas[i0:i1], table.l_max), "full")
+        grid = p_scan[i0:i1] = partialwave._abs2(*partialwave._combine(moments, h))
+        for k, row in enumerate(grid):
+            flat = float(row.max() - row.min()) < 1e-12
             n_flat += flat
             # below the double-precision noise floor of the series the peak
             # location is meaningless, and delta_max stays zero
-            if not (flat and grid[k].max() < 1e-30):
-                delta_max[i] = _refine_peak(deltas, grid[k])
-            # P at the peak, then (1/sqrt(4 pi)) * integral P d delta on a grid
-            # centred there (trapezoid; Gaussian integrand converges fast)
-            d_loc = delta_max[i] + np.linspace(-10.0, 10.0, 81)
-            g_loc = partialwave._delta_factors(
-                table, np.concatenate(([delta_max[i]], d_loc)))
-            p_loc = partialwave._abs2(*partialwave._eval_rows(
-                table, p_rows[k : k + 1], g_loc, "full"))[0]
-            p_max[i] = p_loc[0]
-            p_max_integral[i] = (float(np.trapezoid(p_loc[1:], d_loc))
-                                 / math.sqrt(4.0 * math.pi))
-            gauss = np.exp(-((deltas - delta_max[i]) ** 2) / 4.0) * p_max[i]
-            residual[i] = float(np.max(np.abs(grid[k] - gauss)))
+            if not (flat and row.max() < 1e-30):
+                delta_max[i0 + k] = _refine_peak(deltas, row)
+        # P at each peak, then on the local integral grid around it; the
+        # per-row Hermite functions (n_box * K * 82 values a row) are built
+        # for _LOCAL_ROWS rows at a time
+        for j0 in range(i0, i1, _LOCAL_ROWS):
+            j1 = min(j0 + _LOCAL_ROWS, i1)
+            d_loc = np.empty((j1 - j0, 1 + offsets.size))
+            d_loc[:, 0] = delta_max[j0:j1]
+            d_loc[:, 1:] = delta_max[j0:j1, None] + offsets
+            p_loc = partialwave._abs2(*partialwave._combine(
+                moments[:, j0 - i0 : j1 - i0], partialwave._hermite(table, d_loc)))
+            p_max[j0:j1] = p_loc[:, 0]
+            p_max_integral[j0:j1] = (np.trapezoid(p_loc[:, 1:], d_loc[:, 1:], axis=1)
+                                     / math.sqrt(4.0 * math.pi))
+    gauss = np.exp(-((deltas - delta_max[:, None]) ** 2) / 4.0) * p_max[:, None]
+    residual = np.max(np.abs(p_scan - gauss), axis=1)
     if n_flat:
         warnings.warn(
             f"flat delta profile (peak prominence < 1e-12) at {n_flat} of "
             f"{n} angles",
-            stacklevel=2,
+            stacklevel=3,
         )
 
-    for arr in (delta_max, p_max, p_max_integral, residual):
+    for arr in (delta_max, p_max, p_max_integral, residual, p_scan):
         arr.flags.writeable = False
-    return DeltaProfile(thetas=thetas, delta_max=delta_max, p_max=p_max,
-                        factorization_residual=residual,
-                        p_max_integral=p_max_integral)
+    profile = DeltaProfile(thetas=thetas, delta_max=delta_max, p_max=p_max,
+                           factorization_residual=residual,
+                           p_max_integral=p_max_integral)
+    return profile, deltas, p_scan
 
 
 def delta_max_at(table: PartialWaveTable, theta: float,

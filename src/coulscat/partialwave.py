@@ -17,18 +17,34 @@ logarithmic-phase trajectory shift is folded into the free-transit reference.
 For a short-range potential with phase shifts delta_l the same series applies
 with sigma_l -> delta_l and xi_l -> (2/sigma_x) d delta_l / dk.
 
-One loop (`_eval_rows`) evaluates the series for every caller: the full
-amplitude A, its forward part A_F or its scattering part A_S, each a kernel
-and a prefactor from `_PARTS`.  It reduces one theta row at a time with a
-fixed ascending-l order, so identical inputs give bit-identical results
-regardless of how work is partitioned across threads.
+At a fixed angle the series is a discrete Gauss transform in delta with
+sources xi_l.  With x = (delta - c)/sqrt 8, y_l = (xi_l - c)/sqrt 8 and the
+Hermite functions h_n(x) = H_n(x) e^{-x^2},
+
+    e^{-(x - y)^2} = sum_n y^n / n! h_n(x)
+
+(Greengard & Strain, "The Fast Gauss Transform", 1991), so each contiguous
+run ("box") of l whose xi lie within r sqrt 8 of a centre c contributes
+sum_{n<K} M_n h_n((delta - c)/sqrt 8) with moments
+M_n = sum_{l in box} kern_l P_l(cos theta) y_l^n / n!.  The moments depend on
+the angle only, so one set serves every delta: O(K L) work per angle in
+place of O(n_delta L).  The table fixes the boxes and takes K from Cramér's
+bound on the truncated expansion, which it records (`hermite_bound`, relative
+to sum_l |kern_l P_l|).
+
+One path evaluates the series for every caller: the full amplitude A, its
+forward part A_F or its scattering part A_S, each a kernel and a prefactor
+from `_PARTS`.  `_moments` reduces one theta row at a time along l and
+`_combine` adds the terms in a fixed order elementwise, so identical inputs
+give bit-identical results regardless of how work is partitioned across
+threads or batches.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -57,8 +73,16 @@ __all__ = [
 ]
 
 # bytes of Legendre rows held at once (one row is 8 * (L+1) bytes): about
-# 698 rows, or 33.5 MB, at L = 6000
+# 698 rows, or 33.5 MB, at L = 6000; each row is reduced to its Hermite
+# moments before the next one is read
 _CHUNK_BYTES = 1 << 25
+
+# box radius r in y = xi / sqrt 8: a box's xi spread is at most 2 r sqrt 8
+_BOX_RADIUS = 0.35
+# largest truncation error of the Hermite expansion, relative to
+# sum_l |kern_l P_l|
+_TRUNCATION_TOL = 2.0 ** -56
+_SQRT8 = math.sqrt(8.0)
 
 
 class PhaseShiftKind(enum.Enum):
@@ -118,6 +142,16 @@ class PartialWaveTable:
     xi[l]        = per-l spatial shift in sigma_x units
     tail_bound   = rigorous bound on the neglected angular weight beyond
                    l_max, relative to the retained total
+
+    The Hermite expansion in delta is derived from xi on construction (so a
+    `dataclasses.replace` of xi rebuilds it):
+
+    box_edges    = box b holds l in [box_edges[b], box_edges[b+1])
+    box_centres  = centre c of each box, the midpoint of its xi range
+    y_powers     = (K, L+1) table of y_l^n / n!, y_l = (xi_l - c)/sqrt 8
+    n_hermite    = K, the number of expansion terms per box
+    hermite_bound = Cramér bound on the truncated expansion's error,
+                   relative to sum_l |kern_l P_l| (at most 2^-56)
     """
 
     l_max: int
@@ -128,10 +162,71 @@ class PartialWaveTable:
     scenario: PhysicalScenario
     model: PhaseShiftModel
     tail_bound: float
+    box_edges: np.ndarray = field(init=False, repr=False)
+    box_centres: np.ndarray = field(init=False, repr=False)
+    y_powers: np.ndarray = field(init=False, repr=False)
+    n_hermite: int = field(init=False)
+    hermite_bound: float = field(init=False)
+
+    def __post_init__(self):
+        edges, centres, y = _hermite_boxes(np.asarray(self.xi, dtype=float))
+        k, bound = _hermite_terms(float(np.max(np.abs(y))))
+        powers = np.empty((k, y.size))
+        powers[0] = 1.0
+        for n in range(1, k):
+            powers[n] = powers[n - 1] * y / n
+        for arr in (edges, centres, powers):
+            arr.flags.writeable = False
+        for name, value in (("box_edges", edges), ("box_centres", centres),
+                            ("y_powers", powers), ("n_hermite", k),
+                            ("hermite_bound", bound)):
+            object.__setattr__(self, name, value)
 
     @property
     def eps(self) -> float:
         return self.scenario.eps
+
+
+def _hermite_boxes(xi: np.ndarray):
+    """Split l greedily into contiguous runs whose xi spread is at most
+    2 r sqrt 8 (xi need not be monotone).
+
+    Returns the run edges, each run's centre c (the midpoint of its xi range)
+    and y_l = (xi_l - c)/sqrt 8, so |y_l| <= r.
+    """
+    width = 2.0 * _BOX_RADIUS * _SQRT8
+    edges, centres = [0], []
+    while edges[-1] < xi.size:
+        rest = xi[edges[-1]:]
+        hi = np.maximum.accumulate(rest)
+        lo = np.minimum.accumulate(rest)
+        # the running spread never decreases, so the run ends where it first
+        # exceeds the width
+        n = int(np.searchsorted(hi - lo, width, side="right"))
+        centres.append(0.5 * (hi[n - 1] + lo[n - 1]))
+        edges.append(edges[-1] + n)
+    edges = np.array(edges)
+    centres = np.array(centres)
+    y = (xi - np.repeat(centres, np.diff(edges))) / _SQRT8
+    return edges, centres, y
+
+
+def _hermite_terms(rho: float) -> tuple[int, float]:
+    """Smallest K >= 1 whose truncation bound for |y| <= rho is at most
+    _TRUNCATION_TOL, and that bound.
+
+    Cramér's inequality |h_n(x)| <= 1.0865 2^{n/2} sqrt(n!) e^{-x^2/2} bounds
+    the dropped terms sum_{n>=K} |y|^n/n! |h_n(x)| by
+    1.0865 (sqrt2 rho)^K / sqrt(K!) / (1 - sqrt2 rho / sqrt(K+1)).
+    """
+    a = math.sqrt(2.0) * rho
+    k = 1
+    while True:
+        bound = (1.0865 * a ** k / math.sqrt(math.factorial(k))
+                 / (1.0 - a / math.sqrt(k + 1)))
+        if bound <= _TRUNCATION_TOL:
+            return k, bound
+        k += 1
 
 
 def choose_l_max(eps: float, tail_tol: Optional[float] = None) -> int:
@@ -224,30 +319,10 @@ def build_table(scenario: PhysicalScenario, model: PhaseShiftModel,
 # series evaluation
 # ---------------------------------------------------------------------------
 
-def _delta_factors(table: PartialWaveTable, deltas) -> np.ndarray:
-    """Gaussian time-shift factors exp(-(delta - xi_l)^2 / 8), shape (n_delta, L+1)."""
-    d = np.asarray(deltas, dtype=float)[:, None] - table.xi[None, :]
-    return np.exp(-(d * d) / 8.0)
-
-
 def _theta_chunks(n_theta: int, l_max: int):
     rows = max(1, _CHUNK_BYTES // (8 * (l_max + 1)))
     for i0 in range(0, n_theta, rows):
         yield i0, min(i0 + rows, n_theta)
-
-
-def _series_row(table: PartialWaveTable, p_row: np.ndarray, g: np.ndarray,
-                kern_re: np.ndarray, kern_im: np.ndarray):
-    """Reduce one theta row against a (n_delta, L+1) Gaussian factor matrix.
-
-    np.sum reduces each row independently along the contiguous axis, so the
-    result for a given point never depends on how many points share the call.
-    """
-    tre = kern_re * p_row
-    tim = kern_im * p_row
-    re = np.sum(g * tre[None, :], axis=1)
-    im = np.sum(g * tim[None, :], axis=1)
-    return re, im
 
 
 def _kern_full(table: PartialWaveTable):
@@ -280,46 +355,95 @@ def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def _eval_rows(table: PartialWaveTable, p_rows: np.ndarray, g: np.ndarray,
-               part: str) -> np.ndarray:
-    """The series `part` at each Legendre row of a block against the factor
-    matrix g; returns (re, im) stacked, shape (2, n_rows, n_delta).
+def _hermite(table: PartialWaveTable, deltas) -> np.ndarray:
+    """h_n((delta - c)/sqrt 8) for every box centre c and n < K, shape
+    (n_box * K,) + deltas.shape, box-major.
 
-    This is the only evaluation loop: single points, grids, sweeps and delta
-    profiles all reduce their rows here.
+    Built by the forward recurrence h_{n+1} = 2x h_n - 2n h_{n-1} from
+    h_0 = e^{-x^2}, elementwise, so a delta's values do not depend on the
+    deltas beside it.
+    """
+    d = np.asarray(deltas, dtype=float)
+    c = table.box_centres.reshape((-1,) + (1,) * d.ndim)
+    x = (d - c) / _SQRT8
+    two_x = 2.0 * x
+    k = table.n_hermite
+    h = np.empty((c.shape[0], k) + d.shape)
+    h[:, 0] = np.exp(-(x * x))
+    if k > 1:
+        h[:, 1] = two_x * h[:, 0]
+    for n in range(1, k - 1):
+        h[:, n + 1] = two_x * h[:, n] - (2.0 * n) * h[:, n - 1]
+    return h.reshape((-1,) + d.shape)
+
+
+def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarray:
+    """Hermite moments pref * sum_{l in box} kern_l P_l y_l^n / n! of the
+    series `part` for each Legendre row of a block; (re, im) stacked, shape
+    (2, n_rows, n_box * K), box-major like `_hermite`.
+
+    Each row's box sums run with np.sum along the contiguous l axis, one row
+    at a time, so a row's moments never depend on the rows beside it (a BLAS
+    product would: it blocks its sums by batch size).
     """
     kernel, pref = _PARTS[part]
-    kern_re, kern_im = kernel(table)
-    pref = pref * table.eps ** 2
-    out = np.empty((2, len(p_rows), g.shape[0]))
+    kern = np.stack(kernel(table))
+    edges = table.box_edges.tolist()
+    boxes = list(zip(edges[:-1], edges[1:]))
+    out = np.empty((2, len(p_rows), len(boxes), table.n_hermite))
     for i, p_row in enumerate(p_rows):
-        re, im = _series_row(table, p_row, g, kern_re, kern_im)
-        out[0, i] = pref * re
-        out[1, i] = pref * im
+        terms = kern * p_row
+        for b, (l0, l1) in enumerate(boxes):
+            out[:, i, b] = np.sum(terms[:, None, l0:l1] * table.y_powers[:, l0:l1],
+                                  axis=-1)
+    out *= pref * table.eps ** 2
+    return out.reshape(2, len(p_rows), -1)
+
+
+def _combine(moments: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_j M_j h_j for moments (2, n_rows, J) and Hermite functions h of
+    shape (J, n_delta), or (J, n_rows, n_delta) for per-row deltas; returns
+    (re, im) stacked, shape (2, n_rows, n_delta).
+
+    Terms are added one j at a time in a fixed order and elementwise (no
+    reduction over an axis, whose order numpy picks by shape), so every cell
+    equals its single-point evaluation.
+    """
+    out = moments[:, :, 0, None] * h[0]
+    term = np.empty_like(out)
+    for j in range(1, h.shape[0]):
+        np.multiply(moments[:, :, j, None], h[j], out=term)
+        out += term
     return out
 
 
-def _eval_grid(table: PartialWaveTable, thetas, g: np.ndarray,
-               part: str) -> np.ndarray:
-    """_eval_rows over thetas, building Legendre rows one chunk at a time."""
+def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str) -> np.ndarray:
+    """The series `part` on the outer product of thetas and deltas; (re, im)
+    stacked, shape (2, n_theta, n_delta).
+
+    Legendre rows are built one chunk at a time and reduced to moments;
+    single points, grids and sweeps all evaluate here, and delta profiles
+    use the same `_moments` and `_combine`.
+    """
     thetas = np.asarray(thetas, dtype=float)
-    out = np.empty((2, thetas.size, g.shape[0]))
+    h = _hermite(table, deltas)
+    out = np.empty((2, thetas.size, h.shape[1]))
     for i0, i1 in _theta_chunks(thetas.size, table.l_max):
         p_rows = specfun.legendre_rows(thetas[i0:i1], table.l_max)
-        out[:, i0:i1] = _eval_rows(table, p_rows, g, part)
+        out[:, i0:i1] = _combine(_moments(table, p_rows, part), h)
     return out
 
 
 def probability_grid(table: PartialWaveTable, thetas, deltas) -> np.ndarray:
     """P = |A|^2 on the outer product of thetas and deltas."""
-    return _abs2(*_eval_grid(table, thetas, _delta_factors(table, deltas), "full"))
+    return _abs2(*_eval_grid(table, thetas, deltas, "full"))
 
 
 def amplitude(table: PartialWaveTable, theta: float, delta: float) -> complex:
     """A(theta, delta) at a single point (same code path as the grids)."""
     if not (0.0 <= theta <= np.pi):
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    re, im = _eval_grid(table, [theta], _delta_factors(table, [delta]), "full")
+    re, im = _eval_grid(table, [theta], [delta], "full")
     return complex((re + 1j * im)[0, 0])
 
 
@@ -332,13 +456,13 @@ def probability(table: PartialWaveTable, theta: float, delta: float) -> float:
 
 def amplitude_forward(table: PartialWaveTable, theta: float, delta: float) -> float:
     """Forward-peak amplitude A_F(theta, delta); real by construction."""
-    re, _im = _eval_grid(table, [theta], _delta_factors(table, [delta]), "forward")
+    re, _im = _eval_grid(table, [theta], [delta], "forward")
     return float(re[0, 0])
 
 
 def amplitude_scatter(table: PartialWaveTable, theta: float, delta: float) -> complex:
     """Scattering amplitude part A_S(theta, delta); A = A_F + i A_S."""
-    re, im = _eval_grid(table, [theta], _delta_factors(table, [delta]), "scatter")
+    re, im = _eval_grid(table, [theta], [delta], "scatter")
     return complex((re + 1j * im)[0, 0])
 
 

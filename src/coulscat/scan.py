@@ -2,9 +2,10 @@
 parallel assembly, and the package's CSV and JSON file writers.
 
 Blocks of rows (fixed theta) are independent tasks sharing one immutable
-table and one precomputed delta-factor matrix; each task evaluates its rows
-with `partialwave`'s series loop and writes its own output slice, so results
-are bit-identical for any worker count.
+table; each task evaluates its rows through `partialwave`'s one series path
+(Legendre rows reduced to Hermite moments, combined with the Hermite
+functions of the deltas) and writes its own output slice, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ __all__ = [
     "write_json",
 ]
 
-DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of output matrix
+DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes a sweep may hold at once
 
 
 class Quantity(enum.Enum):
@@ -132,6 +133,30 @@ _QUANTITY_PARTS = {
 }
 
 
+def _check_budget(table: PartialWaveTable, grid: GridSpec, blocks, workers: int,
+                  memory_budget: Optional[int] = None) -> None:
+    """Raise ResourceLimitError when a sweep of `grid` in `blocks` would hold
+    more than `memory_budget` bytes (default DEFAULT_MEMORY_BUDGET) at once.
+
+    Counted: the output matrix; per block in flight (the `workers` largest),
+    its Legendre rows and six values per row and delta (the block's (re, im)
+    and the (re, im) sum and term `_combine` builds for it); and the Hermite
+    functions, n_box * K values per delta for each block.
+    """
+    if memory_budget is None:
+        memory_budget = DEFAULT_MEMORY_BUDGET
+    held = sorted(i1 - i0 for i0, i1 in blocks)[-workers:]
+    n_hermite = table.box_centres.size * table.n_hermite
+    need = 8 * (grid.theta_n * grid.delta_n
+                + sum(held) * (table.l_max + 1 + 6 * grid.delta_n)
+                + len(held) * n_hermite * grid.delta_n)
+    if need > memory_budget:
+        raise ResourceLimitError(
+            f"sweep needs {need} bytes (output matrix, Legendre rows and "
+            f"Hermite functions), budget is {memory_budget}"
+        )
+
+
 def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
           workers: int = 1,
           memory_budget: Optional[int] = None) -> FieldResult:
@@ -141,27 +166,21 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
     holds the (real) forward amplitude A_F and SCATTER_PART holds |A_S|^2.
     Every cell is bit-identical to the corresponding single-point evaluation.
     """
-    if memory_budget is None:
-        memory_budget = DEFAULT_MEMORY_BUDGET
-    need = grid.theta_n * grid.delta_n * 8
-    if need > memory_budget:
-        raise ResourceLimitError(
-            f"output matrix needs {need} bytes, budget is {memory_budget}"
-        )
-    start = time.perf_counter()
-    thetas = grid.thetas
-    part, reduce = _QUANTITY_PARTS[quantity]
-    g = partialwave._delta_factors(table, grid.deltas)
-    values = np.empty((grid.theta_n, grid.delta_n))
     blocks = list(partialwave._theta_chunks(grid.theta_n, table.l_max))
     # split further so several workers can run even on one chunk-sized grid
     if workers > 1 and len(blocks) < workers:
         bounds = np.linspace(0, grid.theta_n, workers * 2 + 1).astype(int)
         blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    _check_budget(table, grid, blocks, workers, memory_budget)
+    start = time.perf_counter()
+    thetas = grid.thetas
+    deltas = grid.deltas
+    part, reduce = _QUANTITY_PARTS[quantity]
+    values = np.empty((grid.theta_n, grid.delta_n))
 
     def fill(block):
         i0, i1 = block
-        values[i0:i1] = reduce(*partialwave._eval_grid(table, thetas[i0:i1], g, part))
+        values[i0:i1] = reduce(*partialwave._eval_grid(table, thetas[i0:i1], deltas, part))
 
     if workers <= 1:
         for block in blocks:

@@ -7,9 +7,12 @@ from coulscat import (
     DEFAULT_UNITS,
     acceptance,
     build_scenario,
+    build_scenario_from_eta,
     build_table,
     observables,
+    partialwave,
     scan,
+    specfun,
     square_well_phase_shifts,
 )
 from coulscat.acceptance import CriterionResult
@@ -73,6 +76,42 @@ class TestProfileDelta:
         assert flag in err and "finite" in err and len(err.strip().splitlines()) == 1
 
 
+    def test_builds_one_legendre_row(self, tmp_path, monkeypatch, capsys):
+        # the CSV is the profile's coarse scan, so the CSV and the summary
+        # share one row and one set of moments
+        rows = []
+        original = specfun.legendre_rows
+
+        def counting(thetas, l_max):
+            rows.append(np.size(thetas))
+            return original(thetas, l_max)
+
+        monkeypatch.setattr(specfun, "legendre_rows", counting)
+        out = tmp_path / "prof.csv"
+        assert main(["profile-delta", "--eta", "10", "--theta", "0.03",
+                     "--delta-step", "0.05", "--out", str(out)]) == 0
+        assert sum(rows) == 1
+        monkeypatch.setattr(specfun, "legendre_rows", original)
+        _header, body = read_csv(out)
+        deltas = [r[0] for r in body]
+        table = build_table(build_scenario_from_eta(10.0, 1e-3),
+                            partialwave.PhaseShiftModel.coulomb_exact())
+        want = partialwave.probability_grid(table, [0.03], deltas)[0]
+        assert [r[1] for r in body] == want.tolist()
+        summary = capsys.readouterr().out
+        p_max = float(summary.split("p_max=")[1].split()[0])
+        d_max = float(summary.split("delta_max=")[1].split()[0])
+        assert p_max == pytest.approx(partialwave.probability(table, 0.03, d_max),
+                                      rel=1e-5)
+
+    def test_oversized_profile_is_resource_error(self, capsys):
+        rc = main(["profile-delta", "--eta", "10", "--theta", "0.03",
+                   "--delta-step", "1e-9"])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("resource error:") and len(err.strip().splitlines()) == 1
+
+
 class TestAngular:
     def test_weak_coupling_forward_peak(self, tmp_path):
         out = tmp_path / "ang.csv"
@@ -113,6 +152,15 @@ class TestAngular:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "finite" in captured.err and len(captured.err.strip().splitlines()) == 1
+
+
+    def test_auto_delta_without_angles_is_config_error(self, capsys):
+        rc = main(["angular", "--eta", "10", "--theta-n", "0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--theta-n" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestConservation:
@@ -184,6 +232,20 @@ class TestEnergyScan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--e-n" in captured.err and len(captured.err.strip().splitlines()) == 1
+
+
+    # numpy's RuntimeWarning would mean the energies were made before the check
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [["--e-min-kev=-5", "--e-n", "2"],
+                                       ["--e-max-kev=0"],
+                                       ["--e-min-kev=nan"],
+                                       ["--e-max-kev=inf"]])
+    def test_non_positive_energy_bound_is_config_error(self, flags, capsys):
+        assert main(["energy-scan"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--e-min-kev" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 class TestTableDump:
@@ -303,6 +365,13 @@ class TestConfigAndErrors:
         monkeypatch.setattr(scan, "DEFAULT_MEMORY_BUDGET", 64)
         rc = main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "100"])
         assert rc == 4
+
+    def test_memory_budget_counts_the_legendre_rows(self, monkeypatch, capsys):
+        # the 3 x 1 output is 24 bytes; three rows of 6001 degrees are 144 kB
+        monkeypatch.setattr(scan, "DEFAULT_MEMORY_BUDGET", 10_000)
+        rc = main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "3"])
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("resource error:")
 
 
 class TestSelftest:

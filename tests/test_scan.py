@@ -107,6 +107,14 @@ class TestSweep:
         with pytest.raises(ResourceLimitError):
             sweep(table_eta10, g, Quantity.PROBABILITY, memory_budget=1000)
 
+    def test_memory_budget_counts_rows_and_hermite_functions(self, table_eta10):
+        # 2 x 3 output is 48 bytes; the budget fits it ten times over, but
+        # not the two Legendre rows (96 kB) the sweep holds
+        g = GridSpec(0.1, 0.2, 2, 0.0, 1.0, 3)
+        with pytest.raises(ResourceLimitError):
+            sweep(table_eta10, g, Quantity.PROBABILITY, memory_budget=480)
+        sweep(table_eta10, g, Quantity.PROBABILITY, memory_budget=1 << 20)
+
     def test_field_validation(self, table_eta10):
         g = GridSpec(0.1, 0.2, 2, 0.0, 1.0, 2)
         field = sweep(table_eta10, g, Quantity.PROBABILITY)
