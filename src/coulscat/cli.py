@@ -100,6 +100,18 @@ def _table_from_args(args):
     return scenario, table
 
 
+def _check_profile_budget(table, n_theta: int) -> None:
+    """Count a default-window `observables.delta_profile` of `n_theta` angles
+    against the memory budget: its coarse scan and the three arrays of its
+    factorization residual, n_theta x coarse_n values each, and the Legendre
+    rows, moments and Hermite functions of one chunk."""
+    lo, hi = observables.default_delta_range(table)
+    grid = scan.GridSpec(0.0, math.pi, n_theta, lo, hi,
+                         observables._coarse_points(lo, hi))
+    scan._check_budget(table, grid, partialwave._theta_chunks(n_theta, table.l_max),
+                       1, grid_arrays=4)
+
+
 def cmd_profile_delta(args) -> int:
     if args.theta is None:
         raise ValueError("profile-delta requires --theta (flag or config file)")
@@ -143,8 +155,10 @@ def cmd_angular(args) -> int:
     if args.theta_n < 1:
         raise ValueError(f"--theta-n must be >= 1, got {args.theta_n}")
     scenario, table = _table_from_args(args)
-    thetas = np.linspace(args.theta_min, args.theta_max, args.theta_n)
+    # both branches check the memory budget before they allocate per angle
     if args.delta == "auto":
+        _check_profile_budget(table, args.theta_n)
+        thetas = np.linspace(args.theta_min, args.theta_max, args.theta_n)
         prof = observables.delta_profile(table, thetas)
         deltas = np.asarray(prof.delta_max)
         probs = np.asarray(prof.p_max)
@@ -154,6 +168,7 @@ def cmd_angular(args) -> int:
                              dval, dval, 1)
         field = scan.sweep(table, grid, scan.Quantity.PROBABILITY,
                            workers=args.workers)
+        thetas = grid.thetas
         deltas = np.full(thetas.size, dval)
         probs = field.values[:, 0]
     pref = 1.0 / (16.0 * scenario.eps ** 4 * scenario.p ** 2)
@@ -175,8 +190,11 @@ def cmd_angular(args) -> int:
 
 
 def cmd_conservation(args) -> int:
+    if args.sphere_n < 1:
+        raise ValueError(f"--sphere-n must be >= 1, got {args.sphere_n}")
     scenario, table = _table_from_args(args)
     wsum = observables.conservation_weight_sum(table)
+    _check_profile_budget(table, args.sphere_n)
     thetas = observables.midpoint_thetas(args.sphere_n)
     prof = observables.delta_profile(table, thetas)
     sphere = observables.probability_sphere_integral(table, prof)

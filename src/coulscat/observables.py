@@ -186,6 +186,11 @@ def default_delta_range(table: PartialWaveTable) -> tuple[float, float]:
     return lo, hi
 
 
+def _coarse_points(lo: float, hi: float) -> int:
+    """Points of `delta_profile`'s default 0.2-step coarse scan of [lo, hi]."""
+    return int(round((hi - lo) / 0.2)) + 1
+
+
 def _refine_peak(deltas: np.ndarray, p_row: np.ndarray) -> float:
     """Coarse argmax plus 3-point parabolic refinement on log P.
 
@@ -232,7 +237,7 @@ def _delta_profile(table: PartialWaveTable, thetas,
     if lo > -8.0 or hi < 8.0:
         raise ValueError(f"delta_range must span at least [-8, 8], got [{lo}, {hi}]")
     if coarse_n is None:
-        coarse_n = int(round((hi - lo) / 0.2)) + 1
+        coarse_n = _coarse_points(lo, hi)
     if coarse_n < 5:
         raise ValueError("coarse_n must be at least 5")
     deltas = np.linspace(lo, hi, coarse_n)

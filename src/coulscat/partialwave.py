@@ -34,10 +34,11 @@ to sum_l |kern_l P_l|).
 
 One path evaluates the series for every caller: the full amplitude A, its
 forward part A_F or its scattering part A_S, each a kernel and a prefactor
-from `_PARTS`.  `_moments` reduces one theta row at a time along l and
-`_combine` adds the terms in a fixed order elementwise, so identical inputs
-give bit-identical results regardless of how work is partitioned across
-threads or batches.
+from `_PARTS`.  `_moments` reduces one theta row at a time, each moment one
+dot product along a box's l, and `_combine` adds the terms in a fixed order
+elementwise.  A dot's summation order depends on its length only, so
+identical inputs give bit-identical results regardless of how work is
+partitioned across threads or batches.
 """
 
 from __future__ import annotations
@@ -382,20 +383,25 @@ def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarr
     series `part` for each Legendre row of a block; (re, im) stacked, shape
     (2, n_rows, n_box * K), box-major like `_hermite`.
 
-    Each row's box sums run with np.sum along the contiguous l axis, one row
-    at a time, so a row's moments never depend on the rows beside it (a BLAS
-    product would: it blocks its sums by batch size).
+    Each moment is one dot product (np.vecdot) of a box slice of
+    kern * P_row with the same slice of a `y_powers` row, one row at a time.
+    A dot's summation order is fixed by its length alone, and every moment
+    of a box has the same length whatever the batch, the thread or the
+    memory offset of the row, so a row's moments never depend on the rows
+    beside it (a matrix product over the batch would: it blocks its sums by
+    batch size).
     """
     kernel, pref = _PARTS[part]
     kern = np.stack(kernel(table))
     edges = table.box_edges.tolist()
     boxes = list(zip(edges[:-1], edges[1:]))
     out = np.empty((2, len(p_rows), len(boxes), table.n_hermite))
+    terms = np.empty_like(kern)
     for i, p_row in enumerate(p_rows):
-        terms = kern * p_row
+        np.multiply(kern, p_row, out=terms)
         for b, (l0, l1) in enumerate(boxes):
-            out[:, i, b] = np.sum(terms[:, None, l0:l1] * table.y_powers[:, l0:l1],
-                                  axis=-1)
+            np.vecdot(terms[:, None, l0:l1], table.y_powers[:, l0:l1],
+                      out=out[:, i, b])
     out *= pref * table.eps ** 2
     return out.reshape(2, len(p_rows), -1)
 
@@ -406,8 +412,9 @@ def _combine(moments: np.ndarray, h: np.ndarray) -> np.ndarray:
     (re, im) stacked, shape (2, n_rows, n_delta).
 
     Terms are added one j at a time in a fixed order and elementwise (no
-    reduction over an axis, whose order numpy picks by shape), so every cell
-    equals its single-point evaluation.
+    reduction over an axis, whose order numpy picks by shape); with
+    `_moments`' fixed-length dots along l, every cell equals its
+    single-point evaluation.
     """
     out = moments[:, :, 0, None] * h[0]
     term = np.empty_like(out)

@@ -1,11 +1,11 @@
 """Grid sweeps over (theta, delta) and eta with caching and deterministic
 parallel assembly, and the package's CSV and JSON file writers.
 
-Blocks of rows (fixed theta) are independent tasks sharing one immutable
-table; each task evaluates its rows through `partialwave`'s one series path
-(Legendre rows reduced to Hermite moments, combined with the Hermite
-functions of the deltas) and writes its own output slice, so results are
-bit-identical for any worker count.
+Blocks of rows (fixed theta), one Legendre-row chunk each, are independent
+tasks sharing one immutable table; each task evaluates its rows through
+`partialwave`'s one series path (Legendre rows reduced to Hermite moments,
+combined with the Hermite functions of the deltas) and writes its own output
+slice, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import contextlib
 import enum
 import hashlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -134,26 +135,31 @@ _QUANTITY_PARTS = {
 
 
 def _check_budget(table: PartialWaveTable, grid: GridSpec, blocks, workers: int,
-                  memory_budget: Optional[int] = None) -> None:
-    """Raise ResourceLimitError when a sweep of `grid` in `blocks` would hold
-    more than `memory_budget` bytes (default DEFAULT_MEMORY_BUDGET) at once.
+                  memory_budget: Optional[int] = None,
+                  grid_arrays: int = 1) -> None:
+    """Raise ResourceLimitError when an evaluation of `grid` in `blocks`
+    would hold more than `memory_budget` bytes (default
+    DEFAULT_MEMORY_BUDGET) at once.
 
-    Counted: the output matrix; per block in flight (the `workers` largest),
-    its Legendre rows and six values per row and delta (the block's (re, im)
-    and the (re, im) sum and term `_combine` builds for it); and the Hermite
-    functions, n_box * K values per delta for each block.
+    Counted: `grid_arrays` arrays of the grid's shape (a sweep's output
+    matrix; a delta profile's coarse scan and its residual arrays); per
+    block in flight (the `workers` largest), its Legendre rows and six
+    values per row and delta (the block's (re, im) and the (re, im) sum and
+    term `_combine` builds for it); and the Hermite functions, n_box * K
+    values per delta for each block.
     """
     if memory_budget is None:
         memory_budget = DEFAULT_MEMORY_BUDGET
     held = sorted(i1 - i0 for i0, i1 in blocks)[-workers:]
     n_hermite = table.box_centres.size * table.n_hermite
-    need = 8 * (grid.theta_n * grid.delta_n
+    need = 8 * (grid_arrays * grid.theta_n * grid.delta_n
                 + sum(held) * (table.l_max + 1 + 6 * grid.delta_n)
                 + len(held) * n_hermite * grid.delta_n)
     if need > memory_budget:
         raise ResourceLimitError(
-            f"sweep needs {need} bytes (output matrix, Legendre rows and "
-            f"Hermite functions), budget is {memory_budget}"
+            f"{grid.theta_n} x {grid.delta_n} grid needs {need} bytes "
+            f"({grid_arrays} grid-sized arrays, Legendre rows and Hermite "
+            f"functions), budget is {memory_budget}"
         )
 
 
@@ -167,11 +173,11 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
     Every cell is bit-identical to the corresponding single-point evaluation.
     """
     blocks = list(partialwave._theta_chunks(grid.theta_n, table.l_max))
-    # split further so several workers can run even on one chunk-sized grid
-    if workers > 1 and len(blocks) < workers:
-        bounds = np.linspace(0, grid.theta_n, workers * 2 + 1).astype(int)
-        blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    _check_budget(table, grid, blocks, workers, memory_budget)
+    # each block runs the whole Legendre recurrence, so a thread pays only
+    # with a chunk of its own: the pool gets one thread per chunk, at most
+    # one per CPU, and a single chunk runs inline
+    threads = min(workers, len(blocks), os.cpu_count() or 1)
+    _check_budget(table, grid, blocks, threads, memory_budget)
     start = time.perf_counter()
     thetas = grid.thetas
     deltas = grid.deltas
@@ -182,11 +188,11 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
         i0, i1 = block
         values[i0:i1] = reduce(*partialwave._eval_grid(table, thetas[i0:i1], deltas, part))
 
-    if workers <= 1:
+    if threads <= 1:
         for block in blocks:
             fill(block)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(fill, blocks))
 
     if quantity is Quantity.DCS:

@@ -70,17 +70,12 @@ def coulomb_sigma_table(l_max: int, eta: float) -> np.ndarray:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     if eta == 0.0:
         return np.zeros(l_max + 1)
-    out = np.empty(l_max + 1)
-    out[0] = np.imag(loggamma(1.0 + 1j * eta))
+    sigma0 = np.imag(loggamma(1.0 + 1j * eta))
     steps = np.arctan2(eta, np.arange(1.0, l_max + 1.0))
-    # plain sequential accumulation: each sigma_{l+1} is exactly the rounding
-    # of sigma_l + atan2(eta, l+1), so the recurrence residual stays below
-    # half an ulp of the accumulated phase (blocked cumsum would not)
-    acc = out[0]
-    for i in range(l_max):
-        acc += steps[i]
-        out[i + 1] = acc
-    return out
+    # add.accumulate runs sequentially: each sigma_{l+1} is exactly the
+    # rounding of sigma_l + atan2(eta, l+1), so the recurrence residual stays
+    # below half an ulp of the accumulated phase
+    return np.cumsum(np.concatenate(([sigma0], steps)))
 
 
 def coulomb_sigma_asymptotic(l: int, eta: float) -> float:
@@ -117,9 +112,14 @@ def dsigma_deta_table(l_max: int, eta: float) -> np.ndarray:
 
 # Up to this many angles, one Python-float loop per angle beats one numpy
 # loop vectorized across angles.  At l_max = 6000 the scalar loop costs
-# about 1 ms per angle, and the vectorized one a nearly flat 30-45 ms up to
-# 64 angles, so the two cross near 40 angles.
-_SCALAR_MAX_ANGLES = 32
+# about 0.7 ms per angle, and the vectorized one a nearly flat 15-20 ms up
+# to 64 angles (four numpy calls per degree), so the two cross near 24.
+_SCALAR_MAX_ANGLES = 24
+
+# degrees per block of the vectorized recurrence: its (l, theta) ring and
+# the block's (2l+1) x rows take 1040 bytes per angle, 0.7 MB for the
+# 698-angle chunks of an L = 6000 sweep
+_RING_DEGREES = 64
 
 
 def legendre_rows(thetas, l_max: int) -> np.ndarray:
@@ -128,11 +128,15 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     Three-term recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, evaluated
     as ((2l+1) x P_l - l P_{l-1}) / (l+1) in one of two forms: for a few
     angles, a loop on Python floats per angle; otherwise a loop over l
-    vectorized across angles.  Both perform the same IEEE-754 operations in
-    the same order, so each row is bit-identical whichever form built it and
-    whatever batch it came in.  x is clamped to exactly +-1 at theta = 0 and
-    theta = pi so the endpoint columns come out as exact integers (+-1)^l.
-    NaN angles are rejected with the out-of-range ones.
+    vectorized across angles.  The vectorized loop runs on an (l, theta)
+    ring of `_RING_DEGREES` degrees, each degree one contiguous row across
+    the angles written through `out=` buffers, and copies each finished
+    block of degrees into the (theta, l) result.  Both forms perform the
+    same IEEE-754 operations in the same order, so each row is bit-identical
+    whichever form built it and whatever batch it came in.  x is clamped to
+    exactly +-1 at theta = 0 and theta = pi so the endpoint columns come out
+    as exact integers (+-1)^l.  NaN angles are rejected with the
+    out-of-range ones.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
@@ -148,10 +152,12 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     P[:, 0] = 1.0
     if l_max >= 1:
         P[:, 1] = x
+    # 2l+1, l and l+1 for l = 1 .. l_max-1 as floats: exactly the conversions
+    # numpy makes of the integers in the recurrence
+    l = np.arange(1.0, l_max)
+    two_l1, ls, lp1 = 2.0 * l + 1.0, l.tolist(), (l + 1.0).tolist()
     if thetas.size <= _SCALAR_MAX_ANGLES:
-        # 2l+1, l and l+1 as floats: exactly the conversions numpy makes below
-        l = np.arange(1.0, l_max)
-        coeffs = ((2.0 * l + 1.0).tolist(), l.tolist(), (l + 1.0).tolist())
+        coeffs = (two_l1.tolist(), ls, lp1)
         for i, xi in enumerate(x.tolist()):
             row = []
             p0, p1 = 1.0, xi
@@ -160,8 +166,26 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
                 row.append(p1)
             P[i, 2:] = row
         return P
-    for l in range(1, l_max):
-        P[:, l + 1] = ((2 * l + 1) * x * P[:, l] - l * P[:, l - 1]) / (l + 1)
+    # ring[j] holds P_{k0+j} across the angles, one contiguous row per
+    # degree: rows 0 and 1 the two degrees a block starts from, rows 2 on
+    # the block's new degrees, copied into P when the block is done
+    ring = np.empty((_RING_DEGREES + 2, thetas.size))
+    ring[0] = 1.0
+    ring[1] = x
+    ax = np.empty((_RING_DEGREES, thetas.size))
+    b = np.empty(thetas.size)
+    for k0 in range(0, l_max - 1, _RING_DEGREES):
+        m = min(_RING_DEGREES, l_max - 1 - k0)
+        # (2l+1) x for the block's degrees does not depend on the recurrence
+        np.multiply(two_l1[k0 : k0 + m, None], x, out=ax[:m])
+        for j, k in enumerate(range(k0, k0 + m)):
+            a = ax[j]
+            np.multiply(a, ring[j + 1], out=a)
+            np.multiply(ring[j], ls[k], out=b)
+            np.subtract(a, b, out=a)
+            np.divide(a, lp1[k], out=ring[j + 2])
+        P[:, k0 + 2 : k0 + 2 + m] = ring[2 : 2 + m].T
+        ring[:2] = ring[m : m + 2]
     return P
 
 

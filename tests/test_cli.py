@@ -171,6 +171,12 @@ class TestConservation:
         text = capsys.readouterr().out
         assert "weight sum" in text and "sphere integral" in text
 
+    def test_no_intervals_is_config_error(self, capsys):
+        rc = main(["conservation", "--eta", "0", "--sphere-n", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--sphere-n" in err and len(err.strip().splitlines()) == 1
+
     def test_unresolved_grid_breaches_tolerance(self):
         # 200 midpoint intervals cannot resolve the eps-wide forward peak
         rc = main(["conservation", "--eta", "0", "--eps", "0.01",
@@ -365,6 +371,19 @@ class TestConfigAndErrors:
         monkeypatch.setattr(scan, "DEFAULT_MEMORY_BUDGET", 64)
         rc = main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "100"])
         assert rc == 4
+
+    # delta_profile's coarse scan alone would be 2e6 x 81 values, 1.3 GB
+    @pytest.mark.parametrize("argv", [
+        ["angular", "--eta", "0", "--theta-n", "2000000"],
+        ["conservation", "--eta", "0", "--sphere-n", "2000000"],
+    ], ids=["angular", "conservation"])
+    def test_memory_budget_counts_the_delta_profile(self, argv, capsys):
+        rc = main(argv)
+        assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource error:")
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_memory_budget_counts_the_legendre_rows(self, monkeypatch, capsys):
         # the 3 x 1 output is 24 bytes; three rows of 6001 degrees are 144 kB

@@ -51,6 +51,13 @@ class TestCrossSections:
         assert abs(value / ruth - 1.0) <= 0.02
 
     def test_free_scattering_vanishes_away_from_forward(self, table_free):
+        """The bound is a noise floor, not an accuracy statement.
+
+        The true P at theta = 0.5 is 4.0e-70 (dcs 3.4e-63): the Gaussian
+        angular tail of the free packet.  The amplitude sums terms of up to
+        7e-5 that cancel, and their roundoff leaves |A| near 1e-19: P near
+        1e-38 and dcs near 1e-31.  So the 1e-30 bound limits roundoff.
+        """
         assert dcs(table_free, 0.5, 0.0) <= 1e-30
 
     def test_rutherford_backward_value_and_ratio(self):

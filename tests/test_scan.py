@@ -19,6 +19,8 @@ from coulscat import (
     rutherford_probability,
     sweep,
 )
+from coulscat import partialwave, scan
+from coulscat.partialwave import PhaseShiftModel, build_table
 from coulscat.scan import FieldResult
 
 EPS = 1e-3
@@ -66,6 +68,68 @@ class TestSweep:
         for w in (2, 4, 8):
             other = sweep(table_eta10, g, Quantity.PROBABILITY, workers=w)
             assert np.array_equal(base.values, other.values)
+
+    @pytest.fixture
+    def ten_row_chunks(self, monkeypatch, table_eta10):
+        # 10 rows a chunk, so 35 angles span 4 chunks
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 10 * 8 * (table_eta10.l_max + 1))
+        return GridSpec(0.1, 2.9, 35, -4.0, 4.0, 9)
+
+    def test_worker_counts_bit_identical_across_chunks(self, table_eta10, ten_row_chunks):
+        base = sweep(table_eta10, ten_row_chunks, Quantity.PROBABILITY, workers=1)
+        for w in (2, 4):
+            other = sweep(table_eta10, ten_row_chunks, Quantity.PROBABILITY, workers=w)
+            assert np.array_equal(base.values, other.values)
+
+    @pytest.mark.usefixtures("ten_row_chunks")
+    @pytest.mark.parametrize("workers, cpus, theta_n, threads", [
+        (2, 8, 35, 2),      # as asked
+        (8, 8, 35, 4),      # one thread per chunk
+        (8, 3, 35, 3),      # one thread per CPU
+        (4, None, 35, None),  # unknown CPU count: inline
+        (8, 8, 10, None),   # a single chunk runs inline
+    ])
+    def test_pool_size(self, monkeypatch, table_eta10, workers, cpus, theta_n, threads):
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(scan, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
+        g = GridSpec(0.1, 2.9, theta_n, 0.0, 1.0, 2)
+        field = sweep(table_eta10, g, Quantity.PROBABILITY, workers=workers)
+        assert sizes == ([] if threads is None else [threads])
+        assert np.array_equal(field.values,
+                              sweep(table_eta10, g, Quantity.PROBABILITY).values)
+
+    def test_box_longer_than_ten_thousand_terms(self):
+        # eps = 2e-4 at eta = 0: L = 30000 in one box, so each moment is a
+        # dot of 30001 terms, which BLAS may split across its own threads;
+        # 150 angles span two Legendre chunks
+        table = build_table(build_scenario_from_eta(0.0, 2e-4),
+                            PhaseShiftModel.coulomb_exact())
+        assert table.box_edges.tolist() == [0, 30001]
+        g = GridSpec(0.001, 0.05, 150, -1.0, 1.0, 3)
+        assert len(list(partialwave._theta_chunks(g.theta_n, table.l_max))) == 2
+        base = sweep(table, g, Quantity.PROBABILITY, workers=1)
+        assert np.array_equal(base.values,
+                              sweep(table, g, Quantity.PROBABILITY, workers=2).values)
+        thetas, deltas = g.thetas, g.deltas
+        for i in (0, 75, 149):
+            for j in range(3):
+                assert base.values[i, j] == probability(table, float(thetas[i]),
+                                                        float(deltas[j]))
 
     def test_dcs_prefactor(self, table_eta10):
         g = GridSpec(0.5, 1.5, 3, 0.0, 0.0, 1)

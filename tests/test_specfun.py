@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import loggamma
 
 from coulscat import specfun
 
@@ -60,6 +61,17 @@ class TestCoulombSigma:
     def test_sigma0_against_product_formula(self):
         oracle = weierstrass_log_gamma(1.0 + 1.0j).imag
         assert specfun.coulomb_sigma_exact(0, 1.0) == pytest.approx(oracle, abs=1e-9)
+
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 100, 6000])
+    @pytest.mark.parametrize("eta", [1e-6, 0.3, -1.0, 10.0, -800.0])
+    def test_table_is_the_sequential_running_sum(self, eta, l_max):
+        steps = np.arctan2(eta, np.arange(1.0, l_max + 1.0)).tolist()
+        acc = float(np.imag(loggamma(1.0 + 1j * eta)))
+        want = [acc]
+        for step in steps:
+            acc += step
+            want.append(acc)
+        assert np.array_equal(specfun.coulomb_sigma_table(l_max, eta), want)
 
     @pytest.mark.parametrize("eta", [0.3, 5.0, 800.0])
     def test_antisymmetry_in_eta(self, eta):
@@ -145,7 +157,13 @@ class TestLegendre:
         assert np.max(np.abs(resid)) <= 1e-12
         assert np.max(np.abs(row)) <= 1.0 + 1e-14
 
-    @pytest.mark.parametrize("l_max", [0, 1, 2, 5, 100, 6000])
+    # degrees 2 .. l_max come from the recurrence in blocks of RING: l_max
+    # RING - 1 and RING leave one short block, RING + 1 fills one exactly,
+    # RING + 2 leaves a one-degree second block, 2 RING + 1 fills two
+    RING = specfun._RING_DEGREES
+
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 5, 100, 6000,
+                                       RING - 1, RING, RING + 1, RING + 2, 2 * RING + 1])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_rows_do_not_depend_on_the_batch(self, l_max, offset):
         # batches just below, at and just above the scalar/vectorized switch
