@@ -16,10 +16,8 @@ from .errors import (
 )
 from .kinematics import (
     ALPHA_PARTICLE_MASS_MEV,
-    DEFAULT_UNITS,
     FINE_STRUCTURE_ALPHA,
     PhysicalScenario,
-    UnitsContext,
     build_scenario,
     build_scenario_from_eta,
     eps_from_energy_width,
@@ -42,7 +40,6 @@ from .observables import (
     optical_ratio,
     optical_theorem_check_short_range,
     probability_sphere_integral,
-    rutherford_amplitude,
     rutherford_dcs,
     rutherford_probability,
     scattering_amplitude_f,
@@ -62,12 +59,10 @@ from .partialwave import (
     square_well_phase_shifts,
 )
 from .scan import (
-    EtaSweepResult,
     FieldResult,
     GridSpec,
     Quantity,
     TableCache,
-    eta_sweep,
     field_to_csv,
     field_to_json,
     sweep,

@@ -46,10 +46,12 @@ class CriterionResult:
 EPS_REF = 1e-3
 
 
-@functools.lru_cache(maxsize=32)
+_TABLES = scan.TableCache()
+
+
 def _table_for_eta(eta: float, eps: float = EPS_REF):
-    scenario = build_scenario_from_eta(eta, eps)
-    return partialwave.build_table(scenario, PhaseShiftModel.coulomb_exact())
+    return _TABLES.get_or_build(build_scenario_from_eta(eta, eps),
+                                PhaseShiftModel.coulomb_exact())
 
 
 @functools.lru_cache(maxsize=4)

@@ -21,7 +21,7 @@ from . import acceptance, observables, partialwave, scan
 from .errors import ResourceLimitError, StrengthBoundError
 from .kinematics import (
     ALPHA_PARTICLE_MASS_MEV,
-    DEFAULT_UNITS,
+    HBARC_MEV_FM,
     build_scenario,
     build_scenario_from_eta,
 )
@@ -85,7 +85,7 @@ def _model_from_args(args, scenario) -> PhaseShiftModel:
         return PhaseShiftModel.coulomb_asymptotic()
     if args.well_radius_fm is None:
         raise ValueError("square-well model requires --well-radius-fm")
-    radius = DEFAULT_UNITS.fm_to_length(args.well_radius_fm)
+    radius = args.well_radius_fm / HBARC_MEV_FM
     l_max = args.l_max if args.l_max is not None else partialwave.choose_l_max(
         scenario.eps, args.tail_tol)
     return partialwave.square_well_phase_shifts(args.well_depth_mev, radius,
@@ -98,18 +98,6 @@ def _table_from_args(args):
     table = partialwave.build_table(scenario, model, tail_tol=args.tail_tol,
                                     l_max=args.l_max)
     return scenario, table
-
-
-def _check_profile_budget(table, n_theta: int) -> None:
-    """Count a default-window `observables.delta_profile` of `n_theta` angles
-    against the memory budget: its coarse scan and the three arrays of its
-    factorization residual, n_theta x coarse_n values each, and the Legendre
-    rows, moments and Hermite functions of one chunk."""
-    lo, hi = observables.default_delta_range(table)
-    grid = scan.GridSpec(0.0, math.pi, n_theta, lo, hi,
-                         observables._coarse_points(lo, hi))
-    scan._check_budget(table, grid, partialwave._theta_chunks(n_theta, table.l_max),
-                       1, grid_arrays=4)
 
 
 def cmd_profile_delta(args) -> int:
@@ -131,8 +119,6 @@ def cmd_profile_delta(args) -> int:
     n = int(math.ceil((hi - lo) / args.delta_step))
     hi = lo + n * args.delta_step
     n += 1
-    grid = scan.GridSpec(args.theta, args.theta, 1, lo, hi, n)
-    scan._check_budget(table, grid, [(0, 1)], 1)
     # the CSV is the profile's own coarse scan: one Legendre row, one set of
     # moments
     prof, deltas, (probs,) = observables._delta_profile(table, [args.theta], (lo, hi), n)
@@ -155,9 +141,7 @@ def cmd_angular(args) -> int:
     if args.theta_n < 1:
         raise ValueError(f"--theta-n must be >= 1, got {args.theta_n}")
     scenario, table = _table_from_args(args)
-    # both branches check the memory budget before they allocate per angle
     if args.delta == "auto":
-        _check_profile_budget(table, args.theta_n)
         thetas = np.linspace(args.theta_min, args.theta_max, args.theta_n)
         prof = observables.delta_profile(table, thetas)
         deltas = np.asarray(prof.delta_max)
@@ -194,7 +178,6 @@ def cmd_conservation(args) -> int:
         raise ValueError(f"--sphere-n must be >= 1, got {args.sphere_n}")
     scenario, table = _table_from_args(args)
     wsum = observables.conservation_weight_sum(table)
-    _check_profile_budget(table, args.sphere_n)
     thetas = observables.midpoint_thetas(args.sphere_n)
     prof = observables.delta_profile(table, thetas)
     sphere = observables.probability_sphere_integral(table, prof)

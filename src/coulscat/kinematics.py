@@ -36,30 +36,6 @@ EPS_MAX = 0.1
 
 
 @dataclass(frozen=True)
-class UnitsContext:
-    """Conversion constants between natural units and laboratory units."""
-
-    hbar_c: float = HBARC_MEV_FM
-    seconds_per_inverse_mev: float = SECONDS_PER_INVERSE_MEV
-    fine_structure_alpha: float = FINE_STRUCTURE_ALPHA
-
-    def length_to_fm(self, x_inv_mev: float) -> float:
-        return x_inv_mev * self.hbar_c
-
-    def fm_to_length(self, x_fm: float) -> float:
-        return x_fm / self.hbar_c
-
-    def time_to_seconds(self, t_inv_mev: float) -> float:
-        return t_inv_mev * self.seconds_per_inverse_mev
-
-    def seconds_to_time(self, t_s: float) -> float:
-        return t_s / self.seconds_per_inverse_mev
-
-
-DEFAULT_UNITS = UnitsContext()
-
-
-@dataclass(frozen=True)
 class PhysicalScenario:
     """Immutable bundle of experimental inputs and derived kinematics.
 
@@ -101,13 +77,12 @@ def _validate_inputs(m0: float, E: float, eps: float) -> None:
         )
 
 
-def build_scenario(Z1: int, Z2: int, m0: float, E: float, eps: float,
-                   alpha: float = FINE_STRUCTURE_ALPHA) -> PhysicalScenario:
+def build_scenario(Z1: int, Z2: int, m0: float, E: float, eps: float) -> PhysicalScenario:
     """Build a scenario from charges, mass, kinetic energy and eps (all MeV-based)."""
     _validate_inputs(m0, E, eps)
     p = math.sqrt(2.0 * m0 * E)
     beta = p / m0
-    eta = Z1 * Z2 * alpha / beta
+    eta = Z1 * Z2 * FINE_STRUCTURE_ALPHA / beta
     sigma_p = eps * p
     sigma_x = 0.5 / sigma_p
     R = sigma_x / math.sqrt(eps)
@@ -116,27 +91,25 @@ def build_scenario(Z1: int, Z2: int, m0: float, E: float, eps: float,
 
 
 def build_scenario_from_eta(eta: float, eps: float, Z1: int = 79, Z2: int = 2,
-                            m0: float = ALPHA_PARTICLE_MASS_MEV,
-                            E_free: float = 1.0,
-                            alpha: float = FINE_STRUCTURE_ALPHA) -> PhysicalScenario:
+                            m0: float = ALPHA_PARTICLE_MASS_MEV) -> PhysicalScenario:
     """Build a scenario with a prescribed strength parameter eta.
 
     The energy is derived from eta (beta = |Z1 Z2| alpha / |eta|), and the
     projectile charge sign is flipped if needed so that sign(Z1 Z2) matches
-    sign(eta).  At eta = 0 the energy is unconstrained; `E_free` is used and
-    the field source charge is set to zero.
+    sign(eta).  At eta = 0 the energy is unconstrained; 1 MeV is used and the
+    field source charge is set to zero.
     """
     if not math.isfinite(eta):
         raise ScenarioError(f"strength parameter eta must be finite, got {eta}")
     if eta == 0.0:
-        return build_scenario(0, Z2, m0, E_free, eps, alpha=alpha)
+        return build_scenario(0, Z2, m0, 1.0, eps)
     if Z1 == 0 or Z2 == 0:
         raise ScenarioError("nonzero eta requires nonzero charges")
     if (Z1 * Z2 > 0) != (eta > 0):
         Z2 = -Z2
-    beta = abs(Z1 * Z2) * alpha / abs(eta)
+    beta = abs(Z1 * Z2) * FINE_STRUCTURE_ALPHA / abs(eta)
     E = 0.5 * m0 * beta * beta
-    scenario = build_scenario(Z1, Z2, m0, E, eps, alpha=alpha)
+    scenario = build_scenario(Z1, Z2, m0, E, eps)
     # eta reconstructed from E rounds differently; rebuild with the exact value
     return PhysicalScenario(Z1=Z1, Z2=Z2, m0=m0, E=E, eps=eps, p=scenario.p,
                             beta=scenario.beta, eta=float(eta),
@@ -180,10 +153,9 @@ def scaled_shift(scenario: PhysicalScenario, T: float) -> float:
     return scenario.beta * (T - free_transit_time(scenario)) / scenario.sigma_x
 
 
-def time_shift_seconds(scenario: PhysicalScenario, delta: float,
-                       units: UnitsContext = DEFAULT_UNITS) -> float:
+def time_shift_seconds(scenario: PhysicalScenario, delta: float) -> float:
     """Convert a scaled shift delta into a time delay in seconds (delta sigma_x / beta)."""
-    return units.time_to_seconds(delta * scenario.sigma_x / scenario.beta)
+    return delta * scenario.sigma_x / scenario.beta * SECONDS_PER_INVERSE_MEV
 
 
 def spreading_width(scenario: PhysicalScenario, t: float) -> float:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import partialwave, specfun
+from . import partialwave, scan, specfun
 from .errors import NonConvergenceError
 from .kinematics import PhysicalScenario, build_scenario
 from .partialwave import PartialWaveTable, PhaseShiftKind, PhaseShiftModel
@@ -32,7 +32,6 @@ __all__ = [
     "dcs",
     "rutherford_dcs",
     "rutherford_probability",
-    "rutherford_amplitude",
     "conservation_weight_sum",
     "midpoint_thetas",
     "probability_sphere_integral",
@@ -48,27 +47,20 @@ __all__ = [
 ]
 
 
-# rows per batch of delta_profile's local integral grids: 3.7 MB of Hermite
-# functions at eta = 800 (4 boxes, K = 22)
-_LOCAL_ROWS = 64
-
-
 @dataclass(frozen=True)
 class DeltaProfile:
     """delta_max(theta) and peak probabilities extracted by scanning.
 
-    p_max is the probability at the refined peak location; p_max_integral is
-    the alternative extraction (1/sqrt(4 pi)) * integral of P over delta,
-    which equals p_max when the profile factorizes as a unit Gaussian in
-    delta.  factorization_residual reports the worst deviation from that
-    factorized form over the scanned delta samples (diagnostic only).
+    p_max is the probability at the refined peak location.
+    factorization_residual reports the worst deviation of the scanned
+    profile from the factorized form p_max e^{-(delta - delta_max)^2 / 4}, a
+    unit Gaussian in delta, over the scanned delta samples (diagnostic only).
     """
 
     thetas: np.ndarray
     delta_max: np.ndarray
     p_max: np.ndarray
     factorization_residual: np.ndarray
-    p_max_integral: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -110,23 +102,6 @@ def rutherford_probability(scenario: PhysicalScenario, theta: float) -> float:
         raise ValueError("Rutherford probability diverges at theta = 0")
     s2 = math.sin(0.5 * theta) ** 2
     return 4.0 * scenario.eps ** 4 * scenario.eta ** 2 / (s2 * s2)
-
-
-def rutherford_amplitude(scenario: PhysicalScenario, theta: float) -> complex:
-    """Closed-form Coulomb scattering amplitude.
-
-    f(theta, p) = -(eta / (2 p sin^2(theta/2)))
-                  * exp(-i eta ln(sin^2(theta/2)) + 2i sigma_0),
-    whose modulus squared is the Rutherford cross section.
-    """
-    if not (0.0 < theta <= math.pi):
-        raise ValueError("Coulomb amplitude diverges at theta = 0")
-    eta = scenario.eta
-    s2 = math.sin(0.5 * theta) ** 2
-    sigma0 = specfun.coulomb_sigma_exact(0, eta)
-    return -(eta / (2.0 * scenario.p * s2)) * complex(
-        np.exp(1j * (-eta * math.log(s2) + 2.0 * sigma0))
-    )
 
 
 def conservation_weight_sum(table: PartialWaveTable) -> float:
@@ -240,20 +215,20 @@ def _delta_profile(table: PartialWaveTable, thetas,
         coarse_n = _coarse_points(lo, hi)
     if coarse_n < 5:
         raise ValueError("coarse_n must be at least 5")
+    n = thetas.size
+    chunks = list(partialwave._theta_chunks(n, table.l_max))
+    # the coarse scan and the three arrays of its factorization residual are
+    # n x coarse_n values each
+    scan._check_budget(table, n, coarse_n, chunks, 1, grid_arrays=4)
     deltas = np.linspace(lo, hi, coarse_n)
     h = partialwave._hermite(table, deltas)
-    # (1/sqrt(4 pi)) * integral P d delta runs on a grid centred on each peak
-    # (trapezoid; Gaussian integrand converges fast)
-    offsets = np.linspace(-10.0, 10.0, 81)
 
-    n = thetas.size
     p_scan = np.empty((n, coarse_n))
     delta_max = np.zeros(n)
-    p_max, p_max_integral = np.empty(n), np.empty(n)
+    p_max = np.empty(n)
     n_flat = 0
-    # each chunk's moments serve the coarse scan, p_max and the local
-    # integral grid
-    for i0, i1 in partialwave._theta_chunks(n, table.l_max):
+    # each chunk's moments serve the coarse scan and p_max
+    for i0, i1 in chunks:
         moments = partialwave._moments(
             table, specfun.legendre_rows(thetas[i0:i1], table.l_max), "full")
         grid = p_scan[i0:i1] = partialwave._abs2(*partialwave._combine(moments, h))
@@ -264,19 +239,9 @@ def _delta_profile(table: PartialWaveTable, thetas,
             # location is meaningless, and delta_max stays zero
             if not (flat and row.max() < 1e-30):
                 delta_max[i0 + k] = _refine_peak(deltas, row)
-        # P at each peak, then on the local integral grid around it; the
-        # per-row Hermite functions (n_box * K * 82 values a row) are built
-        # for _LOCAL_ROWS rows at a time
-        for j0 in range(i0, i1, _LOCAL_ROWS):
-            j1 = min(j0 + _LOCAL_ROWS, i1)
-            d_loc = np.empty((j1 - j0, 1 + offsets.size))
-            d_loc[:, 0] = delta_max[j0:j1]
-            d_loc[:, 1:] = delta_max[j0:j1, None] + offsets
-            p_loc = partialwave._abs2(*partialwave._combine(
-                moments[:, j0 - i0 : j1 - i0], partialwave._hermite(table, d_loc)))
-            p_max[j0:j1] = p_loc[:, 0]
-            p_max_integral[j0:j1] = (np.trapezoid(p_loc[:, 1:], d_loc[:, 1:], axis=1)
-                                     / math.sqrt(4.0 * math.pi))
+        # P at each row's own peak: one delta per row
+        p_max[i0:i1] = partialwave._abs2(*partialwave._combine(
+            moments, partialwave._hermite(table, delta_max[i0:i1, None])))[:, 0]
     gauss = np.exp(-((deltas - delta_max[:, None]) ** 2) / 4.0) * p_max[:, None]
     residual = np.max(np.abs(p_scan - gauss), axis=1)
     if n_flat:
@@ -286,11 +251,10 @@ def _delta_profile(table: PartialWaveTable, thetas,
             stacklevel=3,
         )
 
-    for arr in (delta_max, p_max, p_max_integral, residual, p_scan):
+    for arr in (delta_max, p_max, residual, p_scan):
         arr.flags.writeable = False
     profile = DeltaProfile(thetas=thetas, delta_max=delta_max, p_max=p_max,
-                           factorization_residual=residual,
-                           p_max_integral=p_max_integral)
+                           factorization_residual=residual)
     return profile, deltas, p_scan
 
 

@@ -36,9 +36,10 @@ One path evaluates the series for every caller: the full amplitude A, its
 forward part A_F or its scattering part A_S, each a kernel and a prefactor
 from `_PARTS`.  `_moments` reduces one theta row at a time, each moment one
 dot product along a box's l, and `_combine` adds the terms in a fixed order
-elementwise.  A dot's summation order depends on its length only, so
-identical inputs give bit-identical results regardless of how work is
-partitioned across threads or batches.
+elementwise.  A dot's summation order depends on its length only (boxes
+stop at 8192 terms, short of where BLAS splits a dot across its own
+threads), so identical inputs give bit-identical results regardless of how
+work is partitioned across threads or batches.
 """
 
 from __future__ import annotations
@@ -80,6 +81,10 @@ _CHUNK_BYTES = 1 << 25
 
 # box radius r in y = xi / sqrt 8: a box's xi spread is at most 2 r sqrt 8
 _BOX_RADIUS = 0.35
+# most terms in a box: OpenBLAS splits a dot product longer than 10 000
+# terms across its own threads, and its rounding then depends on the
+# process's BLAS thread count
+_BOX_MAX_TERMS = 8192
 # largest truncation error of the Hermite expansion, relative to
 # sum_l |kern_l P_l|
 _TRUNCATION_TOL = 2.0 ** -56
@@ -189,8 +194,8 @@ class PartialWaveTable:
 
 
 def _hermite_boxes(xi: np.ndarray):
-    """Split l greedily into contiguous runs whose xi spread is at most
-    2 r sqrt 8 (xi need not be monotone).
+    """Split l greedily into contiguous runs of at most _BOX_MAX_TERMS terms
+    whose xi spread is at most 2 r sqrt 8 (xi need not be monotone).
 
     Returns the run edges, each run's centre c (the midpoint of its xi range)
     and y_l = (xi_l - c)/sqrt 8, so |y_l| <= r.
@@ -203,7 +208,7 @@ def _hermite_boxes(xi: np.ndarray):
         lo = np.minimum.accumulate(rest)
         # the running spread never decreases, so the run ends where it first
         # exceeds the width
-        n = int(np.searchsorted(hi - lo, width, side="right"))
+        n = min(int(np.searchsorted(hi - lo, width, side="right")), _BOX_MAX_TERMS)
         centres.append(0.5 * (hi[n - 1] + lo[n - 1]))
         edges.append(edges[-1] + n)
     edges = np.array(edges)

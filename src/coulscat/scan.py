@@ -1,5 +1,6 @@
-"""Grid sweeps over (theta, delta) and eta with caching and deterministic
-parallel assembly, and the package's CSV and JSON file writers.
+"""Grid sweeps over (theta, delta) with deterministic parallel assembly, the
+memory budget, a content-keyed table cache, and the package's CSV and JSON
+file writers.
 
 Blocks of rows (fixed theta), one Legendre-row chunk each, are independent
 tasks sharing one immutable table; each task evaluates its rows through
@@ -18,14 +19,14 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import partialwave
-from .errors import ResourceLimitError, StrengthBoundError
-from .kinematics import PhysicalScenario, build_scenario_from_eta
+from .errors import ResourceLimitError
+from .kinematics import PhysicalScenario
 from .partialwave import PartialWaveTable, PhaseShiftKind, PhaseShiftModel
 
 __all__ = [
@@ -33,8 +34,6 @@ __all__ = [
     "GridSpec",
     "FieldResult",
     "sweep",
-    "EtaSweepResult",
-    "eta_sweep",
     "TableCache",
     "field_to_csv",
     "field_to_json",
@@ -134,11 +133,11 @@ _QUANTITY_PARTS = {
 }
 
 
-def _check_budget(table: PartialWaveTable, grid: GridSpec, blocks, workers: int,
-                  memory_budget: Optional[int] = None,
+def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int, blocks,
+                  workers: int, memory_budget: Optional[int] = None,
                   grid_arrays: int = 1) -> None:
-    """Raise ResourceLimitError when an evaluation of `grid` in `blocks`
-    would hold more than `memory_budget` bytes (default
+    """Raise ResourceLimitError when an evaluation of an n_theta x n_delta
+    grid in `blocks` would hold more than `memory_budget` bytes (default
     DEFAULT_MEMORY_BUDGET) at once.
 
     Counted: `grid_arrays` arrays of the grid's shape (a sweep's output
@@ -152,12 +151,12 @@ def _check_budget(table: PartialWaveTable, grid: GridSpec, blocks, workers: int,
         memory_budget = DEFAULT_MEMORY_BUDGET
     held = sorted(i1 - i0 for i0, i1 in blocks)[-workers:]
     n_hermite = table.box_centres.size * table.n_hermite
-    need = 8 * (grid_arrays * grid.theta_n * grid.delta_n
-                + sum(held) * (table.l_max + 1 + 6 * grid.delta_n)
-                + len(held) * n_hermite * grid.delta_n)
+    need = 8 * (grid_arrays * n_theta * n_delta
+                + sum(held) * (table.l_max + 1 + 6 * n_delta)
+                + len(held) * n_hermite * n_delta)
     if need > memory_budget:
         raise ResourceLimitError(
-            f"{grid.theta_n} x {grid.delta_n} grid needs {need} bytes "
+            f"{n_theta} x {n_delta} grid needs {need} bytes "
             f"({grid_arrays} grid-sized arrays, Legendre rows and Hermite "
             f"functions), budget is {memory_budget}"
         )
@@ -177,7 +176,7 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
     # with a chunk of its own: the pool gets one thread per chunk, at most
     # one per CPU, and a single chunk runs inline
     threads = min(workers, len(blocks), os.cpu_count() or 1)
-    _check_budget(table, grid, blocks, threads, memory_budget)
+    _check_budget(table, grid.theta_n, grid.delta_n, blocks, threads, memory_budget)
     start = time.perf_counter()
     thetas = grid.thetas
     deltas = grid.deltas
@@ -215,7 +214,12 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
 
 
 class TableCache:
-    """Content-keyed cache of built tables for eta/energy sweeps."""
+    """Content-keyed cache of built tables.
+
+    The key covers every field of the scenario (a short-range model's
+    xi_l depends on sigma_x, a Coulomb table's on p and R), the model with
+    its phase-shift arrays, `tail_tol` and `l_max`.
+    """
 
     def __init__(self):
         self._store: dict[str, PartialWaveTable] = {}
@@ -226,7 +230,7 @@ class TableCache:
     def key(scenario: PhysicalScenario, model: PhaseShiftModel,
             tail_tol: Optional[float], l_max: Optional[int]) -> str:
         h = hashlib.sha256()
-        h.update(repr((scenario.eps, scenario.eta, model.kind.value,
+        h.update(repr((astuple(scenario), model.kind.value,
                        tail_tol, l_max)).encode())
         if model.kind is PhaseShiftKind.SHORT_RANGE_TABLE:
             h.update(model.delta_l.tobytes())
@@ -246,46 +250,6 @@ class TableCache:
         else:
             self.hits += 1
         return table
-
-
-@dataclass(frozen=True)
-class EtaSweepResult:
-    etas: np.ndarray
-    probabilities: np.ndarray  # NaN where the strength bound rejected eta
-    errors: dict
-
-
-def eta_sweep(scenario_template: PhysicalScenario, etas, theta: float,
-              delta: float, model: Optional[PhaseShiftModel] = None,
-              tail_tol: Optional[float] = None,
-              cache: Optional[TableCache] = None) -> EtaSweepResult:
-    """One probability per eta, each from a table looked up in `cache`.
-
-    Without a `cache`, tables are cached for this call only.  Strength-bound
-    rejections are collected per eta rather than aborting the sweep.
-    Charges, mass and eps come from the template scenario.
-    """
-    if model is None:
-        model = PhaseShiftModel.coulomb_exact()
-    if cache is None:
-        cache = TableCache()
-    etas = np.asarray(etas, dtype=float)
-    values = np.full(etas.size, np.nan)
-    errors: dict[float, str] = {}
-    tpl = scenario_template
-    for i, eta in enumerate(etas):
-        scenario = build_scenario_from_eta(
-            float(eta), tpl.eps, Z1=tpl.Z1 if tpl.Z1 else 79,
-            Z2=abs(tpl.Z2) if tpl.Z2 else 2, m0=tpl.m0,
-        )
-        try:
-            table = cache.get_or_build(scenario, model, tail_tol=tail_tol)
-        except StrengthBoundError as exc:
-            errors[float(eta)] = str(exc)
-            continue
-        values[i] = partialwave.probability(table, theta, delta)
-    values.flags.writeable = False
-    return EtaSweepResult(etas=etas, probabilities=values, errors=errors)
 
 
 def write_csv(path, header: str, rows) -> None:

@@ -23,31 +23,15 @@ from scipy.integrate import quad
 from scipy.special import digamma, j0, loggamma
 
 __all__ = [
-    "log_gamma_complex",
     "coulomb_sigma_exact",
     "coulomb_sigma_table",
-    "coulomb_sigma_asymptotic",
     "coulomb_sigma_asymptotic_table",
     "dsigma_deta",
     "dsigma_deta_table",
     "legendre_rows",
-    "wigner_d00_small_angle",
     "i_integral_closed_form",
     "i_integral_quadrature",
 ]
-
-
-def log_gamma_complex(z: complex) -> complex:
-    """Principal-branch log Gamma(z); exp of the result recovers Gamma(z).
-
-    Rejects non-finite arguments and the poles at non-positive real integers.
-    """
-    z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise ValueError(f"log_gamma_complex requires finite argument, got {z}")
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise ValueError(f"log Gamma pole at z={z.real}")
-    return complex(loggamma(z))
 
 
 def coulomb_sigma_exact(l: int, eta: float) -> float:
@@ -78,21 +62,12 @@ def coulomb_sigma_table(l_max: int, eta: float) -> np.ndarray:
     return np.cumsum(np.concatenate(([sigma0], steps)))
 
 
-def coulomb_sigma_asymptotic(l: int, eta: float) -> float:
-    """Large-|l+1+i eta| approximation of sigma_l.
+def coulomb_sigma_asymptotic_table(l_max: int, eta: float) -> np.ndarray:
+    """Large-|l+1+i eta| approximation of sigma_0 .. sigma_{l_max}.
 
     sigma_l ~ eta (ln sqrt((l+1)^2 + eta^2) - 1) + (l + 1/2) atan(eta/(l+1));
     the phase factor e^{2i sigma} is accurate to O(1/|l+1+i eta|).
     """
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    lp1 = l + 1.0
-    return eta * (0.5 * math.log(lp1 * lp1 + eta * eta) - 1.0) + (
-        l + 0.5
-    ) * math.atan2(eta, lp1)
-
-
-def coulomb_sigma_asymptotic_table(l_max: int, eta: float) -> np.ndarray:
     lp1 = np.arange(1.0, l_max + 2.0)
     return eta * (0.5 * np.log(lp1 * lp1 + eta * eta) - 1.0) + (lp1 - 0.5) * np.arctan2(
         eta, lp1
@@ -190,20 +165,9 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
 
 
 def _d00_bessel(l: int, theta) -> np.ndarray:
-    # small-angle, uniform-in-l form of the m=0 rotation matrix element
+    # small-angle, uniform-in-l form of the m=0 rotation matrix element:
+    # J0(sqrt(l(l+1)+1/3) theta) matches P_l(cos theta) to O(theta^2)
     return j0(math.sqrt(l * (l + 1.0) + 1.0 / 3.0) * np.asarray(theta, dtype=float))
-
-
-def wigner_d00_small_angle(l: int, theta: float) -> float:
-    """J0(sqrt(l(l+1)+1/3) theta), matching P_l(cos theta) to O(theta^2).
-
-    Valid for small angles only; the domain is restricted to theta <= 0.2.
-    """
-    if l < 0:
-        raise ValueError(f"l must be >= 0, got {l}")
-    if not (0.0 <= theta <= 0.2):
-        raise ValueError(f"small-angle form requires 0 <= theta <= 0.2, got {theta}")
-    return float(_d00_bessel(l, theta))
 
 
 def i_integral_closed_form(l: int, eps: float) -> float:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from coulscat import (
-    DEFAULT_UNITS,
     acceptance,
     build_scenario,
     build_scenario_from_eta,
@@ -17,7 +16,7 @@ from coulscat import (
 )
 from coulscat.acceptance import CriterionResult
 from coulscat.cli import main
-from coulscat.kinematics import ALPHA_PARTICLE_MASS_MEV
+from coulscat.kinematics import ALPHA_PARTICLE_MASS_MEV, HBARC_MEV_FM
 
 
 def read_csv(path):
@@ -268,9 +267,8 @@ class TestTableDump:
 
     def test_table_round_trip(self, tmp_path):
         sc = build_scenario(79, 2, ALPHA_PARTICLE_MASS_MEV, 1.0, 1e-3)
-        radius_fm = DEFAULT_UNITS.length_to_fm(5.0 / sc.p)
-        model = square_well_phase_shifts(0.5, DEFAULT_UNITS.fm_to_length(radius_fm),
-                                         sc, l_max=40)
+        radius_fm = 5.0 / sc.p * HBARC_MEV_FM
+        model = square_well_phase_shifts(0.5, radius_fm / HBARC_MEV_FM, sc, l_max=40)
         table = build_table(sc, model, l_max=40)
         assert np.allclose(table.xi, 2.0 / sc.sigma_x * model.ddelta_dk)
         path = tmp_path / "table.csv"

@@ -4,7 +4,6 @@ import pytest
 
 from coulscat import (
     ALPHA_PARTICLE_MASS_MEV,
-    DEFAULT_UNITS,
     ScenarioError,
     build_scenario,
     build_scenario_from_eta,
@@ -170,11 +169,6 @@ class TestSpreading:
 
 
 class TestUnits:
-    def test_round_trips(self):
-        u = DEFAULT_UNITS
-        assert u.fm_to_length(u.length_to_fm(3.7)) == pytest.approx(3.7, rel=1e-12)
-        assert u.seconds_to_time(u.time_to_seconds(9.1e4)) == pytest.approx(9.1e4, rel=1e-12)
-
     def test_linewidth_eps_bound(self):
         # 2 keV linewidth on the 4.8 MeV line
         eps = eps_from_energy_width(2e-3, 4.8)

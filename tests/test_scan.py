@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,18 +15,30 @@ from coulscat import (
     amplitude_forward,
     amplitude_scatter,
     build_scenario_from_eta,
-    eta_sweep,
+    dcs,
     field_to_csv,
     field_to_json,
     probability,
     rutherford_probability,
     sweep,
 )
+import coulscat
 from coulscat import partialwave, scan
 from coulscat.partialwave import PhaseShiftModel, build_table
 from coulscat.scan import FieldResult
 
 EPS = 1e-3
+
+# one point and a 40 x 2 grid on an L = 30000 table, written as raw bytes
+_LONG_TABLE_SCRIPT = """
+import sys
+import numpy as np
+from coulscat import PhaseShiftModel, build_scenario_from_eta, build_table, probability
+from coulscat.partialwave import probability_grid
+t = build_table(build_scenario_from_eta(0.0, 2e-4), PhaseShiftModel.coulomb_exact())
+grid = probability_grid(t, np.linspace(0.001, 0.05, 40), [-0.3, 0.3])
+sys.stdout.buffer.write(np.float64(probability(t, 0.01, 0.3)).tobytes() + grid.tobytes())
+"""
 
 
 class TestGridSpec:
@@ -114,12 +129,14 @@ class TestSweep:
                               sweep(table_eta10, g, Quantity.PROBABILITY).values)
 
     def test_box_longer_than_ten_thousand_terms(self):
-        # eps = 2e-4 at eta = 0: L = 30000 in one box, so each moment is a
-        # dot of 30001 terms, which BLAS may split across its own threads;
-        # 150 angles span two Legendre chunks
+        # eps = 2e-4 at eta = 0: L = 30000 with one xi, which one box would
+        # hold; boxes stop at 8192 terms, so no moment's dot is long enough
+        # for BLAS to split it across its own threads; 150 angles span two
+        # Legendre chunks
         table = build_table(build_scenario_from_eta(0.0, 2e-4),
                             PhaseShiftModel.coulomb_exact())
-        assert table.box_edges.tolist() == [0, 30001]
+        sizes = np.diff(table.box_edges)
+        assert table.box_edges[-1] == 30001 and sizes.max() <= 8192
         g = GridSpec(0.001, 0.05, 150, -1.0, 1.0, 3)
         assert len(list(partialwave._theta_chunks(g.theta_n, table.l_max))) == 2
         base = sweep(table, g, Quantity.PROBABILITY, workers=1)
@@ -130,6 +147,19 @@ class TestSweep:
             for j in range(3):
                 assert base.values[i, j] == probability(table, float(thetas[i]),
                                                         float(deltas[j]))
+
+    def test_results_do_not_depend_on_the_blas_thread_count(self):
+        src = os.path.dirname(os.path.dirname(coulscat.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = [
+            subprocess.run([sys.executable, "-c", _LONG_TABLE_SCRIPT], check=True,
+                           capture_output=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")
+        ]
+        assert len(outputs[0]) == 8 * (1 + 40 * 2)
+        assert outputs[0] == outputs[1]
 
     def test_dcs_prefactor(self, table_eta10):
         g = GridSpec(0.5, 1.5, 3, 0.0, 0.0, 1)
@@ -195,38 +225,47 @@ class TestSweep:
 
 
 class TestEtaSweep:
+    """Tables looked up per eta in a TableCache, as a sweep over eta does."""
+
     def test_single_eta_matches_table(self, table_eta10):
-        template = build_scenario_from_eta(1.0, EPS)
-        res = eta_sweep(template, [10.0], 0.5, 0.0)
-        assert res.probabilities[0] == probability(table_eta10, 0.5, 0.0)
-        assert not res.errors
+        cache = TableCache()
+        table = cache.get_or_build(build_scenario_from_eta(10.0, EPS),
+                                   PhaseShiftModel.coulomb_exact())
+        assert probability(table, 0.5, 0.0) == probability(table_eta10, 0.5, 0.0)
 
     def test_cache_hits_are_bit_identical(self):
-        template = build_scenario_from_eta(1.0, EPS)
         cache = TableCache()
-        first = eta_sweep(template, [4.0, 7.0], 0.8, 0.1, cache=cache)
+        model = PhaseShiftModel.coulomb_exact()
+        scenarios = [build_scenario_from_eta(eta, EPS) for eta in (4.0, 7.0)]
+        first = [cache.get_or_build(sc, model) for sc in scenarios]
         assert cache.misses == 2 and cache.hits == 0
-        second = eta_sweep(template, [4.0, 7.0], 0.8, 0.1, cache=cache)
-        assert cache.hits == 2
-        assert np.array_equal(first.probabilities, second.probabilities)
+        second = [cache.get_or_build(sc, model) for sc in scenarios]
+        assert cache.misses == 2 and cache.hits == 2
+        assert all(a is b for a, b in zip(first, second))
+        assert [probability(t, 0.8, 0.1) for t in first] == [
+            probability(build_table(sc, model), 0.8, 0.1) for sc in scenarios]
 
-    def test_strength_bound_collected_not_fatal(self):
-        template = build_scenario_from_eta(1.0, EPS)
-        res = eta_sweep(template, [10.0, 900.0], 0.5, 0.0)
-        assert math.isfinite(res.probabilities[0])
-        assert math.isnan(res.probabilities[1])
-        assert 900.0 in res.errors
+    def test_key_covers_every_scenario_field(self):
+        # same eps and eta, other projectile: another p, sigma_x and R
+        cache = TableCache()
+        model = PhaseShiftModel.coulomb_exact()
+        alpha = build_scenario_from_eta(10.0, 1e-3)
+        proton = build_scenario_from_eta(10.0, 1e-3, m0=938.272)
+        assert proton.eta == alpha.eta and proton.p != alpha.p
+        t_alpha = cache.get_or_build(alpha, model)
+        t_proton = cache.get_or_build(proton, model)
+        assert cache.misses == 2 and cache.hits == 0
+        assert t_alpha.scenario.p == alpha.p and t_proton.scenario.p == proton.p
+        assert dcs(t_proton, 0.5, 0.2) == dcs(build_table(proton, model), 0.5, 0.2)
 
     def test_tracks_rutherford_in_agreement_window(self):
         # low-to-moderate eta at theta = pi/2 sits outside the shadow zone;
         # by eta ~ 100 the suppression reaches ~50% and tracking ends
-        template = build_scenario_from_eta(1.0, EPS)
-        etas = [1.0, 3.0, 10.0, 30.0]
-        res = eta_sweep(template, etas, math.pi / 2.0, 0.0)
-        for eta, p in zip(etas, res.probabilities):
-            ruth = rutherford_probability(build_scenario_from_eta(eta, EPS),
-                                          math.pi / 2.0)
-            assert abs(p / ruth - 1.0) <= 0.20
+        model = PhaseShiftModel.coulomb_exact()
+        for eta in (1.0, 3.0, 10.0, 30.0):
+            sc = build_scenario_from_eta(eta, EPS)
+            p = probability(build_table(sc, model), math.pi / 2.0, 0.0)
+            assert abs(p / rutherford_probability(sc, math.pi / 2.0) - 1.0) <= 0.20
 
 
 class TestSerialization:
