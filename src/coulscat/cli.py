@@ -18,7 +18,12 @@ import sys
 import numpy as np
 
 from . import acceptance, observables, partialwave, scan
-from .errors import ResourceLimitError, StrengthBoundError
+from .errors import (
+    MatchingError,
+    NonConvergenceError,
+    ResourceLimitError,
+    StrengthBoundError,
+)
 from .kinematics import (
     ALPHA_PARTICLE_MASS_MEV,
     HBARC_MEV_FM,
@@ -140,16 +145,17 @@ def cmd_profile_delta(args) -> int:
 def cmd_angular(args) -> int:
     if args.theta_n < 1:
         raise ValueError(f"--theta-n must be >= 1, got {args.theta_n}")
+    auto = args.delta == "auto"
+    dval = 0.0 if auto else float(args.delta)
+    # both delta modes check the angle bounds here, before any evaluation
+    grid = scan.GridSpec(args.theta_min, args.theta_max, args.theta_n, dval, dval, 1)
     scenario, table = _table_from_args(args)
-    if args.delta == "auto":
-        thetas = np.linspace(args.theta_min, args.theta_max, args.theta_n)
+    if auto:
+        thetas = grid.thetas
         prof = observables.delta_profile(table, thetas)
         deltas = np.asarray(prof.delta_max)
         probs = np.asarray(prof.p_max)
     else:
-        dval = float(args.delta)
-        grid = scan.GridSpec(args.theta_min, args.theta_max, args.theta_n,
-                             dval, dval, 1)
         field = scan.sweep(table, grid, scan.Quantity.PROBABILITY,
                            workers=args.workers)
         thetas = grid.thetas
@@ -265,9 +271,9 @@ def cmd_energy_scan(args) -> int:
 
 
 def cmd_table_dump(args) -> int:
-    _scenario, table = _table_from_args(args)
     if args.out in (None, "-"):
         raise ValueError("table-dump requires --out")
+    _scenario, table = _table_from_args(args)
     scan.write_csv(args.out, "l,weight,cos2sigma,sin2sigma,xi",
                    zip(range(table.l_max + 1), table.weight.tolist(),
                        table.phase_cos.tolist(), table.phase_sin.tolist(),
@@ -379,13 +385,19 @@ def main(argv=None) -> int:
                 return EXIT_CONFIG
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage and message (or --help)
+        return exc.code
+    try:
         if getattr(args, "workers", 1) < 1:
             raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MatchingError, NonConvergenceError) as exc:
+        # a square well whose matching fails or whose phase shifts outlast
+        # the l window is a bad input, as is any ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -89,7 +89,7 @@ def rutherford_dcs(scenario: PhysicalScenario, theta: float) -> float:
     if not (0.0 < theta <= math.pi):
         raise ValueError("Rutherford cross section diverges at theta = 0")
     s2 = math.sin(0.5 * theta) ** 2
-    return scenario.eta ** 2 / (4.0 * scenario.p ** 2 * s2 * s2)
+    return _divide(scenario.eta ** 2, 4.0 * scenario.p ** 2 * s2 * s2)
 
 
 def rutherford_probability(scenario: PhysicalScenario, theta: float) -> float:
@@ -101,7 +101,15 @@ def rutherford_probability(scenario: PhysicalScenario, theta: float) -> float:
     if not (0.0 < theta <= math.pi):
         raise ValueError("Rutherford probability diverges at theta = 0")
     s2 = math.sin(0.5 * theta) ** 2
-    return 4.0 * scenario.eps ** 4 * scenario.eta ** 2 / (s2 * s2)
+    return _divide(4.0 * scenario.eps ** 4 * scenario.eta ** 2, s2 * s2)
+
+
+def _divide(numerator: float, denominator: float) -> float:
+    # below theta ~ 1e-81 sin^4(theta/2) underflows to 0, where the quotient
+    # has long overflowed: inf, or 0 in the free case
+    if denominator == 0.0:
+        return math.inf if numerator else 0.0
+    return numerator / denominator
 
 
 def conservation_weight_sum(table: PartialWaveTable) -> float:

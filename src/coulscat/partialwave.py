@@ -523,8 +523,10 @@ def square_well_phase_shifts(depth: float, radius: float,
     momentum derivative d delta_l / dk uses central differences with step
     1e-4 * p, after re-branching delta_l(k +- h) onto the same mod-pi sheet.
     """
-    if not (radius > 0.0):
-        raise ValueError(f"well radius must be positive, got {radius}")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise ValueError(f"well radius must be positive and finite, got {radius}")
+    if not math.isfinite(depth):
+        raise ValueError(f"well depth must be finite, got {depth}")
     k = scenario.p
     ls = np.arange(l_max + 1)
     # beyond l ~ k*radius + margin the centrifugal barrier makes delta_l

@@ -252,17 +252,25 @@ class TableCache:
         return table
 
 
+def _stream(path):
+    """Context manager over the text stream for `path`: the file, opened for
+    writing, or stdout for None or '-'.  Every file the package writes is
+    opened here."""
+    if path in (None, "-"):
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
+
+
 def write_csv(path, header: str, rows) -> None:
     """Write a `header` line and one comma-separated line per row.
 
     Each row holds one value per header column.  Every value is written with
     17 significant digits (ints as plain integers) and no timestamp is added,
     so the bytes depend only on the data.  `path` None or '-' writes to
-    stdout.
+    stdout.  `field_to_csv` writes the same format for a grid.
     """
     line = (",".join(["{:.17g}"] * (header.count(",") + 1)) + "\n").format
-    with (open(path, "w", encoding="utf-8") if path not in (None, "-")
-          else contextlib.nullcontext(sys.stdout)) as out:
+    with _stream(path) as out:
         out.write(header + "\n")
         out.writelines(line(*row) for row in rows)
 
@@ -273,18 +281,25 @@ def write_json(path, payload: dict) -> None:
     `path` None or '-' writes to stdout.
     """
     text = json.dumps({**payload, "generated_unix": time.time()})
-    with (open(path, "w", encoding="utf-8") if path not in (None, "-")
-          else contextlib.nullcontext(sys.stdout)) as out:
+    with _stream(path) as out:
         out.write(text + "\n")
 
 
 def field_to_csv(result: FieldResult, path) -> None:
-    """Long-form rows (theta, delta, value), 17 significant digits."""
-    deltas = result.grid.deltas.tolist()
-    write_csv(path, "theta,delta,value",
-              ((t, d, v)
-               for t, row in zip(result.grid.thetas.tolist(), result.values.tolist())
-               for d, v in zip(deltas, row)))
+    """Long-form rows (theta, delta, value), 17 significant digits, in
+    `write_csv`'s format; `path` None or '-' writes to stdout.
+
+    Each theta and each delta is formatted once per grid: a theta row's
+    lines are one `%`-template, the row's theta and the grid's deltas
+    already in it, applied to the row's values.  `%.17g` and `{:.17g}` give
+    the same digits, so the bytes are those of a `write_csv` of the triples.
+    """
+    tails = [",%.17g,%%.17g\n" % d for d in result.grid.deltas.tolist()]
+    thetas = ["%.17g" % t for t in result.grid.thetas.tolist()]
+    with _stream(path) as out:
+        out.write("theta,delta,value\n")
+        for t, row in zip(thetas, result.values.tolist()):
+            out.write((t + t.join(tails)) % tuple(row))
 
 
 def field_to_json(result: FieldResult, path) -> None:

@@ -87,9 +87,9 @@ def dsigma_deta_table(l_max: int, eta: float) -> np.ndarray:
 
 # Up to this many angles, one Python-float loop per angle beats one numpy
 # loop vectorized across angles.  At l_max = 6000 the scalar loop costs
-# about 0.7 ms per angle, and the vectorized one a nearly flat 15-20 ms up
-# to 64 angles (four numpy calls per degree), so the two cross near 24.
-_SCALAR_MAX_ANGLES = 24
+# about 1 ms per angle, and the vectorized one a nearly flat 20-23 ms up
+# to 64 angles (four numpy calls per degree), so the two cross near 20.
+_SCALAR_MAX_ANGLES = 20
 
 # degrees per block of the vectorized recurrence: its (l, theta) ring and
 # the block's (2l+1) x rows take 1040 bytes per angle, 0.7 MB for the
@@ -105,13 +105,15 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     angles, a loop on Python floats per angle; otherwise a loop over l
     vectorized across angles.  The vectorized loop runs on an (l, theta)
     ring of `_RING_DEGREES` degrees, each degree one contiguous row across
-    the angles written through `out=` buffers, and copies each finished
-    block of degrees into the (theta, l) result.  Both forms perform the
-    same IEEE-754 operations in the same order, so each row is bit-identical
-    whichever form built it and whatever batch it came in.  x is clamped to
-    exactly +-1 at theta = 0 and theta = pi so the endpoint columns come out
-    as exact integers (+-1)^l.  NaN angles are rejected with the
-    out-of-range ones.
+    the angles written through `out=` buffers (the row views, coefficient
+    slices and ufuncs bound once per call, not looked up per degree), and
+    copies each finished block of degrees into the (theta, l) result.  Both
+    forms perform the same IEEE-754 operations in the same order, so each
+    row is bit-identical whichever form built it and whatever batch it came
+    in.  x is clamped to exactly +-1 at theta = 0 and theta = pi; where x is
+    exactly +-1 the recurrence yields the exact integers (+-1)^l, so those
+    rows are filled directly in either form.  NaN angles are rejected with
+    the out-of-range ones.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
@@ -127,13 +129,20 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     P[:, 0] = 1.0
     if l_max >= 1:
         P[:, 1] = x
+    # at x = +-1 the recurrence gives the exact integers (+-1)^l
+    ends = np.abs(x) == 1.0
+    P[ends] = 1.0
+    P[ends, 1::2] = x[ends, None]
+    inner = np.flatnonzero(~ends)
+    if l_max < 2 or inner.size == 0:
+        return P
     # 2l+1, l and l+1 for l = 1 .. l_max-1 as floats: exactly the conversions
     # numpy makes of the integers in the recurrence
     l = np.arange(1.0, l_max)
     two_l1, ls, lp1 = 2.0 * l + 1.0, l.tolist(), (l + 1.0).tolist()
     if thetas.size <= _SCALAR_MAX_ANGLES:
         coeffs = (two_l1.tolist(), ls, lp1)
-        for i, xi in enumerate(x.tolist()):
+        for i, xi in zip(inner.tolist(), x[inner].tolist()):
             row = []
             p0, p1 = 1.0, xi
             for a, b, c in zip(*coeffs):
@@ -141,25 +150,28 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
                 row.append(p1)
             P[i, 2:] = row
         return P
+    x = x[inner]
     # ring[j] holds P_{k0+j} across the angles, one contiguous row per
     # degree: rows 0 and 1 the two degrees a block starts from, rows 2 on
     # the block's new degrees, copied into P when the block is done
-    ring = np.empty((_RING_DEGREES + 2, thetas.size))
+    ring = np.empty((_RING_DEGREES + 2, x.size))
     ring[0] = 1.0
     ring[1] = x
-    ax = np.empty((_RING_DEGREES, thetas.size))
-    b = np.empty(thetas.size)
+    ax = np.empty((_RING_DEGREES, x.size))
+    b = np.empty(x.size)
+    rows, axs = list(ring), list(ax)
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
     for k0 in range(0, l_max - 1, _RING_DEGREES):
         m = min(_RING_DEGREES, l_max - 1 - k0)
         # (2l+1) x for the block's degrees does not depend on the recurrence
-        np.multiply(two_l1[k0 : k0 + m, None], x, out=ax[:m])
-        for j, k in enumerate(range(k0, k0 + m)):
-            a = ax[j]
-            np.multiply(a, ring[j + 1], out=a)
-            np.multiply(ring[j], ls[k], out=b)
-            np.subtract(a, b, out=a)
-            np.divide(a, lp1[k], out=ring[j + 2])
-        P[:, k0 + 2 : k0 + 2 + m] = ring[2 : 2 + m].T
+        multiply(two_l1[k0 : k0 + m, None], x, out=ax[:m])
+        for a, p0, p1, p2, lk, ck in zip(axs[:m], rows, rows[1:], rows[2:],
+                                         ls[k0 : k0 + m], lp1[k0 : k0 + m]):
+            multiply(a, p1, out=a)
+            multiply(p0, lk, out=b)
+            subtract(a, b, out=a)
+            divide(a, ck, out=p2)
+        P[inner, k0 + 2 : k0 + 2 + m] = ring[2 : 2 + m].T
         ring[:2] = ring[m : m + 2]
     return P
 

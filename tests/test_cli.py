@@ -161,6 +161,36 @@ class TestAngular:
         assert "--theta-n" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("delta", ["auto", "0"])
+    def test_angle_below_the_smallest_sine(self, delta, capsys):
+        # sin^4(theta/2) underflows at theta = 1e-200: the Rutherford
+        # columns read inf and the ratio 0, as at theta = 0
+        rc = main(["angular", "--eta", "1", "--eps", "0.05", "--delta", delta,
+                   "--theta-min", "1e-200", "--theta-max", "1", "--theta-n", "2"])
+        assert rc == 0
+        first = capsys.readouterr().out.splitlines()[1].split(",")
+        assert first[2] == first[4] == "inf" and first[5] == "0"
+
+    @pytest.mark.parametrize("delta", ["auto", "0"])
+    @pytest.mark.parametrize("bounds, message", [
+        (["--theta-min", "1", "--theta-max", "0.5"], "min <= max"),
+        (["--theta-min", "-0.1"], "within [0, pi]"),
+        (["--theta-max", "3.5"], "within [0, pi]"),
+        (["--theta-max", "nan"], "finite"),
+    ])
+    def test_bad_theta_bounds_are_config_errors_in_both_delta_modes(
+            self, delta, bounds, message, monkeypatch, capsys):
+        def no_table(*_args, **_kwargs):
+            raise AssertionError("table built before the bounds were checked")
+
+        monkeypatch.setattr(partialwave, "build_table", no_table)
+        rc = main(["angular", "--eta", "10", "--delta", delta, "--theta-n", "3", *bounds])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
 
 class TestConservation:
     def test_resolved_free_case_passes(self, capsys):
@@ -203,6 +233,20 @@ class TestOptical:
 
     def test_missing_range_is_config_error(self):
         assert main(["optical"]) == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--well-radius-fm=inf"], "radius must be positive and finite"),
+        (["--well-radius-fm=11.4", "--well-depth-mev=nan"], "depth must be finite"),
+        (["--well-radius-fm=11.4", "--well-depth-mev=inf"], "depth must be finite"),
+        # phase shifts still large at l = 40: the l window is too short
+        (["--well-radius-fm=400", "--l-max=40"], "not converged"),
+    ])
+    def test_bad_square_well_is_config_error(self, flags, message, capsys):
+        rc = main(["optical", "--model", "square-well", "--energy-mev", "1", *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err and len(captured.err.strip().splitlines()) == 1
 
     def test_descending_range_is_config_error(self, capsys):
         rc = main(["optical", "--eta-min", "1", "--eta-max", "0.5"])
@@ -264,6 +308,16 @@ class TestTableDump:
 
     def test_requires_out(self):
         assert main(["table-dump", "--eta", "2", "--l-max", "50"]) == 2
+
+    @pytest.mark.parametrize("out", [[], ["--out", "-"]])
+    def test_missing_out_is_rejected_before_the_table_is_built(self, out, monkeypatch,
+                                                               capsys):
+        def no_table(*_args, **_kwargs):
+            raise AssertionError("table built before --out was checked")
+
+        monkeypatch.setattr(partialwave, "build_table", no_table)
+        assert main(["table-dump", "--eta", "2", *out]) == 2
+        assert "requires --out" in capsys.readouterr().err
 
     def test_table_round_trip(self, tmp_path):
         sc = build_scenario(79, 2, ALPHA_PARTICLE_MASS_MEV, 1.0, 1e-3)
@@ -333,10 +387,18 @@ class TestConfigAndErrors:
         assert main(["profile-delta", "--theta", "0.1"]) == 2
 
     def test_conflicting_energy_flags_exit_2(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["profile-delta", "--theta", "0.1", "--eta", "1",
-                  "--energy-kev", "10"])
-        assert exc.value.code == 2
+        assert main(["profile-delta", "--theta", "0.1", "--eta", "1",
+                     "--energy-kev", "10"]) == 2
+
+    @pytest.mark.parametrize("argv, status", [
+        (["angular", "--eta", "-inf"], 2),        # taken for a flag
+        (["angular", "--eta", "1", "--bogus"], 2),
+        (["no-such-command"], 2),
+        ([], 2),
+        (["angular", "--help"], 0),
+    ])
+    def test_argument_errors_return_the_exit_status(self, argv, status, capsys):
+        assert main(argv) == status
 
     @pytest.mark.parametrize("flags, name", [
         (["--energy-mev", "inf"], "kinetic energy"),

@@ -82,6 +82,15 @@ class TestCrossSections:
         with pytest.raises(ValueError):
             rutherford_probability(sc, 0.0)
 
+    @pytest.mark.parametrize("theta", [1e-81, 1e-200, 5e-324])
+    def test_overflow_below_the_smallest_sine(self, theta):
+        # sin^4(theta/2) underflows to 0: the references overflow to inf,
+        # and vanish in the free case
+        for eta, want in ((10.0, math.inf), (-1.0, math.inf), (0.0, 0.0)):
+            sc = build_scenario_from_eta(eta, EPS)
+            assert rutherford_dcs(sc, theta) == want
+            assert rutherford_probability(sc, theta) == want
+
 
 class TestRutherfordProbability:
     def test_backward_value(self):

@@ -282,6 +282,49 @@ class TestSerialization:
         theta, delta, value = (float(x) for x in lines[1].split(","))
         assert value == field.values[0, 0]
 
+    @staticmethod
+    def _reference_csv(field):
+        return "theta,delta,value\n" + "".join(
+            "{:.17g},{:.17g},{:.17g}\n".format(t, d, v)
+            for t, row in zip(field.grid.thetas.tolist(), field.values.tolist())
+            for d, v in zip(field.grid.deltas.tolist(), row))
+
+    @pytest.mark.parametrize("quantity", list(Quantity))
+    def test_csv_bytes_equal_the_per_cell_rendering(self, quantity, monkeypatch,
+                                                    table_eta10, tmp_path, capsys):
+        # 10 rows a chunk, so the 13 angles come from two Legendre chunks
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 10 * 8 * (table_eta10.l_max + 1))
+        field = sweep(table_eta10, GridSpec(0.0, 3.0, 13, -6.5, 7.25, 7), quantity)
+        if quantity is Quantity.FORWARD_PART:
+            assert field.values.min() < 0.0
+        want = self._reference_csv(field)
+        path = tmp_path / "field.csv"
+        field_to_csv(field, path)
+        assert path.read_bytes() == want.encode()
+        capsys.readouterr()
+        field_to_csv(field, "-")
+        assert capsys.readouterr().out == want
+
+    def test_csv_of_one_delta_and_one_angle(self, table_eta10, capsys):
+        for grid in (GridSpec(0.5, 1.5, 3, 0.25, 0.25, 1), GridSpec(0.7, 0.7, 1, -1.0, 1.0, 4)):
+            field = sweep(table_eta10, grid, Quantity.PROBABILITY)
+            field_to_csv(field, None)
+            assert capsys.readouterr().out == self._reference_csv(field)
+
+    @pytest.mark.parametrize("target", ["path", "-", None])
+    def test_writers_write_to_a_path_and_to_stdout(self, target, tmp_path, capsys):
+        path = tmp_path / "out" if target == "path" else target
+        rows = [(1, 0.1, -2.5e-300), (2, 1.0 / 3.0, 7.0)]
+        scan.write_csv(path, "n,x,y", rows)
+        text = path.read_text() if target == "path" else capsys.readouterr().out
+        assert text == "n,x,y\n1,0.10000000000000001,-2.5e-300\n" \
+                       "2,0.33333333333333331,7\n"
+        scan.write_json(path, {"a": [1.5, -0.0]})
+        text = path.read_text() if target == "path" else capsys.readouterr().out
+        assert text.endswith("\n") and text.count("\n") == 1
+        doc = json.loads(text)
+        assert doc["a"] == [1.5, -0.0] and "generated_unix" in doc
+
     def test_json_envelope(self, table_eta10, tmp_path):
         g = GridSpec(0.1, 0.3, 2, -1.0, 1.0, 2)
         field = sweep(table_eta10, g, Quantity.PROBABILITY)

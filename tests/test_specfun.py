@@ -124,6 +124,17 @@ class TestDsigmaDeta:
         assert abs(specfun.dsigma_deta(l, eta) - limit) <= 1e-4
 
 
+def _recurrence_row(theta: float, l_max: int) -> list:
+    """P_0 .. P_{l_max} at one angle: the three-term recurrence on Python
+    floats, ((2l+1) x P_l - l P_{l-1}) / (l+1), with x clamped to exactly +-1
+    at theta = 0 and pi."""
+    x = 1.0 if theta == 0.0 else -1.0 if theta == math.pi else float(np.cos(theta))
+    row = [1.0, x][: l_max + 1]
+    for l in range(1, l_max):
+        row.append(((2.0 * l + 1.0) * x * row[l] - l * row[l - 1]) / (l + 1.0))
+    return row
+
+
 class TestLegendre:
     def test_forward_direction_all_ones(self):
         values = specfun.legendre_rows([0.0], 500)[0]
@@ -166,17 +177,38 @@ class TestLegendre:
                                        RING - 1, RING, RING + 1, RING + 2, 2 * RING + 1])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_rows_do_not_depend_on_the_batch(self, l_max, offset):
-        # batches just below, at and just above the scalar/vectorized switch
-        n = specfun._SCALAR_MAX_ANGLES + offset
-        interior = np.linspace(0.05, 3.05, n - 3)
-        thetas = np.concatenate(([0.0, math.pi / 2, math.pi], interior))
+        # batches just below, at and just above the scalar/vectorized switch,
+        # and around 24, where the switch was before it was last re-measured
+        for n in (specfun._SCALAR_MAX_ANGLES + offset, 24 + offset):
+            interior = np.linspace(0.05, 3.05, n - 3)
+            thetas = np.concatenate(([0.0, math.pi / 2, math.pi], interior))
+            batch = specfun.legendre_rows(thetas, l_max)
+            assert batch.shape == (n, l_max + 1)
+            for i in range(n):
+                assert np.array_equal(batch[i],
+                                      specfun.legendre_rows(thetas[i : i + 1], l_max)[0])
+            assert np.all(batch[0] == 1.0)
+            assert np.array_equal(batch[2], (-1.0) ** np.arange(l_max + 1))
+
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 3, 65, 600])
+    @pytest.mark.parametrize("n", [3, 8, specfun._SCALAR_MAX_ANGLES + 9])
+    def test_endpoint_rows_equal_the_recurrence(self, n, l_max):
+        # 0 and pi (and 1e-9, whose cosine rounds to 1) mixed with interior
+        # angles, in the scalar form (n <= the switch) and the vectorized one
+        rng = np.random.default_rng(n + l_max)
+        ends = [0.0, math.pi, 1e-9, 0.0, math.pi][: n - 1]
+        thetas = np.concatenate((ends, rng.uniform(0.01, 3.1, n - len(ends))))
+        rng.shuffle(thetas)
         batch = specfun.legendre_rows(thetas, l_max)
-        assert batch.shape == (n, l_max + 1)
-        for i in range(n):
-            assert np.array_equal(batch[i],
-                                  specfun.legendre_rows(thetas[i : i + 1], l_max)[0])
-        assert np.all(batch[0] == 1.0)
-        assert np.array_equal(batch[2], (-1.0) ** np.arange(l_max + 1))
+        for theta, row in zip(thetas, batch):
+            assert np.array_equal(row, _recurrence_row(theta, l_max))
+
+    def test_all_endpoint_batches(self):
+        for n in (1, specfun._SCALAR_MAX_ANGLES + 1):
+            thetas = np.resize([0.0, math.pi], n)
+            batch = specfun.legendre_rows(thetas, 70)
+            for theta, row in zip(thetas, batch):
+                assert np.array_equal(row, _recurrence_row(theta, 70))
 
     @pytest.mark.parametrize("theta", [math.nan, -0.1, math.pi + 1e-12])
     def test_rejects_angles_outside_0_pi(self, theta):
