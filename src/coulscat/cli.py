@@ -248,8 +248,12 @@ def cmd_optical(args) -> int:
 
 def cmd_energy_scan(args) -> int:
     family = observables.ScenarioFamily(args.Z1, args.Z2, args.mass_mev, args.eps)
-    if args.energies_kev:
-        energies = [float(x) for x in args.energies_kev.split(",")]
+    if args.energies_kev is not None:
+        try:
+            energies = [float(x) for x in args.energies_kev.split(",")]
+        except ValueError:
+            raise ValueError(f"--energies-kev must be comma-separated numbers, "
+                             f"got {args.energies_kev!r}") from None
     elif args.e_n < 1:
         raise ValueError(f"--e-n must be >= 1, got {args.e_n}")
     elif not all(math.isfinite(e) and e > 0.0 for e in (args.e_min_kev, args.e_max_kev)):
@@ -266,6 +270,8 @@ def cmd_energy_scan(args) -> int:
             print(f"warning: skipping E={ek:g} keV: {exc}", file=sys.stderr)
             continue
         rows.append((float(ek), eta, dmax, rho))
+    if not rows:
+        raise ValueError("every energy exceeds the strength bound; no table written")
     _write_table(args, "E_keV,eta,delta_max,rho", rows, eps=args.eps)
     return EXIT_OK
 
@@ -315,8 +321,16 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None
     parser.set_defaults(**coerced)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line on stderr, without the
+    usage block; `--help` still prints the full text."""
+
+    def error(self, message):
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coulscat",
         description="Wavepacket Coulomb scattering by partial-wave summation",
     )
@@ -386,7 +400,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        # argparse has printed its usage and message (or --help)
+        # argparse has printed its one-line error (or --help)
         return exc.code
     try:
         if getattr(args, "workers", 1) < 1:

@@ -16,10 +16,10 @@ per-l spatial shifts, is Re psi(l+1+i eta) with psi the digamma function.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import digamma, j0, loggamma
 
 __all__ = [
@@ -97,6 +97,22 @@ _SCALAR_MAX_ANGLES = 20
 _RING_DEGREES = 64
 
 
+@functools.lru_cache(maxsize=4)
+def _recurrence_coefficients(l_max: int):
+    """2l+1, l and l+1 for l = 1 .. l_max-1, as floats: exactly the
+    conversions numpy makes of the integers in the recurrence.
+
+    Returns 2l+1 as a read-only array (the ring's `(2l+1) x` rows) and all
+    three as tuples (the scalar loop and the ring's per-degree operands).
+    Built once per `l_max`; a process meets a few `l_max` values, one per
+    eps, so the cache keeps the last four.
+    """
+    l = np.arange(1.0, l_max)
+    two_l1 = 2.0 * l + 1.0
+    two_l1.flags.writeable = False
+    return two_l1, tuple(two_l1.tolist()), tuple(l.tolist()), tuple((l + 1.0).tolist())
+
+
 def legendre_rows(thetas, l_max: int) -> np.ndarray:
     """Legendre values P_l(cos theta), shape (n_theta, l_max+1).
 
@@ -108,12 +124,14 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     the angles written through `out=` buffers (the row views, coefficient
     slices and ufuncs bound once per call, not looked up per degree), and
     copies each finished block of degrees into the (theta, l) result.  Both
-    forms perform the same IEEE-754 operations in the same order, so each
-    row is bit-identical whichever form built it and whatever batch it came
-    in.  x is clamped to exactly +-1 at theta = 0 and theta = pi; where x is
-    exactly +-1 the recurrence yields the exact integers (+-1)^l, so those
-    rows are filled directly in either form.  NaN angles are rejected with
-    the out-of-range ones.
+    forms take their coefficients 2l+1, l and l+1 from
+    `_recurrence_coefficients`, built once per `l_max`, and perform the same
+    IEEE-754 operations in the same order, so each row is bit-identical
+    whichever form built it and whatever batch it came in.  x is clamped to
+    exactly +-1 at theta = 0 and theta = pi; where x is exactly +-1 the
+    recurrence yields the exact integers (+-1)^l, so those rows are filled
+    directly in either form.  NaN angles are rejected with the out-of-range
+    ones.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
@@ -136,16 +154,12 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     inner = np.flatnonzero(~ends)
     if l_max < 2 or inner.size == 0:
         return P
-    # 2l+1, l and l+1 for l = 1 .. l_max-1 as floats: exactly the conversions
-    # numpy makes of the integers in the recurrence
-    l = np.arange(1.0, l_max)
-    two_l1, ls, lp1 = 2.0 * l + 1.0, l.tolist(), (l + 1.0).tolist()
+    two_l1, two_l1s, ls, lp1 = _recurrence_coefficients(l_max)
     if thetas.size <= _SCALAR_MAX_ANGLES:
-        coeffs = (two_l1.tolist(), ls, lp1)
         for i, xi in zip(inner.tolist(), x[inner].tolist()):
             row = []
             p0, p1 = 1.0, xi
-            for a, b, c in zip(*coeffs):
+            for a, b, c in zip(two_l1s, ls, lp1):
                 p0, p1 = p1, (a * xi * p1 - b * p0) / c
                 row.append(p1)
             P[i, 2:] = row
@@ -198,7 +212,9 @@ def i_integral_quadrature(l: int, eps: float) -> float:
 
     Integrand: theta * exp(-theta^2 / 4 eps^2) * d00(l, theta), with d00 in
     its small-angle Bessel form (the Gaussian confines support to ~10 eps).
-    Serves as the independent oracle for `i_integral_closed_form`.
+    Serves as the independent oracle for `i_integral_closed_form`.  Imports
+    `scipy.integrate.quad` on its first call, so that importing coulscat
+    does not load `scipy.integrate` and the scipy subpackages it brings in.
     """
     if l < 0 or not (0.0 < eps < 0.1):
         raise ValueError("require l >= 0 and 0 < eps < 0.1")
@@ -209,6 +225,8 @@ def i_integral_quadrature(l: int, eps: float) -> float:
 
     # breakpoints force the adaptive rule to resolve the narrow Gaussian at 0
     pts = [2.0 * eps, 4.0 * eps, 8.0 * eps, 16.0 * eps]
+    from scipy.integrate import quad
+
     value, _err = quad(integrand, 0.0, math.pi, points=pts, limit=500,
                        epsabs=1e-300, epsrel=1e-9)
     return value

@@ -275,6 +275,20 @@ class TestEnergyScan:
         with pytest.raises(RuntimeError, match="not a strength-bound error"):
             main(["energy-scan", "--energies-kev", "3.8"])
 
+    @pytest.mark.parametrize("energies, message", [
+        ("0.001", "every energy exceeds the strength bound"),
+        ("", "--energies-kev"),
+        ("3.8,,4", "--energies-kev"),
+    ])
+    def test_no_energy_to_scan_is_config_error(self, energies, message, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["energy-scan", f"--energies-kev={energies}", "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.strip().splitlines()[-1]
+        assert last.startswith("config error:") and message in last
+
     @pytest.mark.parametrize("e_n", ["0", "-3"])
     def test_empty_energy_range_is_config_error(self, e_n, capsys):
         assert main(["energy-scan", f"--e-n={e_n}"]) == 2
@@ -399,6 +413,15 @@ class TestConfigAndErrors:
     ])
     def test_argument_errors_return_the_exit_status(self, argv, status, capsys):
         assert main(argv) == status
+        captured = capsys.readouterr()
+        if status == 0:
+            assert captured.out.startswith("usage: coulscat angular")
+            assert "--theta-n" in captured.out and captured.err == ""
+        else:
+            # one line: the error, without the usage block
+            assert captured.out == ""
+            assert len(captured.err.strip().splitlines()) == 1
+            assert "error:" in captured.err and "usage:" not in captured.err
 
     @pytest.mark.parametrize("flags, name", [
         (["--energy-mev", "inf"], "kinetic energy"),

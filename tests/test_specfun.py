@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import loggamma
 
+import coulscat
 from coulscat import specfun
 
 
@@ -210,10 +214,65 @@ class TestLegendre:
             for theta, row in zip(thetas, batch):
                 assert np.array_equal(row, _recurrence_row(theta, 70))
 
+    def test_rows_equal_rows_from_a_fresh_process(self):
+        # alternating l_max: in this process the coefficients of 64 and 6000
+        # come from the cache on their second call; the fresh process clears
+        # the cache before every call, so each of its rows is built from new
+        # coefficients, in both forms (3 angles scalar, 25 vectorized), with
+        # 0, pi and 1e-9 (whose cosine rounds to 1) among the angles
+        ends = [0.0, math.pi, 1e-9]
+        batches = [ends, ends + np.linspace(0.05, 3.05, 22).tolist()]
+        l_maxes = (64, 6000, 64, 2, 6000)
+        out = _run_python(_ROWS_SCRIPT.format(batches=batches, l_maxes=l_maxes)).stdout
+        expected = b"".join(specfun.legendre_rows(thetas, l_max).tobytes()
+                            for thetas in batches for l_max in l_maxes)
+        assert out == expected
+
+    def test_cached_coefficients_are_read_only(self):
+        two_l1, *coeffs = specfun._recurrence_coefficients(64)
+        with pytest.raises(ValueError, match="read-only"):
+            two_l1[0] = 0.0
+        assert all(isinstance(c, tuple) and len(c) == 63 for c in coeffs)
+        assert specfun._recurrence_coefficients(64)[0] is two_l1
+
     @pytest.mark.parametrize("theta", [math.nan, -0.1, math.pi + 1e-12])
     def test_rejects_angles_outside_0_pi(self, theta):
         with pytest.raises(ValueError, match=r"\[0, pi\]"):
             specfun.legendre_rows(np.array([0.5, theta]), 10)
+
+
+class TestStartUp:
+    def test_cli_loads_no_scipy_integrate(self):
+        # in a fresh process: this one may already hold the modules
+        out = _run_python(_IMPORTS_SCRIPT).stdout.decode()
+        assert out.split() == ["0", "[]"]
+
+
+_ROWS_SCRIPT = """
+import sys
+from coulscat import specfun
+for thetas in {batches}:
+    for l_max in {l_maxes}:
+        specfun._recurrence_coefficients.cache_clear()
+        sys.stdout.buffer.write(specfun.legendre_rows(thetas, l_max).tobytes())
+"""
+
+_IMPORTS_SCRIPT = """
+import contextlib, io, sys
+import coulscat.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = coulscat.cli.main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "3"])
+print(status, [m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse",
+                           "scipy.linalg") if m in sys.modules])
+"""
+
+
+def _run_python(script):
+    src = os.path.dirname(os.path.dirname(coulscat.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script], check=True,
+                           capture_output=True, timeout=120,
+                           env={**os.environ, "PYTHONPATH": path})
 
 
 class TestWignerD00:
