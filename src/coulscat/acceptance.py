@@ -7,7 +7,9 @@ cached at module level so criteria can share them.
 
 All 16 criteria are expected to pass.  The time-shift peaks (criterion 5)
 are checked against values computed without `partialwave` or `specfun`: an
-independent scipy.special sum of the documented series, the shift of the
+independent scipy.special sum of the documented series (its `loggamma`,
+`digamma` and `eval_legendre` share no code with `specfun`, which computes
+sigma_l and Re psi from Stirling's series in numpy), the shift of the
 dominant partial wave, the delay/advancement mirror P(-eta, delta) =
 P(eta, -delta), and at eta = +-10 a classical-orbit transit-time oracle plus
 the finite-R centrifugal term the leading-order series drops.  Rutherford

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import acceptance, observables, partialwave, scan
+from . import observables, partialwave, scan
 from .errors import (
     MatchingError,
     NonConvergenceError,
@@ -289,6 +289,10 @@ def cmd_table_dump(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # imported here: the acceptance oracles load scipy.special, which no
+    # other command needs
+    from . import acceptance
+
     results = acceptance.run_all(report=print)
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} criteria passed")

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import spherical_jn, spherical_yn
 
 from . import specfun
 from .errors import (
@@ -488,7 +487,11 @@ def _square_well_deltas_at_k(k: float, radius: float, depth: float, m0: float,
 
     Interior wavenumber k'^2 = k^2 + 2 m0 * depth (depth > 0 attracts).  For
     k'^2 < 0 the interior solution is the modified spherical Bessel i_l.
+    Imports the spherical Bessel functions from scipy here, so that Coulomb
+    tables never load scipy.
     """
+    from scipy.special import spherical_in, spherical_jn, spherical_yn
+
     ka = k * radius
     ja = spherical_jn(ls, ka)
     dja = spherical_jn(ls, ka, derivative=True)
@@ -500,8 +503,6 @@ def _square_well_deltas_at_k(k: float, radius: float, depth: float, m0: float,
         ji = spherical_jn(ls, kp * radius)
         dji = spherical_jn(ls, kp * radius, derivative=True)
     else:
-        from scipy.special import spherical_in
-
         kp = math.sqrt(-kp2)
         ji = spherical_in(ls, kp * radius)
         dji = spherical_in(ls, kp * radius, derivative=True)

@@ -2,13 +2,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
-from scipy.special import loggamma
 
 import coulscat
-from coulscat import specfun
+from coulscat import partialwave, specfun
+from coulscat.kinematics import ALPHA_PARTICLE_MASS_MEV, build_scenario
 
 
 def weierstrass_log_gamma(z: complex, terms: int = 1_000_000) -> complex:
@@ -66,7 +67,7 @@ class TestCoulombSigma:
     @pytest.mark.parametrize("eta", [1e-6, 0.3, -1.0, 10.0, -800.0])
     def test_table_is_the_sequential_running_sum(self, eta, l_max):
         steps = np.arctan2(eta, np.arange(1.0, l_max + 1.0)).tolist()
-        acc = float(np.imag(loggamma(1.0 + 1j * eta)))
+        acc = specfun.coulomb_sigma_exact(0, eta)
         want = [acc]
         for step in steps:
             acc += step
@@ -126,6 +127,76 @@ class TestDsigmaDeta:
         l, eta = 10_000, 7.0
         limit = 0.5 * math.log((l + 1.0) ** 2 + eta * eta)
         assert abs(specfun.dsigma_deta(l, eta) - limit) <= 1e-4
+
+    @pytest.mark.parametrize("eta", [0.0, 0.9, -3.0, 800.0])
+    def test_scalar_equals_table_entry(self, eta):
+        table = specfun.dsigma_deta_table(6000, eta)
+        for l in [*range(12), 57, 999, 6000]:
+            assert specfun.dsigma_deta(l, eta) == table[l]
+        for l_max in (0, 1, 8, 9, 10):
+            assert np.array_equal(specfun.dsigma_deta_table(l_max, eta), table[: l_max + 1])
+
+
+_MPMATH_LS = [*range(11), 50, 500, 6000]
+_MPMATH_ETAS = [1e-6, 0.1, 1.0, -1.0, 10.0, -10.0, 100.0, 800.0, -800.0]
+
+
+class TestAgainstMpmath:
+    """Re psi and sigma_0 against 40-digit mpmath, within 2e-15 relative."""
+
+    @pytest.mark.parametrize("eta", _MPMATH_ETAS)
+    def test_re_digamma(self, eta):
+        mpmath = pytest.importorskip("mpmath")
+        table = specfun.dsigma_deta_table(6000, eta)
+        with mpmath.workdps(40):
+            for l in _MPMATH_LS:
+                want = mpmath.re(mpmath.digamma(mpmath.mpc(l + 1, eta)))
+                assert abs((table[l] - want) / want) <= 2e-15, l
+
+    @pytest.mark.parametrize("eta", _MPMATH_ETAS)
+    def test_sigma_0(self, eta):
+        mpmath = pytest.importorskip("mpmath")
+        got = specfun.coulomb_sigma_exact(0, eta)
+        assert got == specfun.coulomb_sigma_table(0, eta)[0]
+        with mpmath.workdps(40):
+            want = mpmath.im(mpmath.loggamma(mpmath.mpc(1, eta)))
+            assert abs((got - want) / want) <= 2e-15
+
+
+class TestNonFiniteEta:
+    PHASE_FUNCTIONS = [specfun.coulomb_sigma_exact, specfun.coulomb_sigma_table,
+                       specfun.dsigma_deta, specfun.dsigma_deta_table]
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("fn", PHASE_FUNCTIONS)
+    def test_rejected(self, fn, eta):
+        for l in (0, 3, 20):
+            with pytest.raises(ValueError, match="eta must be finite"):
+                fn(l, eta)
+
+    def test_shift_kernels_end_on_non_finite_eta(self):
+        # the kernels behind the check shift a fixed number of steps, so NaN
+        # and inf end in a non-finite value or fsum's error, never a hang
+        kernels = [specfun._sigma_0, specfun._re_psi_shifted,
+                   lambda eta: specfun._re_psi_stirling(np.array([10.0, 11.0]), eta)]
+        ended = []
+
+        def run():
+            for eta in (math.nan, math.inf, -math.inf):
+                for kernel in kernels:
+                    try:
+                        with np.errstate(invalid="ignore"):
+                            values = np.atleast_1d(kernel(eta))
+                    except ValueError:
+                        ended.append(True)
+                    else:
+                        ended.append(not np.any(np.isfinite(values)))
+
+        worker = threading.Thread(target=run, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert ended == [True] * 9
 
 
 def _recurrence_row(theta: float, l_max: int) -> list:
@@ -242,10 +313,24 @@ class TestLegendre:
 
 
 class TestStartUp:
-    def test_cli_loads_no_scipy_integrate(self):
+    @pytest.fixture(scope="class")
+    def lazy_scipy_run(self):
         # in a fresh process: this one may already hold the modules
-        out = _run_python(_IMPORTS_SCRIPT).stdout.decode()
-        assert out.split() == ["0", "[]"]
+        return _run_python(_LAZY_SCIPY_SCRIPT).stdout.decode().splitlines()
+
+    def test_coulomb_commands_load_no_scipy(self, lazy_scipy_run):
+        # import coulscat.cli, one angular, one profile-delta and one
+        # Coulomb table: none loads a scipy module
+        assert lazy_scipy_run[0] == "[0, 0] []"
+
+    def test_scipy_paths_work_once_loaded_lazily(self, lazy_scipy_run):
+        # then a square-well table and the quadrature oracle load scipy on
+        # their first call and give the values they give in this process
+        sc = build_scenario(79, 2, ALPHA_PARTICLE_MASS_MEV, 1.0, 1e-3)
+        model = partialwave.square_well_phase_shifts(0.5, 5.0 / sc.p, sc, l_max=30)
+        table = partialwave.build_table(sc, model, l_max=30)
+        want = [math.fsum(table.xi), specfun.i_integral_quadrature(3, 1e-3)]
+        assert lazy_scipy_run[1:] == ["True", repr(want)]
 
 
 _ROWS_SCRIPT = """
@@ -257,13 +342,22 @@ for thetas in {batches}:
         sys.stdout.buffer.write(specfun.legendre_rows(thetas, l_max).tobytes())
 """
 
-_IMPORTS_SCRIPT = """
-import contextlib, io, sys
+_LAZY_SCIPY_SCRIPT = """
+import contextlib, io, math, sys
 import coulscat.cli
+from coulscat import partialwave, specfun
+from coulscat.kinematics import ALPHA_PARTICLE_MASS_MEV, build_scenario, build_scenario_from_eta
 with contextlib.redirect_stdout(io.StringIO()):
-    status = coulscat.cli.main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "3"])
-print(status, [m for m in ("scipy.integrate", "scipy.optimize", "scipy.sparse",
-                           "scipy.linalg") if m in sys.modules])
+    status = [coulscat.cli.main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "3"]),
+              coulscat.cli.main(["profile-delta", "--eta", "10", "--theta", "0.03"])]
+partialwave.build_table(build_scenario_from_eta(10.0, 1e-3),
+                        partialwave.PhaseShiftModel.coulomb_exact())
+print(status, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sc = build_scenario(79, 2, ALPHA_PARTICLE_MASS_MEV, 1.0, 1e-3)
+model = partialwave.square_well_phase_shifts(0.5, 5.0 / sc.p, sc, l_max=30)
+table = partialwave.build_table(sc, model, l_max=30)
+print("scipy.special" in sys.modules)
+print([math.fsum(table.xi), specfun.i_integral_quadrature(3, 1e-3)])
 """
 
 
