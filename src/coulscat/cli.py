@@ -124,6 +124,9 @@ def cmd_profile_delta(args) -> int:
     n = int(math.ceil((hi - lo) / args.delta_step))
     hi = lo + n * args.delta_step
     n += 1
+    if n < 5:
+        raise ValueError(f"--delta-step {args.delta_step:g} leaves {n} points on "
+                         f"[{lo:g}, {hi:g}]; the peak refinement needs at least 5")
     # the CSV is the profile's own coarse scan: one Legendre row, one set of
     # moments
     prof, deltas, (probs,) = observables._delta_profile(table, [args.theta], (lo, hi), n)
@@ -191,10 +194,12 @@ def cmd_conservation(args) -> int:
     wsum_tol = max(1e-5, scenario.eps ** 2)
     wsum_ok = abs(wsum - 1.0) <= wsum_tol
     sphere_ok = abs(sphere - 1.0) <= 0.01
+    # the summary goes to stderr when the JSON record goes to stdout
+    summary_to = sys.stderr if args.out == "-" else sys.stdout
     print(f"weight sum        = {wsum:.9f}  (|.-1| <= {wsum_tol:g}: "
-          f"{'ok' if wsum_ok else 'BREACH'})")
+          f"{'ok' if wsum_ok else 'BREACH'})", file=summary_to)
     print(f"sphere integral   = {sphere:.6f}  ({args.sphere_n} midpoint intervals, "
-          f"|.-1| <= 0.01: {'ok' if sphere_ok else 'BREACH'})")
+          f"|.-1| <= 0.01: {'ok' if sphere_ok else 'BREACH'})", file=summary_to)
     if args.out:
         scan.write_json(args.out, {
             "command": "conservation", "eta": scenario.eta, "eps": scenario.eps,
@@ -209,9 +214,10 @@ def cmd_optical(args) -> int:
         scenario = _scenario_from_args(args)
         model = _model_from_args(args, scenario)
         check = observables.optical_theorem_check_short_range(model, scenario)
-        print(f"sigma             = {check.sigma:.10e}")
-        print(f"(4 pi / p) Im f0  = {check.optical_sigma:.10e}")
-        print(f"relative diff     = {check.rel_diff:.3e}")
+        summary_to = sys.stderr if args.out == "-" else sys.stdout
+        print(f"sigma             = {check.sigma:.10e}", file=summary_to)
+        print(f"(4 pi / p) Im f0  = {check.optical_sigma:.10e}", file=summary_to)
+        print(f"relative diff     = {check.rel_diff:.3e}", file=summary_to)
         if args.out:
             scan.write_json(args.out, {
                 "command": "optical", "model": "square-well",
@@ -223,6 +229,9 @@ def cmd_optical(args) -> int:
         raise ValueError("optical sweep requires --eta-min and --eta-max")
     if args.eta_n < 1:
         raise ValueError("--eta-n must be >= 1")
+    for flag, value in (("--eta-min", args.eta_min), ("--eta-max", args.eta_max)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value:g}")
     if args.eta_min <= 0.0:
         raise ValueError("optical sweep requires positive --eta-min (gamma is "
                          "undefined in the free case)")

@@ -20,7 +20,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from . import partialwave, scan, specfun
+from . import partialwave, specfun
 from .errors import NonConvergenceError
 from .kinematics import PhysicalScenario, build_scenario
 from .partialwave import PartialWaveTable, PhaseShiftKind, PhaseShiftModel
@@ -169,11 +169,6 @@ def default_delta_range(table: PartialWaveTable) -> tuple[float, float]:
     return lo, hi
 
 
-def _coarse_points(lo: float, hi: float) -> int:
-    """Points of `delta_profile`'s default 0.2-step coarse scan of [lo, hi]."""
-    return int(round((hi - lo) / 0.2)) + 1
-
-
 def _refine_peak(deltas: np.ndarray, p_row: np.ndarray) -> float:
     """Coarse argmax plus 3-point parabolic refinement on log P.
 
@@ -220,38 +215,38 @@ def _delta_profile(table: PartialWaveTable, thetas,
     if lo > -8.0 or hi < 8.0:
         raise ValueError(f"delta_range must span at least [-8, 8], got [{lo}, {hi}]")
     if coarse_n is None:
-        coarse_n = _coarse_points(lo, hi)
+        coarse_n = int(round((hi - lo) / 0.2)) + 1
     if coarse_n < 5:
         raise ValueError("coarse_n must be at least 5")
     n = thetas.size
-    chunks = list(partialwave._theta_chunks(n, table.l_max))
     # the coarse scan and the three arrays of its factorization residual are
     # n x coarse_n values each
-    scan._check_budget(table, n, coarse_n, chunks, 1, grid_arrays=4)
+    partialwave._check_budget(table, n, coarse_n, grid_arrays=4)
     deltas = np.linspace(lo, hi, coarse_n)
     h = partialwave._hermite(table, deltas)
 
     p_scan = np.empty((n, coarse_n))
     delta_max = np.zeros(n)
     p_max = np.empty(n)
-    n_flat = 0
+    flat = np.zeros(n, dtype=bool)
+
     # each chunk's moments serve the coarse scan and p_max
-    for i0, i1 in chunks:
-        moments = partialwave._moments(
-            table, specfun.legendre_rows(thetas[i0:i1], table.l_max), "full")
+    def reduce(i0, i1, moments):
         grid = p_scan[i0:i1] = partialwave._abs2(*partialwave._combine(moments, h))
+        flat[i0:i1] = grid.max(axis=1) - grid.min(axis=1) < 1e-12
         for k, row in enumerate(grid):
-            flat = float(row.max() - row.min()) < 1e-12
-            n_flat += flat
             # below the double-precision noise floor of the series the peak
             # location is meaningless, and delta_max stays zero
-            if not (flat and row.max() < 1e-30):
+            if not (flat[i0 + k] and row.max() < 1e-30):
                 delta_max[i0 + k] = _refine_peak(deltas, row)
         # P at each row's own peak: one delta per row
         p_max[i0:i1] = partialwave._abs2(*partialwave._combine(
             moments, partialwave._hermite(table, delta_max[i0:i1, None])))[:, 0]
+
+    partialwave._each_chunk(table, thetas, "full", reduce)
     gauss = np.exp(-((deltas - delta_max[:, None]) ** 2) / 4.0) * p_max[:, None]
     residual = np.max(np.abs(p_scan - gauss), axis=1)
+    n_flat = int(flat.sum())
     if n_flat:
         warnings.warn(
             f"flat delta profile (peak prominence < 1e-12) at {n_flat} of "
@@ -282,6 +277,7 @@ def scattering_amplitude_f(table: PartialWaveTable, scenario: PhysicalScenario,
     the delta integral of the scattering part is done analytically (each
     shifted unit Gaussian integrates to one against the 1/sqrt(8 pi) measure).
     """
+    partialwave._check_budget(table, 1, 0)
     row = specfun.legendre_rows(np.array([float(theta)]), table.l_max)[0]
     kern_re, kern_im = partialwave._kern_scatter(table)
     re = float(np.sum(kern_re * row))

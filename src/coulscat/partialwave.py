@@ -34,18 +34,24 @@ to sum_l |kern_l P_l|).
 
 One path evaluates the series for every caller: the full amplitude A, its
 forward part A_F or its scattering part A_S, each a kernel and a prefactor
-from `_PARTS`.  `_moments` reduces one theta row at a time, each moment one
-dot product along a box's l, and `_combine` adds the terms in a fixed order
-elementwise.  A dot's summation order depends on its length only (boxes
-stop at 8192 terms, short of where BLAS splits a dot across its own
-threads), so identical inputs give bit-identical results regardless of how
-work is partitioned across threads or batches.
+from `_PARTS`.  `_each_chunk` hands each Legendre chunk's moments to the
+caller's reduction (`_eval_grid`, which serves single points, grids and
+`scan.sweep`, and `observables.delta_profile`), after `_check_budget` has
+bounded the memory.  `_moments` reduces one theta
+row at a time, each moment one dot product along a box's l, and `_combine`
+adds the terms in a fixed order elementwise.  A dot's summation order
+depends on its length only (boxes stop at 8192 terms, short of where BLAS
+splits a dot across its own threads), so identical inputs give
+bit-identical results regardless of how work is partitioned across threads
+or batches.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -54,6 +60,7 @@ import numpy as np
 from . import specfun
 from .errors import (
     MatchingError,
+    ResourceLimitError,
     StrengthBoundError,
     TruncationMismatchError,
 )
@@ -77,6 +84,7 @@ __all__ = [
 # 698 rows, or 33.5 MB, at L = 6000; each row is reduced to its Hermite
 # moments before the next one is read
 _CHUNK_BYTES = 1 << 25
+DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes one evaluation may hold at once
 
 # box radius r in y = xi / sqrt 8: a box's xi spread is at most 2 r sqrt 8
 _BOX_RADIUS = 0.35
@@ -324,10 +332,42 @@ def build_table(scenario: PhysicalScenario, model: PhaseShiftModel,
 # series evaluation
 # ---------------------------------------------------------------------------
 
-def _theta_chunks(n_theta: int, l_max: int):
+def _plan(n_theta: int, l_max: int, workers: int = 1):
+    """Legendre chunks (i0, i1) of n_theta angles, and the threads for them.
+    Each chunk runs the whole Legendre recurrence, so a thread pays only with
+    a chunk of its own: one thread per chunk, at most `workers` and one per
+    CPU; a single chunk runs inline."""
     rows = max(1, _CHUNK_BYTES // (8 * (l_max + 1)))
-    for i0 in range(0, n_theta, rows):
-        yield i0, min(i0 + rows, n_theta)
+    chunks = [(i0, min(i0 + rows, n_theta)) for i0 in range(0, n_theta, rows)]
+    threads = min(workers, len(chunks))
+    # os.cpu_count reads /sys on Linux: ask only when a pool could start
+    return chunks, threads if threads <= 1 else min(threads, os.cpu_count() or 1)
+
+
+def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
+                  workers: int = 1, grid_arrays: int = 1) -> None:
+    """Raise ResourceLimitError when an evaluation of an n_theta x n_delta
+    grid on `workers` threads would hold more than DEFAULT_MEMORY_BUDGET
+    bytes at once.
+
+    Counted: `grid_arrays` arrays of the grid's shape (an output matrix; a
+    delta profile's coarse scan and its residual arrays); per chunk in
+    flight (the largest, one per `_plan` thread), its Legendre rows and six
+    values per row and delta (the chunk's (re, im), and the (re, im) sum and
+    term `_combine` builds); and the deltas' Hermite functions, n_box * K
+    values per delta, built once and shared by the chunks.
+    """
+    chunks, threads = _plan(n_theta, table.l_max, workers)
+    held = sum(sorted(i1 - i0 for i0, i1 in chunks)[-threads:])
+    need = 8 * (grid_arrays * n_theta * n_delta
+                + held * (table.l_max + 1 + 6 * n_delta)
+                + table.box_centres.size * table.n_hermite * n_delta)
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(
+            f"{n_theta} x {n_delta} grid needs {need} bytes "
+            f"({grid_arrays} grid-sized arrays, Legendre rows and Hermite "
+            f"functions), budget is {DEFAULT_MEMORY_BUDGET}"
+        )
 
 
 def _kern_full(table: PartialWaveTable):
@@ -428,20 +468,42 @@ def _combine(moments: np.ndarray, h: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str) -> np.ndarray:
-    """The series `part` on the outer product of thetas and deltas; (re, im)
-    stacked, shape (2, n_theta, n_delta).
+def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
+                workers: int = 1) -> None:
+    """Call fn(i0, i1, moments) for each `_plan` chunk thetas[i0:i1], with
+    the chunk's `_moments` of the series `part`, inline or on `_plan`'s
+    threads.  Each call reduces its chunk on its own thread and writes only
+    its own rows of the output, so results do not depend on `workers`."""
+    chunks, threads = _plan(thetas.size, table.l_max, workers)
 
-    Legendre rows are built one chunk at a time and reduced to moments;
-    single points, grids and sweeps all evaluate here, and delta profiles
-    use the same `_moments` and `_combine`.
-    """
+    def run(chunk):
+        i0, i1 = chunk
+        fn(i0, i1, _moments(table, specfun.legendre_rows(thetas[i0:i1], table.l_max), part))
+
+    if threads <= 1:
+        list(map(run, chunks))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, chunks))
+
+
+def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, workers: int = 1,
+               reduce=None) -> np.ndarray:
+    """The series `part` on the outer product of thetas and deltas: (re, im)
+    stacked, shape (2, n_theta, n_delta), or with `reduce`, reduce(re, im)
+    of each chunk, shape (n_theta, n_delta).  Single points,
+    `probability_grid` and `scan.sweep` evaluate here, every chunk with the
+    same Hermite functions of the deltas."""
     thetas = np.asarray(thetas, dtype=float)
+    _check_budget(table, thetas.size, np.size(deltas), workers, 1 if reduce else 2)
     h = _hermite(table, deltas)
-    out = np.empty((2, thetas.size, h.shape[1]))
-    for i0, i1 in _theta_chunks(thetas.size, table.l_max):
-        p_rows = specfun.legendre_rows(thetas[i0:i1], table.l_max)
-        out[:, i0:i1] = _combine(_moments(table, p_rows, part), h)
+    out = np.empty((() if reduce else (2,)) + (thetas.size, h.shape[1]))
+
+    def fill(i0, i1, moments):
+        re_im = _combine(moments, h)
+        out[..., i0:i1, :] = reduce(*re_im) if reduce else re_im
+
+    _each_chunk(table, thetas, part, fill, workers)
     return out
 
 
@@ -452,16 +514,12 @@ def probability_grid(table: PartialWaveTable, thetas, deltas) -> np.ndarray:
 
 def amplitude(table: PartialWaveTable, theta: float, delta: float) -> complex:
     """A(theta, delta) at a single point (same code path as the grids)."""
-    if not (0.0 <= theta <= np.pi):
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
     re, im = _eval_grid(table, [theta], [delta], "full")
     return complex((re + 1j * im)[0, 0])
 
 
 def probability(table: PartialWaveTable, theta: float, delta: float) -> float:
     """P(theta, delta) = |A|^2 at a single point."""
-    if not (0.0 <= theta <= np.pi):
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
     return float(probability_grid(table, [theta], [delta])[0, 0])
 
 

@@ -1,12 +1,11 @@
-"""Grid sweeps over (theta, delta) with deterministic parallel assembly, the
-memory budget, a content-keyed table cache, and the package's CSV and JSON
-file writers.
+"""Grid sweeps over (theta, delta), a content-keyed table cache, and the
+package's CSV and JSON file writers.
 
-Blocks of rows (fixed theta), one Legendre-row chunk each, are independent
-tasks sharing one immutable table; each task evaluates its rows through
-`partialwave`'s one series path (Legendre rows reduced to Hermite moments,
-combined with the Hermite functions of the deltas) and writes its own output
-slice, so results are bit-identical for any worker count.
+A sweep runs `partialwave._eval_grid`, whose chunk pipeline also checks the
+memory budget and runs the thread pool: each Legendre chunk's moments are
+combined with the Hermite functions of the deltas, built once per sweep, and
+written to the chunk's own output rows, so results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -15,17 +14,14 @@ import contextlib
 import enum
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import partialwave
-from .errors import ResourceLimitError
 from .kinematics import PhysicalScenario
 from .partialwave import PartialWaveTable, PhaseShiftKind, PhaseShiftModel
 
@@ -40,9 +36,6 @@ __all__ = [
     "write_csv",
     "write_json",
 ]
-
-DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes a sweep may hold at once
-
 
 class Quantity(enum.Enum):
     PROBABILITY = "probability"
@@ -82,7 +75,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldResult:
-    """Dense theta-major value matrix plus provenance."""
+    """Dense theta-major value matrix plus provenance.  terms_summed counts
+    the Hermite expansion's terms, theta_n * 2K(L+1) for the (re, im)
+    moments plus theta_n * delta_n * 2 * n_box * K for the cells."""
 
     grid: GridSpec
     quantity: Quantity
@@ -133,67 +128,17 @@ _QUANTITY_PARTS = {
 }
 
 
-def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int, blocks,
-                  workers: int, memory_budget: Optional[int] = None,
-                  grid_arrays: int = 1) -> None:
-    """Raise ResourceLimitError when an evaluation of an n_theta x n_delta
-    grid in `blocks` would hold more than `memory_budget` bytes (default
-    DEFAULT_MEMORY_BUDGET) at once.
-
-    Counted: `grid_arrays` arrays of the grid's shape (a sweep's output
-    matrix; a delta profile's coarse scan and its residual arrays); per
-    block in flight (the `workers` largest), its Legendre rows and six
-    values per row and delta (the block's (re, im) and the (re, im) sum and
-    term `_combine` builds for it); and the Hermite functions, n_box * K
-    values per delta for each block.
-    """
-    if memory_budget is None:
-        memory_budget = DEFAULT_MEMORY_BUDGET
-    held = sorted(i1 - i0 for i0, i1 in blocks)[-workers:]
-    n_hermite = table.box_centres.size * table.n_hermite
-    need = 8 * (grid_arrays * n_theta * n_delta
-                + sum(held) * (table.l_max + 1 + 6 * n_delta)
-                + len(held) * n_hermite * n_delta)
-    if need > memory_budget:
-        raise ResourceLimitError(
-            f"{n_theta} x {n_delta} grid needs {need} bytes "
-            f"({grid_arrays} grid-sized arrays, Legendre rows and Hermite "
-            f"functions), budget is {memory_budget}"
-        )
-
-
 def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
-          workers: int = 1,
-          memory_budget: Optional[int] = None) -> FieldResult:
+          workers: int = 1) -> FieldResult:
     """Evaluate a quantity over the grid with row-parallel, fixed-order assembly.
 
     PROBABILITY and DCS fields hold P and P / (16 eps^4 p^2); FORWARD_PART
     holds the (real) forward amplitude A_F and SCATTER_PART holds |A_S|^2.
     Every cell is bit-identical to the corresponding single-point evaluation.
     """
-    blocks = list(partialwave._theta_chunks(grid.theta_n, table.l_max))
-    # each block runs the whole Legendre recurrence, so a thread pays only
-    # with a chunk of its own: the pool gets one thread per chunk, at most
-    # one per CPU, and a single chunk runs inline
-    threads = min(workers, len(blocks), os.cpu_count() or 1)
-    _check_budget(table, grid.theta_n, grid.delta_n, blocks, threads, memory_budget)
     start = time.perf_counter()
-    thetas = grid.thetas
-    deltas = grid.deltas
     part, reduce = _QUANTITY_PARTS[quantity]
-    values = np.empty((grid.theta_n, grid.delta_n))
-
-    def fill(block):
-        i0, i1 = block
-        values[i0:i1] = reduce(*partialwave._eval_grid(table, thetas[i0:i1], deltas, part))
-
-    if threads <= 1:
-        for block in blocks:
-            fill(block)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, blocks))
-
+    values = partialwave._eval_grid(table, grid.thetas, grid.deltas, part, workers, reduce)
     if quantity is Quantity.DCS:
         sc = table.scenario
         values *= 1.0 / (16.0 * sc.eps ** 4 * sc.p ** 2)
@@ -209,7 +154,8 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
         l_max=table.l_max,
         wall_time_s=wall,
         checksum=_input_checksum(table, grid, quantity),
-        terms_summed=grid.theta_n * grid.delta_n * (table.l_max + 1),
+        terms_summed=grid.theta_n * 2 * table.n_hermite * (
+            table.l_max + 1 + grid.delta_n * table.box_centres.size),
     )
 
 

@@ -229,8 +229,9 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
         raise ValueError("thetas must be one-dimensional")
-    if not np.all((thetas >= 0.0) & (thetas <= np.pi)):
-        raise ValueError("theta must lie in [0, pi]")
+    ok = (thetas >= 0.0) & (thetas <= np.pi)
+    if not np.all(ok):
+        raise ValueError(f"theta must lie in [0, pi], got {thetas[~ok][0]}")
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     x = np.cos(thetas)

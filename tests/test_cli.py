@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from coulscat import (
     build_table,
     observables,
     partialwave,
-    scan,
     specfun,
     square_well_phase_shifts,
 )
@@ -58,7 +58,9 @@ class TestProfileDelta:
         assert doc["delta_max"] == pytest.approx(0.0, abs=1e-9)
         assert doc["p_max"] == pytest.approx(1.0, abs=1e-6)
 
-    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+    # a step of 10 leaves 3 points on the default range, fewer than the 5
+    # the peak refinement needs
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf", "10"])
     def test_bad_delta_step_is_config_error(self, step, capsys):
         rc = main(["profile-delta", "--eta", "10", "--theta", "0.03",
                    "--delta-step", step])
@@ -200,6 +202,13 @@ class TestConservation:
         text = capsys.readouterr().out
         assert "weight sum" in text and "sphere integral" in text
 
+    def test_json_to_stdout_leaves_the_summary_on_stderr(self, capsys):
+        rc = main(["conservation", "--eta", "1", "--sphere-n", "50", "--out", "-"])
+        assert rc in (0, 3)
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["sphere_intervals"] == 50
+        assert "weight sum" in captured.err and "sphere integral" in captured.err
+
     def test_no_intervals_is_config_error(self, capsys):
         rc = main(["conservation", "--eta", "0", "--sphere-n", "0"])
         assert rc == 2
@@ -231,8 +240,32 @@ class TestOptical:
         text = capsys.readouterr().out
         assert "relative diff" in text
 
+    def test_square_well_json_to_stdout_leaves_the_summary_on_stderr(self, capsys):
+        rc = main(["optical", "--model", "square-well", "--energy-mev", "1",
+                   "--well-depth-mev", "0.5", "--well-radius-fm", "11.4", "--out", "-"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["model"] == "square-well"
+        assert "relative diff" in captured.err
+
     def test_missing_range_is_config_error(self):
         assert main(["optical"]) == 2
+
+    @pytest.mark.parametrize("eta_min, eta_max, flag", [
+        ("1", "inf", "--eta-max"),
+        ("nan", "2", "--eta-min"),
+        ("-inf", "2", "--eta-min"),
+        ("1", "nan", "--eta-max"),
+    ])
+    def test_non_finite_bound_is_config_error(self, eta_min, eta_max, flag, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["optical", f"--eta-min={eta_min}", f"--eta-max={eta_max}"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} must be finite" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("flags, message", [
         (["--well-radius-fm=inf"], "radius must be positive and finite"),
@@ -451,7 +484,7 @@ class TestConfigAndErrors:
                      "--eps", "0.5"]) == 2
 
     def test_memory_budget_exit_4(self, monkeypatch):
-        monkeypatch.setattr(scan, "DEFAULT_MEMORY_BUDGET", 64)
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", 64)
         rc = main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "100"])
         assert rc == 4
 
@@ -470,7 +503,7 @@ class TestConfigAndErrors:
 
     def test_memory_budget_counts_the_legendre_rows(self, monkeypatch, capsys):
         # the 3 x 1 output is 24 bytes; three rows of 6001 degrees are 144 kB
-        monkeypatch.setattr(scan, "DEFAULT_MEMORY_BUDGET", 10_000)
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", 10_000)
         rc = main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "3"])
         assert rc == 4
         assert capsys.readouterr().err.startswith("resource error:")

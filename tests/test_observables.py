@@ -251,6 +251,18 @@ class TestDeltaProfile:
             flat = delta_profile(table_free, [2.0])
         assert flat.p_max[0] == probability(table_free, 2.0, 0.0)
 
+    def test_profile_across_chunks_equals_one_chunk(self, table_eta10, monkeypatch):
+        thetas = np.linspace(0.02, 3.0, 35)
+        whole, deltas, p_scan = observables._delta_profile(table_eta10, thetas, None, None)
+        # 10 rows a chunk, so the 35 angles span 4 chunks
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 10 * 8 * (table_eta10.l_max + 1))
+        assert len(partialwave._plan(thetas.size, table_eta10.l_max)[0]) == 4
+        parts, deltas_c, scan_c = observables._delta_profile(table_eta10, thetas, None, None)
+        for name in ("delta_max", "p_max", "factorization_residual"):
+            assert np.array_equal(getattr(parts, name), getattr(whole, name))
+        assert np.array_equal(deltas_c, deltas) and np.array_equal(scan_c, p_scan)
+        assert np.array_equal(scan_c, partialwave.probability_grid(table_eta10, thetas, deltas))
+
 
 class TestScatteringAmplitude:
     def test_free_case_vanishes(self, table_free):

@@ -5,6 +5,7 @@ import pytest
 
 from coulscat import (
     PhaseShiftModel,
+    ResourceLimitError,
     StrengthBoundError,
     TruncationMismatchError,
     amplitude,
@@ -15,6 +16,7 @@ from coulscat import (
     build_table,
     choose_l_max,
     probability,
+    scattering_amplitude_f,
     specfun,
     square_well_phase_shifts,
 )
@@ -96,6 +98,20 @@ class TestAmplitude:
         a = amplitude(table_eta10, 0.7, 1.1)
         p = probability(table_eta10, 0.7, 1.1)
         assert p == a.real * a.real + a.imag * a.imag
+
+    @pytest.mark.parametrize("call", [
+        lambda t: probability(t, 0.5, 0.0),
+        lambda t: amplitude(t, 0.5, 0.0),
+        lambda t: amplitude_forward(t, 0.5, 0.0),
+        lambda t: amplitude_scatter(t, 0.5, 0.0),
+        lambda t: scattering_amplitude_f(t, t.scenario, 0.5),
+    ], ids=["probability", "amplitude", "forward", "scatter", "f"])
+    def test_single_point_counts_against_the_memory_budget(self, monkeypatch,
+                                                           table_eta10, call):
+        # one Legendre row of 6001 degrees is 48 kB
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", 1000)
+        with pytest.raises(ResourceLimitError):
+            call(table_eta10)
 
     def test_invalid_theta(self, table_free):
         with pytest.raises(ValueError):

@@ -120,8 +120,8 @@ class TestSweep:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(scan, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(scan.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(partialwave, "ThreadPoolExecutor", Pool)
+        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: cpus)
         g = GridSpec(0.1, 2.9, theta_n, 0.0, 1.0, 2)
         field = sweep(table_eta10, g, Quantity.PROBABILITY, workers=workers)
         assert sizes == ([] if threads is None else [threads])
@@ -138,7 +138,7 @@ class TestSweep:
         sizes = np.diff(table.box_edges)
         assert table.box_edges[-1] == 30001 and sizes.max() <= 8192
         g = GridSpec(0.001, 0.05, 150, -1.0, 1.0, 3)
-        assert len(list(partialwave._theta_chunks(g.theta_n, table.l_max))) == 2
+        assert len(partialwave._plan(g.theta_n, table.l_max)[0]) == 2
         base = sweep(table, g, Quantity.PROBABILITY, workers=1)
         assert np.array_equal(base.values,
                               sweep(table, g, Quantity.PROBABILITY, workers=2).values)
@@ -190,24 +190,49 @@ class TestSweep:
     def test_terms_counter_and_checksum(self, table_eta10):
         g = GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3)
         field = sweep(table_eta10, g, Quantity.PROBABILITY)
-        assert field.terms_summed == 4 * 3 * (table_eta10.l_max + 1)
+        # the expansion's count at L = 6000, K = 11, one box: 4 angles'
+        # moments, 4 * 2K(L+1), and 4 x 3 cells of 2 * n_box * K terms each
+        assert (table_eta10.l_max, table_eta10.n_hermite, table_eta10.box_centres.size) \
+            == (6000, 11, 1)
+        assert field.terms_summed == 4 * 2 * 11 * 6001 + 4 * 3 * 2 * 1 * 11 == 528352
         again = sweep(table_eta10, g, Quantity.PROBABILITY, workers=4)
         assert field.checksum == again.checksum
         other = sweep(table_eta10, g, Quantity.DCS)
         assert other.checksum != field.checksum
 
-    def test_memory_budget(self, table_eta10):
+    def test_memory_budget(self, monkeypatch, table_eta10):
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", 1000)
         g = GridSpec(0.0, 1.0, 100, 0.0, 1.0, 100)
         with pytest.raises(ResourceLimitError):
-            sweep(table_eta10, g, Quantity.PROBABILITY, memory_budget=1000)
+            sweep(table_eta10, g, Quantity.PROBABILITY)
 
-    def test_memory_budget_counts_rows_and_hermite_functions(self, table_eta10):
+    def test_memory_budget_counts_rows_and_hermite_functions(self, monkeypatch,
+                                                              table_eta10):
         # 2 x 3 output is 48 bytes; the budget fits it ten times over, but
         # not the two Legendre rows (96 kB) the sweep holds
         g = GridSpec(0.1, 0.2, 2, 0.0, 1.0, 3)
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", 480)
         with pytest.raises(ResourceLimitError):
-            sweep(table_eta10, g, Quantity.PROBABILITY, memory_budget=480)
-        sweep(table_eta10, g, Quantity.PROBABILITY, memory_budget=1 << 20)
+            sweep(table_eta10, g, Quantity.PROBABILITY)
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", 1 << 20)
+        sweep(table_eta10, g, Quantity.PROBABILITY)
+
+    def test_memory_budget_counts_the_hermite_functions_once(self, monkeypatch,
+                                                             table_eta10):
+        # 4 x 3 grid in 2 chunks of 2 rows on 2 threads: the threads share
+        # one set of Hermite functions, n_box * K values per delta
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table_eta10.l_max + 1))
+        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
+        g = GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3)
+        assert partialwave._plan(g.theta_n, table_eta10.l_max, 2)[1] == 2
+        n_hermite = table_eta10.box_centres.size * table_eta10.n_hermite
+        need = 8 * (4 * 3 + 4 * (table_eta10.l_max + 1 + 6 * 3) + n_hermite * 3)
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", need)
+        field = sweep(table_eta10, g, Quantity.PROBABILITY, workers=2)
+        assert np.array_equal(field.values, sweep(table_eta10, g, Quantity.PROBABILITY).values)
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", need - 1)
+        with pytest.raises(ResourceLimitError):
+            sweep(table_eta10, g, Quantity.PROBABILITY, workers=2)
 
     def test_field_validation(self, table_eta10):
         g = GridSpec(0.1, 0.2, 2, 0.0, 1.0, 2)
