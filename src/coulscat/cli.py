@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -105,6 +106,18 @@ def _table_from_args(args):
     return scenario, table
 
 
+def _delta_profile(table, thetas):
+    """`observables.delta_profile`, with its flat-profile warning printed as
+    one `warning:` line on stderr, like the other commands' warnings, in
+    place of Python's form, which quotes this file's path and source line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("always", "flat delta profile", UserWarning)
+        prof = observables.delta_profile(table, thetas)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return prof
+
+
 def cmd_profile_delta(args) -> int:
     if args.theta is None:
         raise ValueError("profile-delta requires --theta (flag or config file)")
@@ -114,6 +127,10 @@ def cmd_profile_delta(args) -> int:
     for flag, value in (("--delta-min", args.delta_min), ("--delta-max", args.delta_max)):
         if value is not None and not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value:g}")
+    if (args.delta_min is not None and args.delta_max is not None
+            and args.delta_min > args.delta_max):
+        raise ValueError(f"--delta-min must be <= --delta-max, got "
+                         f"{args.delta_min:g} > {args.delta_max:g}")
     scenario, table = _table_from_args(args)
     lo, hi = observables.default_delta_range(table)
     if args.delta_min is not None:
@@ -155,7 +172,7 @@ def cmd_angular(args) -> int:
     scenario, table = _table_from_args(args)
     if auto:
         thetas = grid.thetas
-        prof = observables.delta_profile(table, thetas)
+        prof = _delta_profile(table, thetas)
         deltas = np.asarray(prof.delta_max)
         probs = np.asarray(prof.p_max)
     else:
@@ -188,7 +205,7 @@ def cmd_conservation(args) -> int:
     scenario, table = _table_from_args(args)
     wsum = observables.conservation_weight_sum(table)
     thetas = observables.midpoint_thetas(args.sphere_n)
-    prof = observables.delta_profile(table, thetas)
+    prof = _delta_profile(table, thetas)
     sphere = observables.probability_sphere_integral(table, prof)
     # the sum rule holds to O(eps^2); 1e-5 is the eps = 1e-3 allowance
     wsum_tol = max(1e-5, scenario.eps ** 2)

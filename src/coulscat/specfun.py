@@ -179,10 +179,11 @@ def dsigma_deta_table(l_max: int, eta: float) -> np.ndarray:
 
 
 # Up to this many angles, one Python-float loop per angle beats one numpy
-# loop vectorized across angles.  At l_max = 6000 the scalar loop costs
-# about 1 ms per angle, and the vectorized one a nearly flat 20-23 ms up
-# to 64 angles (four numpy calls per degree), so the two cross near 20.
-_SCALAR_MAX_ANGLES = 20
+# loop vectorized across angles.  At l_max = 6000 on a shared 2-core x86
+# host (medians of 31 interleaved calls) the scalar loop cost 1.2 ms per
+# angle and the vectorized one a nearly flat 19-21 ms from 8 to 64 angles
+# (four ufunc calls per degree), so the two cross at 16.
+_SCALAR_MAX_ANGLES = 16
 
 # degrees per block of the vectorized recurrence: its (l, theta) ring and
 # the block's (2l+1) x rows take 1040 bytes per angle, 0.7 MB for the
@@ -196,14 +197,32 @@ def _recurrence_coefficients(l_max: int):
     conversions numpy makes of the integers in the recurrence.
 
     Returns 2l+1 as a read-only array (the ring's `(2l+1) x` rows) and all
-    three as tuples (the scalar loop and the ring's per-degree operands).
-    Built once per `l_max`; a process meets a few `l_max` values, one per
-    eps, so the cache keeps the last four.
+    three as tuples (the scalar loop).  Built once per `l_max`; a process
+    meets a few `l_max` values, one per eps, so the cache keeps the last
+    four.
     """
     l = np.arange(1.0, l_max)
     two_l1 = 2.0 * l + 1.0
     two_l1.flags.writeable = False
     return two_l1, tuple(two_l1.tolist()), tuple(l.tolist()), tuple((l + 1.0).tolist())
+
+
+@functools.lru_cache(maxsize=4)
+def _ring_operands(l_max: int):
+    """l and l+1 for l = 1 .. l_max-1 as two tuples of read-only 0-d arrays,
+    the ring's per-degree operands.
+
+    A ufunc converts a Python float operand to an array on every call, but
+    takes a 0-d array as it is.  l+1 at degree l is l at degree l+1, so both
+    tuples hold views into one array of 1 .. l_max, whose values are those
+    of `_recurrence_coefficients`: the arithmetic is unchanged.  Built on
+    the first vectorized call at each `l_max` (about 0.7 MB and 2 ms at
+    l_max = 6000), so one-angle callers pay for none of it.
+    """
+    values = np.arange(1.0, l_max + 1.0)
+    values.flags.writeable = False
+    views = [values[j, ...] for j in range(l_max)]
+    return tuple(views[:-1]), tuple(views[1:])
 
 
 def legendre_rows(thetas, l_max: int) -> np.ndarray:
@@ -214,17 +233,18 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     angles, a loop on Python floats per angle; otherwise a loop over l
     vectorized across angles.  The vectorized loop runs on an (l, theta)
     ring of `_RING_DEGREES` degrees, each degree one contiguous row across
-    the angles written through `out=` buffers (the row views, coefficient
-    slices and ufuncs bound once per call, not looked up per degree), and
-    copies each finished block of degrees into the (theta, l) result.  Both
-    forms take their coefficients 2l+1, l and l+1 from
-    `_recurrence_coefficients`, built once per `l_max`, and perform the same
-    IEEE-754 operations in the same order, so each row is bit-identical
-    whichever form built it and whatever batch it came in.  x is clamped to
-    exactly +-1 at theta = 0 and theta = pi; where x is exactly +-1 the
-    recurrence yields the exact integers (+-1)^l, so those rows are filled
-    directly in either form.  NaN angles are rejected with the out-of-range
-    ones.
+    the angles, with four ufunc calls per degree: outputs passed
+    positionally, l and l+1 as the 0-d arrays of `_ring_operands`, and the
+    row views and ufuncs bound once per call.  It copies each finished
+    block of degrees into the (theta, l) result through one basic slice.
+    Both forms take 2l+1, l and l+1 with the same values and perform the
+    same IEEE-754 operations in the same order, so each row is
+    bit-identical whichever form built it and whatever batch it came in.
+    x is clamped to exactly +-1 at theta = 0 and theta = pi.  Where x is
+    exactly +-1 every step of the recurrence is exact and yields the
+    integers (+-1)^l: the scalar form fills those rows directly, and the
+    vectorized one computes them with the other angles.  NaN angles are
+    rejected with the out-of-range ones.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
@@ -241,15 +261,15 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     P[:, 0] = 1.0
     if l_max >= 1:
         P[:, 1] = x
-    # at x = +-1 the recurrence gives the exact integers (+-1)^l
-    ends = np.abs(x) == 1.0
-    P[ends] = 1.0
-    P[ends, 1::2] = x[ends, None]
-    inner = np.flatnonzero(~ends)
-    if l_max < 2 or inner.size == 0:
+    if l_max < 2:
         return P
-    two_l1, two_l1s, ls, lp1 = _recurrence_coefficients(l_max)
     if thetas.size <= _SCALAR_MAX_ANGLES:
+        # at x = +-1 the recurrence gives the exact integers (+-1)^l
+        ends = np.abs(x) == 1.0
+        P[ends, 2:] = 1.0
+        P[ends, 3::2] = x[ends, None]
+        inner = np.flatnonzero(~ends)
+        _two_l1, two_l1s, ls, lp1 = _recurrence_coefficients(l_max)
         for i, xi in zip(inner.tolist(), x[inner].tolist()):
             row = []
             p0, p1 = 1.0, xi
@@ -258,7 +278,8 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
                 row.append(p1)
             P[i, 2:] = row
         return P
-    x = x[inner]
+    two_l1 = _recurrence_coefficients(l_max)[0]
+    ls, lp1 = _ring_operands(l_max)
     # ring[j] holds P_{k0+j} across the angles, one contiguous row per
     # degree: rows 0 and 1 the two degrees a block starts from, rows 2 on
     # the block's new degrees, copied into P when the block is done
@@ -272,14 +293,14 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     for k0 in range(0, l_max - 1, _RING_DEGREES):
         m = min(_RING_DEGREES, l_max - 1 - k0)
         # (2l+1) x for the block's degrees does not depend on the recurrence
-        multiply(two_l1[k0 : k0 + m, None], x, out=ax[:m])
+        multiply(two_l1[k0 : k0 + m, None], x, ax[:m])
         for a, p0, p1, p2, lk, ck in zip(axs[:m], rows, rows[1:], rows[2:],
                                          ls[k0 : k0 + m], lp1[k0 : k0 + m]):
-            multiply(a, p1, out=a)
-            multiply(p0, lk, out=b)
-            subtract(a, b, out=a)
-            divide(a, ck, out=p2)
-        P[inner, k0 + 2 : k0 + 2 + m] = ring[2 : 2 + m].T
+            multiply(a, p1, a)
+            multiply(p0, lk, b)
+            subtract(a, b, a)
+            divide(a, ck, p2)
+        P[:, k0 + 2 : k0 + 2 + m] = ring[2 : 2 + m].T
         ring[:2] = ring[m : m + 2]
     return P
 

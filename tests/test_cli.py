@@ -1,4 +1,5 @@
 import json
+import pathlib
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from coulscat import (
     build_scenario,
     build_scenario_from_eta,
     build_table,
+    cli,
     observables,
     partialwave,
     specfun,
@@ -17,6 +19,9 @@ from coulscat import (
 from coulscat.acceptance import CriterionResult
 from coulscat.cli import main
 from coulscat.kinematics import ALPHA_PARTICLE_MASS_MEV, HBARC_MEV_FM
+
+
+RECIPES = pathlib.Path(__file__).resolve().parents[1] / "recipes"
 
 
 def read_csv(path):
@@ -75,6 +80,17 @@ class TestProfileDelta:
         assert rc == 2
         err = capsys.readouterr().err
         assert flag in err and "finite" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_reversed_delta_bounds_are_config_error(self, tmp_path, capsys):
+        out = tmp_path / "prof.csv"
+        rc = main(["profile-delta", "--eta", "1", "--theta", "0.1", "--delta-min", "5",
+                   "--delta-max", "-5", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "--delta-min" in captured.err and "--delta-max" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
 
     def test_builds_one_legendre_row(self, tmp_path, monkeypatch, capsys):
@@ -144,6 +160,20 @@ class TestAngular:
         # in the agreement regime the auto-delta ratio hugs unity
         assert all(abs(r[5] - 1.0) <= 0.05 for r in rows)
 
+    def test_flat_profile_warning_is_one_line(self, tmp_path, monkeypatch, capsys):
+        # the eta = 800 recipe has flat profiles in its forward shadow; the
+        # CSV is the one written when the library's warning is left alone
+        argv = ["angular", "--config", str(RECIPES / "angular-eta800-backscatter.cfg")]
+        out, plain = tmp_path / "ang.csv", tmp_path / "plain.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("warning: flat delta profile") and ".py" not in err
+        assert len(err.splitlines()) == 1
+        monkeypatch.setattr(cli, "_delta_profile", observables.delta_profile)
+        with pytest.warns(UserWarning, match="flat delta profile"):
+            assert main(argv + ["--out", str(plain)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+
     # an overflow warning would mean the field was evaluated before the check
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -208,6 +238,15 @@ class TestConservation:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["sphere_intervals"] == 50
         assert "weight sum" in captured.err and "sphere integral" in captured.err
+
+    def test_flat_profile_warning_leaves_stdout_json(self, capsys):
+        rc = main(["conservation", "--eta", "800", "--sphere-n", "40", "--out", "-"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["sphere_intervals"] == 40
+        err = captured.err.splitlines()
+        assert err[0].startswith("warning: flat delta profile") and len(err) == 3
+        assert ".py" not in captured.err
 
     def test_no_intervals_is_config_error(self, capsys):
         rc = main(["conservation", "--eta", "0", "--sphere-n", "0"])

@@ -253,7 +253,7 @@ class TestLegendre:
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_rows_do_not_depend_on_the_batch(self, l_max, offset):
         # batches just below, at and just above the scalar/vectorized switch,
-        # and around 24, where the switch was before it was last re-measured
+        # and around 24, above it
         for n in (specfun._SCALAR_MAX_ANGLES + offset, 24 + offset):
             interior = np.linspace(0.05, 3.05, n - 3)
             thetas = np.concatenate(([0.0, math.pi / 2, math.pi], interior))
@@ -287,9 +287,9 @@ class TestLegendre:
 
     def test_rows_equal_rows_from_a_fresh_process(self):
         # alternating l_max: in this process the coefficients of 64 and 6000
-        # come from the cache on their second call; the fresh process clears
-        # the cache before every call, so each of its rows is built from new
-        # coefficients, in both forms (3 angles scalar, 25 vectorized), with
+        # come from the caches on their second call; the fresh process clears
+        # both caches before every call, so each of its rows is built from new
+        # coefficients and operands, in both forms (3 angles scalar, 25 vectorized), with
         # 0, pi and 1e-9 (whose cosine rounds to 1) among the angles
         ends = [0.0, math.pi, 1e-9]
         batches = [ends, ends + np.linspace(0.05, 3.05, 22).tolist()]
@@ -305,6 +305,32 @@ class TestLegendre:
             two_l1[0] = 0.0
         assert all(isinstance(c, tuple) and len(c) == 63 for c in coeffs)
         assert specfun._recurrence_coefficients(64)[0] is two_l1
+
+    def test_ring_operands_are_cached_read_only_0d_arrays(self):
+        operands = specfun._ring_operands(64)
+        coeffs = specfun._recurrence_coefficients(64)[2:]
+        for ops, values in zip(operands, coeffs):
+            assert len(ops) == 63
+            assert all(op.ndim == 0 and not op.flags.writeable for op in ops)
+            assert [float(op) for op in ops] == list(values)
+        with pytest.raises(ValueError, match="read-only"):
+            operands[0][0][...] = 0.0
+        assert specfun._ring_operands(64) is operands
+
+    def test_one_angle_builds_no_ring_operands(self):
+        # neither looked up nor built: size, hits and misses all stay
+        before = specfun._ring_operands.cache_info()
+        specfun.legendre_rows([0.5], 6007)
+        assert specfun._ring_operands.cache_info() == before
+
+    @pytest.mark.parametrize("l_max", [65, 6000])
+    def test_ring_reproduces_the_endpoint_integers(self, l_max):
+        # the vectorized form runs the recurrence at x = +-1 too
+        thetas = np.resize([0.0, math.pi], specfun._SCALAR_MAX_ANGLES + 1)
+        thetas[3] = 0.7
+        batch = specfun.legendre_rows(thetas, l_max)
+        for theta, row in zip(thetas, batch):
+            assert np.array_equal(row, _recurrence_row(theta, l_max))
 
     @pytest.mark.parametrize("theta", [math.nan, -0.1, math.pi + 1e-12])
     def test_rejects_angles_outside_0_pi(self, theta):
@@ -339,6 +365,7 @@ from coulscat import specfun
 for thetas in {batches}:
     for l_max in {l_maxes}:
         specfun._recurrence_coefficients.cache_clear()
+        specfun._ring_operands.cache_clear()
         sys.stdout.buffer.write(specfun.legendre_rows(thetas, l_max).tobytes())
 """
 
