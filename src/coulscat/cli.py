@@ -12,6 +12,7 @@ Exit status: 0 success, 2 configuration error, 3 tolerance breach,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import warnings
@@ -53,24 +54,35 @@ def _write_table(args, columns: str, rows, **meta) -> None:
         })
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value file; flags override it")
+def _add_scenario(parser: argparse.ArgumentParser) -> None:
+    """The flags every command with arguments reads: the config file, the
+    particles, eps and the series' tail tolerance."""
+    parser.add_argument("--config", help="key = value file; flags given on the "
+                        "command line override it")
     parser.add_argument("--Z1", type=int, default=79)
     parser.add_argument("--Z2", type=int, default=2)
     parser.add_argument("--mass-mev", type=float, default=ALPHA_PARTICLE_MASS_MEV)
+    parser.add_argument("--eps", type=float, default=1e-3)
+    parser.add_argument("--tail-tol", type=float)
+
+
+def _add_model(parser: argparse.ArgumentParser) -> None:
+    """The flags that pick one table: its energy and its phase-shift model."""
     energy = parser.add_mutually_exclusive_group()
     energy.add_argument("--energy-kev", type=float)
     energy.add_argument("--energy-mev", type=float)
     energy.add_argument("--eta", type=float)
-    parser.add_argument("--eps", type=float, default=1e-3)
     parser.add_argument("--model", choices=_MODEL_CHOICES, default="coulomb-exact")
-    parser.add_argument("--tail-tol", type=float)
     parser.add_argument("--l-max", type=int)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--out", help="output path ('-' or omitted = stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--well-depth-mev", type=float, default=0.5)
     parser.add_argument("--well-radius-fm", type=float)
+
+
+def _add_output(parser: argparse.ArgumentParser, formats: bool = True) -> None:
+    """`--out`, and `--format` for the commands that write either format."""
+    parser.add_argument("--out", help="output path ('-' or omitted = stdout)")
+    if formats:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _scenario_from_args(args):
@@ -163,6 +175,8 @@ def cmd_profile_delta(args) -> int:
 
 
 def cmd_angular(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {args.workers}")
     if args.theta_n < 1:
         raise ValueError(f"--theta-n must be >= 1, got {args.theta_n}")
     auto = args.delta == "auto"
@@ -181,7 +195,7 @@ def cmd_angular(args) -> int:
         thetas = grid.thetas
         deltas = np.full(thetas.size, dval)
         probs = field.values[:, 0]
-    pref = 1.0 / (16.0 * scenario.eps ** 4 * scenario.p ** 2)
+    pref = observables.dcs_factor(scenario)
     rows = []
     for t, d, p in zip(thetas, deltas, probs):
         if t > 0.0:
@@ -226,8 +240,18 @@ def cmd_conservation(args) -> int:
     return EXIT_OK if (wsum_ok and sphere_ok) else EXIT_TOLERANCE
 
 
+def _reject_given(mode: str, flags) -> None:
+    """Reject the first of `flags`, (flag, value) pairs of flags that default
+    to None, that was given: `mode` does not read it."""
+    for flag, value in flags:
+        if value is not None:
+            raise ValueError(f"{flag} does not apply to {mode}")
+
+
 def cmd_optical(args) -> int:
     if args.model == "square-well":
+        _reject_given("the square-well check, which takes one energy",
+                      (("--eta-min", args.eta_min), ("--eta-max", args.eta_max)))
         scenario = _scenario_from_args(args)
         model = _model_from_args(args, scenario)
         check = observables.optical_theorem_check_short_range(model, scenario)
@@ -242,6 +266,9 @@ def cmd_optical(args) -> int:
                 "rel_diff": check.rel_diff,
             })
         return EXIT_OK
+    _reject_given("the Coulomb sweep, which runs from --eta-min to --eta-max",
+                  (("--energy-kev", args.energy_kev), ("--energy-mev", args.energy_mev),
+                   ("--eta", args.eta), ("--well-radius-fm", args.well_radius_fm)))
     if args.eta_min is None or args.eta_max is None:
         raise ValueError("optical sweep requires --eta-min and --eta-max")
     if args.eta_n < 1:
@@ -325,30 +352,25 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if not failed else EXIT_TOLERANCE
 
 
-def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> None:
-    """Load key=value defaults from `--config PATH` or `--config=PATH`, if
-    given; flags still override."""
-    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if path is None:
-        return
-    values = {}
+_ENERGY_KEYS = ("energy-kev", "energy-mev", "eta")
+
+
+def _config_tokens(path: str, energy_given: bool) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` tokens, with
+    `_` in a key read as `-`; the `=` form lets values such as -10 reach
+    argparse, which would otherwise take them for flags.  With
+    `energy_given`, the file's energy lines are dropped."""
+    tokens = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    known = {action.dest: action for action in parser._actions}
-    coerced = {}
-    for key, raw in values.items():
-        action = known.get(key)
-        if action is None:
-            raise ValueError(f"unknown config key for this command: {key}")
-        coerced[key] = action.type(raw) if action.type else raw
-    parser.set_defaults(**coerced)
+            key = key.strip().replace("_", "-")
+            if not (energy_given and key in _ENERGY_KEYS):
+                tokens.append(f"--{key}={value.strip()}")
+    return tokens
 
 
 class _Parser(argparse.ArgumentParser):
@@ -359,7 +381,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parsing does not change it."""
     parser = _Parser(
         prog="coulscat",
         description="Wavepacket Coulomb scattering by partial-wave summation",
@@ -367,7 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile-delta", help="P(theta, delta) profile at fixed theta")
-    _add_common(p)
+    _add_scenario(p)
+    _add_model(p)
+    _add_output(p)
     p.add_argument("--theta", type=float, help="scattering angle (radians); "
                    "required here or in the config file")
     p.add_argument("--delta-min", type=float)
@@ -376,7 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_profile_delta)
 
     p = sub.add_parser("angular", help="angular curve at fixed or auto delta")
-    _add_common(p)
+    _add_scenario(p)
+    _add_model(p)
+    _add_output(p)
+    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--delta", default="auto",
                    help="fixed delta value or 'auto' (per-theta peak)")
     p.add_argument("--theta-min", type=float, default=0.0)
@@ -385,19 +415,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_angular)
 
     p = sub.add_parser("conservation", help="weight sum and sphere integral")
-    _add_common(p)
+    _add_scenario(p)
+    _add_model(p)
+    _add_output(p, formats=False)
     p.add_argument("--sphere-n", type=int, default=200)
     p.set_defaults(func=cmd_conservation)
 
     p = sub.add_parser("optical", help="optical-theorem ratio gamma(eta)")
-    _add_common(p)
+    _add_scenario(p)
+    _add_model(p)
+    _add_output(p)
     p.add_argument("--eta-min", type=float)
     p.add_argument("--eta-max", type=float)
     p.add_argument("--eta-n", type=int, default=25)
     p.set_defaults(func=cmd_optical)
 
     p = sub.add_parser("energy-scan", help="rho(E) over an energy range")
-    _add_common(p)
+    _add_scenario(p)
+    _add_output(p)
     p.add_argument("--energies-kev", help="comma-separated energies in keV")
     p.add_argument("--e-min-kev", type=float, default=3.8)
     p.add_argument("--e-max-kev", type=float, default=200.0)
@@ -405,7 +440,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_energy_scan)
 
     p = sub.add_parser("table-dump", help="per-l weights, phases and shifts")
-    _add_common(p)
+    _add_scenario(p)
+    _add_model(p)
+    _add_output(p, formats=False)
     p.set_defaults(func=cmd_table_dump)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
@@ -414,27 +451,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse `argv`.  A `--config` file's lines go in as flags right after
+    the command name, so argparse checks them as it checks flags and a flag
+    on the command line wins; an energy on the command line replaces the
+    file's energy."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    energy_given = any(getattr(args, key.replace("-", "_"), None) is not None
+                       for key in _ENERGY_KEYS)
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + _config_tokens(args.config, energy_given)
+                             + argv[at:])
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    # config files provide defaults for the selected subcommand only
-    if argv and not argv[0].startswith("-"):
-        subparsers = parser._subparsers._group_actions[0]._name_parser_map
-        sub = subparsers.get(argv[0])
-        if sub is not None:
-            try:
-                _apply_config_file(argv, sub)
-            except (OSError, ValueError, argparse.ArgumentError) as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return EXIT_CONFIG
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse has printed its one-line error (or --help)
         return exc.code
+    except (OSError, ValueError) as exc:
+        # the config file could not be read
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)

@@ -30,6 +30,7 @@ __all__ = [
     "ScenarioFamily",
     "OpticalCheck",
     "dcs",
+    "dcs_factor",
     "rutherford_dcs",
     "rutherford_probability",
     "conservation_weight_sum",
@@ -76,12 +77,18 @@ class ScenarioFamily:
         return build_scenario(self.Z1, self.Z2, self.m0, E_mev, self.eps)
 
 
+def dcs_factor(scenario: PhysicalScenario) -> float:
+    """1 / (16 eps^4 p^2) (1/MeV^2): P(theta, delta) times this factor is the
+    differential cross section.
+
+    Every cross section in the package is P times this one float, so a grid
+    cell and a single point round alike."""
+    return 1.0 / (16.0 * scenario.eps ** 4 * scenario.p ** 2)
+
+
 def dcs(table: PartialWaveTable, theta: float, delta: float) -> float:
     """Differential cross section P(theta, delta) / (16 eps^4 p^2) (1/MeV^2)."""
-    sc = table.scenario
-    return partialwave.probability(table, theta, delta) / (
-        16.0 * sc.eps ** 4 * sc.p ** 2
-    )
+    return partialwave.probability(table, theta, delta) * dcs_factor(table.scenario)
 
 
 def rutherford_dcs(scenario: PhysicalScenario, theta: float) -> float:
@@ -358,7 +365,6 @@ def energy_ratio_rho(family: ScenarioFamily, E_mev: float,
     # p_max is the probability at dmax, so this is dcs(table, theta, dmax)
     # without rebuilding the angle's Legendre row
     dmax, p_max = delta_max_at(table, theta)
-    rho = (p_max / (16.0 * scenario.eps ** 4 * scenario.p ** 2)
-           / rutherford_dcs(scenario, theta))
+    rho = p_max * dcs_factor(scenario) / rutherford_dcs(scenario, theta)
     return rho, scenario.eta, dmax
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import partialwave
+from . import observables, partialwave
 from .kinematics import PhysicalScenario
 from .partialwave import PartialWaveTable, PhaseShiftKind, PhaseShiftModel
 
@@ -140,8 +140,7 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
     part, reduce = _QUANTITY_PARTS[quantity]
     values = partialwave._eval_grid(table, grid.thetas, grid.deltas, part, workers, reduce)
     if quantity is Quantity.DCS:
-        sc = table.scenario
-        values *= 1.0 / (16.0 * sc.eps ** 4 * sc.p ** 2)
+        values *= observables.dcs_factor(table.scenario)
 
     wall = time.perf_counter() - start
     values.flags.writeable = False

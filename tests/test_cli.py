@@ -320,6 +320,26 @@ class TestOptical:
         assert captured.out == ""
         assert message in captured.err and len(captured.err.strip().splitlines()) == 1
 
+    # each mode reads only its own flags; these default to None, so a given
+    # one is seen and rejected rather than ignored
+    @pytest.mark.parametrize("flags, flag", [
+        (["--eta-min", "1", "--eta-max", "2", "--energy-kev", "5000"], "--energy-kev"),
+        (["--eta-min", "1", "--eta-max", "2", "--energy-mev", "1"], "--energy-mev"),
+        (["--eta-min", "1", "--eta-max", "2", "--eta-n", "2", "--eta", "500"], "--eta"),
+        (["--eta-min", "1", "--eta-max", "2", "--well-radius-fm", "3"], "--well-radius-fm"),
+        (["--model", "square-well", "--energy-mev", "1", "--well-radius-fm", "11.4",
+          "--eta-min", "5"], "--eta-min"),
+        (["--model", "square-well", "--energy-mev", "1", "--well-radius-fm", "11.4",
+          "--eta-max", "5"], "--eta-max"),
+    ], ids=["energy-kev", "energy-mev", "eta", "well-radius-fm", "eta-min", "eta-max"])
+    def test_flag_of_the_other_mode_is_config_error(self, flags, flag, tmp_path, capsys):
+        out = tmp_path / "opt.csv"
+        assert main(["optical", *flags, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert f"{flag} does not apply" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_descending_range_is_config_error(self, capsys):
         rc = main(["optical", "--eta-min", "1", "--eta-max", "0.5"])
         assert rc == 2
@@ -463,6 +483,71 @@ class TestConfigAndErrors:
         assert main(["profile-delta", f"--config={cfg}", "--out", str(out)]) == 0
         _header, rows = read_csv(out)
         assert rows[1][0] - rows[0][0] == pytest.approx(0.5, abs=1e-9)
+
+    def test_config_values_do_not_outlive_their_call(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta = 10\ntheta = 0.03\ndelta-step = 0.5\n")
+        with_cfg, without = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["profile-delta", "--config", str(cfg), "--out", str(with_cfg)]) == 0
+        assert main(["profile-delta", "--eta", "10", "--theta", "0.03",
+                     "--out", str(without)]) == 0
+        _header, rows = read_csv(without)
+        assert rows[1][0] - rows[0][0] == pytest.approx(0.2, abs=1e-9)
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    # each line once exited 0, with output that ignored it or a message
+    # that did not name the key
+    @pytest.mark.parametrize("line, flag", [
+        ("model = bogus\nwell-radius-fm = 10", "--model"),
+        ("format = xml", "--format"),
+        ("theta-n = many", "--theta-n"),
+        ("no_such_key = 1", "--no-such-key"),
+    ], ids=["model", "format", "theta-n", "unknown-key"])
+    def test_bad_config_line_is_an_argument_error(self, line, flag, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"eta = 10\ndelta = 0\ntheta-n = 3\n{line}\n")
+        out = tmp_path / "ang.csv"
+        assert main(["angular", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert flag in captured.err and "error:" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_command_line_energy_replaces_the_files(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("eta = 10\n")
+        both, flag_only = tmp_path / "both.csv", tmp_path / "flag.csv"
+        argv = ["table-dump", "--energy-kev", "5000", "--l-max", "3"]
+        assert main(argv + ["--config", str(cfg), "--out", str(both)]) == 0
+        assert main(argv + ["--out", str(flag_only)]) == 0
+        assert both.read_bytes() == flag_only.read_bytes()
+
+    # flags a command does not read are not registered on it
+    @pytest.mark.parametrize("argv, flag", [
+        (["energy-scan", "--energies-kev", "3.8"], "--energy-kev=5000"),
+        (["energy-scan", "--energies-kev", "3.8"], "--energy-mev=5"),
+        (["energy-scan", "--energies-kev", "3.8"], "--eta=10"),
+        (["energy-scan", "--energies-kev", "3.8"], "--model=coulomb-asym"),
+        (["energy-scan", "--energies-kev", "3.8"], "--l-max=5"),
+        (["energy-scan", "--energies-kev", "3.8"], "--workers=2"),
+        (["energy-scan", "--energies-kev", "3.8"], "--well-depth-mev=1"),
+        (["energy-scan", "--energies-kev", "3.8"], "--well-radius-fm=3"),
+        (["conservation", "--eta", "0", "--sphere-n", "2"], "--workers=2"),
+        (["conservation", "--eta", "0", "--sphere-n", "2"], "--format=json"),
+        (["table-dump", "--eta", "2", "--l-max", "50"], "--workers=2"),
+        (["table-dump", "--eta", "2", "--l-max", "50"], "--format=json"),
+        (["profile-delta", "--eta", "10", "--theta", "0.03"], "--workers=2"),
+        (["optical", "--eta-min", "1", "--eta-max", "2", "--eta-n", "2"], "--workers=2"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else v.split("=")[0])
+    def test_unread_flag_is_an_argument_error(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + [flag, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "unrecognized arguments" in captured.err and flag in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_config_without_path_is_config_error(self, capsys):
         assert main(["profile-delta", "--eta", "10", "--config"]) == 2

@@ -40,27 +40,39 @@ def _flag(name, values):
     return st.one_of(st.just([]), values.map(lambda v: [f"{name}={v}"]))
 
 
+# the commands that take the model flags (energy, --model, --l-max and the
+# square well's) and `--format`; every command takes `--eps` and
+# `--tail-tol`, and only `angular` takes `--workers` (see cli.build_parser)
+_TAKES_MODEL = {"profile-delta", "angular", "conservation", "optical", "table-dump"}
+_TAKES_FORMAT = {"profile-delta", "angular", "optical", "energy-scan"}
+
+
 @st.composite
-def _common(draw):
-    argv = []
+def _common(draw, command, model):
+    """The flags `command` takes besides its own; `optical` takes an energy
+    and a well radius in its square-well mode only."""
+    argv = [f"--eps={draw(st.floats(0.01, 0.09))}"]
+    argv += draw(_flag("--tail-tol", _mostly(st.sampled_from([1e-12, 1e-6]),
+                                             st.sampled_from([0.0, -1.0, *ODD]))))
+    if command == "angular":
+        argv += draw(_flag("--workers", _mostly(st.integers(1, 2), st.integers(-1, 0))))
+    if command in _TAKES_FORMAT:
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if command not in _TAKES_MODEL:
+        return argv
+    argv += ["--model", model]
+    argv += draw(_flag("--l-max", _mostly(st.integers(50, 400), st.integers(-2, 49))))
+    if command == "optical" and model != "square-well":
+        return argv
     energy = draw(_mostly(st.just("--eta"),
                           st.sampled_from(["--energy-kev", "--energy-mev", None])))
     if energy == "--eta":
         argv += [f"--eta={draw(_mostly(st.floats(-3.0, 3.0), _num(-100.0, 100.0)))}"]
     elif energy is not None:
         argv += [f"{energy}={draw(_num(-1.0, 50.0))}"]
-    argv += [f"--eps={draw(st.floats(0.01, 0.09))}"]
-    argv += draw(_flag("--workers", _mostly(st.integers(1, 2), st.integers(-1, 0))))
-    argv += draw(_flag("--l-max", _mostly(st.integers(50, 400), st.integers(-2, 49))))
-    argv += draw(_flag("--tail-tol", _mostly(st.sampled_from([1e-12, 1e-6]),
-                                             st.sampled_from([0.0, -1.0, *ODD]))))
-    model = draw(_mostly(st.sampled_from(["coulomb-exact", "coulomb-asym"]),
-                         st.just("square-well")))
-    argv += ["--model", model]
     if model == "square-well":
         argv += [f"--well-radius-fm={draw(_num(-1.0, 50.0))}"]
         argv += draw(_flag("--well-depth-mev", _num(-1.0, 5.0)))
-    argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
     return argv
 
 
@@ -68,6 +80,8 @@ def _common(draw):
 def _command(draw):
     command = draw(st.sampled_from(["profile-delta", "angular", "conservation",
                                     "optical", "energy-scan", "table-dump"]))
+    model = draw(_mostly(st.sampled_from(["coulomb-exact", "coulomb-asym"]),
+                         st.just("square-well")))
     argv = [command]
     if command == "profile-delta":
         argv += [f"--theta={draw(_mostly(st.floats(0.0, 3.14), _num(-0.5, 3.5)))}"]
@@ -82,7 +96,7 @@ def _command(draw):
         argv += [f"--theta-n={draw(_mostly(st.integers(1, 12), st.integers(-1, 0)))}"]
     elif command == "conservation":
         argv += [f"--sphere-n={draw(_mostly(st.integers(1, 12), st.integers(-1, 0)))}"]
-    elif command == "optical":
+    elif command == "optical" and model != "square-well":
         argv += [f"--eta-min={draw(_mostly(st.floats(0.01, 1.0), _num(-1.0, 20.0)))}"]
         argv += [f"--eta-max={draw(_mostly(st.floats(1.0, 3.0), _num(-1.0, 20.0)))}"]
         argv += [f"--eta-n={draw(_mostly(st.integers(1, 3), st.integers(-1, 0)))}"]
@@ -95,7 +109,7 @@ def _command(draw):
             argv += draw(_flag("--e-max-kev", _num(-5.0, 300.0)))
             argv += [f"--e-n={draw(_mostly(st.integers(1, 3), st.integers(-1, 0)))}"]
     out = draw(_mostly(st.just("file"), st.sampled_from(["-", None])))
-    return argv + draw(_common()), out
+    return argv + draw(_common(command, model)), out
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,

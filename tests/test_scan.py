@@ -170,6 +170,13 @@ class TestSweep:
                            prob.values / (16.0 * sc.eps ** 4 * sc.p ** 2),
                            rtol=1e-15)
 
+    def test_dcs_cells_equal_the_single_point_dcs(self, table_eta10):
+        g = GridSpec(0.1, 3.0, 40, -1.0, 1.0, 9)
+        field = sweep(table_eta10, g, Quantity.DCS)
+        want = [[dcs(table_eta10, float(t), float(d)) for d in g.deltas]
+                for t in g.thetas]
+        assert field.values.tolist() == want
+
     def test_forward_and_scatter_quantities(self, table_eta10):
         g = GridSpec(0.002, 0.002, 1, 0.4, 0.4, 1)
         fwd = sweep(table_eta10, g, Quantity.FORWARD_PART)
