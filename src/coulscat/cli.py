@@ -45,7 +45,7 @@ _MODEL_CHOICES = ("coulomb-exact", "coulomb-asym", "square-well")
 def _write_table(args, columns: str, rows, **meta) -> None:
     """Write `rows` as CSV under the comma-separated `columns` header or, with
     `--format json`, as one document: the command, `meta`, columns and rows."""
-    if args.format == "csv":
+    if args.format in (None, "csv"):
         scan.write_csv(args.out, columns, rows)
     else:
         scan.write_json(args.out, {
@@ -74,7 +74,7 @@ def _add_model(parser: argparse.ArgumentParser) -> None:
     energy.add_argument("--eta", type=float)
     parser.add_argument("--model", choices=_MODEL_CHOICES, default="coulomb-exact")
     parser.add_argument("--l-max", type=int)
-    parser.add_argument("--well-depth-mev", type=float, default=0.5)
+    parser.add_argument("--well-depth-mev", type=float)
     parser.add_argument("--well-radius-fm", type=float)
 
 
@@ -82,7 +82,15 @@ def _add_output(parser: argparse.ArgumentParser, formats: bool = True) -> None:
     """`--out`, and `--format` for the commands that write either format."""
     parser.add_argument("--out", help="output path ('-' or omitted = stdout)")
     if formats:
-        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+        parser.add_argument("--format", choices=("csv", "json"))
+
+
+def _reject_given(mode: str, flags) -> None:
+    """Reject the first of `flags`, (flag, value) pairs of flags that default
+    to None, that was given: `mode` does not read it."""
+    for flag, value in flags:
+        if value is not None:
+            raise ValueError(f"{flag} does not apply to {mode}")
 
 
 def _scenario_from_args(args):
@@ -97,17 +105,20 @@ def _scenario_from_args(args):
 
 
 def _model_from_args(args, scenario) -> PhaseShiftModel:
-    if args.model == "coulomb-exact":
-        return PhaseShiftModel.coulomb_exact()
-    if args.model == "coulomb-asym":
+    if args.model != "square-well":
+        _reject_given(f"--model {args.model}",
+                      (("--well-depth-mev", args.well_depth_mev),
+                       ("--well-radius-fm", args.well_radius_fm)))
+        if args.model == "coulomb-exact":
+            return PhaseShiftModel.coulomb_exact()
         return PhaseShiftModel.coulomb_asymptotic()
     if args.well_radius_fm is None:
         raise ValueError("square-well model requires --well-radius-fm")
     radius = args.well_radius_fm / HBARC_MEV_FM
+    depth = 0.5 if args.well_depth_mev is None else args.well_depth_mev
     l_max = args.l_max if args.l_max is not None else partialwave.choose_l_max(
         scenario.eps, args.tail_tol)
-    return partialwave.square_well_phase_shifts(args.well_depth_mev, radius,
-                                                scenario, l_max)
+    return partialwave.square_well_phase_shifts(depth, radius, scenario, l_max)
 
 
 def _table_from_args(args):
@@ -159,7 +170,7 @@ def cmd_profile_delta(args) -> int:
     # the CSV is the profile's own coarse scan: one Legendre row, one set of
     # moments
     prof, deltas, (probs,) = observables._delta_profile(table, [args.theta], (lo, hi), n)
-    if args.format == "csv":
+    if args.format in (None, "csv"):
         scan.write_csv(args.out, "delta,probability", zip(deltas.tolist(), probs.tolist()))
     else:
         scan.write_json(args.out, {
@@ -175,11 +186,15 @@ def cmd_profile_delta(args) -> int:
 
 
 def cmd_angular(args) -> int:
-    if args.workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {args.workers}")
+    auto = args.delta == "auto"
+    if auto:
+        _reject_given("--delta auto, whose profiles run on one thread",
+                      (("--workers", args.workers),))
+    workers = 1 if args.workers is None else args.workers
+    if workers < 1:
+        raise ValueError(f"--workers must be >= 1, got {workers}")
     if args.theta_n < 1:
         raise ValueError(f"--theta-n must be >= 1, got {args.theta_n}")
-    auto = args.delta == "auto"
     dval = 0.0 if auto else float(args.delta)
     # both delta modes check the angle bounds here, before any evaluation
     grid = scan.GridSpec(args.theta_min, args.theta_max, args.theta_n, dval, dval, 1)
@@ -190,8 +205,7 @@ def cmd_angular(args) -> int:
         deltas = np.asarray(prof.delta_max)
         probs = np.asarray(prof.p_max)
     else:
-        field = scan.sweep(table, grid, scan.Quantity.PROBABILITY,
-                           workers=args.workers)
+        field = scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=workers)
         thetas = grid.thetas
         deltas = np.full(thetas.size, dval)
         probs = field.values[:, 0]
@@ -240,18 +254,12 @@ def cmd_conservation(args) -> int:
     return EXIT_OK if (wsum_ok and sphere_ok) else EXIT_TOLERANCE
 
 
-def _reject_given(mode: str, flags) -> None:
-    """Reject the first of `flags`, (flag, value) pairs of flags that default
-    to None, that was given: `mode` does not read it."""
-    for flag, value in flags:
-        if value is not None:
-            raise ValueError(f"{flag} does not apply to {mode}")
-
-
 def cmd_optical(args) -> int:
     if args.model == "square-well":
-        _reject_given("the square-well check, which takes one energy",
-                      (("--eta-min", args.eta_min), ("--eta-max", args.eta_max)))
+        _reject_given("the square-well check, which takes one energy and "
+                      "writes JSON",
+                      (("--eta-min", args.eta_min), ("--eta-max", args.eta_max),
+                       ("--eta-n", args.eta_n), ("--format", args.format)))
         scenario = _scenario_from_args(args)
         model = _model_from_args(args, scenario)
         check = observables.optical_theorem_check_short_range(model, scenario)
@@ -268,10 +276,12 @@ def cmd_optical(args) -> int:
         return EXIT_OK
     _reject_given("the Coulomb sweep, which runs from --eta-min to --eta-max",
                   (("--energy-kev", args.energy_kev), ("--energy-mev", args.energy_mev),
-                   ("--eta", args.eta), ("--well-radius-fm", args.well_radius_fm)))
+                   ("--eta", args.eta), ("--well-depth-mev", args.well_depth_mev),
+                   ("--well-radius-fm", args.well_radius_fm)))
     if args.eta_min is None or args.eta_max is None:
         raise ValueError("optical sweep requires --eta-min and --eta-max")
-    if args.eta_n < 1:
+    eta_n = 25 if args.eta_n is None else args.eta_n
+    if eta_n < 1:
         raise ValueError("--eta-n must be >= 1")
     for flag, value in (("--eta-min", args.eta_min), ("--eta-max", args.eta_max)):
         if not math.isfinite(value):
@@ -282,7 +292,7 @@ def cmd_optical(args) -> int:
     if not (args.eta_max >= args.eta_min):
         raise ValueError(f"optical sweep requires --eta-max >= --eta-min, got "
                          f"{args.eta_max:g} < {args.eta_min:g}")
-    etas = np.geomspace(args.eta_min, args.eta_max, args.eta_n)
+    etas = np.geomspace(args.eta_min, args.eta_max, eta_n)
     rows = []
     for eta in etas:
         scenario = build_scenario_from_eta(float(eta), args.eps, Z1=args.Z1,
@@ -406,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario(p)
     _add_model(p)
     _add_output(p)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int)
     p.add_argument("--delta", default="auto",
                    help="fixed delta value or 'auto' (per-theta peak)")
     p.add_argument("--theta-min", type=float, default=0.0)
@@ -427,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.add_argument("--eta-min", type=float)
     p.add_argument("--eta-max", type=float)
-    p.add_argument("--eta-n", type=int, default=25)
+    p.add_argument("--eta-n", type=int)
     p.set_defaults(func=cmd_optical)
 
     p = sub.add_parser("energy-scan", help="rho(E) over an energy range")

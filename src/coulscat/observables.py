@@ -286,33 +286,21 @@ def scattering_amplitude_f(table: PartialWaveTable, scenario: PhysicalScenario,
     """
     partialwave._check_budget(table, 1, 0)
     row = specfun.legendre_rows(np.array([float(theta)]), table.l_max)[0]
-    kern_re, kern_im = partialwave._kern_scatter(table)
+    kern_re, kern_im = partialwave._series_kernel(table, "scatter")
     re = float(np.sum(kern_re * row))
     im = float(np.sum(kern_im * row))
     return (re + 1j * im) / scenario.p
 
 
-def _sin2_sums(table: PartialWaveTable) -> tuple[float, float]:
-    """Gaussian-damped sums of (2l+1) sin^2(sigma_l): (4 eps^2 damping, 2 eps^2 damping)."""
-    eps = table.eps
-    l = np.arange(table.l_max + 1, dtype=float)
-    x = l + 0.5
-    sin2 = 0.5 * (1.0 - table.phase_cos)
-    base = (2.0 * l + 1.0) * sin2
-    heavy = float(np.sum(base * np.exp(-4.0 * eps * eps * x * x)))
-    light = float(np.sum(base * np.exp(-2.0 * eps * eps * x * x)))
-    return heavy, light
-
-
 def total_cross_section(table: PartialWaveTable, scenario: PhysicalScenario) -> float:
     """sigma = (4 pi / p^2) sum (2l+1) e^{-4 eps^2 (l+1/2)^2} sin^2 sigma_l."""
-    heavy, _light = _sin2_sums(table)
+    heavy, _light = table.sin2_sums
     return 4.0 * math.pi / scenario.p ** 2 * heavy
 
 
 def optical_ratio(table: PartialWaveTable) -> float:
     """gamma = sigma / (4 pi Im f(0) / p); NaN marks the free case (0/0)."""
-    heavy, light = _sin2_sums(table)
+    heavy, light = table.sin2_sums
     if light == 0.0:
         return float("nan")
     return heavy / light
@@ -340,7 +328,7 @@ def optical_theorem_check_short_range(model: PhaseShiftModel,
             f"phase shifts not converged at table end (max tail |delta_l| = {tail:.3g})"
         )
     table = partialwave.build_table(scenario, model, l_max=dl.size - 1)
-    heavy, light = _sin2_sums(table)
+    heavy, light = table.sin2_sums
     sigma = 4.0 * math.pi / scenario.p ** 2 * heavy
     # (4 pi / p) Im f(0), with Im f(0) = light / p
     optical = 4.0 * math.pi / scenario.p ** 2 * light

@@ -34,26 +34,28 @@ to sum_l |kern_l P_l|).
 
 One path evaluates the series for every caller: the full amplitude A, its
 forward part A_F or its scattering part A_S, each a kernel and a prefactor
-from `_PARTS`.  `_each_chunk` hands each Legendre chunk's moments to the
-caller's reduction (`_eval_grid`, which serves single points, grids and
-`scan.sweep`, and `observables.delta_profile`), after `_check_budget` has
-bounded the memory.  `_moments` reduces one theta
-row at a time, each moment one dot product along a box's l, and `_combine`
-adds the terms in a fixed order elementwise.  A dot's summation order
-depends on its length only (boxes stop at 8192 terms, short of where BLAS
-splits a dot across its own threads), so identical inputs give
-bit-identical results regardless of how work is partitioned across threads
-or batches.
+from `_PARTS` (A_F is real, and only its real component is summed).
+`_each_chunk` hands each Legendre chunk's moments to the caller's reduction
+(`_eval_grid`, which serves single points, grids and `scan.sweep`, and
+`observables.delta_profile`), after `_check_budget` has bounded the memory.
+`_moments` reduces one theta row at a time, each moment one dot product
+along a box's l, and `_combine` adds the terms in a fixed order
+elementwise.  A dot's summation order depends on its length only (boxes
+stop at 8192 terms, short of where BLAS splits a dot across its own
+threads), so identical inputs give bit-identical results regardless of how
+work is partitioned across threads or batches.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -146,6 +148,16 @@ class PhaseShiftModel:
                    ddelta_dk=np.asarray(ddelta_dk, dtype=float))
 
 
+class _Expansion(NamedTuple):
+    """A table's Hermite expansion in delta; see `PartialWaveTable`."""
+
+    box_edges: np.ndarray
+    box_centres: np.ndarray
+    y_powers: np.ndarray
+    n_hermite: int
+    hermite_bound: float
+
+
 @dataclass(frozen=True)
 class PartialWaveTable:
     """Immutable per-l cache of weights, phase factors and spatial shifts.
@@ -156,8 +168,11 @@ class PartialWaveTable:
     tail_bound   = rigorous bound on the neglected angular weight beyond
                    l_max, relative to the retained total
 
-    The Hermite expansion in delta is derived from xi on construction (so a
-    `dataclasses.replace` of xi rebuilds it):
+    Data derived from these is built on its first read and kept with the
+    table (`functools.cached_property`), so a table whose readers never
+    need it never builds it; a `dataclasses.replace` is a new table that
+    builds its own.  The Hermite expansion in delta, read only by
+    evaluations at a time shift:
 
     box_edges    = box b holds l in [box_edges[b], box_edges[b+1])
     box_centres  = centre c of each box, the midpoint of its xi range
@@ -165,6 +180,11 @@ class PartialWaveTable:
     n_hermite    = K, the number of expansion terms per box
     hermite_bound = Cramér bound on the truncated expansion's error,
                    relative to sum_l |kern_l P_l| (at most 2^-56)
+
+    and `sin2_sums` and each series part's kernel (`_series_kernel`).  The
+    arrays are read-only.  From Python 3.12 `cached_property` takes no
+    lock, so `_each_chunk` builds what its threads read before it starts
+    them.
     """
 
     l_max: int
@@ -175,29 +195,52 @@ class PartialWaveTable:
     scenario: PhysicalScenario
     model: PhaseShiftModel
     tail_bound: float
-    box_edges: np.ndarray = field(init=False, repr=False)
-    box_centres: np.ndarray = field(init=False, repr=False)
-    y_powers: np.ndarray = field(init=False, repr=False)
-    n_hermite: int = field(init=False)
-    hermite_bound: float = field(init=False)
-
-    def __post_init__(self):
-        edges, centres, y = _hermite_boxes(np.asarray(self.xi, dtype=float))
-        k, bound = _hermite_terms(float(np.max(np.abs(y))))
-        powers = np.empty((k, y.size))
-        powers[0] = 1.0
-        for n in range(1, k):
-            powers[n] = powers[n - 1] * y / n
-        for arr in (edges, centres, powers):
-            arr.flags.writeable = False
-        for name, value in (("box_edges", edges), ("box_centres", centres),
-                            ("y_powers", powers), ("n_hermite", k),
-                            ("hermite_bound", bound)):
-            object.__setattr__(self, name, value)
 
     @property
     def eps(self) -> float:
         return self.scenario.eps
+
+    @functools.cached_property
+    def _expansion(self) -> _Expansion:
+        return _hermite_expansion(np.asarray(self.xi, dtype=float))
+
+    box_edges = property(operator.attrgetter("_expansion.box_edges"))
+    box_centres = property(operator.attrgetter("_expansion.box_centres"))
+    y_powers = property(operator.attrgetter("_expansion.y_powers"))
+    n_hermite = property(operator.attrgetter("_expansion.n_hermite"))
+    hermite_bound = property(operator.attrgetter("_expansion.hermite_bound"))
+
+    @functools.cached_property
+    def _kernels(self) -> dict:
+        # part -> its stacked kernel, added by `_series_kernel`
+        return {}
+
+    @functools.cached_property
+    def sin2_sums(self) -> tuple[float, float]:
+        """Gaussian-damped sums of (2l+1) sin^2(sigma_l): (4 eps^2 damping,
+        2 eps^2 damping)."""
+        eps = self.eps
+        l = np.arange(self.l_max + 1, dtype=float)
+        x = l + 0.5
+        sin2 = 0.5 * (1.0 - self.phase_cos)
+        base = (2.0 * l + 1.0) * sin2
+        heavy = float(np.sum(base * np.exp(-4.0 * eps * eps * x * x)))
+        light = float(np.sum(base * np.exp(-2.0 * eps * eps * x * x)))
+        return heavy, light
+
+
+def _hermite_expansion(xi: np.ndarray) -> _Expansion:
+    """The boxes of `_hermite_boxes`, K and its bound from `_hermite_terms`,
+    and the read-only powers y_l^n / n!."""
+    edges, centres, y = _hermite_boxes(xi)
+    k, bound = _hermite_terms(float(np.max(np.abs(y))))
+    powers = np.empty((k, y.size))
+    powers[0] = 1.0
+    for n in range(1, k):
+        powers[n] = powers[n - 1] * y / n
+    for arr in (edges, centres, powers):
+        arr.flags.writeable = False
+    return _Expansion(edges, centres, powers, k, bound)
 
 
 def _hermite_boxes(xi: np.ndarray):
@@ -354,14 +397,17 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
     delta profile's coarse scan and its residual arrays); per chunk in
     flight (the largest, one per `_plan` thread), its Legendre rows and six
     values per row and delta (the chunk's (re, im), and the (re, im) sum and
-    term `_combine` builds); and the deltas' Hermite functions, n_box * K
-    values per delta, built once and shared by the chunks.
+    term `_combine` builds; half that for the real forward part); and the deltas' Hermite functions, n_box * K
+    values per delta, built once and shared by the chunks.  With no deltas
+    (a sum at no time shift) the table's Hermite expansion is not read, so
+    not built.
     """
     chunks, threads = _plan(n_theta, table.l_max, workers)
     held = sum(sorted(i1 - i0 for i0, i1 in chunks)[-threads:])
     need = 8 * (grid_arrays * n_theta * n_delta
-                + held * (table.l_max + 1 + 6 * n_delta)
-                + table.box_centres.size * table.n_hermite * n_delta)
+                + held * (table.l_max + 1 + 6 * n_delta))
+    if n_delta:
+        need += 8 * table.box_centres.size * table.n_hermite * n_delta
     if need > DEFAULT_MEMORY_BUDGET:
         raise ResourceLimitError(
             f"{n_theta} x {n_delta} grid needs {need} bytes "
@@ -395,6 +441,20 @@ _PARTS = {
 }
 
 
+def _series_kernel(table: PartialWaveTable, part: str) -> np.ndarray:
+    """The kernel of the series `part` as read-only stacked components,
+    (re, im), or (re,) for a real part, shape (c, L+1); built on the part's
+    first read and kept with the table."""
+    kern = table._kernels.get(part)
+    if kern is None:
+        re_im = _PARTS[part][0](table)
+        # A_F's imaginary kernel is zero: only its real component is summed
+        kern = np.stack(re_im[:1] if part == "forward" else re_im)
+        kern.flags.writeable = False
+        table._kernels[part] = kern
+    return kern
+
+
 def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """|re + i im|^2, elementwise."""
     return re * re + im * im
@@ -424,8 +484,9 @@ def _hermite(table: PartialWaveTable, deltas) -> np.ndarray:
 
 def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarray:
     """Hermite moments pref * sum_{l in box} kern_l P_l y_l^n / n! of the
-    series `part` for each Legendre row of a block; (re, im) stacked, shape
-    (2, n_rows, n_box * K), box-major like `_hermite`.
+    series `part` for each Legendre row of a block; the `_series_kernel`
+    components stacked, shape (c, n_rows, n_box * K), box-major like
+    `_hermite`.
 
     Each moment is one dot product (np.vecdot) of a box slice of
     kern * P_row with the same slice of a `y_powers` row, one row at a time.
@@ -435,25 +496,28 @@ def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarr
     beside it (a matrix product over the batch would: it blocks its sums by
     batch size).
     """
-    kernel, pref = _PARTS[part]
-    kern = np.stack(kernel(table))
-    edges = table.box_edges.tolist()
-    boxes = list(zip(edges[:-1], edges[1:]))
-    out = np.empty((2, len(p_rows), len(boxes), table.n_hermite))
+    kern = _series_kernel(table, part)
+    pref = _PARTS[part][1]
     terms = np.empty_like(kern)
+    y_powers = table.y_powers
+    edges = table.box_edges.tolist()
+    # each box's slices of the row's terms (refilled for every row) and of
+    # y_powers, taken once per call
+    boxes = [(terms[:, None, l0:l1], y_powers[:, l0:l1])
+             for l0, l1 in zip(edges[:-1], edges[1:])]
+    out = np.empty((len(kern), len(p_rows), len(boxes), table.n_hermite))
     for i, p_row in enumerate(p_rows):
         np.multiply(kern, p_row, out=terms)
-        for b, (l0, l1) in enumerate(boxes):
-            np.vecdot(terms[:, None, l0:l1], table.y_powers[:, l0:l1],
-                      out=out[:, i, b])
+        for b, (box_terms, box_powers) in enumerate(boxes):
+            np.vecdot(box_terms, box_powers, out=out[:, i, b])
     out *= pref * table.eps ** 2
-    return out.reshape(2, len(p_rows), -1)
+    return out.reshape(len(kern), len(p_rows), -1)
 
 
 def _combine(moments: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """sum_j M_j h_j for moments (2, n_rows, J) and Hermite functions h of
+    """sum_j M_j h_j for moments (c, n_rows, J) and Hermite functions h of
     shape (J, n_delta), or (J, n_rows, n_delta) for per-row deltas; returns
-    (re, im) stacked, shape (2, n_rows, n_delta).
+    the c components stacked, shape (c, n_rows, n_delta).
 
     Terms are added one j at a time in a fixed order and elementwise (no
     reduction over an axis, whose order numpy picks by shape); with
@@ -473,8 +537,13 @@ def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
     """Call fn(i0, i1, moments) for each `_plan` chunk thetas[i0:i1], with
     the chunk's `_moments` of the series `part`, inline or on `_plan`'s
     threads.  Each call reduces its chunk on its own thread and writes only
-    its own rows of the output, so results do not depend on `workers`."""
+    its own rows of the output, so results do not depend on `workers`.
+
+    The callers have read the table's Hermite expansion (for their deltas'
+    `_hermite`) before this call, and the part's kernel is read here, so no
+    pool thread builds either."""
     chunks, threads = _plan(thetas.size, table.l_max, workers)
+    _series_kernel(table, part)
 
     def run(chunk):
         i0, i1 = chunk
@@ -490,18 +559,25 @@ def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
 def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, workers: int = 1,
                reduce=None) -> np.ndarray:
     """The series `part` on the outer product of thetas and deltas: (re, im)
-    stacked, shape (2, n_theta, n_delta), or with `reduce`, reduce(re, im)
-    of each chunk, shape (n_theta, n_delta).  Single points,
+    stacked, shape (2, n_theta, n_delta), the imaginary plane left zero for
+    a real part, or with `reduce`, reduce(*components) of each chunk (see
+    `_series_kernel`), shape (n_theta, n_delta).  Single points,
     `probability_grid` and `scan.sweep` evaluate here, every chunk with the
     same Hermite functions of the deltas."""
     thetas = np.asarray(thetas, dtype=float)
     _check_budget(table, thetas.size, np.size(deltas), workers, 1 if reduce else 2)
     h = _hermite(table, deltas)
-    out = np.empty((() if reduce else (2,)) + (thetas.size, h.shape[1]))
+    if reduce:
+        out = np.empty((thetas.size, h.shape[1]))
+    else:
+        out = np.zeros((2, thetas.size, h.shape[1]))
 
     def fill(i0, i1, moments):
         re_im = _combine(moments, h)
-        out[..., i0:i1, :] = reduce(*re_im) if reduce else re_im
+        if reduce:
+            out[i0:i1] = reduce(*re_im)
+        else:
+            out[:len(re_im), i0:i1] = re_im
 
     _each_chunk(table, thetas, part, fill, workers)
     return out

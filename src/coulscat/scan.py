@@ -14,9 +14,10 @@ import contextlib
 import enum
 import hashlib
 import json
+import operator
 import sys
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -76,8 +77,9 @@ class GridSpec:
 @dataclass(frozen=True)
 class FieldResult:
     """Dense theta-major value matrix plus provenance.  terms_summed counts
-    the Hermite expansion's terms, theta_n * 2K(L+1) for the (re, im)
-    moments plus theta_n * delta_n * 2 * n_box * K for the cells."""
+    the Hermite expansion's terms per component that ran (c = 2 for
+    (re, im), 1 for the real forward part): theta_n * cK(L+1) for the
+    moments plus theta_n * delta_n * c * n_box * K for the cells."""
 
     grid: GridSpec
     quantity: Quantity
@@ -119,11 +121,12 @@ def _input_checksum(table: PartialWaveTable, grid: GridSpec, quantity: Quantity)
     return h.hexdigest()
 
 
-# quantity -> (series part, reduction of its (re, im) to the stored value)
+# quantity -> (series part, reduction of its components, (re, im) or the
+# real part's (re,), to the stored value)
 _QUANTITY_PARTS = {
     Quantity.PROBABILITY: ("full", partialwave._abs2),
     Quantity.DCS: ("full", partialwave._abs2),
-    Quantity.FORWARD_PART: ("forward", lambda re, _im: re),
+    Quantity.FORWARD_PART: ("forward", lambda re: re),
     Quantity.SCATTER_PART: ("scatter", partialwave._abs2),
 }
 
@@ -144,6 +147,7 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
 
     wall = time.perf_counter() - start
     values.flags.writeable = False
+    components = len(partialwave._series_kernel(table, part))
     return FieldResult(
         grid=grid,
         quantity=quantity,
@@ -153,9 +157,14 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
         l_max=table.l_max,
         wall_time_s=wall,
         checksum=_input_checksum(table, grid, quantity),
-        terms_summed=grid.theta_n * 2 * table.n_hermite * (
+        terms_summed=grid.theta_n * components * table.n_hermite * (
             table.l_max + 1 + grid.delta_n * table.box_centres.size),
     )
+
+
+# every field of a scenario, as a tuple of its values (`astuple` would
+# deep-copy them)
+_scenario_values = operator.attrgetter(*(f.name for f in fields(PhysicalScenario)))
 
 
 class TableCache:
@@ -175,7 +184,7 @@ class TableCache:
     def key(scenario: PhysicalScenario, model: PhaseShiftModel,
             tail_tol: Optional[float], l_max: Optional[int]) -> str:
         h = hashlib.sha256()
-        h.update(repr((astuple(scenario), model.kind.value,
+        h.update(repr((_scenario_values(scenario), model.kind.value,
                        tail_tol, l_max)).encode())
         if model.kind is PhaseShiftKind.SHORT_RANGE_TABLE:
             h.update(model.delta_l.tobytes())

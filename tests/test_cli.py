@@ -549,6 +549,53 @@ class TestConfigAndErrors:
         assert "unrecognized arguments" in captured.err and flag in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    # flags a command takes but one of its modes does not read; they default
+    # to None, so a given one is seen and rejected rather than ignored
+    @pytest.mark.parametrize("argv, flag", [
+        (["angular", "--eta", "10", "--theta-n", "3", "--well-radius-fm", "5",
+          "--well-depth-mev", "3"], "--well-depth-mev"),
+        (["angular", "--eta", "10", "--theta-n", "3", "--well-radius-fm", "5"],
+         "--well-radius-fm"),
+        (["table-dump", "--eta", "2", "--l-max", "50", "--model", "coulomb-asym",
+          "--well-depth-mev", "3"], "--well-depth-mev"),
+        (["optical", "--eta-min", "1", "--eta-max", "2", "--eta-n", "2",
+          "--well-depth-mev", "3"], "--well-depth-mev"),
+        (["optical", "--model", "square-well", "--energy-mev", "1",
+          "--well-radius-fm", "11.4", "--eta-n", "3"], "--eta-n"),
+        (["optical", "--model", "square-well", "--energy-mev", "1",
+          "--well-radius-fm", "11.4", "--format", "csv"], "--format"),
+        (["angular", "--eta", "10", "--theta-n", "3", "--delta", "auto",
+          "--workers", "2"], "--workers"),
+    ], ids=["coulomb-well-depth", "coulomb-well-radius", "asym-well-depth",
+            "optical-sweep-well-depth", "square-well-eta-n", "square-well-format",
+            "auto-delta-workers"])
+    def test_flag_the_mode_does_not_read_is_config_error(self, argv, flag, tmp_path,
+                                                         capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert f"{flag} does not apply" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    # the defaults of those flags, resolved where their mode reads them
+    @pytest.mark.parametrize("argv, default", [
+        (["table-dump", "--energy-mev", "1", "--l-max", "60", "--model", "square-well",
+          "--well-radius-fm", "11.4"], ["--well-depth-mev", "0.5"]),
+        (["angular", "--eta", "10", "--theta-n", "5", "--delta", "0.3"],
+         ["--workers", "1"]),
+        (["angular", "--eta", "10", "--theta-n", "5", "--delta", "0.3"],
+         ["--format", "csv"]),
+        (["optical", "--eta-min", "1", "--eta-max", "2"], ["--eta-n", "25"]),
+    ], ids=["well-depth-mev", "workers", "format", "eta-n"])
+    def test_omitted_flag_takes_its_default(self, argv, default, tmp_path):
+        omitted, given = tmp_path / "omitted", tmp_path / "given"
+        assert main(argv + ["--out", str(omitted)]) == 0
+        assert main(argv + default + ["--out", str(given)]) == 0
+        assert omitted.read_bytes() == given.read_bytes()
+
     def test_config_without_path_is_config_error(self, capsys):
         assert main(["profile-delta", "--eta", "10", "--config"]) == 2
         err = capsys.readouterr().err

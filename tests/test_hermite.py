@@ -19,14 +19,18 @@ batched: each is one dot product of a fixed length, so offsets, batch sizes
 and threads leave it bit-identical.
 """
 
+import contextlib
 import dataclasses
+import io
 import math
+import pathlib
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from coulscat import partialwave, specfun
+from coulscat import cli, partialwave, scan, specfun
 from coulscat.kinematics import (
     ALPHA_PARTICLE_MASS_MEV,
     build_scenario,
@@ -43,6 +47,7 @@ from coulscat.partialwave import (
     square_well_phase_shifts,
 )
 
+RECIPES = pathlib.Path(__file__).resolve().parents[1] / "recipes"
 EPS = 1e-3
 ETAS = [0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 800.0]
 THETAS = np.concatenate(([0.0, 1e-3, 0.03, 0.5, 1.5, 3.0, math.pi],
@@ -153,6 +158,90 @@ def test_free_case_needs_one_term():
     table = _coulomb(0.0)
     assert table.n_hermite == 1 and table.hermite_bound == 0.0
     assert table.box_centres.tolist() == [0.0]
+
+
+class TestExpansionBuiltOnFirstRead:
+    """A table builds its Hermite expansion on the first read that needs
+    it, once, on the calling thread; sums at no time shift never build one.
+    A spy on `_hermite_boxes` counts the builds."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        threads = []
+        boxes = partialwave._hermite_boxes
+
+        def spy(xi):
+            threads.append(threading.get_ident())
+            return boxes(xi)
+
+        monkeypatch.setattr(partialwave, "_hermite_boxes", spy)
+        return threads
+
+    @staticmethod
+    def _recipe(name, out):
+        argv = [name.split("-")[0], "--config", str(RECIPES / f"{name}.cfg"),
+                "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        return out.read_bytes()
+
+    def test_optical_sweep_builds_none(self, builds, monkeypatch, tmp_path):
+        lazy = self._recipe("optical-gamma", tmp_path / "lazy.csv")
+        assert builds == []
+        # the same recipe with every table's expansion built up front
+        build = partialwave.build_table
+
+        def eager(*args, **kwargs):
+            table = build(*args, **kwargs)
+            assert table.n_hermite >= 1
+            return table
+
+        monkeypatch.setattr(partialwave, "build_table", eager)
+        assert self._recipe("optical-gamma", tmp_path / "eager.csv") == lazy
+        assert len(builds) == 40
+
+    def test_angular_recipe_builds_one(self, builds, tmp_path):
+        self._recipe("angular-eta10-delta0.4", tmp_path / "ang.csv")
+        assert builds == [threading.get_ident()]
+
+    def test_two_chunk_sweep_on_two_threads_builds_one_on_the_caller(
+            self, builds, monkeypatch):
+        table = _coulomb(10.0)
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table.l_max + 1))
+        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
+        grid = scan.GridSpec(0.1, 3.0, 4, -1.0, 0.5, 2)
+        assert partialwave._plan(grid.theta_n, table.l_max, 2) == ([(0, 2), (2, 4)], 2)
+        field = scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=2)
+        assert builds == [threading.get_ident()]
+        assert np.array_equal(field.values,
+                              probability_grid(_coulomb(10.0), grid.thetas, grid.deltas))
+
+    def test_budget_check_without_deltas_builds_none(self, builds):
+        table = _coulomb(10.0)
+        partialwave._check_budget(table, 5, 0)
+        partialwave._check_budget(table, 1, 0, workers=2, grid_arrays=3)
+        assert builds == [] and "_expansion" not in vars(table)
+        partialwave._check_budget(table, 1, 1)
+        assert len(builds) == 1 and "_expansion" in vars(table)
+
+    @pytest.mark.parametrize("eta", [0.0, 10.0, 800.0])
+    def test_built_arrays_equal_a_direct_build_and_are_read_only(self, builds, eta):
+        table = _coulomb(eta)
+        edges, centres, y = partialwave._hermite_boxes(table.xi)
+        assert len(builds) == 1
+        k, bound = partialwave._hermite_terms(float(np.max(np.abs(y))))
+        powers = np.empty((k, y.size))
+        powers[0] = 1.0
+        for n in range(1, k):
+            powers[n] = powers[n - 1] * y / n
+        assert (table.n_hermite, table.hermite_bound) == (k, bound)
+        for got, want in zip((table.box_edges, table.box_centres, table.y_powers),
+                             (edges, centres, powers)):
+            assert np.array_equal(got, want) and not got.flags.writeable
+        # built once: later reads return the same arrays
+        assert len(builds) == 2 and table.y_powers is table.y_powers
+        assert len(builds) == 2
 
 
 class TestSinglePointEqualsGridCell:

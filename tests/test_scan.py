@@ -207,6 +207,16 @@ class TestSweep:
         other = sweep(table_eta10, g, Quantity.DCS)
         assert other.checksum != field.checksum
 
+    def test_forward_terms_counter_counts_the_real_component_only(self, table_eta10):
+        # A_F is real: its moments and cells are summed for re alone, half
+        # the (re, im) count above, and its values equal the single points
+        g = GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3)
+        field = sweep(table_eta10, g, Quantity.FORWARD_PART)
+        assert field.terms_summed == 4 * 1 * 11 * 6001 + 4 * 3 * 1 * 1 * 11 == 264176
+        assert field.values.tolist() == [
+            [amplitude_forward(table_eta10, float(t), float(d)) for d in g.deltas]
+            for t in g.thetas]
+
     def test_memory_budget(self, monkeypatch, table_eta10):
         monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", 1000)
         g = GridSpec(0.0, 1.0, 100, 0.0, 1.0, 100)

@@ -1,0 +1,65 @@
+"""Run the eight published recipes through `coulscat.cli.main` in one
+process and print, for each, its exit code and the sha256 of its out file,
+its stdout and its stderr.
+
+    PYTHONPATH=src python tools/recipe_digests.py [--recipes DIR]
+
+Run from the root of a checkout.  Two checkouts that print the same lines
+write the same bytes for every recipe; compare them with `diff`.  Out files
+go to a temporary directory that is removed afterwards.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+from coulscat import cli
+
+# recipe file-name prefix -> the command it runs
+COMMANDS = {
+    "angular": "angular",
+    "energy-scan": "energy-scan",
+    "optical": "optical",
+    "profile": "profile-delta",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(recipe: Path, out: Path) -> str:
+    """One line: the recipe's name, exit code and three digests."""
+    command = next(c for prefix, c in COMMANDS.items() if recipe.name.startswith(prefix))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([command, "--config", str(recipe), "--out", str(out)])
+    written = out.read_bytes() if out.exists() else b""
+    return (f"{recipe.name} exit={code} out={_sha256(written)} "
+            f"stdout={_sha256(stdout.getvalue().encode())} "
+            f"stderr={_sha256(stderr.getvalue().encode())}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--recipes", default="recipes", type=Path,
+                        help="directory of *.cfg recipes (default: recipes)")
+    args = parser.parse_args(argv)
+    recipes = sorted(args.recipes.glob("*.cfg"))
+    if not recipes:
+        print(f"no *.cfg recipes in {args.recipes}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        for recipe in recipes:
+            print(digest(recipe, Path(tmp) / (recipe.name + ".out")))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
