@@ -56,24 +56,26 @@ def _write_table(args, columns: str, rows, **meta) -> None:
 
 def _add_scenario(parser: argparse.ArgumentParser) -> None:
     """The flags every command with arguments reads: the config file, the
-    particles, eps and the series' tail tolerance."""
+    particles and eps."""
     parser.add_argument("--config", help="key = value file; flags given on the "
                         "command line override it")
     parser.add_argument("--Z1", type=int, default=79)
     parser.add_argument("--Z2", type=int, default=2)
     parser.add_argument("--mass-mev", type=float, default=ALPHA_PARTICLE_MASS_MEV)
     parser.add_argument("--eps", type=float, default=1e-3)
-    parser.add_argument("--tail-tol", type=float)
 
 
 def _add_model(parser: argparse.ArgumentParser) -> None:
-    """The flags that pick one table: its energy and its phase-shift model."""
+    """The flags that pick one table: its energy, its phase-shift model and
+    its truncation, by `--tail-tol` or `--l-max` (argparse rejects both)."""
     energy = parser.add_mutually_exclusive_group()
     energy.add_argument("--energy-kev", type=float)
     energy.add_argument("--energy-mev", type=float)
     energy.add_argument("--eta", type=float)
     parser.add_argument("--model", choices=_MODEL_CHOICES, default="coulomb-exact")
-    parser.add_argument("--l-max", type=int)
+    truncation = parser.add_mutually_exclusive_group()
+    truncation.add_argument("--tail-tol", type=float)
+    truncation.add_argument("--l-max", type=int)
     parser.add_argument("--well-depth-mev", type=float)
     parser.add_argument("--well-radius-fm", type=float)
 
@@ -116,29 +118,19 @@ def _model_from_args(args, scenario) -> PhaseShiftModel:
         raise ValueError("square-well model requires --well-radius-fm")
     radius = args.well_radius_fm / HBARC_MEV_FM
     depth = 0.5 if args.well_depth_mev is None else args.well_depth_mev
-    l_max = args.l_max if args.l_max is not None else partialwave.choose_l_max(
-        scenario.eps, args.tail_tol)
+    # the phase shifts cover the table's l_max, resolved before they are made
+    l_max = partialwave.resolve_l_max(scenario.eps, args.tail_tol, args.l_max)
     return partialwave.square_well_phase_shifts(depth, radius, scenario, l_max)
 
 
-def _table_from_args(args):
-    scenario = _scenario_from_args(args)
+def _table_from_args(args, scenario=None):
+    """(scenario, table) the flags ask for; `scenario` replaces the flags'."""
+    if scenario is None:
+        scenario = _scenario_from_args(args)
     model = _model_from_args(args, scenario)
     table = partialwave.build_table(scenario, model, tail_tol=args.tail_tol,
                                     l_max=args.l_max)
     return scenario, table
-
-
-def _delta_profile(table, thetas):
-    """`observables.delta_profile`, with its flat-profile warning printed as
-    one `warning:` line on stderr, like the other commands' warnings, in
-    place of Python's form, which quotes this file's path and source line."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.filterwarnings("always", "flat delta profile", UserWarning)
-        prof = observables.delta_profile(table, thetas)
-    for w in caught:
-        print(f"warning: {w.message}", file=sys.stderr)
-    return prof
 
 
 def cmd_profile_delta(args) -> int:
@@ -201,7 +193,7 @@ def cmd_angular(args) -> int:
     scenario, table = _table_from_args(args)
     if auto:
         thetas = grid.thetas
-        prof = _delta_profile(table, thetas)
+        prof = observables.delta_profile(table, thetas)
         deltas = np.asarray(prof.delta_max)
         probs = np.asarray(prof.p_max)
     else:
@@ -233,7 +225,7 @@ def cmd_conservation(args) -> int:
     scenario, table = _table_from_args(args)
     wsum = observables.conservation_weight_sum(table)
     thetas = observables.midpoint_thetas(args.sphere_n)
-    prof = _delta_profile(table, thetas)
+    prof = observables.delta_profile(table, thetas)
     sphere = observables.probability_sphere_integral(table, prof)
     # the sum rule holds to O(eps^2); 1e-5 is the eps = 1e-3 allowance
     wsum_tol = max(1e-5, scenario.eps ** 2)
@@ -276,8 +268,7 @@ def cmd_optical(args) -> int:
         return EXIT_OK
     _reject_given("the Coulomb sweep, which runs from --eta-min to --eta-max",
                   (("--energy-kev", args.energy_kev), ("--energy-mev", args.energy_mev),
-                   ("--eta", args.eta), ("--well-depth-mev", args.well_depth_mev),
-                   ("--well-radius-fm", args.well_radius_fm)))
+                   ("--eta", args.eta)))
     if args.eta_min is None or args.eta_max is None:
         raise ValueError("optical sweep requires --eta-min and --eta-max")
     eta_n = 25 if args.eta_n is None else args.eta_n
@@ -295,12 +286,8 @@ def cmd_optical(args) -> int:
     etas = np.geomspace(args.eta_min, args.eta_max, eta_n)
     rows = []
     for eta in etas:
-        scenario = build_scenario_from_eta(float(eta), args.eps, Z1=args.Z1,
-                                           Z2=args.Z2, m0=args.mass_mev)
-        model = PhaseShiftModel.coulomb_exact() if args.model == "coulomb-exact" \
-            else PhaseShiftModel.coulomb_asymptotic()
-        table = partialwave.build_table(scenario, model, tail_tol=args.tail_tol,
-                                        l_max=args.l_max)
+        scenario, table = _table_from_args(args, build_scenario_from_eta(
+            float(eta), args.eps, Z1=args.Z1, Z2=args.Z2, m0=args.mass_mev))
         gamma = observables.optical_ratio(table)
         sigma = observables.total_cross_section(table, scenario)
         f0 = observables.scattering_amplitude_f(table, scenario, 0.0)
@@ -442,6 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy-scan", help="rho(E) over an energy range")
     _add_scenario(p)
+    p.add_argument("--tail-tol", type=float)
     _add_output(p)
     p.add_argument("--energies-kev", help="comma-separated energies in keV")
     p.add_argument("--e-min-kev", type=float, default=3.8)
@@ -488,16 +476,22 @@ def main(argv=None) -> int:
         # the config file could not be read
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return args.func(args)
-    except ResourceLimitError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (ValueError, OSError, MatchingError, NonConvergenceError) as exc:
-        # a square well whose matching fails or whose phase shifts outlast
-        # the l window is a bad input, as is any ValueError
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # each warning is one `warning:` line, printed as it is raised: the
+    # package's every time, any other as the caller's filters say
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}",
+                                                         file=sys.stderr)
+        warnings.filterwarnings("always", category=UserWarning, module="coulscat")
+        try:
+            return args.func(args)
+        except ResourceLimitError as exc:
+            print(f"resource error: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
+        except (ValueError, OSError, MatchingError, NonConvergenceError) as exc:
+            # a square well whose matching fails or whose phase shifts
+            # outlast the l window is a bad input, as is any ValueError
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -286,7 +286,7 @@ def scattering_amplitude_f(table: PartialWaveTable, scenario: PhysicalScenario,
     """
     partialwave._check_budget(table, 1, 0)
     row = specfun.legendre_rows(np.array([float(theta)]), table.l_max)[0]
-    kern_re, kern_im = partialwave._series_kernel(table, "scatter")
+    kern_re, kern_im = table._kernel("scatter")
     re = float(np.sum(kern_re * row))
     im = float(np.sum(kern_im * row))
     return (re + 1j * im) / scenario.p

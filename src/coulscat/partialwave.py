@@ -73,6 +73,7 @@ __all__ = [
     "PhaseShiftModel",
     "PartialWaveTable",
     "choose_l_max",
+    "resolve_l_max",
     "build_table",
     "amplitude",
     "probability",
@@ -98,6 +99,9 @@ _BOX_MAX_TERMS = 8192
 # sum_l |kern_l P_l|
 _TRUNCATION_TOL = 2.0 ** -56
 _SQRT8 = math.sqrt(8.0)
+# (L+1)-value arrays held at the peak by a table with all its derived data
+# (37.1 measured at eta = 800, where K = 22) plus a short-range model's two
+_TABLE_ROWS = 40
 
 
 class PhaseShiftKind(enum.Enum):
@@ -158,7 +162,7 @@ class _Expansion(NamedTuple):
     hermite_bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialWaveTable:
     """Immutable per-l cache of weights, phase factors and spatial shifts.
 
@@ -168,11 +172,13 @@ class PartialWaveTable:
     tail_bound   = rigorous bound on the neglected angular weight beyond
                    l_max, relative to the retained total
 
-    Data derived from these is built on its first read and kept with the
-    table (`functools.cached_property`), so a table whose readers never
-    need it never builds it; a `dataclasses.replace` is a new table that
-    builds its own.  The Hermite expansion in delta, read only by
-    evaluations at a time shift:
+    `__post_init__` makes the four arrays read-only, so every table (a
+    `dataclasses.replace` too) is an immutable value, equal only to itself
+    and hashed by identity.  Data derived from these is built on its first
+    read and kept with the table (`functools.cached_property`), so a table
+    whose readers never need it never builds it; a `dataclasses.replace` is
+    a new table that builds its own.  The Hermite expansion in delta, read
+    only by evaluations at a time shift:
 
     box_edges    = box b holds l in [box_edges[b], box_edges[b+1])
     box_centres  = centre c of each box, the midpoint of its xi range
@@ -181,10 +187,9 @@ class PartialWaveTable:
     hermite_bound = Cramér bound on the truncated expansion's error,
                    relative to sum_l |kern_l P_l| (at most 2^-56)
 
-    and `sin2_sums` and each series part's kernel (`_series_kernel`).  The
-    arrays are read-only.  From Python 3.12 `cached_property` takes no
-    lock, so `_each_chunk` builds what its threads read before it starts
-    them.
+    and `sin2_sums` and each series part's kernel (`_kernel`), all
+    read-only.  From Python 3.12 `cached_property` takes no lock, so
+    `_each_chunk` builds what its threads read before it starts them.
     """
 
     l_max: int
@@ -196,13 +201,17 @@ class PartialWaveTable:
     model: PhaseShiftModel
     tail_bound: float
 
+    def __post_init__(self):
+        for arr in (self.weight, self.phase_cos, self.phase_sin, self.xi):
+            arr.flags.writeable = False
+
     @property
     def eps(self) -> float:
         return self.scenario.eps
 
     @functools.cached_property
     def _expansion(self) -> _Expansion:
-        return _hermite_expansion(np.asarray(self.xi, dtype=float))
+        return _hermite_expansion(self.xi)
 
     box_edges = property(operator.attrgetter("_expansion.box_edges"))
     box_centres = property(operator.attrgetter("_expansion.box_centres"))
@@ -212,8 +221,21 @@ class PartialWaveTable:
 
     @functools.cached_property
     def _kernels(self) -> dict:
-        # part -> its stacked kernel, added by `_series_kernel`
+        # part -> its stacked kernel, added by `_kernel`
         return {}
+
+    def _kernel(self, part: str) -> np.ndarray:
+        """The kernel of the series `part` (see `_PARTS`) as read-only stacked
+        components, (re, im), or (re,) for a real part, shape (c, L+1); built
+        on the part's first read and kept with the table."""
+        kern = self._kernels.get(part)
+        if kern is None:
+            re_im = _PARTS[part][0](self)
+            # A_F's imaginary kernel is zero: only its real component is summed
+            kern = np.stack(re_im[:1] if part == "forward" else re_im)
+            kern.flags.writeable = False
+            self._kernels[part] = kern
+        return kern
 
     @functools.cached_property
     def sin2_sums(self) -> tuple[float, float]:
@@ -300,10 +322,30 @@ def choose_l_max(eps: float, tail_tol: Optional[float] = None) -> int:
     return math.ceil(math.sqrt(math.log(1.0 / tail_tol) / (2.0 * eps * eps)) - 0.5)
 
 
+def resolve_l_max(eps: float, tail_tol: Optional[float] = None,
+                  l_max: Optional[int] = None) -> int:
+    """`l_max` as given, else `choose_l_max(eps, tail_tol)`: ValueError when
+    both are given or l_max < 0, ResourceLimitError when a table of that
+    l_max would not fit in DEFAULT_MEMORY_BUDGET bytes with its derived data.
+    """
+    if l_max is None:
+        l_max = choose_l_max(eps, tail_tol)
+    elif tail_tol is not None:
+        raise ValueError(f"give tail_tol or l_max, not both, got {tail_tol:g} and {l_max}")
+    elif l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    need = 8 * _TABLE_ROWS * (l_max + 1)
+    if need > DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(f"a table with l_max = {l_max} needs {need} bytes, "
+                                 f"budget is {DEFAULT_MEMORY_BUDGET}")
+    return l_max
+
+
 def build_table(scenario: PhysicalScenario, model: PhaseShiftModel,
                 tail_tol: Optional[float] = None,
                 l_max: Optional[int] = None) -> PartialWaveTable:
-    """Build the per-l table for a scenario and phase-shift model.
+    """Build the per-l table for a scenario and phase-shift model, with the
+    l_max of `resolve_l_max`.
 
     Coulomb models are rejected when |eta| exceeds eta_bound(eps) (the
     trajectory shift would no longer be small against R).  Short-range tables
@@ -311,10 +353,7 @@ def build_table(scenario: PhysicalScenario, model: PhaseShiftModel,
     """
     eps = scenario.eps
     eta = scenario.eta
-    if l_max is None:
-        l_max = choose_l_max(eps, tail_tol)
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    l_max = resolve_l_max(eps, tail_tol, l_max)
 
     if model.kind is not PhaseShiftKind.SHORT_RANGE_TABLE:
         bound = eta_bound(eps)
@@ -364,8 +403,6 @@ def build_table(scenario: PhysicalScenario, model: PhaseShiftModel,
     tail_abs = math.exp(-2.0 * eps * eps * (l_max + 0.5) ** 2) / (2.0 * eps * eps)
     tail_bound = tail_abs / float(np.sum(weight))
 
-    for arr in (weight, phase_cos, phase_sin, xi):
-        arr.flags.writeable = False
     return PartialWaveTable(l_max=l_max, weight=weight, phase_cos=phase_cos,
                             phase_sin=phase_sin, xi=xi, scenario=scenario,
                             model=model, tail_bound=tail_bound)
@@ -441,20 +478,6 @@ _PARTS = {
 }
 
 
-def _series_kernel(table: PartialWaveTable, part: str) -> np.ndarray:
-    """The kernel of the series `part` as read-only stacked components,
-    (re, im), or (re,) for a real part, shape (c, L+1); built on the part's
-    first read and kept with the table."""
-    kern = table._kernels.get(part)
-    if kern is None:
-        re_im = _PARTS[part][0](table)
-        # A_F's imaginary kernel is zero: only its real component is summed
-        kern = np.stack(re_im[:1] if part == "forward" else re_im)
-        kern.flags.writeable = False
-        table._kernels[part] = kern
-    return kern
-
-
 def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """|re + i im|^2, elementwise."""
     return re * re + im * im
@@ -474,7 +497,9 @@ def _hermite(table: PartialWaveTable, deltas) -> np.ndarray:
     two_x = 2.0 * x
     k = table.n_hermite
     h = np.empty((c.shape[0], k) + d.shape)
-    h[:, 0] = np.exp(-(x * x))
+    # x * x overflows for |delta| beyond about 4e154, where e^{-x^2} is 0
+    with np.errstate(over="ignore"):
+        h[:, 0] = np.exp(-(x * x))
     if k > 1:
         h[:, 1] = two_x * h[:, 0]
     for n in range(1, k - 1):
@@ -484,7 +509,7 @@ def _hermite(table: PartialWaveTable, deltas) -> np.ndarray:
 
 def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarray:
     """Hermite moments pref * sum_{l in box} kern_l P_l y_l^n / n! of the
-    series `part` for each Legendre row of a block; the `_series_kernel`
+    series `part` for each Legendre row of a block; the `_kernel`
     components stacked, shape (c, n_rows, n_box * K), box-major like
     `_hermite`.
 
@@ -496,7 +521,7 @@ def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarr
     beside it (a matrix product over the batch would: it blocks its sums by
     batch size).
     """
-    kern = _series_kernel(table, part)
+    kern = table._kernel(part)
     pref = _PARTS[part][1]
     terms = np.empty_like(kern)
     y_powers = table.y_powers
@@ -537,13 +562,10 @@ def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
     """Call fn(i0, i1, moments) for each `_plan` chunk thetas[i0:i1], with
     the chunk's `_moments` of the series `part`, inline or on `_plan`'s
     threads.  Each call reduces its chunk on its own thread and writes only
-    its own rows of the output, so results do not depend on `workers`.
-
-    The callers have read the table's Hermite expansion (for their deltas'
-    `_hermite`) before this call, and the part's kernel is read here, so no
-    pool thread builds either."""
+    its own rows of the output, so results do not depend on `workers`."""
     chunks, threads = _plan(thetas.size, table.l_max, workers)
-    _series_kernel(table, part)
+    # what the threads read is built here, on the calling thread
+    _ = table._expansion, table._kernel(part)
 
     def run(chunk):
         i0, i1 = chunk
@@ -561,7 +583,7 @@ def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, workers: int 
     """The series `part` on the outer product of thetas and deltas: (re, im)
     stacked, shape (2, n_theta, n_delta), the imaginary plane left zero for
     a real part, or with `reduce`, reduce(*components) of each chunk (see
-    `_series_kernel`), shape (n_theta, n_delta).  Single points,
+    `PartialWaveTable._kernel`), shape (n_theta, n_delta).  Single points,
     `probability_grid` and `scan.sweep` evaluate here, every chunk with the
     same Hermite functions of the deltas."""
     thetas = np.asarray(thetas, dtype=float)

@@ -1,4 +1,4 @@
-"""Grid sweeps over (theta, delta), a content-keyed table cache, and the
+"""Grid sweeps over (theta, delta), a request-keyed table cache, and the
 package's CSV and JSON file writers.
 
 A sweep runs `partialwave._eval_grid`, whose chunk pipeline also checks the
@@ -14,10 +14,9 @@ import contextlib
 import enum
 import hashlib
 import json
-import operator
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -147,7 +146,7 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
 
     wall = time.perf_counter() - start
     values.flags.writeable = False
-    components = len(partialwave._series_kernel(table, part))
+    components = len(table._kernel(part))
     return FieldResult(
         grid=grid,
         quantity=quantity,
@@ -162,48 +161,32 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
     )
 
 
-# every field of a scenario, as a tuple of its values (`astuple` would
-# deep-copy them)
-_scenario_values = operator.attrgetter(*(f.name for f in fields(PhysicalScenario)))
-
-
 class TableCache:
-    """Content-keyed cache of built tables.
-
-    The key covers every field of the scenario (a short-range model's
-    xi_l depends on sigma_x, a Coulomb table's on p and R), the model with
-    its phase-shift arrays, `tail_tol` and `l_max`.
+    """Cache of built tables, keyed by the resolved request: the scenario
+    (every field: a short-range model's xi_l depends on sigma_x, a Coulomb
+    table's on p and R), the model's kind with a short-range model's
+    phase-shift arrays, and the l_max of `partialwave.resolve_l_max`, so
+    requests that resolve to one l_max share one table.
     """
 
     def __init__(self):
-        self._store: dict[str, PartialWaveTable] = {}
+        self._store: dict[tuple, PartialWaveTable] = {}
         self.hits = 0
         self.misses = 0
-
-    @staticmethod
-    def key(scenario: PhysicalScenario, model: PhaseShiftModel,
-            tail_tol: Optional[float], l_max: Optional[int]) -> str:
-        h = hashlib.sha256()
-        h.update(repr((_scenario_values(scenario), model.kind.value,
-                       tail_tol, l_max)).encode())
-        if model.kind is PhaseShiftKind.SHORT_RANGE_TABLE:
-            h.update(model.delta_l.tobytes())
-            h.update(model.ddelta_dk.tobytes())
-        return h.hexdigest()
 
     def get_or_build(self, scenario: PhysicalScenario, model: PhaseShiftModel,
                      tail_tol: Optional[float] = None,
                      l_max: Optional[int] = None) -> PartialWaveTable:
-        k = self.key(scenario, model, tail_tol, l_max)
-        table = self._store.get(k)
-        if table is None:
-            self.misses += 1
-            table = partialwave.build_table(scenario, model, tail_tol=tail_tol,
-                                            l_max=l_max)
-            self._store[k] = table
-        else:
+        l_max = partialwave.resolve_l_max(scenario.eps, tail_tol, l_max)
+        key = (scenario, model.kind, l_max)
+        if model.kind is PhaseShiftKind.SHORT_RANGE_TABLE:
+            key += (model.delta_l.tobytes(), model.ddelta_dk.tobytes())
+        if key in self._store:
             self.hits += 1
-        return table
+        else:
+            self.misses += 1
+            self._store[key] = partialwave.build_table(scenario, model, l_max=l_max)
+        return self._store[key]
 
 
 def _stream(path):

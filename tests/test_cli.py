@@ -43,6 +43,22 @@ class TestProfileDelta:
         summary = capsys.readouterr().out
         assert "delta_max=" in summary and "p_max=" in summary
 
+    def test_flat_profile_warning_is_one_line(self, tmp_path, capsys):
+        # deep in the eta = 800 shadow the profile is flat; the package's
+        # warning is printed even where the caller makes warnings errors,
+        # and the CSV is the one written when the warning is left alone
+        argv = ["profile-delta", "--eta", "800", "--theta", "0.05"]
+        out, plain = tmp_path / "p.csv", tmp_path / "plain.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv + ["--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err == ("warning: flat delta profile (peak prominence < 1e-12) "
+                       "at 1 of 1 angles\n")
+        with pytest.warns(UserWarning, match="flat delta profile"):
+            assert cli.cmd_profile_delta(cli._parse(argv + ["--out", str(plain)])) == 0
+        assert out.read_bytes() == plain.read_bytes()
+
     def test_sign_flip_for_attractive_field(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
         main(["profile-delta", "--eta", "10", "--theta", "0.03", "--out", str(out)])
@@ -169,10 +185,21 @@ class TestAngular:
         err = capsys.readouterr().err
         assert err.startswith("warning: flat delta profile") and ".py" not in err
         assert len(err.splitlines()) == 1
-        monkeypatch.setattr(cli, "_delta_profile", observables.delta_profile)
+        # the command itself, without `main`'s reporting
         with pytest.warns(UserWarning, match="flat delta profile"):
-            assert main(argv + ["--out", str(plain)]) == 0
+            assert cli.cmd_angular(cli._parse(argv + ["--out", str(plain)])) == 0
         assert out.read_bytes() == plain.read_bytes()
+
+    # e^{-x^2} is 0 long before x * x overflows, and no warning says otherwise
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("delta", ["1e300", "-1e300"])
+    def test_huge_delta_is_zero_without_a_warning(self, delta, tmp_path, capsys):
+        out = tmp_path / "ang.csv"
+        assert main(["angular", "--eta", "10", "--theta-n", "3", f"--delta={delta}",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        _header, rows = read_csv(out)
+        assert [r[1] for r in rows] == [0.0, 0.0, 0.0]
 
     # an overflow warning would mean the field was evaluated before the check
     @pytest.mark.filterwarnings("error")
@@ -678,6 +705,82 @@ class TestConfigAndErrors:
         rc = main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "3"])
         assert rc == 4
         assert capsys.readouterr().err.startswith("resource error:")
+
+
+class TestOneRuleOneOwner:
+    """The truncation, the table's memory and the warnings each have one
+    owner, and the CLI reports each in one line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["angular", "--eta", "10", "--theta-n", "3", "--delta", "0", "--l-max", "200",
+         "--tail-tol", "1e-30"],
+        ["table-dump", "--energy-mev", "1", "--model", "square-well",
+         "--well-radius-fm", "11.4", "--tail-tol", "1e-6", "--l-max", "60"],
+    ], ids=["angular", "square-well-table-dump"])
+    def test_tail_tol_with_l_max_is_config_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "--l-max" in captured.err and "--tail-tol" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_tail_tol_in_the_config_with_l_max_on_the_line(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("eta = 10\ntheta-n = 3\ndelta = 0\ntail_tol = 1e-30\n")
+        assert main(["angular", "--config", str(config), "--l-max", "200"]) == 2
+        err = capsys.readouterr().err
+        assert "--l-max" in err and "--tail-tol" in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["angular", "--eta", "10", "--theta-n", "2", "--delta", "0"],
+        ["table-dump", "--eta", "10"],
+        ["table-dump", "--energy-mev", "1", "--model", "square-well",
+         "--well-radius-fm", "11.4"],
+    ], ids=["angular", "table-dump", "square-well-table-dump"])
+    def test_table_over_the_budget_exits_4_before_it_is_built(self, argv, monkeypatch,
+                                                               tmp_path, capsys):
+        def not_built(*_args, **_kwargs):
+            raise AssertionError("table data made before the budget check")
+
+        # one byte short of an L = 6000 table with its derived data
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET",
+                            8 * partialwave._TABLE_ROWS * 6001 - 1)
+        monkeypatch.setattr(specfun, "coulomb_sigma_table", not_built)
+        monkeypatch.setattr(partialwave, "square_well_phase_shifts", not_built)
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("resource error: a table with l_max = 6000")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_memory_budget_counts_the_legendre_rows_beyond_the_table(self, monkeypatch,
+                                                                      capsys):
+        # the table fits; 100 Legendre rows of 6001 degrees (4.8 MB) do not
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET",
+                            8 * partialwave._TABLE_ROWS * 6001)
+        assert main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "100"]) == 4
+        assert capsys.readouterr().err.startswith("resource error: 100 x 1 grid needs")
+
+    def test_any_warning_is_one_line_and_the_callers_filters_hold(self, monkeypatch,
+                                                                   capsys):
+        factor = observables.dcs_factor
+
+        def noisy(scenario):
+            warnings.warn("noisy factor", RuntimeWarning)
+            return factor(scenario)
+
+        monkeypatch.setattr(observables, "dcs_factor", noisy)
+        argv = ["angular", "--eta", "1", "--delta", "0", "--theta-n", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("default")
+            assert main(argv) == 0
+        assert capsys.readouterr().err == "warning: noisy factor\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="noisy factor"):
+                main(argv)
 
 
 class TestSelftest:

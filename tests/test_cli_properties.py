@@ -3,11 +3,15 @@ commands that take them are given, `main()` returns 0, 2, 3 or 4 and never
 raises.  `selftest` takes no arguments and runs for seconds, so it is left
 out.
 
-Grids stay small, `--eps` lies in [0.01, 0.09] (so L <= 600) and
-`--workers` is at most 2, so no example allocates much memory or starts
-more than two threads.  Invalid values (reversed or out-of-range bounds,
-zero or negative sizes, NaN and infinities) are drawn on purpose.  The
-examples are derandomized, so every run of the suite draws the same 200.
+Grids stay small (at most 400 angles), `--eps` lies in [0.01, 0.09] (so
+L <= 600) and `--workers` is at most 2, so no example allocates much memory
+or starts more than two threads.  Energies run up to 300 MeV and sphere
+grids to 400 intervals, so that `energy-scan` finds energies inside the
+strength bound and `conservation` resolves the forward peak: every command
+reaches exit 0 in some examples.  Invalid values (reversed or out-of-range
+bounds, zero or negative sizes, NaN and infinities) are drawn on purpose.
+The examples are derandomized, so every run of the suite draws the same
+200.
 """
 
 import math
@@ -52,16 +56,19 @@ def _common(draw, command, model):
     """The flags `command` takes besides its own; `optical` takes an energy
     and a well radius in its square-well mode only."""
     argv = [f"--eps={draw(st.floats(0.01, 0.09))}"]
-    argv += draw(_flag("--tail-tol", _mostly(st.sampled_from([1e-12, 1e-6]),
-                                             st.sampled_from([0.0, -1.0, *ODD]))))
+    tail_tol = _flag("--tail-tol", _mostly(st.sampled_from([1e-12, 1e-6]),
+                                           st.sampled_from([0.0, -1.0, *ODD])))
     if command == "angular":
         argv += draw(_flag("--workers", _mostly(st.integers(1, 2), st.integers(-1, 0))))
     if command in _TAKES_FORMAT:
         argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
     if command not in _TAKES_MODEL:
-        return argv
+        return argv + draw(tail_tol)
     argv += ["--model", model]
-    argv += draw(_flag("--l-max", _mostly(st.integers(50, 400), st.integers(-2, 49))))
+    l_max = _flag("--l-max", _mostly(st.integers(50, 400), st.integers(-2, 49)))
+    # at most one of the two truncation flags, or both, which the CLI rejects
+    argv += draw(_mostly(st.one_of(tail_tol, l_max),
+                         st.tuples(tail_tol, l_max).map(lambda t: t[0] + t[1])))
     if command == "optical" and model != "square-well":
         return argv
     energy = draw(_mostly(st.just("--eta"),
@@ -95,18 +102,18 @@ def _command(draw):
         argv += draw(_flag("--theta-max", _mostly(st.floats(1.5, 3.14), _num(-0.5, 3.5))))
         argv += [f"--theta-n={draw(_mostly(st.integers(1, 12), st.integers(-1, 0)))}"]
     elif command == "conservation":
-        argv += [f"--sphere-n={draw(_mostly(st.integers(1, 12), st.integers(-1, 0)))}"]
+        argv += [f"--sphere-n={draw(_mostly(st.integers(1, 400), st.integers(-1, 0)))}"]
     elif command == "optical" and model != "square-well":
         argv += [f"--eta-min={draw(_mostly(st.floats(0.01, 1.0), _num(-1.0, 20.0)))}"]
         argv += [f"--eta-max={draw(_mostly(st.floats(1.0, 3.0), _num(-1.0, 20.0)))}"]
         argv += [f"--eta-n={draw(_mostly(st.integers(1, 3), st.integers(-1, 0)))}"]
     elif command == "energy-scan":
         if draw(st.booleans()):
-            energies = draw(st.lists(_num(-5.0, 300.0), min_size=1, max_size=3))
+            energies = draw(st.lists(_num(-5.0, 3e5), min_size=1, max_size=3))
             argv += ["--energies-kev=" + ",".join(map(str, energies))]
         else:
-            argv += draw(_flag("--e-min-kev", _num(-5.0, 300.0)))
-            argv += draw(_flag("--e-max-kev", _num(-5.0, 300.0)))
+            argv += draw(_flag("--e-min-kev", _num(-5.0, 3e5)))
+            argv += draw(_flag("--e-max-kev", _num(-5.0, 3e5)))
             argv += [f"--e-n={draw(_mostly(st.integers(1, 3), st.integers(-1, 0)))}"]
     out = draw(_mostly(st.just("file"), st.sampled_from(["-", None])))
     return argv + draw(_common(command, model)), out

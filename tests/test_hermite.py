@@ -217,6 +217,25 @@ class TestExpansionBuiltOnFirstRead:
         assert np.array_equal(field.values,
                               probability_grid(_coulomb(10.0), grid.thetas, grid.deltas))
 
+    def test_each_chunk_builds_what_its_threads_read_on_the_caller(self, monkeypatch):
+        # nothing read first: the chunks' threads would each start a build
+        table = _coulomb(10.0)
+        builds, kernels = [], []
+        expansion, (full, pref) = partialwave._hermite_expansion, partialwave._PARTS["full"]
+        monkeypatch.setattr(partialwave, "_hermite_expansion",
+                            lambda xi: builds.append(threading.get_ident()) or expansion(xi))
+        monkeypatch.setitem(partialwave._PARTS, "full",
+                            (lambda t: kernels.append(threading.get_ident()) or full(t), pref))
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table.l_max + 1))
+        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
+        thetas = np.linspace(0.1, 3.0, 4)
+        assert partialwave._plan(thetas.size, table.l_max, 2) == ([(0, 2), (2, 4)], 2)
+        chunks = []
+        partialwave._each_chunk(table, thetas, "full",
+                                lambda i0, i1, _m: chunks.append((i0, i1)), workers=2)
+        assert sorted(chunks) == [(0, 2), (2, 4)]
+        assert builds == kernels == [threading.get_ident()]
+
     def test_budget_check_without_deltas_builds_none(self, builds):
         table = _coulomb(10.0)
         partialwave._check_budget(table, 5, 0)

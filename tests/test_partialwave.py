@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +69,21 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             choose_l_max(EPS, tail_tol=0.5)
 
+    def test_a_table_equals_only_itself(self):
+        sc = build_scenario_from_eta(10.0, EPS)
+        a, b = (build_table(sc, PhaseShiftModel.coulomb_exact(), l_max=50)
+                for _ in range(2))
+        assert a == a and a != b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+    def test_a_replaced_table_is_read_only(self, table_eta10):
+        t = table_eta10
+        for field in ("weight", "phase_cos", "phase_sin", "xi"):
+            new = dataclasses.replace(t, **{field: 3.5 * getattr(t, field)})
+            assert not getattr(new, field).flags.writeable
+            with pytest.raises(ValueError):
+                getattr(new, field)[0] = 0.0
+
     def test_table_invariants(self, table_eta800):
         t = table_eta800
         assert np.all(t.weight > 0.0)
@@ -74,6 +91,56 @@ class TestBuildTable:
         assert np.max(np.abs(norm - 1.0)) <= 1e-12
         assert t.weight[-1] / t.weight.max() < 1e-3
         assert 0.0 < t.tail_bound < 1e-20
+
+
+class TestResolveLMax:
+    """`resolve_l_max` is the one rule from a request to a table's l_max."""
+
+    def test_given_or_chosen(self):
+        assert partialwave.resolve_l_max(EPS) == choose_l_max(EPS) == 6000
+        assert partialwave.resolve_l_max(EPS, tail_tol=1e-6) == choose_l_max(EPS, 1e-6)
+        assert partialwave.resolve_l_max(EPS, l_max=50) == 50
+        with pytest.raises(ValueError, match="l_max must be >= 0"):
+            partialwave.resolve_l_max(EPS, l_max=-1)
+
+    def test_tail_tol_and_l_max_together_are_rejected(self):
+        with pytest.raises(ValueError, match="not both"):
+            partialwave.resolve_l_max(EPS, 1e-30, 200)
+        with pytest.raises(ValueError, match="not both"):
+            build_table(build_scenario_from_eta(10.0, EPS), PhaseShiftModel.coulomb_exact(),
+                        tail_tol=1e-30, l_max=200)
+
+    def test_a_table_over_the_budget_is_refused_before_anything_is_built(
+            self, monkeypatch):
+        built = []
+        sigma = specfun.coulomb_sigma_table
+        monkeypatch.setattr(specfun, "coulomb_sigma_table",
+                            lambda *args: built.append(args) or sigma(*args))
+        need = 8 * partialwave._TABLE_ROWS * 6001
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", need - 1)
+        sc = build_scenario_from_eta(10.0, EPS)
+        with pytest.raises(ResourceLimitError, match="l_max = 6000"):
+            build_table(sc, PhaseShiftModel.coulomb_exact())
+        assert built == []
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", need)
+        assert build_table(sc, PhaseShiftModel.coulomb_exact()).l_max == 6000
+
+    @pytest.mark.parametrize("eta", [10.0, 800.0])
+    def test_the_count_covers_a_table_and_all_its_derived_data(self, eta):
+        # K = 22 at eta = 800, the most the box radius allows
+        assert partialwave._hermite_terms(partialwave._BOX_RADIUS)[0] == 22
+        sc = build_scenario_from_eta(eta, EPS)
+        tracemalloc.start()
+        try:
+            table = build_table(sc, PhaseShiftModel.coulomb_exact())
+            assert table.n_hermite <= 22
+            for part in ("full", "forward", "scatter"):
+                table._kernel(part)
+            table.sin2_sums
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * partialwave._TABLE_ROWS * (table.l_max + 1)
 
 
 class TestAmplitude:

@@ -300,6 +300,35 @@ class TestEtaSweep:
         assert t_alpha.scenario.p == alpha.p and t_proton.scenario.p == proton.p
         assert dcs(t_proton, 0.5, 0.2) == dcs(build_table(proton, model), 0.5, 0.2)
 
+    def test_requests_that_resolve_to_one_l_max_share_one_table(self):
+        cache = TableCache()
+        sc = build_scenario_from_eta(10.0, EPS)
+        model = PhaseShiftModel.coulomb_exact()
+        chosen = cache.get_or_build(sc, model)
+        assert chosen.l_max == 6000
+        assert cache.get_or_build(sc, model, l_max=6000) is chosen
+        assert cache.get_or_build(sc, PhaseShiftModel.coulomb_exact()) is chosen
+        assert (cache.misses, cache.hits) == (1, 2)
+        assert cache.get_or_build(sc, model, tail_tol=1e-6) is not chosen
+        assert cache.misses == 2
+
+    def test_short_range_tables_are_keyed_by_their_phase_shifts(self):
+        cache = TableCache()
+        sc = build_scenario_from_eta(0.0, 0.05)
+        a = PhaseShiftModel.short_range(np.full(200, 0.1), np.zeros(200))
+        b = PhaseShiftModel.short_range(np.full(200, 0.2), np.zeros(200))
+        t_a = cache.get_or_build(sc, a)
+        assert cache.get_or_build(sc, PhaseShiftModel.short_range(a.delta_l, a.ddelta_dk)) is t_a
+        assert cache.get_or_build(sc, b).phase_cos[0] == math.cos(0.4)
+        assert (cache.misses, cache.hits) == (2, 1)
+
+    def test_tail_tol_and_l_max_together_are_rejected(self):
+        cache = TableCache()
+        with pytest.raises(ValueError, match="not both"):
+            cache.get_or_build(build_scenario_from_eta(10.0, EPS),
+                               PhaseShiftModel.coulomb_exact(), tail_tol=1e-30, l_max=200)
+        assert (cache.misses, cache.hits) == (0, 0)
+
     def test_tracks_rutherford_in_agreement_window(self):
         # low-to-moderate eta at theta = pi/2 sits outside the shadow zone;
         # by eta ~ 100 the suppression reaches ~50% and tracking ends
