@@ -100,7 +100,8 @@ _BOX_MAX_TERMS = 8192
 _TRUNCATION_TOL = 2.0 ** -56
 _SQRT8 = math.sqrt(8.0)
 # (L+1)-value arrays held at the peak by a table with all its derived data
-# (37.1 measured at eta = 800, where K = 22) plus a short-range model's two
+# (33.1 measured at eta = 800, where K = 22: 30.1 held and `sin2_sums`'
+# three) plus a short-range model's two
 _TABLE_ROWS = 40
 
 
@@ -230,9 +231,12 @@ class PartialWaveTable:
         on the part's first read and kept with the table."""
         kern = self._kernels.get(part)
         if kern is None:
-            re_im = _PARTS[part][0](self)
-            # A_F's imaginary kernel is zero: only its real component is summed
-            kern = np.stack(re_im[:1] if part == "forward" else re_im)
+            if part == "forward":
+                # A_F's imaginary kernel is zero: only its real component,
+                # the weights themselves, is summed (a view, not a copy)
+                kern = self.weight[None]
+            else:
+                kern = np.stack(_PARTS[part][0](self))
             kern.flags.writeable = False
             self._kernels[part] = kern
         return kern
@@ -242,13 +246,22 @@ class PartialWaveTable:
         """Gaussian-damped sums of (2l+1) sin^2(sigma_l): (4 eps^2 damping,
         2 eps^2 damping)."""
         eps = self.eps
-        l = np.arange(self.l_max + 1, dtype=float)
-        x = l + 0.5
-        sin2 = 0.5 * (1.0 - self.phase_cos)
-        base = (2.0 * l + 1.0) * sin2
-        heavy = float(np.sum(base * np.exp(-4.0 * eps * eps * x * x)))
-        light = float(np.sum(base * np.exp(-2.0 * eps * eps * x * x)))
-        return heavy, light
+        # three L+1 arrays, each operation in place where it can be
+        base = np.arange(self.l_max + 1, dtype=float)
+        x = base + 0.5
+        base *= 2.0
+        base += 1.0
+        work = np.subtract(1.0, self.phase_cos)
+        work *= 0.5
+        base *= work  # (2l+1) sin^2 sigma_l
+        sums = []
+        for c in (-4.0 * eps * eps, -2.0 * eps * eps):
+            np.multiply(c, x, out=work)
+            work *= x
+            np.exp(work, out=work)
+            work *= base
+            sums.append(float(np.sum(work)))
+        return tuple(sums)
 
 
 def _hermite_expansion(xi: np.ndarray) -> _Expansion:
@@ -489,17 +502,28 @@ def _hermite(table: PartialWaveTable, deltas) -> np.ndarray:
 
     Built by the forward recurrence h_{n+1} = 2x h_n - 2n h_{n-1} from
     h_0 = e^{-x^2}, elementwise, so a delta's values do not depend on the
-    deltas beside it.
+    deltas beside it.  For one delta the recurrence runs on Python floats,
+    with the same operations in the same order (h_0 still from np.exp,
+    whose rounding `math.exp` need not share).
     """
     d = np.asarray(deltas, dtype=float)
     c = table.box_centres.reshape((-1,) + (1,) * d.ndim)
     x = (d - c) / _SQRT8
     two_x = 2.0 * x
     k = table.n_hermite
-    h = np.empty((c.shape[0], k) + d.shape)
     # x * x overflows for |delta| beyond about 4e154, where e^{-x^2} is 0
     with np.errstate(over="ignore"):
-        h[:, 0] = np.exp(-(x * x))
+        h0 = np.exp(-(x * x))
+    if d.size == 1:
+        values = []
+        for tx, first in zip(two_x.ravel().tolist(), h0.ravel().tolist()):
+            row = [first, tx * first][:k]
+            for n in range(1, k - 1):
+                row.append(tx * row[n] - (2.0 * n) * row[n - 1])
+            values += row
+        return np.array(values).reshape((-1,) + d.shape)
+    h = np.empty((c.shape[0], k) + d.shape)
+    h[:, 0] = h0
     if k > 1:
         h[:, 1] = two_x * h[:, 0]
     for n in range(1, k - 1):
@@ -547,8 +571,18 @@ def _combine(moments: np.ndarray, h: np.ndarray) -> np.ndarray:
     Terms are added one j at a time in a fixed order and elementwise (no
     reduction over an axis, whose order numpy picks by shape); with
     `_moments`' fixed-length dots along l, every cell equals its
-    single-point evaluation.
+    single-point evaluation.  One cell (one row and one delta) is summed
+    on Python floats in the same order.
     """
+    if moments.shape[1] == h[0].size == 1:
+        hs = h.ravel().tolist()
+        sums = []
+        for ms in moments.reshape(len(moments), -1).tolist():
+            total = ms[0] * hs[0]
+            for m, hj in zip(ms[1:], hs[1:]):
+                total += m * hj
+            sums.append(total)
+        return np.array(sums).reshape(-1, 1, 1)
     out = moments[:, :, 0, None] * h[0]
     term = np.empty_like(out)
     for j in range(1, h.shape[0]):

@@ -197,14 +197,27 @@ def _recurrence_coefficients(l_max: int):
     conversions numpy makes of the integers in the recurrence.
 
     Returns 2l+1 as a read-only array (the ring's `(2l+1) x` rows) and all
-    three as tuples (the scalar loop).  Built once per `l_max`; a process
-    meets a few `l_max` values, one per eps, so the cache keeps the last
-    four.
+    three as tuples (which `_scalar_steps` pairs for the scalar loop).
+    Built once per `l_max`; a process meets a few `l_max` values, one per
+    eps, so the cache keeps the last four.
     """
     l = np.arange(1.0, l_max)
     two_l1 = 2.0 * l + 1.0
     two_l1.flags.writeable = False
-    return two_l1, tuple(two_l1.tolist()), tuple(l.tolist()), tuple((l + 1.0).tolist())
+    # l+1 at degree l is l at degree l+1: both tuples share one list's floats
+    values = np.arange(1.0, l_max + 1.0).tolist()
+    return two_l1, tuple(two_l1.tolist()), tuple(values[:-1]), tuple(values[1:])
+
+
+@functools.lru_cache(maxsize=4)
+def _scalar_steps(l_max: int):
+    """The scalar loop's coefficients, two steps per tuple:
+    (2l+1, l, l+1, 2l+3, l+1, l+2) for l = 1, 3, 5, ..., and the last
+    step's (2l+1, l, l+1) alone when the number of steps, l_max - 1, is odd
+    (else None).  The float objects of `_recurrence_coefficients`."""
+    steps = list(zip(*_recurrence_coefficients(l_max)[1:]))
+    pairs = tuple(a + b for a, b in zip(steps[::2], steps[1::2]))
+    return pairs, steps[-1] if len(steps) % 2 else None
 
 
 @functools.lru_cache(maxsize=4)
@@ -230,7 +243,8 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
 
     Three-term recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, evaluated
     as ((2l+1) x P_l - l P_{l-1}) / (l+1) in one of two forms: for a few
-    angles, a loop on Python floats per angle; otherwise a loop over l
+    angles, a loop on Python floats per angle, two degrees per iteration
+    (`_scalar_steps`); otherwise a loop over l
     vectorized across angles.  The vectorized loop runs on an (l, theta)
     ring of `_RING_DEGREES` degrees, each degree one contiguous row across
     the angles, with four ufunc calls per degree: outputs passed
@@ -269,13 +283,21 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
         P[ends, 2:] = 1.0
         P[ends, 3::2] = x[ends, None]
         inner = np.flatnonzero(~ends)
-        _two_l1, two_l1s, ls, lp1 = _recurrence_coefficients(l_max)
+        pairs, last = _scalar_steps(l_max)
         for i, xi in zip(inner.tolist(), x[inner].tolist()):
             row = []
+            append = row.append
+            # p0, p1 hold P_{l-1}, P_l at the top of each iteration; each
+            # step overwrites the older of the two
             p0, p1 = 1.0, xi
-            for a, b, c in zip(two_l1s, ls, lp1):
-                p0, p1 = p1, (a * xi * p1 - b * p0) / c
-                row.append(p1)
+            for a0, b0, c0, a1, b1, c1 in pairs:
+                p0 = (a0 * xi * p1 - b0 * p0) / c0
+                append(p0)
+                p1 = (a1 * xi * p0 - b1 * p1) / c1
+                append(p1)
+            if last:
+                a, b, c = last
+                append((a * xi * p1 - b * p0) / c)
             P[i, 2:] = row
         return P
     two_l1 = _recurrence_coefficients(l_max)[0]

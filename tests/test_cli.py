@@ -681,10 +681,16 @@ class TestConfigAndErrors:
         assert main(["profile-delta", "--theta", "0.1", "--eta", "1",
                      "--eps", "0.5"]) == 2
 
-    def test_memory_budget_exit_4(self, monkeypatch):
+    def test_memory_budget_exit_4(self, monkeypatch, capsys):
+        # 64 bytes hold no L = 6000 table: `resolve_l_max` refuses it before
+        # any table, row or grid is built
         monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", 64)
         rc = main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "100"])
         assert rc == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("resource error: a table with l_max = 6000 needs "
+                                f"{8 * partialwave._TABLE_ROWS * 6001} bytes, budget is 64\n")
 
     # delta_profile's coarse scan alone would be 2e6 x 81 values, 1.3 GB
     @pytest.mark.parametrize("argv", [
@@ -700,11 +706,16 @@ class TestConfigAndErrors:
         assert len(captured.err.strip().splitlines()) == 1
 
     def test_memory_budget_counts_the_legendre_rows(self, monkeypatch, capsys):
-        # the 3 x 1 output is 24 bytes; three rows of 6001 degrees are 144 kB
+        # 10 000 bytes would hold the 3 x 1 output (24 bytes) but not three
+        # rows of 6001 degrees (144 kB), and not the L = 6000 table either:
+        # the table check in `resolve_l_max` comes first and ends the run;
+        # ..._beyond_the_table below reaches the row count
         monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", 10_000)
         rc = main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "3"])
         assert rc == 4
-        assert capsys.readouterr().err.startswith("resource error:")
+        assert capsys.readouterr().err == (
+            "resource error: a table with l_max = 6000 needs "
+            f"{8 * partialwave._TABLE_ROWS * 6001} bytes, budget is 10000\n")
 
 
 class TestOneRuleOneOwner:

@@ -25,6 +25,7 @@ import io
 import math
 import pathlib
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -36,6 +37,7 @@ from coulscat.kinematics import (
     build_scenario,
     build_scenario_from_eta,
 )
+from coulscat.observables import delta_profile
 from coulscat.partialwave import (
     PhaseShiftModel,
     amplitude_forward,
@@ -335,3 +337,74 @@ class TestMomentsDoNotDependOnTheLayout:
             parts = list(pool.map(lambda r: partialwave._moments(table, r, "full"),
                                   (rows[:half], rows[half:])))
         assert np.array_equal(np.concatenate(parts, axis=1), want)
+
+
+class TestOneCellFormsEqualTheArrayForms:
+    """One cell (one row, one delta) runs `_hermite`'s recurrence and
+    `_combine`'s sum on Python floats; every other shape runs them on
+    arrays.  A 1x1 cell equals the same cell of a 1x2 and of a 2x1 batch,
+    bit for bit: in the free case (K = 1), at eta = 10 (one box) and
+    eta = 800 (4 boxes), for every part (the forward part has one
+    component), with shared and per-row deltas, and at delta = +-1e300,
+    where h_0 underflows to zero."""
+
+    THETAS = (0.4, 2.3)
+    DELTAS = (3.7, 1e300, -1e300)
+
+    @pytest.fixture(scope="class", params=[0.0, 10.0, 800.0],
+                    ids=["free", "eta=10", "eta=800"])
+    def table(self, request):
+        return _coulomb(request.param)
+
+    def test_the_tables_cover_one_term_and_several_boxes(self, table):
+        boxes, k = table.box_centres.size, table.n_hermite
+        assert {0.0: (1, 1), 10.0: (1, 11), 800.0: (4, 22)}[table.scenario.eta] == (boxes, k)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_hermite_functions(self, table, delta):
+        one = partialwave._hermite(table, [delta])
+        assert one.shape == (table.box_centres.size * table.n_hermite, 1)
+        assert np.array_equal(one, partialwave._hermite(table, [delta, -2.0])[:, :1])
+        per_row = partialwave._hermite(table, [[delta]])
+        assert per_row.shape == one.shape + (1,)
+        assert np.array_equal(per_row, partialwave._hermite(table, [[delta], [-2.0]])[:, :1])
+        assert np.array_equal(per_row, partialwave._hermite(table, [[delta, -2.0]])[..., :1])
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("part", PARTS)
+    def test_shared_deltas(self, table, part, delta):
+        theta = self.THETAS[0]
+        cell = partialwave._eval_grid(table, [theta], [delta], part)
+        assert cell.shape == (2, 1, 1)
+        wide = partialwave._eval_grid(table, [theta], [delta, -2.0], part)
+        tall = partialwave._eval_grid(table, self.THETAS, [delta], part)
+        assert np.array_equal(cell, wide[:, :, :1])
+        assert np.array_equal(cell, tall[:, :1])
+        # the free case has no scattering part
+        if delta == 3.7 and not (part == "scatter" and table.scenario.eta == 0.0):
+            assert cell[0, 0, 0] != 0.0
+        if part == "forward":
+            assert np.all(wide[1] == 0.0)
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    @pytest.mark.parametrize("part", PARTS)
+    def test_per_row_deltas(self, table, part, delta):
+        rows = specfun.legendre_rows(np.array(self.THETAS), table.l_max)
+        moments = partialwave._moments(table, rows, part)
+        h = partialwave._hermite(table, np.array([[delta], [-2.0]]))
+        both = partialwave._combine(moments, h)
+        cell = partialwave._combine(moments[:, :1], h[:, :1])
+        assert cell.shape == (len(moments), 1, 1)
+        assert np.array_equal(cell, both[:, :1])
+        wide = partialwave._combine(moments[:, :1],
+                                    partialwave._hermite(table, np.array([[delta, -2.0]])))
+        assert np.array_equal(cell, wide[..., :1])
+
+    def test_a_one_angle_profile_equals_its_row_of_a_wider_one(self, table):
+        # p_max re-evaluates P at each row's own peak: per-row deltas
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the free case is flat
+            one = delta_profile(table, self.THETAS[:1])
+            two = delta_profile(table, self.THETAS)
+        assert one.delta_max[0] == two.delta_max[0]
+        assert one.p_max[0] == two.p_max[0]

@@ -84,6 +84,23 @@ class TestBuildTable:
             with pytest.raises(ValueError):
                 getattr(new, field)[0] = 0.0
 
+    def test_forward_kernel_is_a_read_only_view_of_the_weights(self, table_eta10):
+        kern = table_eta10._kernel("forward")
+        assert kern.shape == (1, table_eta10.l_max + 1)
+        assert kern.base is table_eta10.weight and not kern.flags.writeable
+        assert table_eta10._kernel("forward") is kern
+
+    @pytest.mark.parametrize("eta", [0.0, 10.0, -800.0])
+    def test_sin2_sums_equal_the_direct_sums(self, eta):
+        # the in-place form makes the same roundings as the plain expressions
+        t = build_table(build_scenario_from_eta(eta, EPS), PhaseShiftModel.coulomb_exact())
+        l = np.arange(t.l_max + 1, dtype=float)
+        x = l + 0.5
+        base = (2.0 * l + 1.0) * (0.5 * (1.0 - t.phase_cos))
+        want = tuple(float(np.sum(base * np.exp(c * EPS * EPS * x * x)))
+                     for c in (-4.0, -2.0))
+        assert t.sin2_sums == want
+
     def test_table_invariants(self, table_eta800):
         t = table_eta800
         assert np.all(t.weight > 0.0)

@@ -339,6 +339,30 @@ class TestLegendre:
             specfun.legendre_rows(np.array([0.5, theta]), 10)
 
 
+class TestScalarSteps:
+    """The scalar branch steps two degrees per iteration, plus one last
+    degree when l_max - 1 is odd: its rows equal the ring's at odd and even
+    l_max."""
+
+    @pytest.mark.parametrize("l_max", [2, 3, 4, 5, 64, 65, 5999, 6000])
+    def test_scalar_rows_equal_ring_rows(self, l_max):
+        thetas = np.linspace(0.05, 3.05, specfun._SCALAR_MAX_ANGLES + 1)
+        ring = specfun.legendre_rows(thetas, l_max)
+        scalar = np.concatenate([specfun.legendre_rows(thetas[i : i + 4], l_max)
+                                 for i in range(0, thetas.size, 4)])
+        assert np.array_equal(scalar, ring)
+
+    @pytest.mark.parametrize("l_max", [2, 3, 4, 65, 6000])
+    def test_steps_are_the_recurrence_coefficients_in_pairs(self, l_max):
+        pairs, last = specfun._scalar_steps(l_max)
+        assert len(pairs) == (l_max - 1) // 2
+        assert (last is None) == (l_max % 2 == 1)
+        flat = [v for pair in pairs for v in pair] + list(last or ())
+        coeffs = specfun._recurrence_coefficients(l_max)[1:]
+        assert flat == [v for step in zip(*coeffs) for v in step]
+        assert specfun._scalar_steps(l_max)[0] is pairs
+
+
 class TestStartUp:
     @pytest.fixture(scope="class")
     def lazy_scipy_run(self):
