@@ -161,7 +161,8 @@ def cmd_profile_delta(args) -> int:
                          f"[{lo:g}, {hi:g}]; the peak refinement needs at least 5")
     # the CSV is the profile's own coarse scan: one Legendre row, one set of
     # moments
-    prof, deltas, (probs,) = observables._delta_profile(table, [args.theta], (lo, hi), n)
+    prof = observables.delta_profile(table, [args.theta], (lo, hi), n)
+    deltas, (probs,) = prof.deltas, prof.p_scan
     if args.format in (None, "csv"):
         scan.write_csv(args.out, "delta,probability", zip(deltas.tolist(), probs.tolist()))
     else:

@@ -20,7 +20,7 @@ ln(2pR) = (3/2) ln(1/eps) independent of energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ScenarioError
 
@@ -109,12 +109,8 @@ def build_scenario_from_eta(eta: float, eps: float, Z1: int = 79, Z2: int = 2,
         Z2 = -Z2
     beta = abs(Z1 * Z2) * FINE_STRUCTURE_ALPHA / abs(eta)
     E = 0.5 * m0 * beta * beta
-    scenario = build_scenario(Z1, Z2, m0, E, eps)
-    # eta reconstructed from E rounds differently; rebuild with the exact value
-    return PhysicalScenario(Z1=Z1, Z2=Z2, m0=m0, E=E, eps=eps, p=scenario.p,
-                            beta=scenario.beta, eta=float(eta),
-                            sigma_p=scenario.sigma_p, sigma_x=scenario.sigma_x,
-                            R=scenario.R)
+    # eta reconstructed from E rounds differently; keep the exact value
+    return replace(build_scenario(Z1, Z2, m0, E, eps), eta=float(eta))
 
 
 def eta_bound(eps: float) -> float:

@@ -56,12 +56,17 @@ class DeltaProfile:
     factorization_residual reports the worst deviation of the scanned
     profile from the factorized form p_max e^{-(delta - delta_max)^2 / 4}, a
     unit Gaussian in delta, over the scanned delta samples (diagnostic only).
+    deltas are the coarse scan's samples and p_scan the probability on
+    them, shape (n_theta, deltas.size); each cell equals the single-point
+    probability.
     """
 
     thetas: np.ndarray
     delta_max: np.ndarray
     p_max: np.ndarray
     factorization_residual: np.ndarray
+    deltas: np.ndarray
+    p_scan: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -207,18 +212,12 @@ def delta_profile(table: PartialWaveTable, thetas,
     refined location.  The range must span at least [-8, 8] so the scan
     cannot miss a peak pushed outside the xi hull by interference.
     """
-    return _delta_profile(table, thetas, delta_range, coarse_n)[0]
-
-
-def _delta_profile(table: PartialWaveTable, thetas,
-                   delta_range: Optional[tuple[float, float]],
-                   coarse_n: Optional[int]) -> tuple[DeltaProfile, np.ndarray, np.ndarray]:
-    """`delta_profile`, plus its coarse-scan deltas and P on them, shape
-    (n_theta, coarse_n); each cell equals the single-point probability."""
     thetas = np.asarray(thetas, dtype=float)
     if delta_range is None:
         delta_range = default_delta_range(table)
     lo, hi = float(delta_range[0]), float(delta_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"delta_range must be finite, got [{lo}, {hi}]")
     if lo > -8.0 or hi < 8.0:
         raise ValueError(f"delta_range must span at least [-8, 8], got [{lo}, {hi}]")
     if coarse_n is None:
@@ -258,20 +257,18 @@ def _delta_profile(table: PartialWaveTable, thetas,
         warnings.warn(
             f"flat delta profile (peak prominence < 1e-12) at {n_flat} of "
             f"{n} angles",
-            stacklevel=3,
+            stacklevel=2,
         )
 
-    for arr in (delta_max, p_max, residual, p_scan):
+    for arr in (delta_max, p_max, residual, deltas, p_scan):
         arr.flags.writeable = False
-    profile = DeltaProfile(thetas=thetas, delta_max=delta_max, p_max=p_max,
-                           factorization_residual=residual)
-    return profile, deltas, p_scan
+    return DeltaProfile(thetas=thetas, delta_max=delta_max, p_max=p_max,
+                        factorization_residual=residual, deltas=deltas, p_scan=p_scan)
 
 
-def delta_max_at(table: PartialWaveTable, theta: float,
-                 delta_range: Optional[tuple[float, float]] = None) -> tuple[float, float]:
+def delta_max_at(table: PartialWaveTable, theta: float) -> tuple[float, float]:
     """(delta_max, p_max) at a single angle."""
-    prof = delta_profile(table, [theta], delta_range=delta_range)
+    prof = delta_profile(table, [theta])
     return float(prof.delta_max[0]), float(prof.p_max[0])
 
 
@@ -328,27 +325,25 @@ def optical_theorem_check_short_range(model: PhaseShiftModel,
             f"phase shifts not converged at table end (max tail |delta_l| = {tail:.3g})"
         )
     table = partialwave.build_table(scenario, model, l_max=dl.size - 1)
-    heavy, light = table.sin2_sums
-    sigma = 4.0 * math.pi / scenario.p ** 2 * heavy
+    sigma = total_cross_section(table, scenario)
     # (4 pi / p) Im f(0), with Im f(0) = light / p
-    optical = 4.0 * math.pi / scenario.p ** 2 * light
+    optical = 4.0 * math.pi / scenario.p ** 2 * table.sin2_sums[1]
     rel = abs(sigma - optical) / optical if optical > 0.0 else 0.0
     return OpticalCheck(sigma=sigma, optical_sigma=optical, rel_diff=rel)
 
 
 def energy_ratio_rho(family: ScenarioFamily, E_mev: float,
-                     model: Optional[PhaseShiftModel] = None,
                      tail_tol: Optional[float] = None) -> tuple[float, float, float]:
-    """Predicted-to-Rutherford cross-section ratio at theta = pi/4.
+    """Predicted-to-Rutherford cross-section ratio at theta = pi/4, from the
+    exact Coulomb phases at E_mev.
 
     Returns (rho, eta, delta_max).  delta_max is recomputed from the profile
     at each energy rather than fitted across energies.  Strength-bound errors
     propagate to the caller.
     """
-    if model is None:
-        model = PhaseShiftModel.coulomb_exact()
     scenario = family.at_energy(E_mev)
-    table = partialwave.build_table(scenario, model, tail_tol=tail_tol)
+    table = partialwave.build_table(scenario, PhaseShiftModel.coulomb_exact(),
+                                    tail_tol=tail_tol)
     theta = math.pi / 4.0
     # p_max is the probability at dmax, so this is dcs(table, theta, dmax)
     # without rebuilding the angle's Legendre row

@@ -231,14 +231,8 @@ class PartialWaveTable:
         on the part's first read and kept with the table."""
         kern = self._kernels.get(part)
         if kern is None:
-            if part == "forward":
-                # A_F's imaginary kernel is zero: only its real component,
-                # the weights themselves, is summed (a view, not a copy)
-                kern = self.weight[None]
-            else:
-                kern = np.stack(_PARTS[part][0](self))
+            kern = self._kernels[part] = _PARTS[part][0](self)
             kern.flags.writeable = False
-            self._kernels[part] = kern
         return kern
 
     @functools.cached_property
@@ -466,23 +460,25 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
         )
 
 
-def _kern_full(table: PartialWaveTable):
+def _kern_full(table: PartialWaveTable) -> np.ndarray:
     # e^{2i sigma_l} kernel
-    return table.weight * table.phase_cos, table.weight * table.phase_sin
+    return np.stack((table.weight * table.phase_cos, table.weight * table.phase_sin))
 
 
-def _kern_forward(table: PartialWaveTable):
-    # unit kernel (the "1" of e^{2i sigma} = 1 + 2i e^{i sigma} sin sigma)
-    return table.weight, np.zeros_like(table.weight)
+def _kern_forward(table: PartialWaveTable) -> np.ndarray:
+    # unit kernel (the "1" of e^{2i sigma} = 1 + 2i e^{i sigma} sin sigma):
+    # A_F is real, so only its real component, the weights themselves, is
+    # summed (a view, not a copy)
+    return table.weight[None]
 
 
-def _kern_scatter(table: PartialWaveTable):
+def _kern_scatter(table: PartialWaveTable) -> np.ndarray:
     # e^{i sigma} sin sigma = sin(2 sigma)/2 + i (1 - cos(2 sigma))/2
-    return (table.weight * table.phase_sin * 0.5,
-            table.weight * (1.0 - table.phase_cos) * 0.5)
+    return np.stack((table.weight * table.phase_sin * 0.5,
+                     table.weight * (1.0 - table.phase_cos) * 0.5))
 
 
-# part -> (kernel, prefactor / eps^2): A = A_F + i A_S, with
+# part -> (stacked kernel, prefactor / eps^2): A = A_F + i A_S, with
 # A = 2 eps^2 sum(full), A_F = 2 eps^2 sum(forward), A_S = 4 eps^2 sum(scatter)
 _PARTS = {
     "full": (_kern_full, 2.0),
@@ -504,9 +500,13 @@ def _hermite(table: PartialWaveTable, deltas) -> np.ndarray:
     h_0 = e^{-x^2}, elementwise, so a delta's values do not depend on the
     deltas beside it.  For one delta the recurrence runs on Python floats,
     with the same operations in the same order (h_0 still from np.exp,
-    whose rounding `math.exp` need not share).
+    whose rounding `math.exp` need not share).  Every evaluation at a time
+    shift takes its deltas through here, and a non-finite one is an error.
     """
     d = np.asarray(deltas, dtype=float)
+    finite = np.isfinite(d)
+    if not finite.all():
+        raise ValueError(f"delta must be finite, got {d[~finite][0]}")
     c = table.box_centres.reshape((-1,) + (1,) * d.ndim)
     x = (d - c) / _SQRT8
     two_x = 2.0 * x

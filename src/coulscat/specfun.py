@@ -192,50 +192,42 @@ _RING_DEGREES = 64
 
 
 @functools.lru_cache(maxsize=4)
-def _recurrence_coefficients(l_max: int):
-    """2l+1, l and l+1 for l = 1 .. l_max-1, as floats: exactly the
-    conversions numpy makes of the integers in the recurrence.
-
-    Returns 2l+1 as a read-only array (the ring's `(2l+1) x` rows) and all
-    three as tuples (which `_scalar_steps` pairs for the scalar loop).
-    Built once per `l_max`; a process meets a few `l_max` values, one per
-    eps, so the cache keeps the last four.
-    """
-    l = np.arange(1.0, l_max)
-    two_l1 = 2.0 * l + 1.0
-    two_l1.flags.writeable = False
-    # l+1 at degree l is l at degree l+1: both tuples share one list's floats
-    values = np.arange(1.0, l_max + 1.0).tolist()
-    return two_l1, tuple(two_l1.tolist()), tuple(values[:-1]), tuple(values[1:])
-
-
-@functools.lru_cache(maxsize=4)
 def _scalar_steps(l_max: int):
     """The scalar loop's coefficients, two steps per tuple:
-    (2l+1, l, l+1, 2l+3, l+1, l+2) for l = 1, 3, 5, ..., and the last
-    step's (2l+1, l, l+1) alone when the number of steps, l_max - 1, is odd
-    (else None).  The float objects of `_recurrence_coefficients`."""
-    steps = list(zip(*_recurrence_coefficients(l_max)[1:]))
-    pairs = tuple(a + b for a, b in zip(steps[::2], steps[1::2]))
-    return pairs, steps[-1] if len(steps) % 2 else None
+    (2l+1, l, l+1, 2l+3, l+2) for l = 1, 3, 5, ... (the second step's l is
+    the first's l+1), and the last step's (2l+1, l, l+1) alone when the
+    number of steps, l_max - 1, is odd (else None); l_max >= 2.
+
+    The values are those of `_ring_operands`, taken from one list of floats
+    so that a value two steps share is one object.  A process meets a few
+    `l_max` values, one per eps, so the cache keeps the last four.
+    """
+    f = np.arange(2.0 * l_max).tolist()
+    pairs = tuple((f[2 * l + 1], f[l], f[l + 1], f[2 * l + 3], f[l + 2])
+                  for l in range(1, l_max - 1, 2))
+    l = l_max - 1
+    return pairs, (f[2 * l + 1], f[l], f[l + 1]) if l_max % 2 == 0 else None
 
 
 @functools.lru_cache(maxsize=4)
 def _ring_operands(l_max: int):
-    """l and l+1 for l = 1 .. l_max-1 as two tuples of read-only 0-d arrays,
+    """2l+1 for l = 1 .. l_max-1 as a read-only array (the ring's
+    `(2l+1) x` rows), and l and l+1 as two tuples of read-only 0-d arrays,
     the ring's per-degree operands.
 
     A ufunc converts a Python float operand to an array on every call, but
     takes a 0-d array as it is.  l+1 at degree l is l at degree l+1, so both
-    tuples hold views into one array of 1 .. l_max, whose values are those
-    of `_recurrence_coefficients`: the arithmetic is unchanged.  Built on
-    the first vectorized call at each `l_max` (about 0.7 MB and 2 ms at
-    l_max = 6000), so one-angle callers pay for none of it.
+    tuples hold views into one array of 1 .. l_max.  The values are those of
+    `_scalar_steps`: the arithmetic is unchanged.  Built on the first
+    vectorized call at each `l_max` (about 0.77 MB and 2 ms at l_max = 6000),
+    so one-angle callers pay for none of it.
     """
     values = np.arange(1.0, l_max + 1.0)
-    values.flags.writeable = False
+    two_l1 = 2.0 * values[:-1] + 1.0
+    for arr in (values, two_l1):
+        arr.flags.writeable = False
     views = [values[j, ...] for j in range(l_max)]
-    return tuple(views[:-1]), tuple(views[1:])
+    return two_l1, tuple(views[:-1]), tuple(views[1:])
 
 
 def legendre_rows(thetas, l_max: int) -> np.ndarray:
@@ -290,18 +282,18 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
             # p0, p1 hold P_{l-1}, P_l at the top of each iteration; each
             # step overwrites the older of the two
             p0, p1 = 1.0, xi
-            for a0, b0, c0, a1, b1, c1 in pairs:
+            for a0, b0, c0, a1, c1 in pairs:
                 p0 = (a0 * xi * p1 - b0 * p0) / c0
                 append(p0)
-                p1 = (a1 * xi * p0 - b1 * p1) / c1
+                # the second step's l is the first step's l+1
+                p1 = (a1 * xi * p0 - c0 * p1) / c1
                 append(p1)
             if last:
                 a, b, c = last
                 append((a * xi * p1 - b * p0) / c)
             P[i, 2:] = row
         return P
-    two_l1 = _recurrence_coefficients(l_max)[0]
-    ls, lp1 = _ring_operands(l_max)
+    two_l1, ls, lp1 = _ring_operands(l_max)
     # ring[j] holds P_{k0+j} across the angles, one contiguous row per
     # degree: rows 0 and 1 the two degrees a block starts from, rows 2 on
     # the block's new degrees, copied into P when the block is done

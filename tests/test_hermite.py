@@ -76,7 +76,9 @@ def _direct(table, thetas, deltas, part):
     """The series `part` summed directly, and its scale pref * sum |kern_l P_l|
     per angle."""
     kernel, pref = partialwave._PARTS[part]
-    kern_re, kern_im = kernel(table)
+    kern = kernel(table)
+    # a real part's kernel is one row: its imaginary part is zero
+    kern_re, kern_im = kern if len(kern) == 2 else (kern[0], np.zeros_like(kern[0]))
     pref = pref * table.eps ** 2
     g = _delta_factors(table, deltas)
     rows = specfun.legendre_rows(np.asarray(thetas, dtype=float), table.l_max)
@@ -408,3 +410,27 @@ class TestOneCellFormsEqualTheArrayForms:
             two = delta_profile(table, self.THETAS)
         assert one.delta_max[0] == two.delta_max[0]
         assert one.p_max[0] == two.p_max[0]
+
+
+class TestDeltasMustBeFinite:
+    """Every evaluation at a time shift takes its deltas through `_hermite`,
+    which rejects a non-finite delta; a finite one far outside the xi hull,
+    where h_0 underflows, still gives zero."""
+
+    @pytest.mark.parametrize("call", [
+        lambda t: probability(t, 0.5, math.inf),
+        lambda t: partialwave.amplitude(t, 0.5, -math.inf),
+        lambda t: amplitude_forward(t, 0.5, math.nan),
+        lambda t: amplitude_scatter(t, 0.5, math.nan),
+        lambda t: probability_grid(t, [0.5], [0.0, math.nan]),
+    ], ids=["probability", "amplitude", "forward", "scatter", "grid"])
+    def test_non_finite_delta_is_rejected(self, call):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            call(_coulomb(10.0))
+
+    @pytest.mark.parametrize("delta", [1e300, -1e300])
+    def test_huge_finite_delta_gives_zero(self, delta):
+        table = _coulomb(10.0)
+        assert probability(table, 0.5, delta) == 0.0
+        assert partialwave.amplitude(table, 0.5, delta) == 0.0
+        assert np.all(probability_grid(table, [0.5, 2.0], [delta, delta]) == 0.0)

@@ -159,7 +159,8 @@ class TestSphereIntegral:
         p_max = partialwave.probability_grid(table, thetas, [0.0])[:, 0]
         profile = DeltaProfile(thetas=thetas, delta_max=np.zeros(thetas.size),
                                p_max=p_max,
-                               factorization_residual=np.zeros(thetas.size))
+                               factorization_residual=np.zeros(thetas.size),
+                               deltas=np.zeros(1), p_scan=p_max[:, None])
         val = probability_sphere_integral(table, profile)
         # Gaussian integral oracle: (1/2eps^2) Int sin(t) e^{-t^2/4eps^2} dt = 1 + O(eps^2)
         assert val == pytest.approx(1.0, abs=5e-3)
@@ -175,7 +176,8 @@ class TestSphereIntegral:
     def test_grid_validation(self, table_free):
         bad = DeltaProfile(thetas=np.linspace(0.0, math.pi, 10),
                            delta_max=np.zeros(10), p_max=np.zeros(10),
-                           factorization_residual=np.zeros(10))
+                           factorization_residual=np.zeros(10),
+                           deltas=np.zeros(1), p_scan=np.zeros((10, 1)))
         with pytest.raises(ValueError):
             probability_sphere_integral(table_free, bad)
 
@@ -251,17 +253,35 @@ class TestDeltaProfile:
             flat = delta_profile(table_free, [2.0])
         assert flat.p_max[0] == probability(table_free, 2.0, 0.0)
 
+    def test_coarse_scan_is_the_probability_grid_and_read_only(self, table_eta10):
+        thetas = [0.03, 0.5, 2.0]
+        prof = delta_profile(table_eta10, thetas)
+        lo, hi = observables.default_delta_range(table_eta10)
+        assert np.array_equal(prof.deltas, np.linspace(lo, hi, prof.deltas.size))
+        assert np.array_equal(prof.p_scan,
+                              partialwave.probability_grid(table_eta10, thetas, prof.deltas))
+        for arr in (prof.deltas, prof.p_scan):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    @pytest.mark.parametrize("coarse_n", [50, None])
+    @pytest.mark.parametrize("bounds", [(math.nan, 9.0), (-math.inf, 9.0), (-9.0, math.inf)],
+                             ids=["nan-9", "-inf-9", "-9-inf"])
+    def test_non_finite_range_is_rejected(self, table_eta10, bounds, coarse_n):
+        with pytest.raises(ValueError, match="delta_range must be finite"):
+            delta_profile(table_eta10, [0.5], bounds, coarse_n)
+
     def test_profile_across_chunks_equals_one_chunk(self, table_eta10, monkeypatch):
         thetas = np.linspace(0.02, 3.0, 35)
-        whole, deltas, p_scan = observables._delta_profile(table_eta10, thetas, None, None)
+        whole = delta_profile(table_eta10, thetas)
         # 10 rows a chunk, so the 35 angles span 4 chunks
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 10 * 8 * (table_eta10.l_max + 1))
         assert len(partialwave._plan(thetas.size, table_eta10.l_max)[0]) == 4
-        parts, deltas_c, scan_c = observables._delta_profile(table_eta10, thetas, None, None)
-        for name in ("delta_max", "p_max", "factorization_residual"):
+        parts = delta_profile(table_eta10, thetas)
+        for name in ("delta_max", "p_max", "factorization_residual", "deltas", "p_scan"):
             assert np.array_equal(getattr(parts, name), getattr(whole, name))
-        assert np.array_equal(deltas_c, deltas) and np.array_equal(scan_c, p_scan)
-        assert np.array_equal(scan_c, partialwave.probability_grid(table_eta10, thetas, deltas))
+        assert np.array_equal(parts.p_scan,
+                              partialwave.probability_grid(table_eta10, thetas, whole.deltas))
 
 
 class TestScatteringAmplitude:

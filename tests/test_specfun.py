@@ -301,22 +301,21 @@ class TestLegendre:
         assert out == expected
 
     def test_cached_coefficients_are_read_only(self):
-        two_l1, *coeffs = specfun._recurrence_coefficients(64)
+        two_l1 = specfun._ring_operands(64)[0]
         with pytest.raises(ValueError, match="read-only"):
             two_l1[0] = 0.0
-        assert all(isinstance(c, tuple) and len(c) == 63 for c in coeffs)
-        assert specfun._recurrence_coefficients(64)[0] is two_l1
+        assert two_l1.tolist() == [2.0 * l + 1.0 for l in range(1, 64)]
+        assert specfun._ring_operands(64)[0] is two_l1
 
     def test_ring_operands_are_cached_read_only_0d_arrays(self):
-        operands = specfun._ring_operands(64)
-        coeffs = specfun._recurrence_coefficients(64)[2:]
-        for ops, values in zip(operands, coeffs):
+        operands = specfun._ring_operands(64)[1:]
+        for ops, first in zip(operands, (1, 2)):
             assert len(ops) == 63
             assert all(op.ndim == 0 and not op.flags.writeable for op in ops)
-            assert [float(op) for op in ops] == list(values)
+            assert [float(op) for op in ops] == [float(l) for l in range(first, first + 63)]
         with pytest.raises(ValueError, match="read-only"):
             operands[0][0][...] = 0.0
-        assert specfun._ring_operands(64) is operands
+        assert specfun._ring_operands(64)[1] is operands[0]
 
     def test_one_angle_builds_no_ring_operands(self):
         # neither looked up nor built: size, hits and misses all stay
@@ -357,10 +356,20 @@ class TestScalarSteps:
         pairs, last = specfun._scalar_steps(l_max)
         assert len(pairs) == (l_max - 1) // 2
         assert (last is None) == (l_max % 2 == 1)
-        flat = [v for pair in pairs for v in pair] + list(last or ())
-        coeffs = specfun._recurrence_coefficients(l_max)[1:]
-        assert flat == [v for step in zip(*coeffs) for v in step]
+        # each pair is two steps (2l+1, l, l+1), the second's l left out:
+        # it is the first's l+1
+        steps = [step for a0, b0, c0, a1, c1 in pairs
+                 for step in ((a0, b0, c0), (a1, c0, c1))] + ([last] if last else [])
+        two_l1, ls, lp1 = specfun._ring_operands(l_max)
+        assert steps == [(a, float(b), float(c)) for a, b, c in zip(two_l1.tolist(), ls, lp1)]
         assert specfun._scalar_steps(l_max)[0] is pairs
+
+    def test_one_angle_call_holds_one_coefficient_cache(self):
+        # at l_max = 6000 the scalar steps are 3000 five-tuples (80 bytes
+        # each) of 9000 distinct floats (24 bytes each), 456 KB; a second
+        # cache of the same coefficients would double that
+        held = int(_run_python(_HELD_SCRIPT).stdout)
+        assert held <= 100 * 6000
 
 
 class TestStartUp:
@@ -389,9 +398,18 @@ import sys
 from coulscat import specfun
 for thetas in {batches}:
     for l_max in {l_maxes}:
-        specfun._recurrence_coefficients.cache_clear()
+        specfun._scalar_steps.cache_clear()
         specfun._ring_operands.cache_clear()
         sys.stdout.buffer.write(specfun.legendre_rows(thetas, l_max).tobytes())
+"""
+
+_HELD_SCRIPT = """
+import tracemalloc
+import numpy as np
+from coulscat import specfun
+tracemalloc.start()
+specfun.legendre_rows(np.array([0.5]), 6000)
+print(tracemalloc.get_traced_memory()[0])
 """
 
 _LAZY_SCIPY_SCRIPT = """
