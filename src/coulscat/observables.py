@@ -212,7 +212,8 @@ def delta_profile(table: PartialWaveTable, thetas,
     refined location.  The range must span at least [-8, 8] so the scan
     cannot miss a peak pushed outside the xi hull by interference.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    # a copy: the profile must not follow later writes to the caller's array
+    thetas = np.array(thetas, dtype=float)
     if delta_range is None:
         delta_range = default_delta_range(table)
     lo, hi = float(delta_range[0]), float(delta_range[1])
@@ -260,7 +261,7 @@ def delta_profile(table: PartialWaveTable, thetas,
             stacklevel=2,
         )
 
-    for arr in (delta_max, p_max, residual, deltas, p_scan):
+    for arr in (thetas, delta_max, p_max, residual, deltas, p_scan):
         arr.flags.writeable = False
     return DeltaProfile(thetas=thetas, delta_max=delta_max, p_max=p_max,
                         factorization_residual=residual, deltas=deltas, p_scan=p_scan)

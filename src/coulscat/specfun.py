@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 
 import numpy as np
 
@@ -180,10 +181,12 @@ def dsigma_deta_table(l_max: int, eta: float) -> np.ndarray:
 
 # Up to this many angles, one Python-float loop per angle beats one numpy
 # loop vectorized across angles.  At l_max = 6000 on a shared 2-core x86
-# host (medians of 31 interleaved calls) the scalar loop cost 1.2 ms per
-# angle and the vectorized one a nearly flat 19-21 ms from 8 to 64 angles
-# (four ufunc calls per degree), so the two cross at 16.
-_SCALAR_MAX_ANGLES = 16
+# host with CPython 3.11 (medians of 60 interleaved calls, three processes)
+# the scalar loop with its packed row cost 0.86 ms per angle and the
+# vectorized one a nearly flat 17-19 ms from 8 to 28 angles (four ufunc
+# calls per degree): at 20 angles 17.0-17.5 ms against 18.3-18.5, at 24
+# 20.1-20.8 against 18.1-18.5.
+_SCALAR_MAX_ANGLES = 20
 
 # degrees per block of the vectorized recurrence: its (l, theta) ring and
 # the block's (2l+1) x rows take 1040 bytes per angle, 0.7 MB for the
@@ -207,6 +210,18 @@ def _scalar_steps(l_max: int):
                   for l in range(1, l_max - 1, 2))
     l = l_max - 1
     return pairs, (f[2 * l + 1], f[l], f[l + 1]) if l_max % 2 == 0 else None
+
+
+@functools.lru_cache(maxsize=4)
+def _row_struct(l_max: int) -> struct.Struct:
+    """Packs the scalar loop's l_max - 1 Python floats (degrees 2 .. l_max)
+    as native doubles in one call, so that a row reaches the result through
+    `np.frombuffer` and one memory copy, not numpy's per-float conversion of
+    a list.  Packing copies each IEEE-754 double unchanged, -0.0 and
+    subnormals included.  Kept, like `_scalar_steps`, for the last four
+    `l_max` values; l_max >= 2.
+    """
+    return struct.Struct(f"{l_max - 1}d")
 
 
 @functools.lru_cache(maxsize=4)
@@ -236,7 +251,8 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     Three-term recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, evaluated
     as ((2l+1) x P_l - l P_{l-1}) / (l+1) in one of two forms: for a few
     angles, a loop on Python floats per angle, two degrees per iteration
-    (`_scalar_steps`); otherwise a loop over l
+    (`_scalar_steps`), whose row is packed into the result with one
+    `struct` call (`_row_struct`); otherwise a loop over l
     vectorized across angles.  The vectorized loop runs on an (l, theta)
     ring of `_RING_DEGREES` degrees, each degree one contiguous row across
     the angles, with four ufunc calls per degree: outputs passed
@@ -276,6 +292,7 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
         P[ends, 3::2] = x[ends, None]
         inner = np.flatnonzero(~ends)
         pairs, last = _scalar_steps(l_max)
+        pack = _row_struct(l_max).pack
         for i, xi in zip(inner.tolist(), x[inner].tolist()):
             row = []
             append = row.append
@@ -291,7 +308,7 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
             if last:
                 a, b, c = last
                 append((a * xi * p1 - b * p0) / c)
-            P[i, 2:] = row
+            P[i, 2:] = np.frombuffer(pack(*row))
         return P
     two_l1, ls, lp1 = _ring_operands(l_max)
     # ring[j] holds P_{k0+j} across the angles, one contiguous row per

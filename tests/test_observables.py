@@ -264,6 +264,16 @@ class TestDeltaProfile:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
+    def test_thetas_are_a_read_only_copy(self, table_eta10):
+        # a later write to the caller's array must not reach the profile,
+        # whose grid probability_sphere_integral checks and integrates
+        thetas = np.array([0.3, 0.6])
+        prof = delta_profile(table_eta10, thetas)
+        thetas[0] = 7.0
+        assert prof.thetas.tolist() == [0.3, 0.6]
+        with pytest.raises(ValueError, match="read-only"):
+            prof.thetas[0] = 0.0
+
     @pytest.mark.parametrize("coarse_n", [50, None])
     @pytest.mark.parametrize("bounds", [(math.nan, 9.0), (-math.inf, 9.0), (-9.0, math.inf)],
                              ids=["nan-9", "-inf-9", "-9-inf"])

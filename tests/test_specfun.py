@@ -260,8 +260,8 @@ class TestLegendre:
             batch = specfun.legendre_rows(thetas, l_max)
             assert batch.shape == (n, l_max + 1)
             for i in range(n):
-                assert np.array_equal(batch[i],
-                                      specfun.legendre_rows(thetas[i : i + 1], l_max)[0])
+                assert (batch[i].tobytes()
+                        == specfun.legendre_rows(thetas[i : i + 1], l_max)[0].tobytes())
             assert np.all(batch[0] == 1.0)
             assert np.array_equal(batch[2], (-1.0) ** np.arange(l_max + 1))
 
@@ -277,20 +277,20 @@ class TestLegendre:
         rng.shuffle(thetas)
         batch = specfun.legendre_rows(thetas, l_max)
         for theta, row in zip(thetas, batch):
-            assert np.array_equal(row, _recurrence_row(theta, l_max))
+            assert row.tobytes() == np.array(_recurrence_row(theta, l_max)).tobytes()
 
     def test_all_endpoint_batches(self):
         for n in (1, specfun._SCALAR_MAX_ANGLES + 1):
             thetas = np.resize([0.0, math.pi], n)
             batch = specfun.legendre_rows(thetas, 70)
             for theta, row in zip(thetas, batch):
-                assert np.array_equal(row, _recurrence_row(theta, 70))
+                assert row.tobytes() == np.array(_recurrence_row(theta, 70)).tobytes()
 
     def test_rows_equal_rows_from_a_fresh_process(self):
         # alternating l_max: in this process the coefficients of 64 and 6000
         # come from the caches on their second call; the fresh process clears
-        # both caches before every call, so each of its rows is built from new
-        # coefficients and operands, in both forms (3 angles scalar, 25 vectorized), with
+        # the caches before every call, so each of its rows is built from new
+        # coefficients, packers and operands, in both forms (3 angles scalar, 25 vectorized), with
         # 0, pi and 1e-9 (whose cosine rounds to 1) among the angles
         ends = [0.0, math.pi, 1e-9]
         batches = [ends, ends + np.linspace(0.05, 3.05, 22).tolist()]
@@ -330,7 +330,7 @@ class TestLegendre:
         thetas[3] = 0.7
         batch = specfun.legendre_rows(thetas, l_max)
         for theta, row in zip(thetas, batch):
-            assert np.array_equal(row, _recurrence_row(theta, l_max))
+            assert row.tobytes() == np.array(_recurrence_row(theta, l_max)).tobytes()
 
     @pytest.mark.parametrize("theta", [math.nan, -0.1, math.pi + 1e-12])
     def test_rejects_angles_outside_0_pi(self, theta):
@@ -345,11 +345,25 @@ class TestScalarSteps:
 
     @pytest.mark.parametrize("l_max", [2, 3, 4, 5, 64, 65, 5999, 6000])
     def test_scalar_rows_equal_ring_rows(self, l_max):
-        thetas = np.linspace(0.05, 3.05, specfun._SCALAR_MAX_ANGLES + 1)
-        ring = specfun.legendre_rows(thetas, l_max)
-        scalar = np.concatenate([specfun.legendre_rows(thetas[i : i + 4], l_max)
-                                 for i in range(0, thetas.size, 4)])
-        assert np.array_equal(scalar, ring)
+        # bytes, not values, so that a zero's sign counts.  The ring builds
+        # 0, pi/2, pi and n - 2 interior angles in one batch; the scalar
+        # form builds each alone, and the first n (the most it takes) in one
+        # batch that mixes the endpoint fill with the loop
+        n = specfun._SCALAR_MAX_ANGLES
+        thetas = np.concatenate(([0.0, math.pi / 2, math.pi], np.linspace(0.05, 3.05, n - 2)))
+        ring = specfun.legendre_rows(thetas, l_max).tobytes()
+        singles = b"".join(specfun.legendre_rows(thetas[i : i + 1], l_max).tobytes()
+                           for i in range(thetas.size))
+        batch = b"".join(specfun.legendre_rows(part, l_max).tobytes()
+                         for part in (thetas[:n], thetas[n:]))
+        assert singles == ring
+        assert batch == ring
+
+    def test_row_struct_packs_each_double_unchanged(self):
+        values = [-0.0, 0.0, 5e-324, -1e-310, 1.0, -math.inf, math.nan]
+        packed = np.frombuffer(specfun._row_struct(len(values) + 1).pack(*values))
+        assert packed.tobytes() == np.array(values).tobytes()
+        assert specfun._row_struct(len(values) + 1).size == 8 * len(values)
 
     @pytest.mark.parametrize("l_max", [2, 3, 4, 65, 6000])
     def test_steps_are_the_recurrence_coefficients_in_pairs(self, l_max):
@@ -366,10 +380,18 @@ class TestScalarSteps:
 
     def test_one_angle_call_holds_one_coefficient_cache(self):
         # at l_max = 6000 the scalar steps are 3000 five-tuples (80 bytes
-        # each) of 9000 distinct floats (24 bytes each), 456 KB; a second
-        # cache of the same coefficients would double that
+        # each) of 9000 distinct floats (24 bytes each), 456 KB, and the
+        # row's struct.Struct a few hundred bytes; a second cache of the
+        # same coefficients would double that
         held = int(_run_python(_HELD_SCRIPT).stdout)
         assert held <= 100 * 6000
+
+    def test_scalar_caches_keep_four_l_max(self):
+        for l_max in range(2, 8):
+            specfun.legendre_rows([0.5], l_max)
+        for cache in (specfun._scalar_steps, specfun._row_struct):
+            info = cache.cache_info()
+            assert (info.maxsize, info.currsize) == (4, 4)
 
 
 class TestStartUp:
@@ -399,6 +421,7 @@ from coulscat import specfun
 for thetas in {batches}:
     for l_max in {l_maxes}:
         specfun._scalar_steps.cache_clear()
+        specfun._row_struct.cache_clear()
         specfun._ring_operands.cache_clear()
         sys.stdout.buffer.write(specfun.legendre_rows(thetas, l_max).tobytes())
 """
