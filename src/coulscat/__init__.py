@@ -7,6 +7,7 @@ optical-theorem diagnostics, for Coulomb and short-range phase-shift models.
 """
 
 from .errors import (
+    CoulscatWarning,
     MatchingError,
     NonConvergenceError,
     ResourceLimitError,

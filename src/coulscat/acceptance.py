@@ -56,11 +56,10 @@ def _table_for_eta(eta: float, eps: float = EPS_REF):
                                 PhaseShiftModel.coulomb_exact())
 
 
-@functools.lru_cache(maxsize=4)
-def _sphere_profile_800(n_intervals: int = 200):
-    table = _table_for_eta(800.0)
-    thetas = observables.midpoint_thetas(n_intervals)
-    return observables.delta_profile(table, thetas)
+@functools.cache
+def _sphere_profile_800():
+    thetas = observables.midpoint_thetas(200)
+    return observables.delta_profile(_table_for_eta(800.0), thetas)
 
 
 def _classical_delta_oracle(eta: float, theta: float, eps: float) -> float:
@@ -92,14 +91,14 @@ def _classical_delta_oracle(eta: float, theta: float, eps: float) -> float:
     return (beta_transit - beta_free) / sx
 
 
-def _c01(_=None) -> CriterionResult:
+def _c01() -> CriterionResult:
     val = kinematics.eta_bound(EPS_REF)
     ok = abs(val - 844.0) <= 1.0
     return CriterionResult(1, "strength bound eta_bound(0.001) = 844 +- 1", ok,
                            f"eta_bound(0.001) = {val:.3f}")
 
 
-def _c02(_=None) -> CriterionResult:
+def _c02() -> CriterionResult:
     table = _table_for_eta(0.0)
     val = observables.conservation_weight_sum(table)
     ok = abs(val - 1.0) <= 1e-5
@@ -107,7 +106,7 @@ def _c02(_=None) -> CriterionResult:
                            ok, f"weight sum = {val:.9f}")
 
 
-def _c03(_=None) -> CriterionResult:
+def _c03() -> CriterionResult:
     table = _table_for_eta(800.0)
     profile = _sphere_profile_800()
     val = observables.probability_sphere_integral(table, profile)
@@ -116,7 +115,7 @@ def _c03(_=None) -> CriterionResult:
                            ok, f"integral (200 midpoint intervals) = {val:.5f}")
 
 
-def _c04(_=None) -> CriterionResult:
+def _c04() -> CriterionResult:
     a = observables.shadow_angle(EPS_REF, 10.0)
     am = observables.shadow_angle(EPS_REF, -10.0)
     b = observables.shadow_angle(EPS_REF, 1.0)
@@ -181,7 +180,7 @@ def _stationary_xi(scenario, theta: float) -> float:
                               - float(np.real(digamma(z))))
 
 
-def _c05(_=None) -> CriterionResult:
+def _c05() -> CriterionResult:
     """Peaks in delta: where the series puts them, and what they mean.
 
     (a) delta_max_at finds the argmax of an independent scipy sum of the
@@ -234,7 +233,7 @@ def _c05(_=None) -> CriterionResult:
            "delay/advance mirror, classical orbit", ok, "; ".join(lines))
 
 
-def _c06(_=None) -> CriterionResult:
+def _c06() -> CriterionResult:
     scenario = build_scenario(79, 2, kinematics.ALPHA_PARTICLE_MASS_MEV,
                               3.8e-3, EPS_REF)
     val = kinematics.time_shift_seconds(scenario, 5.3)
@@ -243,7 +242,7 @@ def _c06(_=None) -> CriterionResult:
                            ok, f"dt = {val:.4e} s (target 2.3e-16 +- 5%)")
 
 
-def _c07(_=None) -> CriterionResult:
+def _c07() -> CriterionResult:
     m0 = kinematics.ALPHA_PARTICLE_MASS_MEV
     eta_low = build_scenario(79, 2, m0, 3.8e-3, EPS_REF).eta
     eta_high = build_scenario(79, 2, m0, 4.8, 2.1e-4).eta
@@ -259,7 +258,7 @@ def _c07(_=None) -> CriterionResult:
     )
 
 
-def _c08(_=None) -> CriterionResult:
+def _c08() -> CriterionResult:
     """Rutherford agreement outside the shadow zone, at each angle's peak.
 
     The weights (2l+1) e^{-2 eps^2 (l+1/2)^2} suppress the dominant partial
@@ -301,7 +300,7 @@ def _c08(_=None) -> CriterionResult:
     )
 
 
-def _c09(_=None) -> CriterionResult:
+def _c09() -> CriterionResult:
     family = observables.ScenarioFamily(79, 2, kinematics.ALPHA_PARTICLE_MASS_MEV,
                                         EPS_REF)
     energies_kev = [3.8, 10.0, 20.0, 50.0, 100.0, 200.0]
@@ -318,7 +317,7 @@ def _c09(_=None) -> CriterionResult:
     )
 
 
-def _c10(_=None) -> CriterionResult:
+def _c10() -> CriterionResult:
     table = _table_for_eta(0.0)
     thetas = np.linspace(0.0, 10.0 * EPS_REF, 21)
     deltas = np.linspace(-4.0, 4.0, 17)
@@ -332,7 +331,7 @@ def _c10(_=None) -> CriterionResult:
                            ok, f"max |P - P_free| = {worst:.3e} (tol {5*EPS_REF**2:.1e})")
 
 
-def _c11(_=None) -> CriterionResult:
+def _c11() -> CriterionResult:
     # recurrence residual on built tables
     res_rec = 0.0
     for eta in (1.0, -1.0, 10.0, -10.0, 800.0, -800.0):
@@ -364,7 +363,7 @@ def _c11(_=None) -> CriterionResult:
     )
 
 
-def _c12(_=None) -> CriterionResult:
+def _c12() -> CriterionResult:
     worst = 0.0
     for l in (0, 1000, 3000):
         closed = specfun.i_integral_closed_form(l, EPS_REF)
@@ -375,7 +374,7 @@ def _c12(_=None) -> CriterionResult:
                            ok, f"worst relative difference {worst:.2e} (<=1e-3)")
 
 
-def _c13(_=None) -> CriterionResult:
+def _c13() -> CriterionResult:
     rng = np.random.default_rng(20260811)
     worst = 0.0
     for eta in (0.1, 10.0, 800.0):
@@ -399,7 +398,7 @@ def _square_well_setup(eps: float):
     return scenario, model
 
 
-def _c14(_=None) -> CriterionResult:
+def _c14() -> CriterionResult:
     scenario, model = _square_well_setup(EPS_REF)
     check = observables.optical_theorem_check_short_range(model, scenario)
     scenario10, model10 = _square_well_setup(1e-2)
@@ -414,7 +413,7 @@ def _c14(_=None) -> CriterionResult:
     )
 
 
-def _c15(_=None) -> CriterionResult:
+def _c15() -> CriterionResult:
     table = _table_for_eta(10.0)
     grid = scan.GridSpec(0.0, 0.5, 120, -4.0, 4.0, 33)
     fields = [scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=w)
@@ -429,7 +428,7 @@ def _c15(_=None) -> CriterionResult:
     )
 
 
-def _c16(_=None) -> CriterionResult:
+def _c16() -> CriterionResult:
     worst = 0.0
     deltas = np.linspace(-8.0, 8.0, 33)
     thetas = np.linspace(0.0, math.pi, 161)
@@ -444,7 +443,7 @@ def _c16(_=None) -> CriterionResult:
                            ok, f"max probability sampled = {worst:.9f}")
 
 
-CRITERIA: list[tuple[int, str, Callable[..., CriterionResult]]] = [
+CRITERIA: list[tuple[int, str, Callable[[], CriterionResult]]] = [
     (1, "strength bound", _c01),
     (2, "conservation weight sum", _c02),
     (3, "sphere integral at eta=800", _c03),

@@ -6,7 +6,10 @@ and emit CSV or JSON for external plotting.  CSV bodies are deterministic:
 17 significant digits, no timestamps (the JSON envelope carries one).
 
 Exit status: 0 success, 2 configuration error, 3 tolerance breach,
-4 resource limit.
+4 resource limit (the memory budget, or an allocation that failed).  The
+parser checks each number that one flag can be checked for alone, before
+any work; a command checks the rules between its flags, and the library
+the rules its own callers also need.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import numpy as np
 
 from . import observables, partialwave, scan
 from .errors import (
+    CoulscatWarning,
     MatchingError,
     NonConvergenceError,
     ResourceLimitError,
@@ -40,6 +44,33 @@ EXIT_TOLERANCE = 3
 EXIT_RESOURCE = 4
 
 _MODEL_CHOICES = ("coulomb-exact", "coulomb-asym", "square-well")
+
+
+def _typed(convert, ok, rule: str):
+    """An argparse `type`: the value `convert` makes of the text, if ok(value);
+    else an error that argparse reports in one line naming the flag."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+    return parse
+
+
+_count = _typed(int, lambda n: n >= 1, "an integer >= 1")
+_finite = _typed(float, math.isfinite, "a finite number")
+_positive = _typed(float, lambda x: math.isfinite(x) and x > 0.0,
+                   "a positive finite number")
+_delta = _typed(lambda text: text if text == "auto" else float(text),
+                lambda d: d == "auto" or math.isfinite(d), "'auto' or a finite number")
+
+
+def _energies(text: str) -> list[float]:
+    """Comma-separated energies, each checked as `_positive` checks one."""
+    return [_positive(e) for e in text.split(",")]
 
 
 def _write_table(args, columns: str, rows, **meta) -> None:
@@ -96,12 +127,11 @@ def _reject_given(mode: str, flags) -> None:
 
 
 def _scenario_from_args(args):
-    n_energy = sum(x is not None for x in (args.energy_kev, args.energy_mev, args.eta))
-    if n_energy == 0:
-        raise ValueError("specify one of --energy-kev, --energy-mev or --eta")
     if args.eta is not None:
         return build_scenario_from_eta(args.eta, args.eps, Z1=args.Z1, Z2=args.Z2,
                                        m0=args.mass_mev)
+    if args.energy_kev is None and args.energy_mev is None:
+        raise ValueError("specify one of --energy-kev, --energy-mev or --eta")
     e_mev = args.energy_mev if args.energy_mev is not None else args.energy_kev * 1e-3
     return build_scenario(args.Z1, args.Z2, args.mass_mev, e_mev, args.eps)
 
@@ -136,12 +166,6 @@ def _table_from_args(args, scenario=None):
 def cmd_profile_delta(args) -> int:
     if args.theta is None:
         raise ValueError("profile-delta requires --theta (flag or config file)")
-    if not (math.isfinite(args.delta_step) and args.delta_step > 0.0):
-        raise ValueError(
-            f"--delta-step must be positive and finite, got {args.delta_step:g}")
-    for flag, value in (("--delta-min", args.delta_min), ("--delta-max", args.delta_max)):
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value:g}")
     if (args.delta_min is not None and args.delta_max is not None
             and args.delta_min > args.delta_max):
         raise ValueError(f"--delta-min must be <= --delta-max, got "
@@ -183,12 +207,7 @@ def cmd_angular(args) -> int:
     if auto:
         _reject_given("--delta auto, whose profiles run on one thread",
                       (("--workers", args.workers),))
-    workers = 1 if args.workers is None else args.workers
-    if workers < 1:
-        raise ValueError(f"--workers must be >= 1, got {workers}")
-    if args.theta_n < 1:
-        raise ValueError(f"--theta-n must be >= 1, got {args.theta_n}")
-    dval = 0.0 if auto else float(args.delta)
+    dval = 0.0 if auto else args.delta
     # both delta modes check the angle bounds here, before any evaluation
     grid = scan.GridSpec(args.theta_min, args.theta_max, args.theta_n, dval, dval, 1)
     scenario, table = _table_from_args(args)
@@ -198,7 +217,7 @@ def cmd_angular(args) -> int:
         deltas = np.asarray(prof.delta_max)
         probs = np.asarray(prof.p_max)
     else:
-        field = scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=workers)
+        field = scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=args.workers or 1)
         thetas = grid.thetas
         deltas = np.full(thetas.size, dval)
         probs = field.values[:, 0]
@@ -221,8 +240,6 @@ def cmd_angular(args) -> int:
 
 
 def cmd_conservation(args) -> int:
-    if args.sphere_n < 1:
-        raise ValueError(f"--sphere-n must be >= 1, got {args.sphere_n}")
     scenario, table = _table_from_args(args)
     wsum = observables.conservation_weight_sum(table)
     thetas = observables.midpoint_thetas(args.sphere_n)
@@ -272,19 +289,10 @@ def cmd_optical(args) -> int:
                    ("--eta", args.eta)))
     if args.eta_min is None or args.eta_max is None:
         raise ValueError("optical sweep requires --eta-min and --eta-max")
-    eta_n = 25 if args.eta_n is None else args.eta_n
-    if eta_n < 1:
-        raise ValueError("--eta-n must be >= 1")
-    for flag, value in (("--eta-min", args.eta_min), ("--eta-max", args.eta_max)):
-        if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value:g}")
-    if args.eta_min <= 0.0:
-        raise ValueError("optical sweep requires positive --eta-min (gamma is "
-                         "undefined in the free case)")
-    if not (args.eta_max >= args.eta_min):
+    if args.eta_max < args.eta_min:
         raise ValueError(f"optical sweep requires --eta-max >= --eta-min, got "
                          f"{args.eta_max:g} < {args.eta_min:g}")
-    etas = np.geomspace(args.eta_min, args.eta_max, eta_n)
+    etas = np.geomspace(args.eta_min, args.eta_max, args.eta_n or 25)
     rows = []
     for eta in etas:
         scenario, table = _table_from_args(args, build_scenario_from_eta(
@@ -299,19 +307,8 @@ def cmd_optical(args) -> int:
 
 def cmd_energy_scan(args) -> int:
     family = observables.ScenarioFamily(args.Z1, args.Z2, args.mass_mev, args.eps)
-    if args.energies_kev is not None:
-        try:
-            energies = [float(x) for x in args.energies_kev.split(",")]
-        except ValueError:
-            raise ValueError(f"--energies-kev must be comma-separated numbers, "
-                             f"got {args.energies_kev!r}") from None
-    elif args.e_n < 1:
-        raise ValueError(f"--e-n must be >= 1, got {args.e_n}")
-    elif not all(math.isfinite(e) and e > 0.0 for e in (args.e_min_kev, args.e_max_kev)):
-        raise ValueError(f"--e-min-kev and --e-max-kev must be positive and finite, "
-                         f"got {args.e_min_kev:g} and {args.e_max_kev:g}")
-    else:
-        energies = list(np.geomspace(args.e_min_kev, args.e_max_kev, args.e_n))
+    energies = args.energies_kev or list(np.geomspace(args.e_min_kev, args.e_max_kev,
+                                                      args.e_n))
     rows = []
     for ek in energies:
         try:
@@ -395,47 +392,48 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.add_argument("--theta", type=float, help="scattering angle (radians); "
                    "required here or in the config file")
-    p.add_argument("--delta-min", type=float)
-    p.add_argument("--delta-max", type=float)
-    p.add_argument("--delta-step", type=float, default=0.2)
+    p.add_argument("--delta-min", type=_finite)
+    p.add_argument("--delta-max", type=_finite)
+    p.add_argument("--delta-step", type=_positive, default=0.2)
     p.set_defaults(func=cmd_profile_delta)
 
     p = sub.add_parser("angular", help="angular curve at fixed or auto delta")
     _add_scenario(p)
     _add_model(p)
     _add_output(p)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--delta", default="auto",
+    p.add_argument("--workers", type=_count)
+    p.add_argument("--delta", type=_delta, default="auto",
                    help="fixed delta value or 'auto' (per-theta peak)")
     p.add_argument("--theta-min", type=float, default=0.0)
     p.add_argument("--theta-max", type=float, default=math.pi)
-    p.add_argument("--theta-n", type=int, default=200)
+    p.add_argument("--theta-n", type=_count, default=200)
     p.set_defaults(func=cmd_angular)
 
     p = sub.add_parser("conservation", help="weight sum and sphere integral")
     _add_scenario(p)
     _add_model(p)
     _add_output(p, formats=False)
-    p.add_argument("--sphere-n", type=int, default=200)
+    p.add_argument("--sphere-n", type=_count, default=200)
     p.set_defaults(func=cmd_conservation)
 
     p = sub.add_parser("optical", help="optical-theorem ratio gamma(eta)")
     _add_scenario(p)
     _add_model(p)
     _add_output(p)
-    p.add_argument("--eta-min", type=float)
-    p.add_argument("--eta-max", type=float)
-    p.add_argument("--eta-n", type=int)
+    # gamma is undefined at eta = 0, the free case
+    p.add_argument("--eta-min", type=_positive)
+    p.add_argument("--eta-max", type=_finite)
+    p.add_argument("--eta-n", type=_count)
     p.set_defaults(func=cmd_optical)
 
     p = sub.add_parser("energy-scan", help="rho(E) over an energy range")
     _add_scenario(p)
     p.add_argument("--tail-tol", type=float)
     _add_output(p)
-    p.add_argument("--energies-kev", help="comma-separated energies in keV")
-    p.add_argument("--e-min-kev", type=float, default=3.8)
-    p.add_argument("--e-max-kev", type=float, default=200.0)
-    p.add_argument("--e-n", type=int, default=6)
+    p.add_argument("--energies-kev", type=_energies, help="comma-separated energies in keV")
+    p.add_argument("--e-min-kev", type=_positive, default=3.8)
+    p.add_argument("--e-max-kev", type=_positive, default=200.0)
+    p.add_argument("--e-n", type=_count, default=6)
     p.set_defaults(func=cmd_energy_scan)
 
     p = sub.add_parser("table-dump", help="per-l weights, phases and shifts")
@@ -468,29 +466,26 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        args = _parse(argv)
-    except SystemExit as exc:
-        # argparse has printed its one-line error (or --help)
-        return exc.code
-    except (OSError, ValueError) as exc:
-        # the config file could not be read
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     # each warning is one `warning:` line, printed as it is raised: the
     # package's every time, any other as the caller's filters say
     with warnings.catch_warnings():
         warnings.showwarning = lambda message, *_: print(f"warning: {message}",
                                                          file=sys.stderr)
-        warnings.filterwarnings("always", category=UserWarning, module="coulscat")
+        warnings.filterwarnings("always", category=CoulscatWarning)
         try:
+            args = _parse(argv)
             return args.func(args)
-        except ResourceLimitError as exc:
-            print(f"resource error: {exc}", file=sys.stderr)
+        except SystemExit as exc:
+            # argparse has printed its one-line error (or --help)
+            return exc.code
+        except (ResourceLimitError, MemoryError) as exc:
+            # a count too large to allocate is over a limit as the budget is
+            print(f"resource error: {exc or 'out of memory'}", file=sys.stderr)
             return EXIT_RESOURCE
         except (ValueError, OSError, MatchingError, NonConvergenceError) as exc:
-            # a square well whose matching fails or whose phase shifts
-            # outlast the l window is a bad input, as is any ValueError
+            # an unreadable config file, and a square well whose matching
+            # fails or whose phase shifts outlast the l window, are bad
+            # inputs, as is any ValueError
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
 

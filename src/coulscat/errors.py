@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception and warning types shared across the package."""
 
 
 class ScenarioError(ValueError):
@@ -17,7 +17,7 @@ class MatchingError(RuntimeError):
     """Square-well interior/exterior matching produced non-finite ratios."""
 
     def __init__(self, bad_l):
-        self.bad_l = list(bad_l)
+        self.bad_l = [int(l) for l in bad_l]
         super().__init__(f"phase-shift matching failed for l = {self.bad_l}")
 
 
@@ -27,3 +27,7 @@ class NonConvergenceError(RuntimeError):
 
 class ResourceLimitError(RuntimeError):
     """A requested grid exceeds the configured memory budget."""
+
+
+class CoulscatWarning(UserWarning):
+    """A warning of the package; it names the first calling line outside it."""

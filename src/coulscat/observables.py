@@ -14,6 +14,7 @@ the forward direction where the bounded wavepacket probability is not.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -21,7 +22,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import partialwave, specfun
-from .errors import NonConvergenceError
+from .errors import CoulscatWarning, NonConvergenceError
 from .kinematics import PhysicalScenario, build_scenario
 from .partialwave import PartialWaveTable, PhaseShiftKind, PhaseShiftModel
 
@@ -80,6 +81,20 @@ class ScenarioFamily:
 
     def at_energy(self, E_mev: float) -> PhysicalScenario:
         return build_scenario(self.Z1, self.Z2, self.m0, E_mev, self.eps)
+
+
+def _warn(message: str) -> None:
+    """Warn with a CoulscatWarning naming the first calling line outside the package."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_back and frame.f_globals.get("__name__", "").startswith("coulscat."):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, CoulscatWarning, stacklevel=level)
+
+
+def _check_scenario(table: PartialWaveTable, scenario: PhysicalScenario) -> None:
+    # another scenario's p would scale the table's sums into nobody's numbers
+    if scenario != table.scenario:
+        raise ValueError("scenario must be the table's scenario")
 
 
 def dcs_factor(scenario: PhysicalScenario) -> float:
@@ -167,10 +182,7 @@ def shadow_angle(eps: float, eta: float) -> float:
     outside the suppressed cone; meaningful for eps |eta| << 1.
     """
     if eps * abs(eta) > 0.1:
-        warnings.warn(
-            f"shadow-angle estimate assumes eps*|eta| << 1, got {eps * abs(eta):.3g}",
-            stacklevel=2,
-        )
+        _warn(f"shadow-angle estimate assumes eps*|eta| << 1, got {eps * abs(eta):.3g}")
     return 4.0 * eps * abs(eta)
 
 
@@ -228,7 +240,7 @@ def delta_profile(table: PartialWaveTable, thetas,
     n = thetas.size
     # the coarse scan and the three arrays of its factorization residual are
     # n x coarse_n values each
-    partialwave._check_budget(table, n, coarse_n, grid_arrays=4)
+    plan = partialwave._check_budget(table, n, coarse_n, grid_arrays=4)
     deltas = np.linspace(lo, hi, coarse_n)
     h = partialwave._hermite(table, deltas)
 
@@ -250,16 +262,12 @@ def delta_profile(table: PartialWaveTable, thetas,
         p_max[i0:i1] = partialwave._abs2(*partialwave._combine(
             moments, partialwave._hermite(table, delta_max[i0:i1, None])))[:, 0]
 
-    partialwave._each_chunk(table, thetas, "full", reduce)
+    partialwave._each_chunk(table, thetas, "full", reduce, plan)
     gauss = np.exp(-((deltas - delta_max[:, None]) ** 2) / 4.0) * p_max[:, None]
     residual = np.max(np.abs(p_scan - gauss), axis=1)
     n_flat = int(flat.sum())
     if n_flat:
-        warnings.warn(
-            f"flat delta profile (peak prominence < 1e-12) at {n_flat} of "
-            f"{n} angles",
-            stacklevel=2,
-        )
+        _warn(f"flat delta profile (peak prominence < 1e-12) at {n_flat} of {n} angles")
 
     for arr in (thetas, delta_max, p_max, residual, deltas, p_scan):
         arr.flags.writeable = False
@@ -281,7 +289,9 @@ def scattering_amplitude_f(table: PartialWaveTable, scenario: PhysicalScenario,
                e^{i sigma_l} sin sigma_l P_l(cos theta);
     the delta integral of the scattering part is done analytically (each
     shifted unit Gaussian integrates to one against the 1/sqrt(8 pi) measure).
+    `scenario` must be the table's.
     """
+    _check_scenario(table, scenario)
     partialwave._check_budget(table, 1, 0)
     row = specfun.legendre_rows(np.array([float(theta)]), table.l_max)[0]
     kern_re, kern_im = table._kernel("scatter")
@@ -291,7 +301,9 @@ def scattering_amplitude_f(table: PartialWaveTable, scenario: PhysicalScenario,
 
 
 def total_cross_section(table: PartialWaveTable, scenario: PhysicalScenario) -> float:
-    """sigma = (4 pi / p^2) sum (2l+1) e^{-4 eps^2 (l+1/2)^2} sin^2 sigma_l."""
+    """sigma = (4 pi / p^2) sum (2l+1) e^{-4 eps^2 (l+1/2)^2} sin^2 sigma_l;
+    `scenario` must be the table's."""
+    _check_scenario(table, scenario)
     heavy, _light = table.sin2_sums
     return 4.0 * math.pi / scenario.p ** 2 * heavy
 

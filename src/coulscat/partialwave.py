@@ -35,15 +35,16 @@ to sum_l |kern_l P_l|).
 One path evaluates the series for every caller: the full amplitude A, its
 forward part A_F or its scattering part A_S, each a kernel and a prefactor
 from `_PARTS` (A_F is real, and only its real component is summed).
-`_each_chunk` hands each Legendre chunk's moments to the caller's reduction
-(`_eval_grid`, which serves single points, grids and `scan.sweep`, and
-`observables.delta_profile`), after `_check_budget` has bounded the memory.
-`_moments` reduces one theta row at a time, each moment one dot product
-along a box's l, and `_combine` adds the terms in a fixed order
-elementwise.  A dot's summation order depends on its length only (boxes
-stop at 8192 terms, short of where BLAS splits a dot across its own
-threads), so identical inputs give bit-identical results regardless of how
-work is partitioned across threads or batches.
+`_check_budget` plans the Legendre chunks and bounds their memory, and
+`_each_chunk` runs that plan, handing each chunk's moments to the caller's
+reduction (`_eval_grid`, which serves single points, grids and
+`scan.sweep`, and `observables.delta_profile`).  `_moments` reduces one
+theta row at a time, each moment one dot product along a box's l, and
+`_combine` adds the terms in a fixed order elementwise.  A dot's
+summation order depends on its length only (boxes stop at 8192 terms,
+short of where BLAS splits a dot across its own threads), so identical
+inputs give bit-identical results regardless of how work is partitioned
+across threads or batches.
 """
 
 from __future__ import annotations
@@ -148,9 +149,7 @@ class PhaseShiftModel:
 
     @classmethod
     def short_range(cls, delta_l, ddelta_dk) -> "PhaseShiftModel":
-        return cls(kind=PhaseShiftKind.SHORT_RANGE_TABLE,
-                   delta_l=np.asarray(delta_l, dtype=float),
-                   ddelta_dk=np.asarray(ddelta_dk, dtype=float))
+        return cls(PhaseShiftKind.SHORT_RANGE_TABLE, delta_l, ddelta_dk)
 
 
 class _Expansion(NamedTuple):
@@ -419,34 +418,27 @@ def build_table(scenario: PhysicalScenario, model: PhaseShiftModel,
 # series evaluation
 # ---------------------------------------------------------------------------
 
-def _plan(n_theta: int, l_max: int, workers: int = 1):
-    """Legendre chunks (i0, i1) of n_theta angles, and the threads for them.
-    Each chunk runs the whole Legendre recurrence, so a thread pays only with
-    a chunk of its own: one thread per chunk, at most `workers` and one per
-    CPU; a single chunk runs inline."""
-    rows = max(1, _CHUNK_BYTES // (8 * (l_max + 1)))
+def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
+                  workers: int = 1, grid_arrays: int = 1) -> tuple[list, int]:
+    """Plan an evaluation of an n_theta x n_delta grid on `workers` threads
+    and check its memory: return (chunks, threads), the Legendre chunks
+    (i0, i1) of the angles and one thread per chunk, at most `workers` and
+    one per CPU (a chunk runs the whole recurrence, so a thread pays only
+    with a chunk of its own; one chunk runs inline), or raise
+    ResourceLimitError when that plan would hold more than
+    DEFAULT_MEMORY_BUDGET bytes at once, counting `grid_arrays` grid-shaped
+    arrays (an output; a delta profile's coarse scan and residuals); per
+    chunk in flight, the largest ones, its Legendre rows and six values per
+    row and delta (its (re, im) and `_combine`'s (re, im) sum and term; half
+    that for the real forward part); and the deltas' Hermite functions,
+    n_box * K per delta, shared by the chunks.  With no deltas (a sum at no
+    time shift) the table's Hermite expansion is not read, so not built.
+    """
+    rows = max(1, _CHUNK_BYTES // (8 * (table.l_max + 1)))
     chunks = [(i0, min(i0 + rows, n_theta)) for i0 in range(0, n_theta, rows)]
     threads = min(workers, len(chunks))
     # os.cpu_count reads /sys on Linux: ask only when a pool could start
-    return chunks, threads if threads <= 1 else min(threads, os.cpu_count() or 1)
-
-
-def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
-                  workers: int = 1, grid_arrays: int = 1) -> None:
-    """Raise ResourceLimitError when an evaluation of an n_theta x n_delta
-    grid on `workers` threads would hold more than DEFAULT_MEMORY_BUDGET
-    bytes at once.
-
-    Counted: `grid_arrays` arrays of the grid's shape (an output matrix; a
-    delta profile's coarse scan and its residual arrays); per chunk in
-    flight (the largest, one per `_plan` thread), its Legendre rows and six
-    values per row and delta (the chunk's (re, im), and the (re, im) sum and
-    term `_combine` builds; half that for the real forward part); and the deltas' Hermite functions, n_box * K
-    values per delta, built once and shared by the chunks.  With no deltas
-    (a sum at no time shift) the table's Hermite expansion is not read, so
-    not built.
-    """
-    chunks, threads = _plan(n_theta, table.l_max, workers)
+    threads = threads if threads <= 1 else min(threads, os.cpu_count() or 1)
     held = sum(sorted(i1 - i0 for i0, i1 in chunks)[-threads:])
     need = 8 * (grid_arrays * n_theta * n_delta
                 + held * (table.l_max + 1 + 6 * n_delta))
@@ -458,6 +450,7 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
             f"({grid_arrays} grid-sized arrays, Legendre rows and Hermite "
             f"functions), budget is {DEFAULT_MEMORY_BUDGET}"
         )
+    return chunks, threads
 
 
 def _kern_full(table: PartialWaveTable) -> np.ndarray:
@@ -592,12 +585,12 @@ def _combine(moments: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
-                workers: int = 1) -> None:
-    """Call fn(i0, i1, moments) for each `_plan` chunk thetas[i0:i1], with
-    the chunk's `_moments` of the series `part`, inline or on `_plan`'s
-    threads.  Each call reduces its chunk on its own thread and writes only
-    its own rows of the output, so results do not depend on `workers`."""
-    chunks, threads = _plan(thetas.size, table.l_max, workers)
+                plan) -> None:
+    """Run `plan`, the (chunks, threads) of `_check_budget`: call
+    fn(i0, i1, moments) with the `_moments` of the series `part` for each
+    chunk thetas[i0:i1], inline or on the plan's threads.  Each call writes
+    only its own rows of the output, so results do not depend on threads."""
+    chunks, threads = plan
     # what the threads read is built here, on the calling thread
     _ = table._expansion, table._kernel(part)
 
@@ -621,7 +614,7 @@ def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, workers: int 
     `probability_grid` and `scan.sweep` evaluate here, every chunk with the
     same Hermite functions of the deltas."""
     thetas = np.asarray(thetas, dtype=float)
-    _check_budget(table, thetas.size, np.size(deltas), workers, 1 if reduce else 2)
+    plan = _check_budget(table, thetas.size, np.size(deltas), workers, 1 if reduce else 2)
     h = _hermite(table, deltas)
     if reduce:
         out = np.empty((thetas.size, h.shape[1]))
@@ -635,7 +628,7 @@ def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, workers: int 
         else:
             out[:len(re_im), i0:i1] = re_im
 
-    _each_chunk(table, thetas, part, fill, workers)
+    _each_chunk(table, thetas, part, fill, plan)
     return out
 
 
@@ -696,8 +689,11 @@ def _square_well_deltas_at_k(k: float, radius: float, depth: float, m0: float,
         kp = math.sqrt(-kp2)
         ji = spherical_in(ls, kp * radius)
         dji = spherical_in(ls, kp * radius, derivative=True)
-    num = k * dja * ji - kp * dji * ja
-    den = k * dya * ji - kp * dji * ya
+    # an overflowed y_l sends delta_l to 0, or to NaN (inf - inf), which is
+    # reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = k * dja * ji - kp * dji * ja
+        den = k * dya * ji - kp * dji * ya
     deltas = np.arctan2(num, den)
     bad = ~np.isfinite(deltas)
     if np.any(bad):

@@ -198,30 +198,22 @@ _RING_DEGREES = 64
 def _scalar_steps(l_max: int):
     """The scalar loop's coefficients, two steps per tuple:
     (2l+1, l, l+1, 2l+3, l+2) for l = 1, 3, 5, ... (the second step's l is
-    the first's l+1), and the last step's (2l+1, l, l+1) alone when the
-    number of steps, l_max - 1, is odd (else None); l_max >= 2.
+    the first's l+1), the last step's (2l+1, l, l+1) alone when the number
+    of steps, l_max - 1, is odd (else None), and the `struct.Struct` that
+    packs the loop's l_max - 1 floats; l_max >= 2.
 
     The values are those of `_ring_operands`, taken from one list of floats
-    so that a value two steps share is one object.  A process meets a few
-    `l_max` values, one per eps, so the cache keeps the last four.
+    so that a value two steps share is one object.  The struct packs a row
+    into native doubles, each IEEE-754 value unchanged (-0.0 and subnormals
+    too), for `np.frombuffer`: one copy in place of numpy's per-float list
+    conversion.  The cache keeps the last four `l_max`, one per eps.
     """
     f = np.arange(2.0 * l_max).tolist()
     pairs = tuple((f[2 * l + 1], f[l], f[l + 1], f[2 * l + 3], f[l + 2])
                   for l in range(1, l_max - 1, 2))
     l = l_max - 1
-    return pairs, (f[2 * l + 1], f[l], f[l + 1]) if l_max % 2 == 0 else None
-
-
-@functools.lru_cache(maxsize=4)
-def _row_struct(l_max: int) -> struct.Struct:
-    """Packs the scalar loop's l_max - 1 Python floats (degrees 2 .. l_max)
-    as native doubles in one call, so that a row reaches the result through
-    `np.frombuffer` and one memory copy, not numpy's per-float conversion of
-    a list.  Packing copies each IEEE-754 double unchanged, -0.0 and
-    subnormals included.  Kept, like `_scalar_steps`, for the last four
-    `l_max` values; l_max >= 2.
-    """
-    return struct.Struct(f"{l_max - 1}d")
+    last = (f[2 * l + 1], f[l], f[l + 1]) if l_max % 2 == 0 else None
+    return pairs, last, struct.Struct(f"{l_max - 1}d")
 
 
 @functools.lru_cache(maxsize=4)
@@ -251,14 +243,14 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     Three-term recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, evaluated
     as ((2l+1) x P_l - l P_{l-1}) / (l+1) in one of two forms: for a few
     angles, a loop on Python floats per angle, two degrees per iteration
-    (`_scalar_steps`), whose row is packed into the result with one
-    `struct` call (`_row_struct`); otherwise a loop over l
-    vectorized across angles.  The vectorized loop runs on an (l, theta)
-    ring of `_RING_DEGREES` degrees, each degree one contiguous row across
-    the angles, with four ufunc calls per degree: outputs passed
-    positionally, l and l+1 as the 0-d arrays of `_ring_operands`, and the
-    row views and ufuncs bound once per call.  It copies each finished
-    block of degrees into the (theta, l) result through one basic slice.
+    (`_scalar_steps`), each row packed into the result with one `struct`
+    call; otherwise a loop over l vectorized across angles.  The vectorized
+    loop runs on an (l, theta) ring of `_RING_DEGREES` degrees, each degree
+    one contiguous row across the angles, with four ufunc calls per degree:
+    outputs passed positionally, l and l+1 as the 0-d arrays of
+    `_ring_operands`, and the row views and ufuncs bound once per call.  It
+    copies each finished block of degrees into the (theta, l) result
+    through one basic slice.
     Both forms take 2l+1, l and l+1 with the same values and perform the
     same IEEE-754 operations in the same order, so each row is
     bit-identical whichever form built it and whatever batch it came in.
@@ -291,8 +283,8 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
         P[ends, 2:] = 1.0
         P[ends, 3::2] = x[ends, None]
         inner = np.flatnonzero(~ends)
-        pairs, last = _scalar_steps(l_max)
-        pack = _row_struct(l_max).pack
+        pairs, last, row_struct = _scalar_steps(l_max)
+        pack = row_struct.pack
         for i, xi in zip(inner.tolist(), x[inner].tolist()):
             row = []
             append = row.append

@@ -109,6 +109,18 @@ class TestProfileDelta:
         assert len(captured.err.strip().splitlines()) == 1
 
 
+    # the scan spans at least [-8, 8], and the step is honoured exactly
+    @pytest.mark.parametrize("delta_max, top", [("20", 20.0), ("5", 8.0)])
+    def test_delta_max_widens_the_scan(self, delta_max, top, tmp_path):
+        out = tmp_path / "prof.csv"
+        assert main(["profile-delta", "--eta", "10", "--theta", "0.03", "--delta-min=-8",
+                     f"--delta-max={delta_max}", "--delta-step", "0.5",
+                     "--out", str(out)]) == 0
+        _header, rows = read_csv(out)
+        deltas = [r[0] for r in rows]
+        assert deltas[0] == -8.0 and deltas[-1] == top
+        assert len(deltas) == (top + 8.0) / 0.5 + 1
+
     def test_builds_one_legendre_row(self, tmp_path, monkeypatch, capsys):
         # the CSV is the profile's coarse scan, so the CSV and the summary
         # share one row and one set of moments
@@ -330,7 +342,7 @@ class TestOptical:
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"{flag} must be finite" in captured.err
+        assert flag in captured.err and "finite" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
     @pytest.mark.parametrize("flags, message", [
@@ -339,6 +351,8 @@ class TestOptical:
         (["--well-radius-fm=11.4", "--well-depth-mev=inf"], "depth must be finite"),
         # phase shifts still large at l = 40: the l window is too short
         (["--well-radius-fm=400", "--l-max=40"], "not converged"),
+        # y_l overflows inside the matched l window
+        (["--well-radius-fm=1e-8"], "matching failed for l = [31,"),
     ])
     def test_bad_square_well_is_config_error(self, flags, message, capsys):
         rc = main(["optical", "--model", "square-well", "--energy-mev", "1", *flags])
@@ -406,7 +420,7 @@ class TestEnergyScan:
         captured = capsys.readouterr()
         assert captured.out == ""
         last = captured.err.strip().splitlines()[-1]
-        assert last.startswith("config error:") and message in last
+        assert "error:" in last and message in last
 
     @pytest.mark.parametrize("e_n", ["0", "-3"])
     def test_empty_energy_range_is_config_error(self, e_n, capsys):
@@ -426,7 +440,7 @@ class TestEnergyScan:
         assert main(["energy-scan"] + flags) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--e-min-kev" in captured.err
+        assert flags[0].split("=")[0] in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
 
@@ -716,6 +730,114 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == (
             "resource error: a table with l_max = 6000 needs "
             f"{8 * partialwave._TABLE_ROWS * 6001} bytes, budget is 10000\n")
+
+
+# flags with which each command runs to exit 0 or 3
+_RUNS = {
+    "profile-delta": {"--eta": "10", "--theta": "0.03"},
+    "angular": {"--eta": "10", "--theta-n": "3", "--delta": "0", "--workers": "2"},
+    "conservation": {"--eta": "0", "--sphere-n": "20"},
+    "optical": {"--eta-min": "1", "--eta-max": "2", "--eta-n": "2"},
+    "energy-scan": {"--energies-kev": "3.8", "--e-n": "2"},
+}
+
+
+class TestTypedFlags:
+    """Each flag whose number the parser checks alone: a bad value, on the
+    command line or in a config file, is exit 2 and one line naming the
+    flag, before any table is built or any output written."""
+
+    BAD = [
+        ("profile-delta", "--delta-min", "nan"),
+        ("profile-delta", "--delta-max", "inf"),
+        ("profile-delta", "--delta-step", "0"),
+        ("angular", "--workers", "0"),
+        ("angular", "--theta-n", "2.5"),
+        ("angular", "--delta", "abc"),
+        ("conservation", "--sphere-n", "-1"),
+        ("optical", "--eta-n", "0"),
+        # gamma is undefined at eta = 0
+        ("optical", "--eta-min", "0"),
+        ("optical", "--eta-max", "-inf"),
+        ("energy-scan", "--e-n", "many"),
+        ("energy-scan", "--e-min-kev", "-5"),
+        ("energy-scan", "--e-max-kev", "inf"),
+        ("energy-scan", "--energies-kev", "3.8,0"),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def no_table(self, monkeypatch):
+        def not_built(*_args, **_kwargs):
+            raise AssertionError("table built before the flags were checked")
+
+        monkeypatch.setattr(partialwave, "build_table", not_built)
+
+    def _check(self, argv, flag, out, capsys):
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"coulscat {argv[0]}: error: argument {flag}: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command, flag, value", BAD, ids=[f for _c, f, _v in BAD])
+    def test_on_the_command_line(self, command, flag, value, tmp_path, capsys):
+        flags = {**_RUNS[command], flag: value}
+        self._check([command, *(f"{k}={v}" for k, v in flags.items())], flag,
+                    tmp_path / "out", capsys)
+
+    @pytest.mark.parametrize("command, flag, value", BAD, ids=[f for _c, f, _v in BAD])
+    def test_in_a_config_file(self, command, flag, value, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        flags = {**_RUNS[command], flag: value}
+        config.write_text("".join(f"{k[2:]} = {v}\n" for k, v in flags.items()))
+        self._check([command, "--config", str(config)], flag, tmp_path / "out", capsys)
+
+
+class TestFailedAllocation:
+    """A count too large to allocate is exit 4 and one line, like a request
+    over the memory budget.  numpy's array makers are replaced so that a
+    request of more than 1e9 values raises the MemoryError numpy raises
+    when an allocation fails, and nothing is allocated: on a host that
+    overcommits memory a real 745 GiB request could be granted."""
+
+    HUGE = 100_000_000_000
+
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        counts = []
+
+        def failing(make, count):
+            def make_or_fail(*args, **kwargs):
+                n = count(*args, **kwargs)
+                if n > 10 ** 9:
+                    counts.append(n)
+                    raise MemoryError(f"Unable to allocate {8 * n / 2 ** 30:.0f} GiB for "
+                                      f"an array with shape ({n},) and data type float64")
+                return make(*args, **kwargs)
+            return make_or_fail
+
+        for name in ("linspace", "geomspace"):
+            monkeypatch.setattr(np, name, failing(getattr(np, name),
+                                                  lambda _a, _b, num=50, *_r, **_k: num))
+        monkeypatch.setattr(np, "arange", failing(np.arange, lambda *args, **_k: max(
+            abs(a) for a in args if isinstance(a, (int, float)))))
+        return counts
+
+    @pytest.mark.parametrize("argv", [
+        ["angular", "--eta", "10", "--delta", "0", "--theta-n"],
+        ["angular", "--eta", "10", "--delta", "auto", "--theta-n"],
+        ["conservation", "--eta", "0", "--sphere-n"],
+        ["optical", "--eta-min", "1", "--eta-max", "2", "--eta-n"],
+        ["energy-scan", "--e-n"],
+    ], ids=["angular-fixed-delta", "angular-auto-delta", "conservation", "optical",
+            "energy-scan"])
+    def test_count_too_large_to_allocate_is_resource_error(self, argv, refused, capsys):
+        assert main(argv + [str(self.HUGE)]) == 4
+        assert refused == [self.HUGE]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"resource error: Unable to allocate 745 GiB for an "
+                                f"array with shape ({self.HUGE},) and data type float64\n")
 
 
 class TestOneRuleOneOwner:

@@ -215,7 +215,7 @@ class TestExpansionBuiltOnFirstRead:
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table.l_max + 1))
         monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         grid = scan.GridSpec(0.1, 3.0, 4, -1.0, 0.5, 2)
-        assert partialwave._plan(grid.theta_n, table.l_max, 2) == ([(0, 2), (2, 4)], 2)
+        assert partialwave._check_budget(table, grid.theta_n, 0, 2) == ([(0, 2), (2, 4)], 2)
         field = scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=2)
         assert builds == [threading.get_ident()]
         assert np.array_equal(field.values,
@@ -233,10 +233,11 @@ class TestExpansionBuiltOnFirstRead:
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table.l_max + 1))
         monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         thetas = np.linspace(0.1, 3.0, 4)
-        assert partialwave._plan(thetas.size, table.l_max, 2) == ([(0, 2), (2, 4)], 2)
+        plan = partialwave._check_budget(table, thetas.size, 0, 2)
+        assert plan == ([(0, 2), (2, 4)], 2)
         chunks = []
         partialwave._each_chunk(table, thetas, "full",
-                                lambda i0, i1, _m: chunks.append((i0, i1)), workers=2)
+                                lambda i0, i1, _m: chunks.append((i0, i1)), plan)
         assert sorted(chunks) == [(0, 2), (2, 4)]
         assert builds == kernels == [threading.get_ident()]
 

@@ -5,6 +5,7 @@ import pytest
 
 from coulscat import (
     ALPHA_PARTICLE_MASS_MEV,
+    CoulscatWarning,
     FINE_STRUCTURE_ALPHA,
     NonConvergenceError,
     PhaseShiftModel,
@@ -166,7 +167,7 @@ class TestSphereIntegral:
         assert val == pytest.approx(1.0, abs=5e-3)
 
     def test_eta800_reference_and_richardson(self, table_eta800):
-        prof200 = _sphere_profile_800(200)
+        prof200 = _sphere_profile_800()
         val200 = probability_sphere_integral(table_eta800, prof200)
         assert abs(val200 - 0.998) <= 0.005
         prof400 = delta_profile(table_eta800, midpoint_thetas(400))
@@ -193,6 +194,37 @@ class TestShadowAngle:
     def test_warns_outside_small_parameter_regime(self):
         with pytest.warns(UserWarning):
             shadow_angle(1e-3, 800.0)
+
+
+class TestWarningsNameTheCaller:
+    # the free table's profile is flat at theta = 2, and so is that of
+    # 1 MeV electrons on a proton (eta = 0.0037, P ~ 1e-14) at pi/4
+    @pytest.mark.parametrize("call, message", [
+        (lambda t: delta_profile(t, [2.0]), "flat delta profile"),
+        (lambda t: delta_max_at(t, 2.0), "flat delta profile"),
+        (lambda _t: observables.energy_ratio_rho(ScenarioFamily(1, 1, 0.511, EPS), 1.0),
+         "flat delta profile"),
+        (lambda _t: shadow_angle(EPS, 800.0), "shadow-angle estimate"),
+    ], ids=["delta_profile", "delta_max_at", "energy_ratio_rho", "shadow_angle"])
+    def test_warning_names_the_first_line_outside_the_package(self, call, message,
+                                                               table_free):
+        with pytest.warns(CoulscatWarning, match=message) as record:
+            call(table_free)
+        assert [w.filename for w in record] == [__file__]
+
+
+class TestRefinePeak:
+    # where the log-parabola cannot refine the peak, the grid argmax stands
+    @pytest.mark.parametrize("p_row, i", [
+        ([3.0, 2.0, 1.0, 0.5], 0),
+        ([0.5, 1.0, 2.0, 3.0], 3),
+        ([0.0, 1.0, 0.5, 0.2], 1),
+        # the three logs round to one value: no curvature to fit
+        ([1e-300, np.nextafter(1e-300, 1.0), 1e-300, 5e-301], 1),
+    ], ids=["lower-edge", "upper-edge", "zero-neighbour", "flat-log"])
+    def test_falls_back_to_the_grid_argmax(self, p_row, i):
+        deltas = np.linspace(-1.5, 1.5, 4)
+        assert observables._refine_peak(deltas, np.array(p_row)) == deltas[i]
 
 
 class TestDeltaProfile:
@@ -286,7 +318,7 @@ class TestDeltaProfile:
         whole = delta_profile(table_eta10, thetas)
         # 10 rows a chunk, so the 35 angles span 4 chunks
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 10 * 8 * (table_eta10.l_max + 1))
-        assert len(partialwave._plan(thetas.size, table_eta10.l_max)[0]) == 4
+        assert len(partialwave._check_budget(table_eta10, thetas.size, 0)[0]) == 4
         parts = delta_profile(table_eta10, thetas)
         for name in ("delta_max", "p_max", "factorization_residual", "deltas", "p_scan"):
             assert np.array_equal(getattr(parts, name), getattr(whole, name))
@@ -344,6 +376,20 @@ class TestScatteringAmplitude:
         ):
             with pytest.raises(ValueError, match=r"\[0, pi\]"):
                 evaluate()
+
+
+class TestScenarioMustBeTheTables:
+    @pytest.mark.parametrize("call", [
+        total_cross_section,
+        lambda table, scenario: scattering_amplitude_f(table, scenario, 0.5),
+    ], ids=["total_cross_section", "scattering_amplitude_f"])
+    def test_only_the_tables_scenario_is_taken(self, call, table_eta10, table_eta800):
+        with pytest.raises(ValueError, match="the table's scenario"):
+            call(table_eta10, table_eta800.scenario)
+        # an equal scenario, built again, is the table's
+        again = build_scenario_from_eta(10.0, EPS)
+        assert again is not table_eta10.scenario
+        assert call(table_eta10, again) == call(table_eta10, table_eta10.scenario)
 
 
 class TestOptical:

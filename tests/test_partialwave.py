@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from coulscat import (
+    MatchingError,
     PhaseShiftModel,
     ResourceLimitError,
     StrengthBoundError,
@@ -357,6 +358,28 @@ class TestSquareWell:
         assert (model.delta_l[0] - expected) % math.pi == pytest.approx(
             0.0, abs=1e-10) or (model.delta_l[0] - expected) % math.pi == pytest.approx(
             math.pi, abs=1e-10)
+
+    def test_barrier_above_the_energy_takes_the_modified_bessel_interior(self):
+        # a -2 MeV well at E = 1 MeV: k'^2 < 0, the interior solution is
+        # i_l, and the s wave obeys tan(k a + delta_0) = (k/kappa) tanh(kappa a)
+        sc = self._scenario()
+        radius = 5.0 / sc.p
+        depth = -2.0
+        model = square_well_phase_shifts(depth, radius, sc, l_max=30)
+        k = sc.p
+        kappa = math.sqrt(-(k * k + 2.0 * sc.m0 * depth))
+        expected = math.atan(k / kappa * math.tanh(kappa * radius)) - k * radius
+        assert math.sin(model.delta_l[0] - expected) == pytest.approx(0.0, abs=1e-10)
+        assert np.all(np.isfinite(model.ddelta_dk))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowed_exterior_solution_is_a_matching_error(self):
+        # at k a = 1e-8, y_l overflows below the last matched l, 1 + 40
+        sc = self._scenario()
+        with pytest.raises(MatchingError, match="matching failed") as info:
+            square_well_phase_shifts(0.5, 1e-8 / sc.p, sc, l_max=60)
+        assert 41 in info.value.bad_l
+        assert all(type(l) is int for l in info.value.bad_l)
 
     def test_shifts_vanish_at_high_momentum(self):
         sc = self._scenario()

@@ -138,7 +138,7 @@ class TestSweep:
         sizes = np.diff(table.box_edges)
         assert table.box_edges[-1] == 30001 and sizes.max() <= 8192
         g = GridSpec(0.001, 0.05, 150, -1.0, 1.0, 3)
-        assert len(partialwave._plan(g.theta_n, table.l_max)[0]) == 2
+        assert len(partialwave._check_budget(table, g.theta_n, 0)[0]) == 2
         base = sweep(table, g, Quantity.PROBABILITY, workers=1)
         assert np.array_equal(base.values,
                               sweep(table, g, Quantity.PROBABILITY, workers=2).values)
@@ -207,6 +207,20 @@ class TestSweep:
         other = sweep(table_eta10, g, Quantity.DCS)
         assert other.checksum != field.checksum
 
+    def test_short_range_checksum_covers_the_phase_shifts(self):
+        sc = build_scenario_from_eta(0.0, 0.05)
+        model = partialwave.square_well_phase_shifts(0.5, 5.0 / sc.p, sc, l_max=130)
+        moved = np.array(model.delta_l)
+        moved[3] += 1e-9
+        g = GridSpec(0.1, 0.2, 2, 0.0, 1.0, 2)
+
+        def checksum(delta_l):
+            short = PhaseShiftModel.short_range(delta_l, model.ddelta_dk)
+            return sweep(build_table(sc, short), g, Quantity.PROBABILITY).checksum
+
+        assert checksum(model.delta_l) == checksum(model.delta_l.copy())
+        assert checksum(moved) != checksum(model.delta_l)
+
     def test_forward_terms_counter_counts_the_real_component_only(self, table_eta10):
         # A_F is real: its moments and cells are summed for re alone, half
         # the (re, im) count above, and its values equal the single points
@@ -241,7 +255,7 @@ class TestSweep:
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table_eta10.l_max + 1))
         monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         g = GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3)
-        assert partialwave._plan(g.theta_n, table_eta10.l_max, 2)[1] == 2
+        assert partialwave._check_budget(table_eta10, g.theta_n, 0, 2)[1] == 2
         n_hermite = table_eta10.box_centres.size * table_eta10.n_hermite
         need = 8 * (4 * 3 + 4 * (table_eta10.l_max + 1 + 6 * 3) + n_hermite * 3)
         monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", need)

@@ -361,13 +361,14 @@ class TestScalarSteps:
 
     def test_row_struct_packs_each_double_unchanged(self):
         values = [-0.0, 0.0, 5e-324, -1e-310, 1.0, -math.inf, math.nan]
-        packed = np.frombuffer(specfun._row_struct(len(values) + 1).pack(*values))
+        row_struct = specfun._scalar_steps(len(values) + 1)[2]
+        packed = np.frombuffer(row_struct.pack(*values))
         assert packed.tobytes() == np.array(values).tobytes()
-        assert specfun._row_struct(len(values) + 1).size == 8 * len(values)
+        assert row_struct.size == 8 * len(values)
 
     @pytest.mark.parametrize("l_max", [2, 3, 4, 65, 6000])
     def test_steps_are_the_recurrence_coefficients_in_pairs(self, l_max):
-        pairs, last = specfun._scalar_steps(l_max)
+        pairs, last, _row_struct = specfun._scalar_steps(l_max)
         assert len(pairs) == (l_max - 1) // 2
         assert (last is None) == (l_max % 2 == 1)
         # each pair is two steps (2l+1, l, l+1), the second's l left out:
@@ -389,9 +390,8 @@ class TestScalarSteps:
     def test_scalar_caches_keep_four_l_max(self):
         for l_max in range(2, 8):
             specfun.legendre_rows([0.5], l_max)
-        for cache in (specfun._scalar_steps, specfun._row_struct):
-            info = cache.cache_info()
-            assert (info.maxsize, info.currsize) == (4, 4)
+        info = specfun._scalar_steps.cache_info()
+        assert (info.maxsize, info.currsize) == (4, 4)
 
 
 class TestStartUp:
@@ -421,7 +421,6 @@ from coulscat import specfun
 for thetas in {batches}:
     for l_max in {l_maxes}:
         specfun._scalar_steps.cache_clear()
-        specfun._row_struct.cache_clear()
         specfun._ring_operands.cache_clear()
         sys.stdout.buffer.write(specfun.legendre_rows(thetas, l_max).tobytes())
 """
