@@ -211,27 +211,22 @@ def cmd_angular(args) -> int:
     # both delta modes check the angle bounds here, before any evaluation
     grid = scan.GridSpec(args.theta_min, args.theta_max, args.theta_n, dval, dval, 1)
     scenario, table = _table_from_args(args)
+    thetas = grid.thetas
     if auto:
-        thetas = grid.thetas
-        prof = observables.delta_profile(table, thetas)
-        deltas = np.asarray(prof.delta_max)
-        probs = np.asarray(prof.p_max)
+        probs = observables.delta_profile(table, thetas).p_max
     else:
         field = scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=args.workers or 1)
-        thetas = grid.thetas
-        deltas = np.full(thetas.size, dval)
         probs = field.values[:, 0]
     pref = observables.dcs_factor(scenario)
     rows = []
-    for t, d, p in zip(thetas, deltas, probs):
+    for t, p in zip(thetas, probs):
         if t > 0.0:
             ruth_p = observables.rutherford_probability(scenario, float(t))
             ruth_d = observables.rutherford_dcs(scenario, float(t))
             ratio = float(p) / ruth_p if ruth_p > 0.0 else 0.0
         else:
             # the Rutherford reference diverges in the forward direction
-            ruth_p = math.inf
-            ruth_d = math.inf
+            ruth_p = ruth_d = math.inf
             ratio = 0.0
         rows.append((float(t), float(p), ruth_p, float(p) * pref, ruth_d, ratio))
     _write_table(args, "theta,probability,rutherford_probability,dcs,rutherford_dcs,ratio",

@@ -79,6 +79,11 @@ class ScenarioFamily:
     m0: float
     eps: float
 
+    def __post_init__(self):
+        # rho is a ratio to the Rutherford cross section, 0 at a zero charge
+        if 0 in (self.Z1, self.Z2):
+            raise ValueError(f"{'Z2' if self.Z1 else 'Z1'} = 0: a free family's rho is 0/0")
+
     def at_energy(self, E_mev: float) -> PhysicalScenario:
         return build_scenario(self.Z1, self.Z2, self.m0, E_mev, self.eps)
 
@@ -154,7 +159,7 @@ def midpoint_thetas(n_intervals: int) -> np.ndarray:
     """Midpoints of n equal intervals covering [0, pi]."""
     if n_intervals < 1:
         raise ValueError("need at least one interval")
-    return (np.arange(n_intervals) + 0.5) * (math.pi / n_intervals)
+    return (np.arange(n_intervals, dtype=float) + 0.5) * (math.pi / n_intervals)
 
 
 def probability_sphere_integral(table: PartialWaveTable,
@@ -224,8 +229,6 @@ def delta_profile(table: PartialWaveTable, thetas,
     refined location.  The range must span at least [-8, 8] so the scan
     cannot miss a peak pushed outside the xi hull by interference.
     """
-    # a copy: the profile must not follow later writes to the caller's array
-    thetas = np.array(thetas, dtype=float)
     if delta_range is None:
         delta_range = default_delta_range(table)
     lo, hi = float(delta_range[0]), float(delta_range[1])
@@ -237,19 +240,21 @@ def delta_profile(table: PartialWaveTable, thetas,
         coarse_n = int(round((hi - lo) / 0.2)) + 1
     if coarse_n < 5:
         raise ValueError("coarse_n must be at least 5")
-    n = thetas.size
-    # the coarse scan and the three arrays of its factorization residual are
-    # n x coarse_n values each
-    plan = partialwave._check_budget(table, n, coarse_n, grid_arrays=4)
+    # the coarse scan is the one grid-sized array, checked before the copy
+    # that keeps the profile from following later writes to the caller's array
+    n = np.size(thetas)
+    plan = partialwave._check_budget(table, n, coarse_n)
+    thetas = np.array(thetas, dtype=float)
     deltas = np.linspace(lo, hi, coarse_n)
     h = partialwave._hermite(table, deltas)
 
     p_scan = np.empty((n, coarse_n))
     delta_max = np.zeros(n)
     p_max = np.empty(n)
+    residual = np.empty(n)
     flat = np.zeros(n, dtype=bool)
 
-    # each chunk's moments serve the coarse scan and p_max
+    # each chunk's moments serve the coarse scan, p_max and the residual
     def reduce(i0, i1, moments):
         grid = p_scan[i0:i1] = partialwave._abs2(*partialwave._combine(moments, h))
         flat[i0:i1] = grid.max(axis=1) - grid.min(axis=1) < 1e-12
@@ -261,10 +266,10 @@ def delta_profile(table: PartialWaveTable, thetas,
         # P at each row's own peak: one delta per row
         p_max[i0:i1] = partialwave._abs2(*partialwave._combine(
             moments, partialwave._hermite(table, delta_max[i0:i1, None])))[:, 0]
+        gauss = np.exp(-((deltas - delta_max[i0:i1, None]) ** 2) / 4.0)
+        residual[i0:i1] = np.max(np.abs(grid - gauss * p_max[i0:i1, None]), axis=1)
 
     partialwave._each_chunk(table, thetas, "full", reduce, plan)
-    gauss = np.exp(-((deltas - delta_max[:, None]) ** 2) / 4.0) * p_max[:, None]
-    residual = np.max(np.abs(p_scan - gauss), axis=1)
     n_flat = int(flat.sum())
     if n_flat:
         _warn(f"flat delta profile (peak prominence < 1e-12) at {n_flat} of {n} angles")

@@ -37,14 +37,14 @@ forward part A_F or its scattering part A_S, each a kernel and a prefactor
 from `_PARTS` (A_F is real, and only its real component is summed).
 `_check_budget` plans the Legendre chunks and bounds their memory, and
 `_each_chunk` runs that plan, handing each chunk's moments to the caller's
-reduction (`_eval_grid`, which serves single points, grids and
-`scan.sweep`, and `observables.delta_profile`).  `_moments` reduces one
-theta row at a time, each moment one dot product along a box's l, and
-`_combine` adds the terms in a fixed order elementwise.  A dot's
-summation order depends on its length only (boxes stop at 8192 terms,
-short of where BLAS splits a dot across its own threads), so identical
-inputs give bit-identical results regardless of how work is partitioned
-across threads or batches.
+reduction into its rows of the one grid-sized output (`_eval_grid`, for
+single points, grids and `scan.sweep`, and `observables.delta_profile`).
+`_moments` reduces one theta row at a time, each moment one dot product
+along a box's l, and `_combine` adds the terms in a fixed order
+elementwise.  A dot's summation order depends on its length only (boxes
+stop at 8192 terms, short of where BLAS splits a dot across its own
+threads), so identical inputs give bit-identical results regardless of
+how work is partitioned across threads or batches.
 """
 
 from __future__ import annotations
@@ -419,20 +419,23 @@ def build_table(scenario: PhysicalScenario, model: PhaseShiftModel,
 # ---------------------------------------------------------------------------
 
 def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
-                  workers: int = 1, grid_arrays: int = 1) -> tuple[list, int]:
+                  workers: int = 1) -> tuple[list, int]:
     """Plan an evaluation of an n_theta x n_delta grid on `workers` threads
     and check its memory: return (chunks, threads), the Legendre chunks
     (i0, i1) of the angles and one thread per chunk, at most `workers` and
     one per CPU (a chunk runs the whole recurrence, so a thread pays only
     with a chunk of its own; one chunk runs inline), or raise
     ResourceLimitError when that plan would hold more than
-    DEFAULT_MEMORY_BUDGET bytes at once, counting `grid_arrays` grid-shaped
-    arrays (an output; a delta profile's coarse scan and residuals); per
-    chunk in flight, the largest ones, its Legendre rows and six values per
-    row and delta (its (re, im) and `_combine`'s (re, im) sum and term; half
-    that for the real forward part); and the deltas' Hermite functions,
-    n_box * K per delta, shared by the chunks.  With no deltas (a sum at no
-    time shift) the table's Hermite expansion is not read, so not built.
+    DEFAULT_MEMORY_BUDGET bytes at once.  Counted, in float64 values: the
+    one grid-sized output and five per angle (the angles, a delta profile's
+    results); per row of the largest chunks in flight, its Legendre row,
+    2 _RING_DEGREES + 5 for the recurrence, 2 n_box K moments and six per
+    delta (`_combine`'s (re, im) sum and term, then the reduction's
+    temporaries); per thread, 8 per degree (a one-angle row's Python
+    floats, `_moments`' terms) and 2^14 for numpy's iteration buffers; and
+    the deltas' Hermite functions with temporaries, (K + 5) n_box per
+    delta.  With no deltas (a sum at no time shift) the table's Hermite
+    expansion is not read, so not built.
     """
     rows = max(1, _CHUNK_BYTES // (8 * (table.l_max + 1)))
     chunks = [(i0, min(i0 + rows, n_theta)) for i0 in range(0, n_theta, rows)]
@@ -440,16 +443,15 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
     # os.cpu_count reads /sys on Linux: ask only when a pool could start
     threads = threads if threads <= 1 else min(threads, os.cpu_count() or 1)
     held = sum(sorted(i1 - i0 for i0, i1 in chunks)[-threads:])
-    need = 8 * (grid_arrays * n_theta * n_delta
-                + held * (table.l_max + 1 + 6 * n_delta))
+    need = 8 * (n_theta * (n_delta + 5) + threads * (8 * (table.l_max + 1) + (1 << 14))
+                + held * (table.l_max + 6 + 2 * specfun._RING_DEGREES + 6 * n_delta))
     if n_delta:
-        need += 8 * table.box_centres.size * table.n_hermite * n_delta
+        k = table.n_hermite
+        need += 8 * table.box_centres.size * ((k + 5) * n_delta + 2 * k * held)
     if need > DEFAULT_MEMORY_BUDGET:
         raise ResourceLimitError(
-            f"{n_theta} x {n_delta} grid needs {need} bytes "
-            f"({grid_arrays} grid-sized arrays, Legendre rows and Hermite "
-            f"functions), budget is {DEFAULT_MEMORY_BUDGET}"
-        )
+            f"{n_theta} x {n_delta} grid needs {need} bytes (its output, Legendre "
+            f"rows and Hermite functions), budget is {DEFAULT_MEMORY_BUDGET}")
     return chunks, threads
 
 
@@ -483,6 +485,14 @@ _PARTS = {
 def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """|re + i im|^2, elementwise."""
     return re * re + im * im
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    return re + 1j * im
+
+
+def _real(re: np.ndarray) -> np.ndarray:
+    return re
 
 
 def _hermite(table: PartialWaveTable, deltas) -> np.ndarray:
@@ -605,28 +615,21 @@ def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
             list(pool.map(run, chunks))
 
 
-def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, workers: int = 1,
-               reduce=None) -> np.ndarray:
-    """The series `part` on the outer product of thetas and deltas: (re, im)
-    stacked, shape (2, n_theta, n_delta), the imaginary plane left zero for
-    a real part, or with `reduce`, reduce(*components) of each chunk (see
-    `PartialWaveTable._kernel`), shape (n_theta, n_delta).  Single points,
-    `probability_grid` and `scan.sweep` evaluate here, every chunk with the
-    same Hermite functions of the deltas."""
+def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,
+               workers: int = 1, dtype=float) -> np.ndarray:
+    """reduce(*components) of the series `part` (see
+    `PartialWaveTable._kernel`) on the outer product of thetas and deltas,
+    shape (n_theta, n_delta): each chunk is reduced straight into its rows
+    of the one output, every chunk with the same Hermite functions of the
+    deltas.  Single points (a one-cell output, complex for a complex
+    amplitude), `probability_grid` and `scan.sweep` evaluate here."""
     thetas = np.asarray(thetas, dtype=float)
-    plan = _check_budget(table, thetas.size, np.size(deltas), workers, 1 if reduce else 2)
+    plan = _check_budget(table, thetas.size, np.size(deltas), workers)
     h = _hermite(table, deltas)
-    if reduce:
-        out = np.empty((thetas.size, h.shape[1]))
-    else:
-        out = np.zeros((2, thetas.size, h.shape[1]))
+    out = np.empty((thetas.size, h.shape[1]), dtype)
 
     def fill(i0, i1, moments):
-        re_im = _combine(moments, h)
-        if reduce:
-            out[i0:i1] = reduce(*re_im)
-        else:
-            out[:len(re_im), i0:i1] = re_im
+        out[i0:i1] = reduce(*_combine(moments, h))
 
     _each_chunk(table, thetas, part, fill, plan)
     return out
@@ -634,13 +637,13 @@ def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, workers: int 
 
 def probability_grid(table: PartialWaveTable, thetas, deltas) -> np.ndarray:
     """P = |A|^2 on the outer product of thetas and deltas."""
-    return _abs2(*_eval_grid(table, thetas, deltas, "full"))
+    return _eval_grid(table, thetas, deltas, "full", _abs2)
 
 
 def amplitude(table: PartialWaveTable, theta: float, delta: float) -> complex:
     """A(theta, delta) at a single point (same code path as the grids)."""
-    re, im = _eval_grid(table, [theta], [delta], "full")
-    return complex((re + 1j * im)[0, 0])
+    return complex(_eval_grid(table, [theta], [delta], "full", _complex,
+                              dtype=complex)[0, 0])
 
 
 def probability(table: PartialWaveTable, theta: float, delta: float) -> float:
@@ -650,14 +653,13 @@ def probability(table: PartialWaveTable, theta: float, delta: float) -> float:
 
 def amplitude_forward(table: PartialWaveTable, theta: float, delta: float) -> float:
     """Forward-peak amplitude A_F(theta, delta); real by construction."""
-    re, _im = _eval_grid(table, [theta], [delta], "forward")
-    return float(re[0, 0])
+    return float(_eval_grid(table, [theta], [delta], "forward", _real)[0, 0])
 
 
 def amplitude_scatter(table: PartialWaveTable, theta: float, delta: float) -> complex:
     """Scattering amplitude part A_S(theta, delta); A = A_F + i A_S."""
-    re, im = _eval_grid(table, [theta], [delta], "scatter")
-    return complex((re + 1j * im)[0, 0])
+    return complex(_eval_grid(table, [theta], [delta], "scatter", _complex,
+                              dtype=complex)[0, 0])
 
 
 # ---------------------------------------------------------------------------

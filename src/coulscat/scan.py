@@ -4,8 +4,9 @@ package's CSV and JSON file writers.
 A sweep runs `partialwave._eval_grid`, whose chunk pipeline also checks the
 memory budget and runs the thread pool: each Legendre chunk's moments are
 combined with the Hermite functions of the deltas, built once per sweep, and
-written to the chunk's own output rows, so results are bit-identical for any
-worker count.
+reduced to the quantity straight into the chunk's own rows of the sweep's
+one grid-sized output (a DCS field is then scaled in place), so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -93,17 +94,17 @@ class FieldResult:
     def __post_init__(self):
         if self.values.shape != (self.grid.theta_n, self.grid.delta_n):
             raise ValueError("value matrix does not match the grid")
-        if not np.all(np.isfinite(self.values)):
+        # min and max propagate a NaN: both finite means every value is
+        lo, hi = float(self.values.min()), float(self.values.max())
+        if not np.isfinite([lo, hi]).all():
             raise ValueError("field contains non-finite values")
         if self.quantity is Quantity.PROBABILITY:
             # the series normalization is exact only to O(eps^2); at the
             # reference eps = 1e-3 this is the 1e-6 unitarity allowance
             bound = 1.0 + max(1e-6, self.scenario.eps ** 2)
-            if self.values.min() < 0.0 or self.values.max() > bound:
-                raise ValueError(
-                    f"probability field outside [0, {bound}]: "
-                    f"min={self.values.min()}, max={self.values.max()}"
-                )
+            if lo < 0.0 or hi > bound:
+                raise ValueError(f"probability field outside [0, {bound}]: "
+                                 f"min={lo}, max={hi}")
 
 
 def _input_checksum(table: PartialWaveTable, grid: GridSpec, quantity: Quantity) -> str:
@@ -125,7 +126,7 @@ def _input_checksum(table: PartialWaveTable, grid: GridSpec, quantity: Quantity)
 _QUANTITY_PARTS = {
     Quantity.PROBABILITY: ("full", partialwave._abs2),
     Quantity.DCS: ("full", partialwave._abs2),
-    Quantity.FORWARD_PART: ("forward", lambda re: re),
+    Quantity.FORWARD_PART: ("forward", partialwave._real),
     Quantity.SCATTER_PART: ("scatter", partialwave._abs2),
 }
 
@@ -140,7 +141,7 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
     """
     start = time.perf_counter()
     part, reduce = _QUANTITY_PARTS[quantity]
-    values = partialwave._eval_grid(table, grid.thetas, grid.deltas, part, workers, reduce)
+    values = partialwave._eval_grid(table, grid.thetas, grid.deltas, part, reduce, workers)
     if quantity is Quantity.DCS:
         values *= observables.dcs_factor(table.scenario)
 
@@ -250,14 +251,7 @@ def field_to_json(result: FieldResult, path) -> None:
         },
         "model": result.model_kind.value,
         "l_max": result.l_max,
-        "grid": {
-            "theta_min": result.grid.theta_min,
-            "theta_max": result.grid.theta_max,
-            "theta_n": result.grid.theta_n,
-            "delta_min": result.grid.delta_min,
-            "delta_max": result.grid.delta_max,
-            "delta_n": result.grid.delta_n,
-        },
+        "grid": asdict(result.grid),
         "checksum": result.checksum,
         "terms_summed": result.terms_summed,
         "wall_time_s": result.wall_time_s,

@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from coulscat import acceptance, kinematics
+from coulscat import acceptance, kinematics, partialwave
 
 
 @pytest.mark.parametrize("cid,name", [(c, n) for c, n, _fn in acceptance.CRITERIA],
@@ -21,6 +21,25 @@ def test_criterion(cid, name):
     result = acceptance.run_criterion(cid)
     print(f"[{'PASS' if result.passed else 'FAIL'}] criterion {cid}: {result.detail}")
     assert result.passed, f"criterion {cid} ({name}): {result.detail}"
+
+
+def test_determinism_criterion_sweeps_on_more_than_one_thread(monkeypatch):
+    """Criterion 15 compares sweeps on 1, 4 and 8 workers; a grid of one
+    Legendre chunk would run each of them inline, on one thread."""
+    threads = []
+    check = partialwave._check_budget
+
+    def recording(*args):
+        plan = check(*args)
+        threads.append(plan[1])
+        return plan
+
+    # four CPUs, so the plan shows the grid's chunks rather than the host
+    monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(partialwave, "_check_budget", recording)
+    assert acceptance.run_criterion(15).passed
+    # workers 1, 4, 8 and the rerun on 4
+    assert threads == [1, 2, 2, 2]
 
 
 def test_negative_control_corrupted_constant(monkeypatch):

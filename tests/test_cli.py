@@ -422,6 +422,18 @@ class TestEnergyScan:
         last = captured.err.strip().splitlines()[-1]
         assert "error:" in last and message in last
 
+    @pytest.mark.parametrize("charge", ["--Z1", "--Z2"])
+    def test_a_zero_charge_is_config_error(self, charge, tmp_path, capsys):
+        # rho is a ratio to the Rutherford cross section, 0 for a free family
+        out = tmp_path / "scan.csv"
+        assert main(["energy-scan", charge, "0", "--energies-kev", "3.8",
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"config error: {charge[2:]} = 0: "
+                                "a free family's rho is 0/0\n")
+
     @pytest.mark.parametrize("e_n", ["0", "-3"])
     def test_empty_energy_range_is_config_error(self, e_n, capsys):
         assert main(["energy-scan", f"--e-n={e_n}"]) == 2

@@ -88,6 +88,15 @@ def _direct(table, thetas, deltas, part):
     return pref * amp, pref * scale
 
 
+def _series(table, thetas, deltas, part):
+    """`_eval_grid` of the series `part`: complex, or real for the forward
+    part, whose one component is its real part."""
+    if part == "forward":
+        return partialwave._eval_grid(table, thetas, deltas, part, partialwave._real)
+    return partialwave._eval_grid(table, thetas, deltas, part, partialwave._complex,
+                                  dtype=complex)
+
+
 def _coulomb(eta):
     return build_table(build_scenario_from_eta(eta, EPS), PhaseShiftModel.coulomb_exact())
 
@@ -119,8 +128,7 @@ def test_expansion_matches_direct_series(table, part):
     assert 1 <= table.n_hermite and 0.0 <= table.hermite_bound <= 2.0 ** -56
     deltas = _window(table)
     want, scale = _direct(table, THETAS, deltas, part)
-    re, im = partialwave._eval_grid(table, THETAS, deltas, part)
-    err = np.abs(re + 1j * im - want)
+    err = np.abs(_series(table, THETAS, deltas, part) - want)
     allowed = table.hermite_bound * scale + 8.0 * np.spacing(scale)
     assert np.all(err <= allowed[:, None]), float(np.max(err / allowed[:, None]))
 
@@ -244,7 +252,7 @@ class TestExpansionBuiltOnFirstRead:
     def test_budget_check_without_deltas_builds_none(self, builds):
         table = _coulomb(10.0)
         partialwave._check_budget(table, 5, 0)
-        partialwave._check_budget(table, 1, 0, workers=2, grid_arrays=3)
+        partialwave._check_budget(table, 1, 0, workers=2)
         assert builds == [] and "_expansion" not in vars(table)
         partialwave._check_budget(table, 1, 1)
         assert len(builds) == 1 and "_expansion" in vars(table)
@@ -287,12 +295,11 @@ class TestSinglePointEqualsGridCell:
         for i in (0, 17, 30):
             for j in {0, n_delta - 1}:
                 assert grid[i, j] == probability(table800, thetas[i], deltas[j])
-        fwd = partialwave._eval_grid(table800, thetas, deltas, "forward")
-        sca = partialwave._eval_grid(table800, thetas, deltas, "scatter")
+        fwd = _series(table800, thetas, deltas, "forward")
+        sca = _series(table800, thetas, deltas, "scatter")
         for i in (0, 30):
-            assert fwd[0, i, 0] == amplitude_forward(table800, thetas[i], self.DELTA)
-            assert complex(sca[0, i, 0], sca[1, i, 0]) == amplitude_scatter(
-                table800, thetas[i], self.DELTA)
+            assert fwd[i, 0] == amplitude_forward(table800, thetas[i], self.DELTA)
+            assert sca[i, 0] == amplitude_scatter(table800, thetas[i], self.DELTA)
 
     @pytest.mark.parametrize("n_theta", [1, 31, 700])
     def test_theta_batches(self, table800, n_theta):
@@ -377,17 +384,17 @@ class TestOneCellFormsEqualTheArrayForms:
     @pytest.mark.parametrize("part", PARTS)
     def test_shared_deltas(self, table, part, delta):
         theta = self.THETAS[0]
-        cell = partialwave._eval_grid(table, [theta], [delta], part)
-        assert cell.shape == (2, 1, 1)
-        wide = partialwave._eval_grid(table, [theta], [delta, -2.0], part)
-        tall = partialwave._eval_grid(table, self.THETAS, [delta], part)
-        assert np.array_equal(cell, wide[:, :, :1])
-        assert np.array_equal(cell, tall[:, :1])
+        cell = _series(table, [theta], [delta], part)
+        assert cell.shape == (1, 1)
+        # the forward part is real: it has no imaginary component at all
+        assert cell.dtype == (float if part == "forward" else complex)
+        wide = _series(table, [theta], [delta, -2.0], part)
+        tall = _series(table, self.THETAS, [delta], part)
+        assert np.array_equal(cell, wide[:, :1])
+        assert np.array_equal(cell, tall[:1])
         # the free case has no scattering part
         if delta == 3.7 and not (part == "scatter" and table.scenario.eta == 0.0):
-            assert cell[0, 0, 0] != 0.0
-        if part == "forward":
-            assert np.all(wide[1] == 0.0)
+            assert cell[0, 0].real != 0.0
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("part", PARTS)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from coulscat import (
     FINE_STRUCTURE_ALPHA,
     NonConvergenceError,
     PhaseShiftModel,
+    ResourceLimitError,
     ScenarioFamily,
     build_scenario,
     build_scenario_from_eta,
@@ -325,6 +327,20 @@ class TestDeltaProfile:
         assert np.array_equal(parts.p_scan,
                               partialwave.probability_grid(table_eta10, thetas, whole.deltas))
 
+    def test_a_refused_profile_copies_no_angles(self, table_eta10, monkeypatch):
+        # the budget is checked from the count of angles, before the copy
+        thetas = midpoint_thetas(1_000_000)
+        table_eta10.n_hermite  # the table's own data, built outside the trace
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=r"^1000000 x \d+ grid needs"):
+                delta_profile(table_eta10, thetas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < thetas.nbytes // 8
+
 
 class TestScatteringAmplitude:
     def test_free_case_vanishes(self, table_free):
@@ -442,6 +458,13 @@ class TestShadowRegime:
 
 
 class TestEnergyRatio:
+    @pytest.mark.parametrize("charges, name", [((0, 2), "Z1"), ((79, 0), "Z2"),
+                                               ((0, 0), "Z1")])
+    def test_a_family_with_a_zero_charge_is_refused(self, charges, name):
+        # rho divides by the Rutherford cross section, 0 at a zero charge
+        with pytest.raises(ValueError, match=f"^{name} = 0: a free family's rho is 0/0$"):
+            ScenarioFamily(*charges, ALPHA_PARTICLE_MASS_MEV, EPS)
+
     def test_reference_point(self):
         family = ScenarioFamily(79, 2, ALPHA_PARTICLE_MASS_MEV, EPS)
         rho, eta, dmax = observables.energy_ratio_rho(family, 3.8e-3)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -23,7 +24,7 @@ from coulscat import (
     specfun,
     square_well_phase_shifts,
 )
-from coulscat import partialwave
+from coulscat import observables, partialwave, scan
 from coulscat.kinematics import ALPHA_PARTICLE_MASS_MEV
 
 EPS = 1e-3
@@ -159,6 +160,52 @@ class TestResolveLMax:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * partialwave._TABLE_ROWS * (table.l_max + 1)
+
+
+class TestEvaluationBudget:
+    """What an evaluation holds at its peak is no more than `_check_budget`
+    counts for it: a budget one byte short of the traced peak refuses the
+    same request.  1 MiB Legendre chunks (218 rows at L = 600) cut 5000
+    angles into 23, so the grid-sized output weighs against a chunk as it
+    does in a large request."""
+
+    GRID = scan.GridSpec(0.01, 3.0, 5000, -4.0, 4.0, 50)
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        table = build_table(build_scenario_from_eta(10.0, 1e-2),
+                            PhaseShiftModel.coulomb_exact())
+        # the table's own data and the recurrence's per-l_max operands are
+        # built by a first evaluation, once per table and per process
+        partialwave.probability_grid(table, [0.5] * 30, [0.0])
+        for part in ("full", "forward", "scatter"):
+            table._kernel(part)
+        return table
+
+    @pytest.mark.parametrize("evaluate", [
+        pytest.param(lambda t, g: partialwave.probability_grid(t, g.thetas, g.deltas),
+                     id="probability_grid"),
+        pytest.param(lambda t, g: observables.delta_profile(t, g.thetas),
+                     id="delta_profile"),
+        *(pytest.param(functools.partial(scan.sweep, quantity=q), id=f"sweep-{q.value}")
+          for q in scan.Quantity),
+        pytest.param(functools.partial(scan.sweep, quantity=scan.Quantity.PROBABILITY,
+                                       workers=2), id="sweep-probability-2-workers"),
+    ])
+    def test_the_peak_is_within_the_count(self, table, evaluate, monkeypatch):
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 1 << 20)
+        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
+        tracemalloc.start()
+        try:
+            evaluate(table, self.GRID)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the grid-sized output is held at the peak
+        assert peak > 8 * self.GRID.theta_n * self.GRID.delta_n
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", peak - 1)
+        with pytest.raises(ResourceLimitError):
+            evaluate(table, self.GRID)
 
 
 class TestAmplitude:

@@ -23,7 +23,7 @@ from coulscat import (
     sweep,
 )
 import coulscat
-from coulscat import partialwave, scan
+from coulscat import partialwave, scan, specfun
 from coulscat.partialwave import PhaseShiftModel, build_table
 from coulscat.scan import FieldResult
 
@@ -251,13 +251,18 @@ class TestSweep:
     def test_memory_budget_counts_the_hermite_functions_once(self, monkeypatch,
                                                              table_eta10):
         # 4 x 3 grid in 2 chunks of 2 rows on 2 threads: the threads share
-        # one set of Hermite functions, n_box * K values per delta
+        # one set of Hermite functions, (K + 5) n_box values per delta with
+        # the recurrence's temporaries
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table_eta10.l_max + 1))
         monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         g = GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3)
         assert partialwave._check_budget(table_eta10, g.theta_n, 0, 2)[1] == 2
-        n_hermite = table_eta10.box_centres.size * table_eta10.n_hermite
-        need = 8 * (4 * 3 + 4 * (table_eta10.l_max + 1 + 6 * 3) + n_hermite * 3)
+        boxes, k = table_eta10.box_centres.size, table_eta10.n_hermite
+        # per row: its Legendre row, the recurrence's ring, its moments and
+        # six per delta; per thread: 8 per degree and numpy's buffers
+        row = table_eta10.l_max + 6 + 2 * specfun._RING_DEGREES + 2 * boxes * k + 6 * 3
+        thread = 8 * (table_eta10.l_max + 1) + (1 << 14)
+        need = 8 * (4 * (3 + 5) + 4 * row + 2 * thread + boxes * (k + 5) * 3)
         monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", need)
         field = sweep(table_eta10, g, Quantity.PROBABILITY, workers=2)
         assert np.array_equal(field.values, sweep(table_eta10, g, Quantity.PROBABILITY).values)
