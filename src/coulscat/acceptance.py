@@ -415,7 +415,7 @@ def _c14() -> CriterionResult:
 
 def _c15() -> CriterionResult:
     table = _table_for_eta(10.0)
-    # 720 angles are two Legendre chunks at L = 6000, so 4 and 8 workers run two threads
+    # two Legendre chunks of 360 angles at L = 6000, each split over the threads
     grid = scan.GridSpec(0.0, 0.5, 720, -4.0, 4.0, 9)
     fields = [scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=w)
               for w in (1, 4, 8)]

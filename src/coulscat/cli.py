@@ -204,41 +204,39 @@ def cmd_profile_delta(args) -> int:
 
 def cmd_angular(args) -> int:
     auto = args.delta == "auto"
-    if auto:
-        _reject_given("--delta auto, whose profiles run on one thread",
-                      (("--workers", args.workers),))
     dval = 0.0 if auto else args.delta
     # both delta modes check the angle bounds here, before any evaluation
     grid = scan.GridSpec(args.theta_min, args.theta_max, args.theta_n, dval, dval, 1)
     scenario, table = _table_from_args(args)
-    thetas = grid.thetas
     if auto:
-        probs = observables.delta_profile(table, thetas).p_max
+        observables._scan_plan(table, grid.theta_n)  # the budget, before the angles
+        probs = observables.delta_profile(table, grid.thetas).p_max
     else:
-        field = scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=args.workers or 1)
-        probs = field.values[:, 0]
+        probs = scan.sweep(table, grid, scan.Quantity.PROBABILITY).values[:, 0]
     pref = observables.dcs_factor(scenario)
-    rows = []
-    for t, p in zip(thetas, probs):
-        if t > 0.0:
-            ruth_p = observables.rutherford_probability(scenario, float(t))
-            ruth_d = observables.rutherford_dcs(scenario, float(t))
-            ratio = float(p) / ruth_p if ruth_p > 0.0 else 0.0
-        else:
-            # the Rutherford reference diverges in the forward direction
-            ruth_p = ruth_d = math.inf
-            ratio = 0.0
-        rows.append((float(t), float(p), ruth_p, float(p) * pref, ruth_d, ratio))
+
+    def rows():
+        for t, p in zip(map(float, grid.thetas), map(float, probs)):
+            if t > 0.0:
+                ruth_p = observables.rutherford_probability(scenario, t)
+                ruth_d = observables.rutherford_dcs(scenario, t)
+                ratio = p / ruth_p if ruth_p > 0.0 else 0.0
+            else:
+                # the Rutherford reference diverges in the forward direction
+                ruth_p = ruth_d = math.inf
+                ratio = 0.0
+            yield t, p, ruth_p, p * pref, ruth_d, ratio
+
     _write_table(args, "theta,probability,rutherford_probability,dcs,rutherford_dcs,ratio",
-                 rows, eta=scenario.eta, eps=scenario.eps)
+                 rows(), eta=scenario.eta, eps=scenario.eps)
     return EXIT_OK
 
 
 def cmd_conservation(args) -> int:
     scenario, table = _table_from_args(args)
     wsum = observables.conservation_weight_sum(table)
-    thetas = observables.midpoint_thetas(args.sphere_n)
-    prof = observables.delta_profile(table, thetas)
+    observables._scan_plan(table, args.sphere_n)  # the budget, before the angles
+    prof = observables.delta_profile(table, observables.midpoint_thetas(args.sphere_n))
     sphere = observables.probability_sphere_integral(table, prof)
     # the sum rule holds to O(eps^2); 1e-5 is the eps = 1e-3 allowance
     wsum_tol = max(1e-5, scenario.eps ** 2)
@@ -358,6 +356,8 @@ def _config_tokens(path: str, energy_given: bool) -> list[str]:
                 continue
             key, _, value = line.partition("=")
             key = key.strip().replace("_", "-")
+            if key == "config":
+                raise ValueError(f"{path}: a config file cannot name another (key 'config')")
             if not (energy_given and key in _ENERGY_KEYS):
                 tokens.append(f"--{key}={value.strip()}")
     return tokens
@@ -396,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario(p)
     _add_model(p)
     _add_output(p)
-    p.add_argument("--workers", type=_count)
     p.add_argument("--delta", type=_delta, default="auto",
                    help="fixed delta value or 'auto' (per-theta peak)")
     p.add_argument("--theta-min", type=float, default=0.0)

@@ -219,16 +219,11 @@ def _refine_peak(deltas: np.ndarray, p_row: np.ndarray) -> float:
     return float(deltas[i] + offset * step)
 
 
-def delta_profile(table: PartialWaveTable, thetas,
-                  delta_range: Optional[tuple[float, float]] = None,
-                  coarse_n: Optional[int] = None) -> DeltaProfile:
-    """Locate the probability peak in delta for each theta.
-
-    Coarse scan over `delta_range` (default: `default_delta_range`, step 0.2)
-    followed by parabolic refinement on log P; p_max re-evaluates P at the
-    refined location.  The range must span at least [-8, 8] so the scan
-    cannot miss a peak pushed outside the xi hull by interference.
-    """
+def _scan_plan(table: PartialWaveTable, n_theta: int,
+               delta_range: Optional[tuple[float, float]] = None,
+               coarse_n: Optional[int] = None) -> tuple[np.ndarray, list]:
+    """The coarse-scan deltas and Legendre chunks of a `delta_profile` of n_theta
+    angles: the window and the budget are checked before anything that size."""
     if delta_range is None:
         delta_range = default_delta_range(table)
     lo, hi = float(delta_range[0]), float(delta_range[1])
@@ -240,15 +235,28 @@ def delta_profile(table: PartialWaveTable, thetas,
         coarse_n = int(round((hi - lo) / 0.2)) + 1
     if coarse_n < 5:
         raise ValueError("coarse_n must be at least 5")
+    chunks, _threads = partialwave._check_budget(table, n_theta, coarse_n)
+    return np.linspace(lo, hi, coarse_n), chunks
+
+
+def delta_profile(table: PartialWaveTable, thetas,
+                  delta_range: Optional[tuple[float, float]] = None,
+                  coarse_n: Optional[int] = None) -> DeltaProfile:
+    """Locate the probability peak in delta for each theta.
+
+    Coarse scan over `delta_range` (default: `default_delta_range`, step 0.2)
+    followed by parabolic refinement on log P; p_max re-evaluates P at the
+    refined location.  The range must span at least [-8, 8] so the scan
+    cannot miss a peak pushed outside the xi hull by interference.
+    """
     # the coarse scan is the one grid-sized array, checked before the copy
     # that keeps the profile from following later writes to the caller's array
     n = np.size(thetas)
-    plan = partialwave._check_budget(table, n, coarse_n)
+    deltas, chunks = _scan_plan(table, n, delta_range, coarse_n)
     thetas = np.array(thetas, dtype=float)
-    deltas = np.linspace(lo, hi, coarse_n)
     h = partialwave._hermite(table, deltas)
 
-    p_scan = np.empty((n, coarse_n))
+    p_scan = np.empty((n, deltas.size))
     delta_max = np.zeros(n)
     p_max = np.empty(n)
     residual = np.empty(n)
@@ -269,7 +277,7 @@ def delta_profile(table: PartialWaveTable, thetas,
         gauss = np.exp(-((deltas - delta_max[i0:i1, None]) ** 2) / 4.0)
         residual[i0:i1] = np.max(np.abs(grid - gauss * p_max[i0:i1, None]), axis=1)
 
-    partialwave._each_chunk(table, thetas, "full", reduce, plan)
+    partialwave._each_chunk(table, thetas, "full", reduce, chunks)
     n_flat = int(flat.sum())
     if n_flat:
         _warn(f"flat delta profile (peak prominence < 1e-12) at {n_flat} of {n} angles")

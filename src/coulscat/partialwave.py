@@ -35,16 +35,17 @@ to sum_l |kern_l P_l|).
 One path evaluates the series for every caller: the full amplitude A, its
 forward part A_F or its scattering part A_S, each a kernel and a prefactor
 from `_PARTS` (A_F is real, and only its real component is summed).
-`_check_budget` plans the Legendre chunks and bounds their memory, and
-`_each_chunk` runs that plan, handing each chunk's moments to the caller's
-reduction into its rows of the one grid-sized output (`_eval_grid`, for
-single points, grids and `scan.sweep`, and `observables.delta_profile`).
-`_moments` reduces one theta row at a time, each moment one dot product
-along a box's l, and `_combine` adds the terms in a fixed order
-elementwise.  A dot's summation order depends on its length only (boxes
-stop at 8192 terms, short of where BLAS splits a dot across its own
-threads), so identical inputs give bit-identical results regardless of
-how work is partitioned across threads or batches.
+`_check_budget` cuts the angles into equal Legendre chunks and bounds the
+memory of one in flight; `_each_chunk` runs the recurrence and `_moments`
+for each in turn on the calling thread, and `_eval_grid` (single points,
+grids, `scan.sweep`) or `observables.delta_profile` reduces the moments into
+the chunk's rows of the one grid-sized output, on more than one worker
+split by rows over threads.  `_moments` reduces one theta row at a time,
+each moment one dot product along a box's l, and `_combine` adds the terms
+in a fixed order elementwise.  A dot's summation order depends on its
+length only (boxes stop at 8192 terms, short of where BLAS splits a dot
+across its own threads), so identical inputs give bit-identical results
+regardless of how work is partitioned across threads or batches.
 """
 
 from __future__ import annotations
@@ -188,8 +189,7 @@ class PartialWaveTable:
                    relative to sum_l |kern_l P_l| (at most 2^-56)
 
     and `sin2_sums` and each series part's kernel (`_kernel`), all
-    read-only.  From Python 3.12 `cached_property` takes no lock, so
-    `_each_chunk` builds what its threads read before it starts them.
+    read-only and read on an evaluation's calling thread alone.
     """
 
     l_max: int
@@ -420,39 +420,39 @@ def build_table(scenario: PhysicalScenario, model: PhaseShiftModel,
 
 def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
                   workers: int = 1) -> tuple[list, int]:
-    """Plan an evaluation of an n_theta x n_delta grid on `workers` threads
-    and check its memory: return (chunks, threads), the Legendre chunks
-    (i0, i1) of the angles and one thread per chunk, at most `workers` and
-    one per CPU (a chunk runs the whole recurrence, so a thread pays only
-    with a chunk of its own; one chunk runs inline), or raise
-    ResourceLimitError when that plan would hold more than
+    """Plan an n_theta x n_delta evaluation and check its memory: return
+    (chunks, threads), ceil(n_theta / rows) Legendre chunks (i0, i1) equal
+    within one angle, and the threads that split each chunk's reduction by
+    rows (at most `workers`, one per CPU and one per row; one runs inline),
+    or raise ResourceLimitError when the plan would hold more than
     DEFAULT_MEMORY_BUDGET bytes at once.  Counted, in float64 values: the
     one grid-sized output and five per angle (the angles, a delta profile's
-    results); per row of the largest chunks in flight, its Legendre row,
+    results); per row of the one chunk in flight, its Legendre row,
     2 _RING_DEGREES + 5 for the recurrence, 2 n_box K moments and six per
-    delta (`_combine`'s (re, im) sum and term, then the reduction's
-    temporaries); per thread, 8 per degree (a one-angle row's Python
-    floats, `_moments`' terms) and 2^14 for numpy's iteration buffers; and
-    the deltas' Hermite functions with temporaries, (K + 5) n_box per
-    delta.  With no deltas (a sum at no time shift) the table's Hermite
-    expansion is not read, so not built.
+    delta (`_combine`'s (re, im) sum and term, the reduction's
+    temporaries); 8 per degree (a one-angle row's Python floats, `_moments`'
+    terms); 2^14 per thread for numpy's iteration buffers; and the deltas'
+    Hermite functions with temporaries, (K + 5) n_box per delta.  With no
+    deltas the table's Hermite expansion is not read, so not built.
     """
     rows = max(1, _CHUNK_BYTES // (8 * (table.l_max + 1)))
-    chunks = [(i0, min(i0 + rows, n_theta)) for i0 in range(0, n_theta, rows)]
-    threads = min(workers, len(chunks))
+    parts = -(-n_theta // rows)
+    # the first r chunks hold q + 1 angles, the others q
+    q, r = divmod(n_theta, max(parts, 1))
+    threads = min(workers, q)
     # os.cpu_count reads /sys on Linux: ask only when a pool could start
     threads = threads if threads <= 1 else min(threads, os.cpu_count() or 1)
-    held = sum(sorted(i1 - i0 for i0, i1 in chunks)[-threads:])
-    need = 8 * (n_theta * (n_delta + 5) + threads * (8 * (table.l_max + 1) + (1 << 14))
-                + held * (table.l_max + 6 + 2 * specfun._RING_DEGREES + 6 * n_delta))
+    need = 8 * (n_theta * (n_delta + 5) + 8 * (table.l_max + 1) + threads * (1 << 14)
+                + (q + (r > 0)) * (table.l_max + 6 + 2 * specfun._RING_DEGREES + 6 * n_delta))
     if n_delta:
         k = table.n_hermite
-        need += 8 * table.box_centres.size * ((k + 5) * n_delta + 2 * k * held)
+        need += 8 * table.box_centres.size * ((k + 5) * n_delta + 2 * k * (q + (r > 0)))
     if need > DEFAULT_MEMORY_BUDGET:
         raise ResourceLimitError(
             f"{n_theta} x {n_delta} grid needs {need} bytes (its output, Legendre "
             f"rows and Hermite functions), budget is {DEFAULT_MEMORY_BUDGET}")
-    return chunks, threads
+    edges = [i * q + min(i, r) for i in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:])), threads
 
 
 def _kern_full(table: PartialWaveTable) -> np.ndarray:
@@ -595,43 +595,35 @@ def _combine(moments: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
-                plan) -> None:
-    """Run `plan`, the (chunks, threads) of `_check_budget`: call
-    fn(i0, i1, moments) with the `_moments` of the series `part` for each
-    chunk thetas[i0:i1], inline or on the plan's threads.  Each call writes
-    only its own rows of the output, so results do not depend on threads."""
-    chunks, threads = plan
-    # what the threads read is built here, on the calling thread
-    _ = table._expansion, table._kernel(part)
-
-    def run(chunk):
-        i0, i1 = chunk
+                chunks) -> None:
+    """Call fn(i0, i1, moments) with the `_moments` of the series `part` for
+    each chunk thetas[i0:i1] of `chunks` in turn, on the calling thread."""
+    for i0, i1 in chunks:
         fn(i0, i1, _moments(table, specfun.legendre_rows(thetas[i0:i1], table.l_max), part))
-
-    if threads <= 1:
-        list(map(run, chunks))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, chunks))
 
 
 def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,
                workers: int = 1, dtype=float) -> np.ndarray:
-    """reduce(*components) of the series `part` (see
-    `PartialWaveTable._kernel`) on the outer product of thetas and deltas,
-    shape (n_theta, n_delta): each chunk is reduced straight into its rows
-    of the one output, every chunk with the same Hermite functions of the
-    deltas.  Single points (a one-cell output, complex for a complex
+    """reduce(*components) of the series `part` (see `PartialWaveTable._kernel`)
+    on the outer product of thetas and deltas, shape (n_theta, n_delta): each
+    chunk is reduced into its rows of the one output, split by rows over the
+    plan's threads.  Single points (a one-cell output, complex for a complex
     amplitude), `probability_grid` and `scan.sweep` evaluate here."""
     thetas = np.asarray(thetas, dtype=float)
-    plan = _check_budget(table, thetas.size, np.size(deltas), workers)
+    chunks, threads = _check_budget(table, thetas.size, np.size(deltas), workers)
     h = _hermite(table, deltas)
     out = np.empty((thetas.size, h.shape[1]), dtype)
 
-    def fill(i0, i1, moments):
-        out[i0:i1] = reduce(*_combine(moments, h))
+    def fill(rows, moments):
+        rows[...] = reduce(*_combine(moments, h))
 
-    _each_chunk(table, thetas, part, fill, plan)
+    if threads <= 1:
+        _each_chunk(table, thetas, part, lambda i0, i1, m: fill(out[i0:i1], m), chunks)
+        return out
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        _each_chunk(table, thetas, part, lambda i0, i1, m: list(pool.map(
+            fill, np.array_split(out[i0:i1], threads), np.array_split(m, threads, axis=1))),
+            chunks)
     return out
 
 

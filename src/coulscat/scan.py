@@ -1,11 +1,10 @@
 """Grid sweeps over (theta, delta), a request-keyed table cache, and the
 package's CSV and JSON file writers.
 
-A sweep runs `partialwave._eval_grid`, whose chunk pipeline also checks the
-memory budget and runs the thread pool: each Legendre chunk's moments are
-combined with the Hermite functions of the deltas, built once per sweep, and
-reduced to the quantity straight into the chunk's own rows of the sweep's
-one grid-sized output (a DCS field is then scaled in place), so results are
+A sweep runs `partialwave._eval_grid`, which checks the memory budget and
+reduces each Legendre chunk's moments to the quantity in the chunk's own
+rows of the sweep's one output (a DCS field is then scaled in place), on
+more than one worker split by rows over threads, so results are
 bit-identical for any worker count.
 """
 

@@ -24,8 +24,8 @@ def test_criterion(cid, name):
 
 
 def test_determinism_criterion_sweeps_on_more_than_one_thread(monkeypatch):
-    """Criterion 15 compares sweeps on 1, 4 and 8 workers; a grid of one
-    Legendre chunk would run each of them inline, on one thread."""
+    """Criterion 15 compares sweeps on 1, 4 and 8 workers; each chunk's
+    reduction is split over the plan's threads, at most one per CPU."""
     threads = []
     check = partialwave._check_budget
 
@@ -34,12 +34,12 @@ def test_determinism_criterion_sweeps_on_more_than_one_thread(monkeypatch):
         threads.append(plan[1])
         return plan
 
-    # four CPUs, so the plan shows the grid's chunks rather than the host
+    # four CPUs, so the plan shows the workers rather than the host
     monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(partialwave, "_check_budget", recording)
     assert acceptance.run_criterion(15).passed
     # workers 1, 4, 8 and the rerun on 4
-    assert threads == [1, 2, 2, 2]
+    assert threads == [1, 4, 4, 4]
 
 
 def test_negative_control_corrupted_constant(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -169,14 +170,6 @@ class TestAngular:
         # the faithful peak sits 1.6% below unity at eta = 0.1
         assert abs(rows[0][1] - 1.0) <= 0.025
         assert rows[0][2] == float("inf")  # Rutherford sentinel at theta = 0
-
-    def test_worker_counts_agree_byte_for_byte(self, tmp_path):
-        args = ["angular", "--eta", "10", "--delta", "0.4", "--theta-min", "0.1",
-                "--theta-max", "1.0", "--theta-n", "40"]
-        out1, out4 = tmp_path / "w1.csv", tmp_path / "w4.csv"
-        assert main(args + ["--workers", "1", "--out", str(out1)]) == 0
-        assert main(args + ["--workers", "4", "--out", str(out4)]) == 0
-        assert out1.read_bytes() == out4.read_bytes()
 
     def test_auto_delta_mode(self, tmp_path):
         out = tmp_path / "auto.csv"
@@ -537,6 +530,18 @@ class TestConfigAndErrors:
         _header, rows = read_csv(out)
         assert rows[1][0] - rows[0][0] == pytest.approx(0.5, abs=1e-9)
 
+    @pytest.mark.parametrize("other", ["missing.cfg", "run.cfg"])
+    def test_config_key_in_a_config_file_is_config_error(self, other, tmp_path, capsys):
+        # a file cannot name another, whether or not that one exists
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"eta = 10\ntheta = 0.03\nconfig = {tmp_path / other}\n")
+        out = tmp_path / "o.csv"
+        assert main(["profile-delta", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("config error:") and "'config'" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_config_values_do_not_outlive_their_call(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eta = 10\ntheta = 0.03\ndelta-step = 0.5\n")
@@ -617,11 +622,8 @@ class TestConfigAndErrors:
           "--well-radius-fm", "11.4", "--eta-n", "3"], "--eta-n"),
         (["optical", "--model", "square-well", "--energy-mev", "1",
           "--well-radius-fm", "11.4", "--format", "csv"], "--format"),
-        (["angular", "--eta", "10", "--theta-n", "3", "--delta", "auto",
-          "--workers", "2"], "--workers"),
     ], ids=["coulomb-well-depth", "coulomb-well-radius", "asym-well-depth",
-            "optical-sweep-well-depth", "square-well-eta-n", "square-well-format",
-            "auto-delta-workers"])
+            "optical-sweep-well-depth", "square-well-eta-n", "square-well-format"])
     def test_flag_the_mode_does_not_read_is_config_error(self, argv, flag, tmp_path,
                                                          capsys):
         out = tmp_path / "out"
@@ -638,11 +640,9 @@ class TestConfigAndErrors:
         (["table-dump", "--energy-mev", "1", "--l-max", "60", "--model", "square-well",
           "--well-radius-fm", "11.4"], ["--well-depth-mev", "0.5"]),
         (["angular", "--eta", "10", "--theta-n", "5", "--delta", "0.3"],
-         ["--workers", "1"]),
-        (["angular", "--eta", "10", "--theta-n", "5", "--delta", "0.3"],
          ["--format", "csv"]),
         (["optical", "--eta-min", "1", "--eta-max", "2"], ["--eta-n", "25"]),
-    ], ids=["well-depth-mev", "workers", "format", "eta-n"])
+    ], ids=["well-depth-mev", "format", "eta-n"])
     def test_omitted_flag_takes_its_default(self, argv, default, tmp_path):
         omitted, given = tmp_path / "omitted", tmp_path / "given"
         assert main(argv + ["--out", str(omitted)]) == 0
@@ -694,7 +694,9 @@ class TestConfigAndErrors:
         assert name in captured.err and "finite" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("workers", ["0", "-5"])
+    # no command takes `--workers`: every value, non-positive or not, is an
+    # unknown argument
+    @pytest.mark.parametrize("workers", ["0", "-5", "2"])
     def test_non_positive_workers_is_config_error(self, workers, capsys):
         rc = main(["angular", "--eta", "1", "--delta", "0", "--theta-n", "3",
                    f"--workers={workers}"])
@@ -747,7 +749,7 @@ class TestConfigAndErrors:
 # flags with which each command runs to exit 0 or 3
 _RUNS = {
     "profile-delta": {"--eta": "10", "--theta": "0.03"},
-    "angular": {"--eta": "10", "--theta-n": "3", "--delta": "0", "--workers": "2"},
+    "angular": {"--eta": "10", "--theta-n": "3", "--delta": "0"},
     "conservation": {"--eta": "0", "--sphere-n": "20"},
     "optical": {"--eta-min": "1", "--eta-max": "2", "--eta-n": "2"},
     "energy-scan": {"--energies-kev": "3.8", "--e-n": "2"},
@@ -763,7 +765,6 @@ class TestTypedFlags:
         ("profile-delta", "--delta-min", "nan"),
         ("profile-delta", "--delta-max", "inf"),
         ("profile-delta", "--delta-step", "0"),
-        ("angular", "--workers", "0"),
         ("angular", "--theta-n", "2.5"),
         ("angular", "--delta", "abc"),
         ("conservation", "--sphere-n", "-1"),
@@ -810,7 +811,9 @@ class TestFailedAllocation:
     over the memory budget.  numpy's array makers are replaced so that a
     request of more than 1e9 values raises the MemoryError numpy raises
     when an allocation fails, and nothing is allocated: on a host that
-    overcommits memory a real 745 GiB request could be granted."""
+    overcommits memory a real 745 GiB request could be granted.  A delta
+    profile's budget is checked from the count before its angles are made,
+    so `angular --delta auto` and `conservation` allocate nothing."""
 
     HUGE = 100_000_000_000
 
@@ -835,21 +838,27 @@ class TestFailedAllocation:
             abs(a) for a in args if isinstance(a, (int, float)))))
         return counts
 
-    @pytest.mark.parametrize("argv", [
-        ["angular", "--eta", "10", "--delta", "0", "--theta-n"],
-        ["angular", "--eta", "10", "--delta", "auto", "--theta-n"],
-        ["conservation", "--eta", "0", "--sphere-n"],
-        ["optical", "--eta-min", "1", "--eta-max", "2", "--eta-n"],
-        ["energy-scan", "--e-n"],
+    @pytest.mark.parametrize("argv, budget", [
+        (["angular", "--eta", "10", "--delta", "0", "--theta-n"], False),
+        (["angular", "--eta", "10", "--delta", "auto", "--theta-n"], True),
+        (["conservation", "--eta", "0", "--sphere-n"], True),
+        (["optical", "--eta-min", "1", "--eta-max", "2", "--eta-n"], False),
+        (["energy-scan", "--e-n"], False),
     ], ids=["angular-fixed-delta", "angular-auto-delta", "conservation", "optical",
             "energy-scan"])
-    def test_count_too_large_to_allocate_is_resource_error(self, argv, refused, capsys):
+    def test_count_too_large_to_allocate_is_resource_error(self, argv, budget, refused,
+                                                           capsys):
         assert main(argv + [str(self.HUGE)]) == 4
-        assert refused == [self.HUGE]
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"resource error: Unable to allocate 745 GiB for an "
-                                f"array with shape ({self.HUGE},) and data type float64\n")
+        if budget:
+            assert refused == []
+            assert captured.err.startswith(f"resource error: {self.HUGE} x ")
+            assert len(captured.err.splitlines()) == 1
+        else:
+            assert refused == [self.HUGE]
+            assert captured.err == (f"resource error: Unable to allocate 745 GiB for an "
+                                    f"array with shape ({self.HUGE},) and data type float64\n")
 
 
 class TestOneRuleOneOwner:
@@ -942,3 +951,42 @@ class TestSelftest:
         monkeypatch.setattr(acceptance, "run_all", lambda report=print: fake)
         assert main(["selftest"]) == 3
         assert "1/2 criteria passed" in capsys.readouterr().out
+
+
+class TestCommandMemory:
+    """What a command holds besides its evaluation, traced with 1 MiB
+    Legendre chunks (1083 rows at eps = 0.05, where L = 120)."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 1 << 20)
+
+    @staticmethod
+    def _peak(argv):
+        tracemalloc.start()
+        try:
+            status = main(argv)
+            return status, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_angular_streams_its_rows(self, tmp_path):
+        # 50,000 rows of six floats held as tuples weigh about 12 MB; the
+        # sweep's output and the angles 0.4 MB each
+        out = tmp_path / "ang.csv"
+        argv = ["angular", "--eta", "1", "--eps", "0.05", "--delta", "0.4",
+                "--theta-n", "50000", "--out", str(out)]
+        status, peak = self._peak(argv)
+        assert status == 0 and peak < 6_000_000
+        assert len(out.read_text().splitlines()) == 50_001
+
+    @pytest.mark.parametrize("argv", [
+        ["conservation", "--eta", "1", "--eps", "0.05", "--sphere-n", "5000000"],
+        ["angular", "--eta", "1", "--eps", "0.05", "--delta", "auto",
+         "--theta-n", "5000000"],
+    ], ids=["conservation", "angular-auto-delta"])
+    def test_a_refused_profile_builds_no_angles(self, argv, capsys):
+        # the 5e6 angles alone would be 40 MB
+        status, peak = self._peak(argv)
+        assert status == 4 and peak < 4_000_000
+        assert capsys.readouterr().err.startswith("resource error: 5000000 x ")

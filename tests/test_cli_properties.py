@@ -3,9 +3,8 @@ commands that take them are given, `main()` returns 0, 2, 3 or 4 and never
 raises.  `selftest` takes no arguments and runs for seconds, so it is left
 out.
 
-Grids stay small (at most 400 angles), `--eps` lies in [0.01, 0.09] (so
-L <= 600) and `--workers` is at most 2, so no example allocates much memory
-or starts more than two threads.  Energies run up to 300 MeV and sphere
+Grids stay small (at most 400 angles) and `--eps` lies in [0.01, 0.09] (so
+L <= 600), so no example allocates much memory.  Energies run up to 300 MeV and sphere
 grids to 400 intervals, so that `energy-scan` finds energies inside the
 strength bound and `conservation` resolves the forward peak: every command
 reaches exit 0 in some examples.  Invalid values (reversed or out-of-range
@@ -46,7 +45,7 @@ def _flag(name, values):
 
 # the commands that take the model flags (energy, --model, --l-max and the
 # square well's) and `--format`; every command takes `--eps` and
-# `--tail-tol`, and only `angular` takes `--workers` (see cli.build_parser)
+# `--tail-tol` (see cli.build_parser)
 _TAKES_MODEL = {"profile-delta", "angular", "conservation", "optical", "table-dump"}
 _TAKES_FORMAT = {"profile-delta", "angular", "optical", "energy-scan"}
 
@@ -58,8 +57,6 @@ def _common(draw, command, model):
     argv = [f"--eps={draw(st.floats(0.01, 0.09))}"]
     tail_tol = _flag("--tail-tol", _mostly(st.sampled_from([1e-12, 1e-6]),
                                            st.sampled_from([0.0, -1.0, *ODD])))
-    if command == "angular":
-        argv += draw(_flag("--workers", _mostly(st.integers(1, 2), st.integers(-1, 0))))
     if command in _TAKES_FORMAT:
         argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
     if command not in _TAKES_MODEL:

@@ -219,6 +219,7 @@ class TestExpansionBuiltOnFirstRead:
 
     def test_two_chunk_sweep_on_two_threads_builds_one_on_the_caller(
             self, builds, monkeypatch):
+        # each chunk of two rows is reduced one row per thread
         table = _coulomb(10.0)
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table.l_max + 1))
         monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
@@ -230,7 +231,8 @@ class TestExpansionBuiltOnFirstRead:
                               probability_grid(_coulomb(10.0), grid.thetas, grid.deltas))
 
     def test_each_chunk_builds_what_its_threads_read_on_the_caller(self, monkeypatch):
-        # nothing read first: the chunks' threads would each start a build
+        # the reduction's threads read only the moments and the Hermite
+        # functions, which the caller makes from the expansion and kernel
         table = _coulomb(10.0)
         builds, kernels = [], []
         expansion, (full, pref) = partialwave._hermite_expansion, partialwave._PARTS["full"]
@@ -241,13 +243,16 @@ class TestExpansionBuiltOnFirstRead:
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table.l_max + 1))
         monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         thetas = np.linspace(0.1, 3.0, 4)
-        plan = partialwave._check_budget(table, thetas.size, 0, 2)
-        assert plan == ([(0, 2), (2, 4)], 2)
-        chunks = []
-        partialwave._each_chunk(table, thetas, "full",
-                                lambda i0, i1, _m: chunks.append((i0, i1)), plan)
-        assert sorted(chunks) == [(0, 2), (2, 4)]
+        chunks, threads = partialwave._check_budget(table, thetas.size, 0, 2)
+        assert (chunks, threads) == ([(0, 2), (2, 4)], 2)
+        field = partialwave._eval_grid(table, thetas, [0.0, 0.5], "full",
+                                       partialwave._abs2, workers=2)
         assert builds == kernels == [threading.get_ident()]
+        assert np.array_equal(field, probability_grid(table, thetas, [0.0, 0.5]))
+        seen = []
+        partialwave._each_chunk(table, thetas, "full",
+                                lambda i0, i1, _m: seen.append((i0, i1)), chunks)
+        assert seen == [(0, 2), (2, 4)]
 
     def test_budget_check_without_deltas_builds_none(self, builds):
         table = _coulomb(10.0)

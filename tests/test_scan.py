@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -99,10 +100,11 @@ class TestSweep:
     @pytest.mark.usefixtures("ten_row_chunks")
     @pytest.mark.parametrize("workers, cpus, theta_n, threads", [
         (2, 8, 35, 2),      # as asked
-        (8, 8, 35, 4),      # one thread per chunk
+        (16, 16, 35, 8),    # one thread per row of the smallest chunk (8, 9, 9, 9)
         (8, 3, 35, 3),      # one thread per CPU
         (4, None, 35, None),  # unknown CPU count: inline
-        (8, 8, 10, None),   # a single chunk runs inline
+        (8, 8, 10, 8),      # a single chunk is split too
+        (8, 8, 1, None),    # a single angle runs inline
     ])
     def test_pool_size(self, monkeypatch, table_eta10, workers, cpus, theta_n, threads):
         sizes = []
@@ -117,8 +119,8 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *items):
+                return map(fn, *items)
 
         monkeypatch.setattr(partialwave, "ThreadPoolExecutor", Pool)
         monkeypatch.setattr(partialwave.os, "cpu_count", lambda: cpus)
@@ -127,6 +129,65 @@ class TestSweep:
         assert sizes == ([] if threads is None else [threads])
         assert np.array_equal(field.values,
                               sweep(table_eta10, g, Quantity.PROBABILITY).values)
+
+    def test_720_angles_are_two_chunks_of_360(self, table_eta10):
+        # 698 rows fit in a chunk at L = 6000; the chunks are cut equal, so
+        # no chunk is a short tail
+        assert table_eta10.l_max == 6000
+        assert partialwave._check_budget(table_eta10, 720, 24)[0] == [(0, 360), (360, 720)]
+
+    @pytest.mark.parametrize("n", [1, 697, 698, 699, 1396, 1397, 5000])
+    def test_chunks_cover_the_angles_equal_within_one(self, table_eta10, n):
+        chunks, _threads = partialwave._check_budget(table_eta10, n, 1)
+        sizes = [i1 - i0 for i0, i1 in chunks]
+        assert len(chunks) == math.ceil(n / 698) and max(sizes) - min(sizes) <= 1
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+
+    def test_recurrence_and_moments_run_on_the_calling_thread(
+            self, monkeypatch, table_eta10, ten_row_chunks):
+        calls = []
+
+        def on(name, fn):
+            return lambda *args: calls.append((name, threading.get_ident())) or fn(*args)
+
+        monkeypatch.setattr(specfun, "legendre_rows", on("rows", specfun.legendre_rows))
+        monkeypatch.setattr(partialwave, "_moments", on("moments", partialwave._moments))
+        monkeypatch.setattr(partialwave, "_combine", on("combine", partialwave._combine))
+        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
+        field = sweep(table_eta10, ten_row_chunks, Quantity.PROBABILITY, workers=2)
+        caller = threading.get_ident()
+        # 35 angles in 4 chunks, each reduced in two halves on the pool
+        assert [c for c in calls if c[0] != "combine"] == [("rows", caller),
+                                                           ("moments", caller)] * 4
+        combined = [t for name, t in calls if name == "combine"]
+        assert len(combined) == 8 and caller not in combined
+        monkeypatch.undo()
+        assert np.array_equal(field.values,
+                              sweep(table_eta10, ten_row_chunks, Quantity.PROBABILITY).values)
+
+    def test_one_chunk_is_reduced_on_two_threads(self, monkeypatch, table_eta800,
+                                                 tmp_path):
+        # 400 angles are one chunk at L = 6000; on two workers each half of
+        # its rows is combined on its own thread, both at once (a barrier
+        # of two would time out on one thread)
+        grid = GridSpec(0.01, 3.0, 400, -8.0, 24.0, 161)
+        base = sweep(table_eta800, grid, Quantity.PROBABILITY, workers=1)
+        combine, barrier, seen = partialwave._combine, threading.Barrier(2, timeout=60), []
+
+        def both_halves_at_once(moments, h):
+            seen.append((threading.get_ident(), moments.shape[1]))
+            barrier.wait()
+            return combine(moments, h)
+
+        monkeypatch.setattr(partialwave, "_combine", both_halves_at_once)
+        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
+        field = sweep(table_eta800, grid, Quantity.PROBABILITY, workers=2)
+        assert sorted(rows for _t, rows in seen) == [200, 200]
+        assert len({t for t, _rows in seen} - {threading.get_ident()}) == 2
+        field_to_csv(base, tmp_path / "w1.csv")
+        field_to_csv(field, tmp_path / "w2.csv")
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
     def test_box_longer_than_ten_thousand_terms(self):
         # eps = 2e-4 at eta = 0: L = 30000 with one xi, which one box would
@@ -250,19 +311,20 @@ class TestSweep:
 
     def test_memory_budget_counts_the_hermite_functions_once(self, monkeypatch,
                                                              table_eta10):
-        # 4 x 3 grid in 2 chunks of 2 rows on 2 threads: the threads share
-        # one set of Hermite functions, (K + 5) n_box values per delta with
-        # the recurrence's temporaries
+        # 4 x 3 grid in 2 chunks of 2 rows, each split over 2 threads: one
+        # chunk is in flight, and the threads share one set of Hermite
+        # functions, (K + 5) n_box values per delta with the recurrence's
+        # temporaries
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table_eta10.l_max + 1))
         monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         g = GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3)
         assert partialwave._check_budget(table_eta10, g.theta_n, 0, 2)[1] == 2
         boxes, k = table_eta10.box_centres.size, table_eta10.n_hermite
         # per row: its Legendre row, the recurrence's ring, its moments and
-        # six per delta; per thread: 8 per degree and numpy's buffers
+        # six per delta; 8 per degree; per thread, numpy's buffers
         row = table_eta10.l_max + 6 + 2 * specfun._RING_DEGREES + 2 * boxes * k + 6 * 3
-        thread = 8 * (table_eta10.l_max + 1) + (1 << 14)
-        need = 8 * (4 * (3 + 5) + 4 * row + 2 * thread + boxes * (k + 5) * 3)
+        need = 8 * (4 * (3 + 5) + 2 * row + 8 * (table_eta10.l_max + 1) + 2 * (1 << 14)
+                    + boxes * (k + 5) * 3)
         monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", need)
         field = sweep(table_eta10, g, Quantity.PROBABILITY, workers=2)
         assert np.array_equal(field.values, sweep(table_eta10, g, Quantity.PROBABILITY).values)

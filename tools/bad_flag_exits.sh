@@ -24,7 +24,6 @@ done <<'LIST'
 profile-delta --delta-min=nan
 profile-delta --delta-max=inf
 profile-delta --delta-step=0
-angular --workers=0
 angular --theta-n=2.5
 angular --delta=abc
 conservation --sphere-n=-1
