@@ -75,13 +75,14 @@ def _energies(text: str) -> list[float]:
 
 def _write_table(args, columns: str, rows, **meta) -> None:
     """Write `rows` as CSV under the comma-separated `columns` header or, with
-    `--format json`, as one document: the command, `meta`, columns and rows."""
+    `--format json`, as one document: the command, `meta`, columns and rows.
+    Either way the rows are written as they come, none held."""
     if args.format in (None, "csv"):
         scan.write_csv(args.out, columns, rows)
     else:
         scan.write_json(args.out, {
             "command": args.command, **meta, "columns": columns.split(","),
-            "rows": [[float(v) for v in row] for row in rows],
+            "rows": ([float(v) for v in row] for row in rows),
         })
 
 

@@ -13,6 +13,7 @@ the forward direction where the bounded wavepacket probability is not.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -219,11 +220,21 @@ def _refine_peak(deltas: np.ndarray, p_row: np.ndarray) -> float:
     return float(deltas[i] + offset * step)
 
 
+def _coarse_scan(table: PartialWaveTable, lo: float, hi: float,
+                 n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n deltas from lo to hi and their `_hermite` functions."""
+    deltas = np.linspace(lo, hi, n)
+    return deltas, partialwave._hermite(table, deltas)
+
+
 def _scan_plan(table: PartialWaveTable, n_theta: int,
                delta_range: Optional[tuple[float, float]] = None,
-               coarse_n: Optional[int] = None) -> tuple[np.ndarray, list]:
-    """The coarse-scan deltas and Legendre chunks of a `delta_profile` of n_theta
-    angles: the window and the budget are checked before anything that size."""
+               coarse_n: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, list]:
+    """The coarse-scan deltas, their Hermite functions and the Legendre
+    chunks of a `delta_profile` of n_theta angles: the window and the budget
+    are checked before anything that size.  The default window's scan is
+    built on its first read and kept with the table."""
+    default = delta_range is None and coarse_n is None
     if delta_range is None:
         delta_range = default_delta_range(table)
     lo, hi = float(delta_range[0]), float(delta_range[1])
@@ -236,7 +247,9 @@ def _scan_plan(table: PartialWaveTable, n_theta: int,
     if coarse_n < 5:
         raise ValueError("coarse_n must be at least 5")
     chunks, _threads = partialwave._check_budget(table, n_theta, coarse_n)
-    return np.linspace(lo, hi, coarse_n), chunks
+    scan = functools.partial(_coarse_scan, lo=lo, hi=hi, n=coarse_n)
+    deltas, h = table._derive("default coarse scan", scan) if default else scan(table)
+    return deltas, h, chunks
 
 
 def delta_profile(table: PartialWaveTable, thetas,
@@ -252,9 +265,8 @@ def delta_profile(table: PartialWaveTable, thetas,
     # the coarse scan is the one grid-sized array, checked before the copy
     # that keeps the profile from following later writes to the caller's array
     n = np.size(thetas)
-    deltas, chunks = _scan_plan(table, n, delta_range, coarse_n)
+    deltas, h, chunks = _scan_plan(table, n, delta_range, coarse_n)
     thetas = np.array(thetas, dtype=float)
-    h = partialwave._hermite(table, deltas)
 
     p_scan = np.empty((n, deltas.size))
     delta_max = np.zeros(n)
@@ -271,9 +283,15 @@ def delta_profile(table: PartialWaveTable, thetas,
             # location is meaningless, and delta_max stays zero
             if not (flat[i0 + k] and row.max() < 1e-30):
                 delta_max[i0 + k] = _refine_peak(deltas, row)
-        # P at each row's own peak: one delta per row
-        p_max[i0:i1] = partialwave._abs2(*partialwave._combine(
-            moments, partialwave._hermite(table, delta_max[i0:i1, None])))[:, 0]
+        # P at each row's own peak: one delta per row, and a one-row chunk
+        # is a single point
+        if i1 - i0 == 1:
+            re, im = partialwave._point_sum(
+                moments[:, 0], partialwave._point_hermite(table, float(delta_max[i0])))
+            p_max[i0] = re * re + im * im
+        else:
+            p_max[i0:i1] = partialwave._abs2(*partialwave._combine(
+                moments, partialwave._hermite(table, delta_max[i0:i1, None])))[:, 0]
         gauss = np.exp(-((deltas - delta_max[i0:i1, None]) ** 2) / 4.0)
         residual[i0:i1] = np.max(np.abs(grid - gauss * p_max[i0:i1, None]), axis=1)
 
@@ -306,7 +324,7 @@ def scattering_amplitude_f(table: PartialWaveTable, scenario: PhysicalScenario,
     """
     _check_scenario(table, scenario)
     partialwave._check_budget(table, 1, 0)
-    row = specfun.legendre_rows(np.array([float(theta)]), table.l_max)[0]
+    row = specfun.legendre_rows(float(theta), table.l_max)
     kern_re, kern_im = table._kernel("scatter")
     re = float(np.sum(kern_re * row))
     im = float(np.sum(kern_im * row))

@@ -32,20 +32,22 @@ place of O(n_delta L).  The table fixes the boxes and takes K from Cramér's
 bound on the truncated expansion, which it records (`hermite_bound`, relative
 to sum_l |kern_l P_l|).
 
-One path evaluates the series for every caller: the full amplitude A, its
-forward part A_F or its scattering part A_S, each a kernel and a prefactor
-from `_PARTS` (A_F is real, and only its real component is summed).
-`_check_budget` cuts the angles into equal Legendre chunks and bounds the
-memory of one in flight; `_each_chunk` runs the recurrence and `_moments`
-for each in turn on the calling thread, and `_eval_grid` (single points,
-grids, `scan.sweep`) or `observables.delta_profile` reduces the moments into
-the chunk's rows of the one grid-sized output, on more than one worker
-split by rows over threads.  `_moments` reduces one theta row at a time,
-each moment one dot product along a box's l, and `_combine` adds the terms
-in a fixed order elementwise.  A dot's summation order depends on its
-length only (boxes stop at 8192 terms, short of where BLAS splits a dot
-across its own threads), so identical inputs give bit-identical results
-regardless of how work is partitioned across threads or batches.
+The series is the full amplitude A, its forward part A_F or its
+scattering part A_S, each a kernel and a prefactor from `_PARTS` (A_F is
+real, and only its real component is summed).  `_check_budget` cuts the
+angles into equal Legendre chunks and bounds the memory of one in flight;
+`_each_chunk` runs the recurrence and `_moments` for each in turn on the
+calling thread, and `_eval_grid` (grids, `scan.sweep`) or
+`observables.delta_profile` reduces the moments into the chunk's rows of
+the one grid-sized output, on more than one worker split by rows over
+threads.  A single point (`_point`) takes one row's `_moments` and does the
+rest on Python floats.  `_moments` reduces one theta row at a time, each
+moment one dot product along a box's l, and `_combine` (or `_point_sum`)
+adds the terms in a fixed order elementwise.  A dot's summation order
+depends on its length only (boxes stop at 8192 terms, short of where BLAS
+splits a dot across its own threads), so identical inputs give
+bit-identical results regardless of how work is partitioned across
+threads or batches, and a single point equals its grid cell.
 """
 
 from __future__ import annotations
@@ -154,13 +156,16 @@ class PhaseShiftModel:
 
 
 class _Expansion(NamedTuple):
-    """A table's Hermite expansion in delta; see `PartialWaveTable`."""
+    """A table's Hermite expansion in delta; see `PartialWaveTable`.
+    `boxes` holds each box's l slice and its columns of `y_powers`, taken
+    once per table for `_moments`."""
 
     box_edges: np.ndarray
     box_centres: np.ndarray
     y_powers: np.ndarray
     n_hermite: int
     hermite_bound: float
+    boxes: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,7 +193,8 @@ class PartialWaveTable:
     hermite_bound = Cramér bound on the truncated expansion's error,
                    relative to sum_l |kern_l P_l| (at most 2^-56)
 
-    and `sin2_sums` and each series part's kernel (`_kernel`), all
+    and `sin2_sums`, each series part's kernel (`_kernel`) and the default
+    coarse delta scan of `observables.delta_profile` (`_derive`), all
     read-only and read on an evaluation's calling thread alone.
     """
 
@@ -220,19 +226,26 @@ class PartialWaveTable:
     hermite_bound = property(operator.attrgetter("_expansion.hermite_bound"))
 
     @functools.cached_property
-    def _kernels(self) -> dict:
-        # part -> its stacked kernel, added by `_kernel`
+    def _derived(self) -> dict:
+        # key -> the value `_derive` built for it
         return {}
+
+    def _derive(self, key, build):
+        """build(self), an array or a tuple of arrays, built on the first
+        read of `key`, made read-only and kept with the table."""
+        value = self._derived.get(key)
+        if value is None:
+            value = build(self)
+            for arr in value if isinstance(value, tuple) else (value,):
+                arr.flags.writeable = False
+            self._derived[key] = value
+        return value
 
     def _kernel(self, part: str) -> np.ndarray:
         """The kernel of the series `part` (see `_PARTS`) as read-only stacked
         components, (re, im), or (re,) for a real part, shape (c, L+1); built
         on the part's first read and kept with the table."""
-        kern = self._kernels.get(part)
-        if kern is None:
-            kern = self._kernels[part] = _PARTS[part][0](self)
-            kern.flags.writeable = False
-        return kern
+        return self._derive(part, _PARTS[part][0])
 
     @functools.cached_property
     def sin2_sums(self) -> tuple[float, float]:
@@ -268,7 +281,10 @@ def _hermite_expansion(xi: np.ndarray) -> _Expansion:
         powers[n] = powers[n - 1] * y / n
     for arr in (edges, centres, powers):
         arr.flags.writeable = False
-    return _Expansion(edges, centres, powers, k, bound)
+    bounds = edges.tolist()
+    boxes = tuple((slice(l0, l1), powers[:, l0:l1])
+                  for l0, l1 in zip(bounds[:-1], bounds[1:]))
+    return _Expansion(edges, centres, powers, k, bound, boxes)
 
 
 def _hermite_boxes(xi: np.ndarray):
@@ -487,10 +503,6 @@ def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return re * re + im * im
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    return re + 1j * im
-
-
 def _real(re: np.ndarray) -> np.ndarray:
     return re
 
@@ -500,11 +512,11 @@ def _hermite(table: PartialWaveTable, deltas) -> np.ndarray:
     (n_box * K,) + deltas.shape, box-major.
 
     Built by the forward recurrence h_{n+1} = 2x h_n - 2n h_{n-1} from
-    h_0 = e^{-x^2}, elementwise, so a delta's values do not depend on the
-    deltas beside it.  For one delta the recurrence runs on Python floats,
-    with the same operations in the same order (h_0 still from np.exp,
-    whose rounding `math.exp` need not share).  Every evaluation at a time
-    shift takes its deltas through here, and a non-finite one is an error.
+    h_0 = e^{-x^2}, elementwise on arrays, so a delta's values do not
+    depend on the deltas beside it; `_point_hermite` runs the same
+    operations in the same order for one delta on Python floats.  Every
+    evaluation at a time shift takes its deltas through one of the two,
+    and a non-finite one is an error.
     """
     d = np.asarray(deltas, dtype=float)
     finite = np.isfinite(d)
@@ -514,24 +526,34 @@ def _hermite(table: PartialWaveTable, deltas) -> np.ndarray:
     x = (d - c) / _SQRT8
     two_x = 2.0 * x
     k = table.n_hermite
+    h = np.empty((c.shape[0], k) + d.shape)
     # x * x overflows for |delta| beyond about 4e154, where e^{-x^2} is 0
     with np.errstate(over="ignore"):
-        h0 = np.exp(-(x * x))
-    if d.size == 1:
-        values = []
-        for tx, first in zip(two_x.ravel().tolist(), h0.ravel().tolist()):
-            row = [first, tx * first][:k]
-            for n in range(1, k - 1):
-                row.append(tx * row[n] - (2.0 * n) * row[n - 1])
-            values += row
-        return np.array(values).reshape((-1,) + d.shape)
-    h = np.empty((c.shape[0], k) + d.shape)
-    h[:, 0] = h0
+        h[:, 0] = np.exp(-(x * x))
     if k > 1:
         h[:, 1] = two_x * h[:, 0]
     for n in range(1, k - 1):
         h[:, n + 1] = two_x * h[:, n] - (2.0 * n) * h[:, n - 1]
     return h.reshape((-1,) + d.shape)
+
+
+def _point_hermite(table: PartialWaveTable, delta: float) -> list:
+    """`_hermite` at one delta as a list of Python floats, box-major: the
+    same IEEE-754 operations on Python floats, but h_0 = e^{-x^2} still from
+    np.exp, whose rounding `math.exp` need not share.  x * x overflows to
+    inf, and h_0 to 0, without a warning."""
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    xs = [(delta - c) / _SQRT8 for c in table.box_centres.tolist()]
+    k = table.n_hermite
+    values = []
+    for x, first in zip(xs, np.exp([-(x * x) for x in xs]).tolist()):
+        tx = 2.0 * x
+        row = [first, tx * first][:k]
+        for n in range(1, k - 1):
+            row.append(tx * row[n] - (2.0 * n) * row[n - 1])
+        values += row
+    return values
 
 
 def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarray:
@@ -551,12 +573,9 @@ def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarr
     kern = table._kernel(part)
     pref = _PARTS[part][1]
     terms = np.empty_like(kern)
-    y_powers = table.y_powers
-    edges = table.box_edges.tolist()
-    # each box's slices of the row's terms (refilled for every row) and of
-    # y_powers, taken once per call
-    boxes = [(terms[:, None, l0:l1], y_powers[:, l0:l1])
-             for l0, l1 in zip(edges[:-1], edges[1:])]
+    # each box's slice of the row's terms, refilled for every row, beside
+    # the table's slice of y_powers
+    boxes = [(terms[:, None, box], powers) for box, powers in table._expansion.boxes]
     out = np.empty((len(kern), len(p_rows), len(boxes), table.n_hermite))
     for i, p_row in enumerate(p_rows):
         np.multiply(kern, p_row, out=terms)
@@ -574,24 +593,27 @@ def _combine(moments: np.ndarray, h: np.ndarray) -> np.ndarray:
     Terms are added one j at a time in a fixed order and elementwise (no
     reduction over an axis, whose order numpy picks by shape); with
     `_moments`' fixed-length dots along l, every cell equals its
-    single-point evaluation.  One cell (one row and one delta) is summed
-    on Python floats in the same order.
+    single-point evaluation, which `_point_sum` adds in the same order on
+    Python floats.
     """
-    if moments.shape[1] == h[0].size == 1:
-        hs = h.ravel().tolist()
-        sums = []
-        for ms in moments.reshape(len(moments), -1).tolist():
-            total = ms[0] * hs[0]
-            for m, hj in zip(ms[1:], hs[1:]):
-                total += m * hj
-            sums.append(total)
-        return np.array(sums).reshape(-1, 1, 1)
     out = moments[:, :, 0, None] * h[0]
     term = np.empty_like(out)
     for j in range(1, h.shape[0]):
         np.multiply(moments[:, :, j, None], h[j], out=term)
         out += term
     return out
+
+
+def _point_sum(moments: np.ndarray, hs: list) -> list:
+    """`_combine` of one row's moments, shape (c, J), and one delta's
+    `_point_hermite`: sum_j M_j h_j of each component, a Python float."""
+    sums = []
+    for ms in moments.tolist():
+        total = ms[0] * hs[0]
+        for m, hj in zip(ms[1:], hs[1:]):
+            total += m * hj
+        sums.append(total)
+    return sums
 
 
 def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
@@ -603,16 +625,22 @@ def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
 
 
 def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,
-               workers: int = 1, dtype=float) -> np.ndarray:
+               workers: int = 1, plan=None) -> np.ndarray:
     """reduce(*components) of the series `part` (see `PartialWaveTable._kernel`)
-    on the outer product of thetas and deltas, shape (n_theta, n_delta): each
-    chunk is reduced into its rows of the one output, split by rows over the
-    plan's threads.  Single points (a one-cell output, complex for a complex
-    amplitude), `probability_grid` and `scan.sweep` evaluate here."""
+    on the outer product of thetas and deltas, a float array of shape
+    (n_theta, n_delta): each chunk is reduced into its rows of the one
+    output, split by rows over the plan's threads.  `plan` is the
+    `_check_budget` of a caller that checked the budget from the counts,
+    before it made the angles; by default it is checked here.
+    `probability_grid` and `scan.sweep` evaluate here; a single point
+    evaluates in `_point`, with the same operations in the same order, so
+    it equals its cell here."""
     thetas = np.asarray(thetas, dtype=float)
-    chunks, threads = _check_budget(table, thetas.size, np.size(deltas), workers)
+    if plan is None:
+        plan = _check_budget(table, thetas.size, np.size(deltas), workers)
+    chunks, threads = plan
     h = _hermite(table, deltas)
-    out = np.empty((thetas.size, h.shape[1]), dtype)
+    out = np.empty((thetas.size, h.shape[1]))
 
     def fill(rows, moments):
         rows[...] = reduce(*_combine(moments, h))
@@ -627,31 +655,44 @@ def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,
     return out
 
 
+def _point(table: PartialWaveTable, theta, delta, part: str) -> list:
+    """The components of the series `part` at one (theta, delta), Python
+    floats: the budget check, one Legendre row (`legendre_rows`' one-angle
+    entry), its moments (`_moments`), and the Hermite recurrence and
+    sum_j M_j h_j on Python floats (`_point_hermite`, `_point_sum`)."""
+    _check_budget(table, 1, 1)
+    hs = _point_hermite(table, float(delta))
+    row = specfun.legendre_rows(float(theta), table.l_max)
+    return _point_sum(_moments(table, row[None], part)[:, 0], hs)
+
+
 def probability_grid(table: PartialWaveTable, thetas, deltas) -> np.ndarray:
     """P = |A|^2 on the outer product of thetas and deltas."""
     return _eval_grid(table, thetas, deltas, "full", _abs2)
 
 
 def amplitude(table: PartialWaveTable, theta: float, delta: float) -> complex:
-    """A(theta, delta) at a single point (same code path as the grids)."""
-    return complex(_eval_grid(table, [theta], [delta], "full", _complex,
-                              dtype=complex)[0, 0])
+    """A(theta, delta) at a single point (a cell of the grids, bit for bit)."""
+    re, im = _point(table, theta, delta, "full")
+    return re + 1j * im
 
 
 def probability(table: PartialWaveTable, theta: float, delta: float) -> float:
     """P(theta, delta) = |A|^2 at a single point."""
-    return float(probability_grid(table, [theta], [delta])[0, 0])
+    re, im = _point(table, theta, delta, "full")
+    return re * re + im * im
 
 
 def amplitude_forward(table: PartialWaveTable, theta: float, delta: float) -> float:
     """Forward-peak amplitude A_F(theta, delta); real by construction."""
-    return float(_eval_grid(table, [theta], [delta], "forward", _real)[0, 0])
+    (re,) = _point(table, theta, delta, "forward")
+    return re
 
 
 def amplitude_scatter(table: PartialWaveTable, theta: float, delta: float) -> complex:
     """Scattering amplitude part A_S(theta, delta); A = A_F + i A_S."""
-    return complex(_eval_grid(table, [theta], [delta], "scatter", _complex,
-                              dtype=complex)[0, 0])
+    re, im = _point(table, theta, delta, "scatter")
+    return re + 1j * im
 
 
 # ---------------------------------------------------------------------------

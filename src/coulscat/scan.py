@@ -1,15 +1,17 @@
 """Grid sweeps over (theta, delta), a request-keyed table cache, and the
 package's CSV and JSON file writers.
 
-A sweep runs `partialwave._eval_grid`, which checks the memory budget and
-reduces each Legendre chunk's moments to the quantity in the chunk's own
-rows of the sweep's one output (a DCS field is then scaled in place), on
-more than one worker split by rows over threads, so results are
-bit-identical for any worker count.
+A sweep checks the memory budget from the grid's counts, before its
+angles exist, and runs `partialwave._eval_grid`, which reduces each
+Legendre chunk's moments to the quantity in the chunk's own rows of the
+sweep's one output (a DCS field is then scaled in place), on more than one
+worker split by rows over threads, so results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import contextlib
 import enum
 import hashlib
@@ -140,7 +142,10 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
     """
     start = time.perf_counter()
     part, reduce = _QUANTITY_PARTS[quantity]
-    values = partialwave._eval_grid(table, grid.thetas, grid.deltas, part, reduce, workers)
+    # the budget, from the counts, before the grid's angles and deltas exist
+    plan = partialwave._check_budget(table, grid.theta_n, grid.delta_n, workers)
+    values = partialwave._eval_grid(table, grid.thetas, grid.deltas, part, reduce,
+                                    plan=plan)
     if quantity is Quantity.DCS:
         values *= observables.dcs_factor(table.scenario)
 
@@ -213,13 +218,26 @@ def write_csv(path, header: str, rows) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    """Write `payload` plus a `generated_unix` timestamp as one JSON line.
+    """Write `payload` plus a `generated_unix` timestamp as one JSON line,
+    the bytes of `json.dumps` of the whole.
 
-    `path` None or '-' writes to stdout.
+    A value that is an iterator, such as a generator of table rows, is
+    written as a JSON list one item at a time, so its items are never all
+    held.  `path` None or '-' writes to stdout.
     """
-    text = json.dumps({**payload, "generated_unix": time.time()})
     with _stream(path) as out:
-        out.write(text + "\n")
+        out.write("{")
+        for key, value in payload.items():
+            out.write(json.dumps(key) + ": ")
+            if isinstance(value, collections.abc.Iterator):
+                out.write("[")
+                out.writelines((", " if i else "") + json.dumps(item)
+                               for i, item in enumerate(value))
+                out.write("]")
+            else:
+                out.write(json.dumps(value))
+            out.write(", ")
+        out.write('"generated_unix": ' + json.dumps(time.time()) + "}\n")
 
 
 def field_to_csv(result: FieldResult, path) -> None:

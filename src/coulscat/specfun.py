@@ -216,6 +216,40 @@ def _scalar_steps(l_max: int):
     return pairs, last, struct.Struct(f"{l_max - 1}d")
 
 
+def _row_at(x: float, l_max: int) -> np.ndarray:
+    """P_0 .. P_{l_max} at one x = cos theta, shape (l_max+1,).
+
+    At x = +-1 every step of the recurrence is exact and yields the
+    integers (+-1)^l, so those rows (and rows of l_max < 2) are filled
+    directly.  Otherwise the recurrence runs on Python floats, two degrees
+    per iteration (`_scalar_steps`), and degrees 2 on are packed with one
+    `struct` call.
+    """
+    if abs(x) == 1.0 or l_max < 2:
+        out = np.ones(l_max + 1)
+        out[1::2] = x
+        return out
+    pairs, last, row_struct = _scalar_steps(l_max)
+    row = []
+    append = row.append
+    # p0, p1 hold P_{l-1}, P_l at the top of each iteration; each step
+    # overwrites the older of the two
+    p0, p1 = 1.0, x
+    for a0, b0, c0, a1, c1 in pairs:
+        p0 = (a0 * x * p1 - b0 * p0) / c0
+        append(p0)
+        # the second step's l is the first step's l+1
+        p1 = (a1 * x * p0 - c0 * p1) / c1
+        append(p1)
+    if last:
+        a, b, c = last
+        append((a * x * p1 - b * p0) / c)
+    out = np.empty(l_max + 1)
+    out[0], out[1] = 1.0, x
+    out[2:] = np.frombuffer(row_struct.pack(*row))
+    return out
+
+
 @functools.lru_cache(maxsize=4)
 def _ring_operands(l_max: int):
     """2l+1 for l = 1 .. l_max-1 as a read-only array (the ring's
@@ -238,13 +272,14 @@ def _ring_operands(l_max: int):
 
 
 def legendre_rows(thetas, l_max: int) -> np.ndarray:
-    """Legendre values P_l(cos theta), shape (n_theta, l_max+1).
+    """Legendre values P_l(cos theta), shape (n_theta, l_max+1); for a
+    float `thetas`, one angle, its row alone, shape (l_max+1,).
 
     Three-term recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, evaluated
-    as ((2l+1) x P_l - l P_{l-1}) / (l+1) in one of two forms: for a few
-    angles, a loop on Python floats per angle, two degrees per iteration
-    (`_scalar_steps`), each row packed into the result with one `struct`
-    call; otherwise a loop over l vectorized across angles.  The vectorized
+    as ((2l+1) x P_l - l P_{l-1}) / (l+1) in one of two forms: for one angle
+    or a few, a loop on Python floats per angle (`_row_at`); otherwise a
+    loop over l vectorized across angles.  A float takes the lean entry: the
+    checks and x of one angle, without the array form's masks.  The vectorized
     loop runs on an (l, theta) ring of `_RING_DEGREES` degrees, each degree
     one contiguous row across the angles, with four ufunc calls per degree:
     outputs passed positionally, l and l+1 as the 0-d arrays of
@@ -260,47 +295,33 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     vectorized one computes them with the other angles.  NaN angles are
     rejected with the out-of-range ones.
     """
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    if isinstance(thetas, float):
+        if not 0.0 <= thetas <= math.pi:
+            raise ValueError(f"theta must lie in [0, pi], got {thetas}")
+        if thetas in (0.0, math.pi):
+            return _row_at(1.0 if thetas == 0.0 else -1.0, l_max)
+        # over a one-angle array, the inner loop every array of angles runs
+        return _row_at(np.cos(np.array([thetas])).item(), l_max)
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
         raise ValueError("thetas must be one-dimensional")
     ok = (thetas >= 0.0) & (thetas <= np.pi)
     if not np.all(ok):
         raise ValueError(f"theta must lie in [0, pi], got {thetas[~ok][0]}")
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max}")
     x = np.cos(thetas)
     x[thetas == 0.0] = 1.0
     x[thetas == np.pi] = -1.0
     P = np.empty((thetas.size, l_max + 1))
+    if thetas.size <= _SCALAR_MAX_ANGLES:
+        for i, xi in enumerate(x.tolist()):
+            P[i] = _row_at(xi, l_max)
+        return P
     P[:, 0] = 1.0
     if l_max >= 1:
         P[:, 1] = x
     if l_max < 2:
-        return P
-    if thetas.size <= _SCALAR_MAX_ANGLES:
-        # at x = +-1 the recurrence gives the exact integers (+-1)^l
-        ends = np.abs(x) == 1.0
-        P[ends, 2:] = 1.0
-        P[ends, 3::2] = x[ends, None]
-        inner = np.flatnonzero(~ends)
-        pairs, last, row_struct = _scalar_steps(l_max)
-        pack = row_struct.pack
-        for i, xi in zip(inner.tolist(), x[inner].tolist()):
-            row = []
-            append = row.append
-            # p0, p1 hold P_{l-1}, P_l at the top of each iteration; each
-            # step overwrites the older of the two
-            p0, p1 = 1.0, xi
-            for a0, b0, c0, a1, c1 in pairs:
-                p0 = (a0 * xi * p1 - b0 * p0) / c0
-                append(p0)
-                # the second step's l is the first step's l+1
-                p1 = (a1 * xi * p0 - c0 * p1) / c1
-                append(p1)
-            if last:
-                a, b, c = last
-                append((a * xi * p1 - b * p0) / c)
-            P[i, 2:] = np.frombuffer(pack(*row))
         return P
     two_l1, ls, lp1 = _ring_operands(l_max)
     # ring[j] holds P_{k0+j} across the angles, one contiguous row per

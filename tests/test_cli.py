@@ -811,9 +811,10 @@ class TestFailedAllocation:
     over the memory budget.  numpy's array makers are replaced so that a
     request of more than 1e9 values raises the MemoryError numpy raises
     when an allocation fails, and nothing is allocated: on a host that
-    overcommits memory a real 745 GiB request could be granted.  A delta
-    profile's budget is checked from the count before its angles are made,
-    so `angular --delta auto` and `conservation` allocate nothing."""
+    overcommits memory a real 745 GiB request could be granted.  A sweep's
+    and a delta profile's budget is checked from the count before the
+    angles are made, so `angular` (either delta mode) and `conservation`
+    allocate nothing."""
 
     HUGE = 100_000_000_000
 
@@ -839,7 +840,7 @@ class TestFailedAllocation:
         return counts
 
     @pytest.mark.parametrize("argv, budget", [
-        (["angular", "--eta", "10", "--delta", "0", "--theta-n"], False),
+        (["angular", "--eta", "10", "--delta", "0", "--theta-n"], True),
         (["angular", "--eta", "10", "--delta", "auto", "--theta-n"], True),
         (["conservation", "--eta", "0", "--sphere-n"], True),
         (["optical", "--eta-min", "1", "--eta-max", "2", "--eta-n"], False),
@@ -979,6 +980,18 @@ class TestCommandMemory:
         status, peak = self._peak(argv)
         assert status == 0 and peak < 6_000_000
         assert len(out.read_text().splitlines()) == 50_001
+
+    def test_angular_streams_its_json_rows(self, tmp_path):
+        # the rows as lists of Python floats and one string of the whole
+        # document weighed about 34 MB
+        out = tmp_path / "ang.json"
+        argv = ["angular", "--eta", "1", "--eps", "0.05", "--delta", "0.4",
+                "--theta-n", "50000", "--format", "json", "--out", str(out)]
+        status, peak = self._peak(argv)
+        assert status == 0 and peak < 6_000_000
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["command", "eta", "eps", "columns", "rows", "generated_unix"]
+        assert len(doc["rows"]) == 50_000 and len(doc["rows"][0]) == 6
 
     @pytest.mark.parametrize("argv", [
         ["conservation", "--eta", "1", "--eps", "0.05", "--sphere-n", "5000000"],

@@ -37,7 +37,13 @@ from coulscat.kinematics import (
     build_scenario,
     build_scenario_from_eta,
 )
-from coulscat.observables import delta_profile
+from coulscat.observables import (
+    dcs,
+    dcs_factor,
+    default_delta_range,
+    delta_max_at,
+    delta_profile,
+)
 from coulscat.partialwave import (
     PhaseShiftModel,
     amplitude_forward,
@@ -89,12 +95,14 @@ def _direct(table, thetas, deltas, part):
 
 
 def _series(table, thetas, deltas, part):
-    """`_eval_grid` of the series `part`: complex, or real for the forward
-    part, whose one component is its real part."""
+    """`_eval_grid` of the series `part`: complex, re + 1j * im of its two
+    components, or real for the forward part, whose one component is its
+    real part."""
     if part == "forward":
         return partialwave._eval_grid(table, thetas, deltas, part, partialwave._real)
-    return partialwave._eval_grid(table, thetas, deltas, part, partialwave._complex,
-                                  dtype=complex)
+    re, im = (partialwave._eval_grid(table, thetas, deltas, part, lambda *c, k=k: c[k])
+              for k in (0, 1))
+    return re + 1j * im
 
 
 def _coulomb(eta):
@@ -355,13 +363,13 @@ class TestMomentsDoNotDependOnTheLayout:
 
 
 class TestOneCellFormsEqualTheArrayForms:
-    """One cell (one row, one delta) runs `_hermite`'s recurrence and
-    `_combine`'s sum on Python floats; every other shape runs them on
-    arrays.  A 1x1 cell equals the same cell of a 1x2 and of a 2x1 batch,
-    bit for bit: in the free case (K = 1), at eta = 10 (one box) and
-    eta = 800 (4 boxes), for every part (the forward part has one
-    component), with shared and per-row deltas, and at delta = +-1e300,
-    where h_0 underflows to zero."""
+    """A single point (`partialwave._point`) runs the Hermite recurrence
+    (`_point_hermite`) and the sum over j (`_point_sum`) on Python floats;
+    grids run `_hermite` and `_combine` on arrays.  The one cell equals the
+    same cell of a 1x2 and of a 2x1 batch, bit for bit: in the free case
+    (K = 1), at eta = 10 (one box) and eta = 800 (4 boxes), for every part
+    (the forward part has one component), with shared and per-row deltas,
+    and at delta = +-1e300, where h_0 underflows to zero."""
 
     THETAS = (0.4, 2.3)
     DELTAS = (3.7, 1e300, -1e300)
@@ -377,52 +385,152 @@ class TestOneCellFormsEqualTheArrayForms:
 
     @pytest.mark.parametrize("delta", DELTAS)
     def test_hermite_functions(self, table, delta):
-        one = partialwave._hermite(table, [delta])
-        assert one.shape == (table.box_centres.size * table.n_hermite, 1)
-        assert np.array_equal(one, partialwave._hermite(table, [delta, -2.0])[:, :1])
-        per_row = partialwave._hermite(table, [[delta]])
-        assert per_row.shape == one.shape + (1,)
-        assert np.array_equal(per_row, partialwave._hermite(table, [[delta], [-2.0]])[:, :1])
-        assert np.array_equal(per_row, partialwave._hermite(table, [[delta, -2.0]])[..., :1])
+        one = np.array(partialwave._point_hermite(table, delta))
+        assert one.shape == (table.box_centres.size * table.n_hermite,)
+        assert _bits(one) == _bits(partialwave._hermite(table, [delta])[:, 0])
+        assert _bits(one) == _bits(partialwave._hermite(table, [delta, -2.0])[:, 0])
+        per_row = partialwave._hermite(table, [[delta], [-2.0]])
+        assert _bits(one) == _bits(per_row[:, 0, 0])
+        assert _bits(one) == _bits(partialwave._hermite(table, [[delta, -2.0]])[:, 0, 0])
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("part", PARTS)
     def test_shared_deltas(self, table, part, delta):
         theta = self.THETAS[0]
-        cell = _series(table, [theta], [delta], part)
-        assert cell.shape == (1, 1)
+        cell = np.array(partialwave._point(table, theta, delta, part))
         # the forward part is real: it has no imaginary component at all
-        assert cell.dtype == (float if part == "forward" else complex)
-        wide = _series(table, [theta], [delta, -2.0], part)
-        tall = _series(table, self.THETAS, [delta], part)
-        assert np.array_equal(cell, wide[:, :1])
-        assert np.array_equal(cell, tall[:1])
+        assert cell.shape == ((1,) if part == "forward" else (2,))
+        for grid in (_components(table, [theta], [delta], part),
+                     _components(table, [theta], [delta, -2.0], part),
+                     _components(table, self.THETAS, [delta], part)):
+            assert _bits(cell) == _bits(grid[:, 0, 0])
         # the free case has no scattering part
         if delta == 3.7 and not (part == "scatter" and table.scenario.eta == 0.0):
-            assert cell[0, 0].real != 0.0
+            assert cell[0] != 0.0
 
     @pytest.mark.parametrize("delta", DELTAS)
     @pytest.mark.parametrize("part", PARTS)
     def test_per_row_deltas(self, table, part, delta):
         rows = specfun.legendre_rows(np.array(self.THETAS), table.l_max)
         moments = partialwave._moments(table, rows, part)
-        h = partialwave._hermite(table, np.array([[delta], [-2.0]]))
-        both = partialwave._combine(moments, h)
-        cell = partialwave._combine(moments[:, :1], h[:, :1])
-        assert cell.shape == (len(moments), 1, 1)
-        assert np.array_equal(cell, both[:, :1])
+        cell = np.array(partialwave._point_sum(moments[:, 0],
+                                               partialwave._point_hermite(table, delta)))
+        both = partialwave._combine(moments, partialwave._hermite(
+            table, np.array([[delta], [-2.0]])))
+        assert _bits(cell) == _bits(both[:, 0, 0])
         wide = partialwave._combine(moments[:, :1],
                                     partialwave._hermite(table, np.array([[delta, -2.0]])))
-        assert np.array_equal(cell, wide[..., :1])
+        assert _bits(cell) == _bits(wide[:, 0, 0])
 
     def test_a_one_angle_profile_equals_its_row_of_a_wider_one(self, table):
-        # p_max re-evaluates P at each row's own peak: per-row deltas
+        # p_max re-evaluates P at each row's own peak: per-row deltas, and a
+        # one-row chunk's peak is a single point
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the free case is flat
             one = delta_profile(table, self.THETAS[:1])
             two = delta_profile(table, self.THETAS)
         assert one.delta_max[0] == two.delta_max[0]
         assert one.p_max[0] == two.p_max[0]
+
+
+def _bits(values) -> bytes:
+    """The float64 bytes of `values`, so that a zero's sign counts."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _components(table, thetas, deltas, part):
+    """The series `part`'s components on the grid, through `_eval_grid`,
+    stacked: shape (c, n_theta, n_delta)."""
+    return np.stack([partialwave._eval_grid(table, thetas, deltas, part,
+                                            lambda *c, k=k: c[k])
+                     for k in range(len(table._kernel(part)))])
+
+
+class TestPointSeriesEqualTheirGridCells:
+    """The five single-point series equal their `_eval_grid` cells bit for
+    bit, zeros' signs too: in the free case, at eta = 10 and 800 and on a
+    square well of several Hermite boxes, at theta 0, 0.4, 2.3 and pi, and
+    at delta = 3.7 and +-1e300."""
+
+    THETAS = (0.0, 0.4, 2.3, math.pi)
+
+    @pytest.fixture(scope="class", params=[0.0, 10.0, 800.0, "square-well"],
+                    ids=["free", "eta=10", "eta=800", "square-well"])
+    def table(self, request):
+        if request.param == "square-well":
+            table = _square_well()
+            assert table.box_centres.size > 1
+            return table
+        return _coulomb(request.param)
+
+    @pytest.mark.parametrize("delta", [3.7, 1e300, -1e300])
+    def test_each_series(self, table, delta):
+        deltas = [delta, -2.0]
+        full = _components(table, self.THETAS, deltas, "full")
+        (forward,) = _components(table, self.THETAS, deltas, "forward")
+        scatter = _components(table, self.THETAS, deltas, "scatter")
+        p_grid = partialwave._eval_grid(table, self.THETAS, deltas, "full", partialwave._abs2)
+        factor = dcs_factor(table.scenario)
+        for i, theta in enumerate(self.THETAS):
+            cells = {
+                "probability": (probability(table, theta, delta), p_grid[i, 0]),
+                "dcs": (dcs(table, theta, delta), p_grid[i, 0] * factor),
+                "amplitude": (partialwave.amplitude(table, theta, delta),
+                              full[0, i, 0] + 1j * full[1, i, 0]),
+                "amplitude_forward": (amplitude_forward(table, theta, delta),
+                                      forward[i, 0]),
+                "amplitude_scatter": (amplitude_scatter(table, theta, delta),
+                                      scatter[0, i, 0] + 1j * scatter[1, i, 0]),
+            }
+            for name, (point, cell) in cells.items():
+                assert type(point) is type(cell.item()), name
+                parts = [point.real, point.imag] if isinstance(point, complex) else [point]
+                cell_parts = [cell.real, cell.imag] if isinstance(point, complex) else [cell]
+                assert _bits(parts) == _bits(cell_parts), (name, theta)
+
+
+class TestDeltaMaxAtIsAProfileRow:
+    """`delta_max_at(table, theta)` is `delta_profile(table, [theta])`'s
+    one row, and the same row of a three-angle profile, bit for bit; the
+    default window's scan is built once and kept with the table."""
+
+    @pytest.fixture(scope="class", params=[0.0, 10.0, -10.0, 800.0, "square-well"],
+                    ids=["free", "eta=10", "eta=-10", "eta=800", "square-well"])
+    def table(self, request):
+        if request.param == "square-well":
+            return _square_well()
+        return _coulomb(request.param)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.03, 1.1, math.pi])
+    def test_equals_the_profile_rows(self, table, theta):
+        thetas = [0.7, theta, 2.9]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the free case is flat
+            point = delta_max_at(table, theta)
+            one = delta_profile(table, [theta])
+            three = delta_profile(table, thetas)
+        assert _bits(point) == _bits([one.delta_max[0], one.p_max[0]])
+        assert _bits(point) == _bits([three.delta_max[1], three.p_max[1]])
+        assert type(point[0]) is float and type(point[1]) is float
+
+    def test_the_default_scan_is_kept_with_the_table(self, table, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            first = delta_profile(table, [0.5])
+            calls = []
+            hermite = partialwave._hermite
+            monkeypatch.setattr(partialwave, "_hermite",
+                                lambda *args: calls.append(args) or hermite(*args))
+            again = delta_profile(table, [1.5])
+            delta_max_at(table, 2.5)
+            assert again.deltas is first.deltas and not first.deltas.flags.writeable
+            assert calls == []
+            # an explicit window builds its own scan, equal to the default one
+            lo, hi = default_delta_range(table)
+            explicit = delta_profile(table, [0.5], (lo, hi), first.deltas.size)
+        assert explicit.deltas is not first.deltas and len(calls) == 1
+        assert np.array_equal(explicit.deltas, first.deltas)
+        assert _bits(explicit.p_scan) == _bits(first.p_scan)
 
 
 class TestDeltasMustBeFinite:

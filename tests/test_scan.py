@@ -477,6 +477,24 @@ class TestSerialization:
         doc = json.loads(text)
         assert doc["a"] == [1.5, -0.0] and "generated_unix" in doc
 
+    @pytest.mark.parametrize("payload", [
+        {},
+        {"command": "angular", "eta": -10.0, "columns": ["a", "b"],
+         "rows": [[0.0, math.inf], [1.0 / 3.0, -0.0], [5e-324, -1e300]]},
+        {"rows": [], "n": 3, "nested": {"x": [1, 2.5]}},
+    ], ids=["empty", "table", "no-rows"])
+    def test_json_streams_an_iterator_with_the_bytes_of_json_dumps(
+            self, payload, monkeypatch, capsys):
+        # a value given as an iterator is written item by item; the bytes
+        # are those of one json.dumps of the whole, the timestamp last
+        monkeypatch.setattr(scan.time, "time", lambda: 1700000000.125)
+        want = json.dumps({**payload, "generated_unix": 1700000000.125}) + "\n"
+        streamed = {k: iter(v) if k == "rows" else v for k, v in payload.items()}
+        scan.write_json("-", streamed)
+        assert capsys.readouterr().out == want
+        scan.write_json("-", payload)
+        assert capsys.readouterr().out == want
+
     def test_json_envelope(self, table_eta10, tmp_path):
         g = GridSpec(0.1, 0.3, 2, -1.0, 1.0, 2)
         field = sweep(table_eta10, g, Quantity.PROBABILITY)

@@ -336,6 +336,25 @@ class TestLegendre:
     def test_rejects_angles_outside_0_pi(self, theta):
         with pytest.raises(ValueError, match=r"\[0, pi\]"):
             specfun.legendre_rows(np.array([0.5, theta]), 10)
+        # the one-angle entry checks as the array form does
+        with pytest.raises(ValueError, match=r"\[0, pi\]"):
+            specfun.legendre_rows(theta, 10)
+
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 3, 64, 65, 6000])
+    def test_one_angle_entry_equals_the_array_rows(self, l_max):
+        # a float (a numpy float too) is one angle: its row alone, the bytes
+        # of its row in a scalar batch and in a vectorized one
+        thetas = [0.0, 1e-9, 0.03, math.pi / 2, 2.9, math.pi]
+        scalar = specfun.legendre_rows(np.array(thetas), l_max)
+        ring = specfun.legendre_rows(np.resize(thetas, specfun._SCALAR_MAX_ANGLES + 1), l_max)
+        for i, theta in enumerate(thetas):
+            for one in (specfun.legendre_rows(theta, l_max),
+                        specfun.legendre_rows(np.float64(theta), l_max)):
+                assert one.shape == (l_max + 1,)
+                assert one.tobytes() == scalar[i].tobytes() == ring[i].tobytes()
+                assert one.tobytes() == np.array(_recurrence_row(theta, l_max)).tobytes()
+        with pytest.raises(ValueError, match="l_max must be >= 0"):
+            specfun.legendre_rows(0.5, -1)
 
 
 class TestScalarSteps:
