@@ -13,7 +13,6 @@ the forward direction where the bounded wavepacket probability is not.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 import warnings
@@ -247,8 +246,9 @@ def _scan_plan(table: PartialWaveTable, n_theta: int,
     if coarse_n < 5:
         raise ValueError("coarse_n must be at least 5")
     chunks, _threads = partialwave._check_budget(table, n_theta, coarse_n)
-    scan = functools.partial(_coarse_scan, lo=lo, hi=hi, n=coarse_n)
-    deltas, h = table._derive("default coarse scan", scan) if default else scan(table)
+    deltas, h = (table._derive("default coarse scan",
+                               lambda t: _coarse_scan(t, lo, hi, coarse_n))
+                 if default else _coarse_scan(table, lo, hi, coarse_n))
     return deltas, h, chunks
 
 

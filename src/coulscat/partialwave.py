@@ -625,19 +625,20 @@ def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
 
 
 def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,
-               workers: int = 1, plan=None) -> np.ndarray:
+               plan=None) -> np.ndarray:
     """reduce(*components) of the series `part` (see `PartialWaveTable._kernel`)
     on the outer product of thetas and deltas, a float array of shape
     (n_theta, n_delta): each chunk is reduced into its rows of the one
     output, split by rows over the plan's threads.  `plan` is the
     `_check_budget` of a caller that checked the budget from the counts,
-    before it made the angles; by default it is checked here.
+    before it made the angles (with its worker count); by default it is
+    checked here, on one thread.
     `probability_grid` and `scan.sweep` evaluate here; a single point
     evaluates in `_point`, with the same operations in the same order, so
     it equals its cell here."""
     thetas = np.asarray(thetas, dtype=float)
     if plan is None:
-        plan = _check_budget(table, thetas.size, np.size(deltas), workers)
+        plan = _check_budget(table, thetas.size, np.size(deltas))
     chunks, threads = plan
     h = _hermite(table, deltas)
     out = np.empty((thetas.size, h.shape[1]))

@@ -254,7 +254,7 @@ class TestExpansionBuiltOnFirstRead:
         chunks, threads = partialwave._check_budget(table, thetas.size, 0, 2)
         assert (chunks, threads) == ([(0, 2), (2, 4)], 2)
         field = partialwave._eval_grid(table, thetas, [0.0, 0.5], "full",
-                                       partialwave._abs2, workers=2)
+                                       partialwave._abs2, plan=(chunks, threads))
         assert builds == kernels == [threading.get_ident()]
         assert np.array_equal(field, probability_grid(table, thetas, [0.0, 0.5]))
         seen = []

@@ -1,23 +1,22 @@
 """Print one sha256 over the `float.hex` of every value of seeded
 single-point calls.
 
-    PYTHONPATH=src python tools/point_digests.py [--seed S] [--angles N]
+    PYTHONPATH=src python tools/point_digests.py
 
 Run from the root of a checkout.  The calls are the six single-point kinds
 of the benchmark's `point-eval` workload (`probability`,
 `amplitude_forward`, `amplitude_scatter`, `dcs`, `delta_max_at` and
-`scattering_amplitude_f`) plus `amplitude`, each at N angles per table, 0
-and pi among them, and a seeded delta per angle in [-4, 10].  The tables
-are Coulomb ones at eps = 1e-3 at both signs of one seeded eta in each of
-the workload's four |eta| bands, the free case eta = 0, and a square well
-whose xi needs several Hermite boxes.  Two checkouts that print the same
+`scattering_amplitude_f`) plus `amplitude`, each at ANGLES angles per
+table, 0 and pi among them, and a seeded delta per angle in [-4, 10].  For
+each seed of SEEDS the tables are Coulomb ones at eps = 1e-3 at both signs
+of one seeded eta in each of the workload's four |eta| bands, the free case
+eta = 0, and a square well whose xi needs several Hermite boxes.  Two checkouts that print the same
 digest return the same bits for every call (a zero's sign too); compare
 them with `diff`.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import math
 import random
@@ -31,6 +30,8 @@ from coulscat.kinematics import (
 )
 
 EPS = 1e-3
+SEEDS = (23, 1, 2)
+ANGLES = 8
 # the |eta| bands of perfbench/workloads.py's point-eval pools
 BANDS = ((0.1, 1.0), (1.0, 10.0), (10.0, 100.0), (700.0, 800.0))
 
@@ -69,25 +70,21 @@ def values(result) -> list:
     return [result]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=23)
-    parser.add_argument("--angles", type=int, default=8,
-                        help="angles per table, 0 and pi among them (default 8)")
-    args = parser.parse_args(argv)
-    rng = random.Random(args.seed)
+def main() -> int:
     digest = hashlib.sha256()
     with warnings.catch_warnings():
         # the free case's delta profile is flat
         warnings.simplefilter("ignore")
-        for table in tables(rng):
-            thetas = [0.0, math.pi] + [rng.uniform(0.0, math.pi)
-                                       for _ in range(args.angles - 2)]
-            for theta in thetas:
-                delta = rng.uniform(-4.0, 10.0)
-                for fn in KINDS.values():
-                    for v in values(fn(table, theta, delta)):
-                        digest.update(float(v).hex().encode() + b"\n")
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            for table in tables(rng):
+                thetas = [0.0, math.pi] + [rng.uniform(0.0, math.pi)
+                                           for _ in range(ANGLES - 2)]
+                for theta in thetas:
+                    delta = rng.uniform(-4.0, 10.0)
+                    for fn in KINDS.values():
+                        for v in values(fn(table, theta, delta)):
+                            digest.update(float(v).hex().encode() + b"\n")
     print(digest.hexdigest())
     return 0
 
