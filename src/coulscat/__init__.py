@@ -4,6 +4,14 @@ Computes the bounded wavepacket-to-wavepacket scattering probability
 P(theta, delta), the differential cross section and its deviations from the
 Rutherford formula, time delays and advancements, conservation sum rules and
 optical-theorem diagnostics, for Coulomb and short-range phase-shift models.
+
+Every command runs in a fresh process, where start-up can outweigh the
+series, so a module imports at module level only numpy, the package and
+the standard-library modules that every command runs.  What only some
+commands need is imported in the function that uses it: scipy (square-well
+tables, the quadrature oracle, `selftest`), `concurrent.futures` (an
+evaluation planned on more than one thread), `hashlib` (a sweep's input
+checksum) and `json` (JSON output).
 """
 
 from .errors import (

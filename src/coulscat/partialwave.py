@@ -40,10 +40,11 @@ angles into equal Legendre chunks and bounds the memory of one in flight;
 calling thread, and `_eval_grid` (grids, `scan.sweep`) or
 `observables.delta_profile` reduces the moments into the chunk's rows of
 the one grid-sized output, on more than one worker split by rows over
-threads.  A single point (`_point`) takes one row's `_moments` and does the
-rest on Python floats.  `_moments` reduces one theta row at a time, each
-moment one dot product along a box's l, and `_combine` (or `_point_sum`)
-adds the terms in a fixed order elementwise.  A dot's summation order
+threads (`concurrent.futures` is imported only then).  A single point
+(`_point`) takes one row's `_moments` and does the rest on Python floats.
+`_moments` reduces one theta row at a time, each moment one dot product
+along a box's l, and `_combine` (or `_point_sum`) adds the terms in a
+fixed order elementwise.  A dot's summation order
 depends on its length only (boxes stop at 8192 terms, short of where BLAS
 splits a dot across its own threads), so identical inputs give
 bit-identical results regardless of how work is partitioned across
@@ -57,7 +58,6 @@ import functools
 import math
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -649,6 +649,10 @@ def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,
     if threads <= 1:
         _each_chunk(table, thetas, part, lambda i0, i1, m: fill(out[i0:i1], m), chunks)
         return out
+    # imported here, where a plan has more than one thread (see the
+    # package docstring): it loads logging and queue
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         _each_chunk(table, thetas, part, lambda i0, i1, m: list(pool.map(
             fill, np.array_split(out[i0:i1], threads), np.array_split(m, threads, axis=1))),

@@ -6,7 +6,12 @@ angles exist, and runs `partialwave._eval_grid`, which reduces each
 Legendre chunk's moments to the quantity in the chunk's own rows of the
 sweep's one output (a DCS field is then scaled in place), on more than one
 worker split by rows over threads, so results are bit-identical for any
-worker count.
+worker count.  Its `_input_checksum` imports `hashlib` on first use.
+
+The writers stream: a field's rows are converted to Python floats a batch
+at a time, and `write_json`, which imports `json` on first use, writes a
+value given as an iterator a batch of items at a time, so an export holds
+a few rows, never the whole grid as Python objects.
 """
 
 from __future__ import annotations
@@ -14,8 +19,7 @@ from __future__ import annotations
 import collections.abc
 import contextlib
 import enum
-import hashlib
-import json
+import itertools
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -109,6 +113,10 @@ class FieldResult:
 
 
 def _input_checksum(table: PartialWaveTable, grid: GridSpec, quantity: Quantity) -> str:
+    # imported here, not at module level (see the package docstring): it
+    # loads OpenSSL, and only a sweep needs it
+    import hashlib
+
     sc = table.scenario
     h = hashlib.sha256()
     h.update(repr((sc.Z1, sc.Z2, sc.m0, sc.E, sc.eps, sc.eta)).encode())
@@ -217,27 +225,45 @@ def write_csv(path, header: str, rows) -> None:
         out.writelines(line(*row) for row in rows)
 
 
+# rows an export converts to Python floats, and items of an iterator value
+# that `write_json` encodes, in one call
+_BATCH = 64
+
+
 def write_json(path, payload: dict) -> None:
     """Write `payload` plus a `generated_unix` timestamp as one JSON line,
     the bytes of `json.dumps` of the whole.
 
     A value that is an iterator, such as a generator of table rows, is
-    written as a JSON list one item at a time, so its items are never all
-    held.  `path` None or '-' writes to stdout.
+    written as a JSON list `_BATCH` items at a time, so its items are
+    never all held: one `json.dumps` per batch, without its brackets, keeps
+    the per-call cost off short items.  `path` None or '-' writes to stdout.
     """
+    # imported here, where a command writes JSON (see the package docstring)
+    import json
+
     with _stream(path) as out:
         out.write("{")
         for key, value in payload.items():
             out.write(json.dumps(key) + ": ")
             if isinstance(value, collections.abc.Iterator):
                 out.write("[")
-                out.writelines((", " if i else "") + json.dumps(item)
-                               for i, item in enumerate(value))
+                sep = ""
+                while batch := list(itertools.islice(value, _BATCH)):
+                    out.write(sep + json.dumps(batch)[1:-1])
+                    sep = ", "
                 out.write("]")
             else:
                 out.write(json.dumps(value))
             out.write(", ")
         out.write('"generated_unix": ' + json.dumps(time.time()) + "}\n")
+
+
+def _float_rows(values: np.ndarray):
+    """The rows of `values` as lists of Python floats, converted `_BATCH`
+    rows at a time, so an export never holds the whole grid that way."""
+    for i0 in range(0, values.shape[0], _BATCH):
+        yield from values[i0:i0 + _BATCH].tolist()
 
 
 def field_to_csv(result: FieldResult, path) -> None:
@@ -246,19 +272,22 @@ def field_to_csv(result: FieldResult, path) -> None:
 
     Each theta and each delta is formatted once per grid: a theta row's
     lines are one `%`-template, the row's theta and the grid's deltas
-    already in it, applied to the row's values.  `%.17g` and `{:.17g}` give
-    the same digits, so the bytes are those of a `write_csv` of the triples.
+    already in it, applied to the row's values (`_float_rows`).  `%.17g`
+    and `{:.17g}` give the same digits, so the bytes are those of a
+    `write_csv` of the triples.
     """
     tails = [",%.17g,%%.17g\n" % d for d in result.grid.deltas.tolist()]
-    thetas = ["%.17g" % t for t in result.grid.thetas.tolist()]
     with _stream(path) as out:
         out.write("theta,delta,value\n")
-        for t, row in zip(thetas, result.values.tolist()):
+        for t, row in zip(result.grid.thetas.tolist(), _float_rows(result.values)):
+            t = "%.17g" % t
             out.write((t + t.join(tails)) % tuple(row))
 
 
 def field_to_json(result: FieldResult, path) -> None:
-    """JSON envelope carrying provenance metadata alongside the matrix."""
+    """JSON envelope carrying provenance metadata alongside the matrix, whose
+    rows `write_json` streams from `_float_rows`: the bytes of one
+    `json.dumps` of `values.tolist()`, without the whole list."""
     sc = result.scenario
     write_json(path, {
         "quantity": result.quantity.value,
@@ -272,5 +301,5 @@ def field_to_json(result: FieldResult, path) -> None:
         "checksum": result.checksum,
         "terms_summed": result.terms_summed,
         "wall_time_s": result.wall_time_s,
-        "values": result.values.tolist(),
+        "values": _float_rows(result.values),
     })

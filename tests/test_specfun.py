@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -8,8 +9,12 @@ import numpy as np
 import pytest
 
 import coulscat
-from coulscat import partialwave, specfun
-from coulscat.kinematics import ALPHA_PARTICLE_MASS_MEV, build_scenario
+from coulscat import cli, partialwave, scan, specfun
+from coulscat.kinematics import (
+    ALPHA_PARTICLE_MASS_MEV,
+    build_scenario,
+    build_scenario_from_eta,
+)
 
 
 def weierstrass_log_gamma(z: complex, terms: int = 1_000_000) -> complex:
@@ -433,6 +438,34 @@ class TestStartUp:
         want = [math.fsum(table.xi), specfun.i_integral_quadrature(3, 1e-3)]
         assert lazy_scipy_run[1:] == ["True", repr(want)]
 
+    @pytest.fixture(scope="class")
+    def lazy_stdlib_run(self):
+        return _run_python(_LAZY_STDLIB_SCRIPT).stdout.decode().splitlines()
+
+    def test_commands_load_no_thread_pool_checksum_or_json(self, lazy_stdlib_run):
+        # import coulscat.cli, one profile-delta and one angular --delta auto
+        # writing CSV: none loads concurrent.futures, hashlib or json
+        assert lazy_stdlib_run[0] == "[0, 0] []"
+
+    def test_lazy_stdlib_paths_give_this_process_values(self, lazy_stdlib_run, capsys):
+        # a two-thread sweep loads the pool and the checksum's hashlib, and a
+        # --format json write loads json; each gives this process's values
+        assert lazy_stdlib_run[1:4] == [
+            "['concurrent.futures', 'hashlib']",
+            "['concurrent.futures', 'hashlib']",
+            "['concurrent.futures', 'hashlib', 'json']",
+        ]
+        table = partialwave.build_table(build_scenario_from_eta(10.0, 1e-2),
+                                        partialwave.PhaseShiftModel.coulomb_exact())
+        field = scan.sweep(table, scan.GridSpec(*_LAZY_STDLIB_GRID), scan.Quantity.PROBABILITY)
+        assert lazy_stdlib_run[4] == repr((field.values.tolist(), field.checksum))
+        assert cli.main(_LAZY_STDLIB_ANGULAR) == 0
+        assert lazy_stdlib_run[5] == repr(capsys.readouterr().out)
+        assert cli.main(_LAZY_STDLIB_ANGULAR + ["--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        del doc["generated_unix"]
+        assert lazy_stdlib_run[6] == repr(doc)
+
 
 _ROWS_SCRIPT = """
 import sys
@@ -469,6 +502,44 @@ model = partialwave.square_well_phase_shifts(0.5, 5.0 / sc.p, sc, l_max=30)
 table = partialwave.build_table(sc, model, l_max=30)
 print("scipy.special" in sys.modules)
 print([math.fsum(table.xi), specfun.i_integral_quadrature(3, 1e-3)])
+"""
+
+# the fresh-process check's sweep grid (at eta = 10, eps = 1e-2, on two
+# threads there) and its fixed-delta angular
+_LAZY_STDLIB_GRID = (0.1, 2.9, 6, -1.0, 1.0, 3)
+_LAZY_STDLIB_ANGULAR = ["angular", "--eta", "1", "--delta", "0.4", "--theta-n", "4"]
+
+_LAZY_STDLIB_SCRIPT = f"""
+import contextlib, io, sys
+import coulscat.cli
+from coulscat import partialwave, scan
+from coulscat.kinematics import build_scenario_from_eta
+
+def loaded():
+    return [m for m in ("concurrent.futures", "hashlib", "json") if m in sys.modules]
+
+with contextlib.redirect_stdout(io.StringIO()):
+    status = [coulscat.cli.main(["profile-delta", "--eta", "10", "--theta", "0.03"]),
+              coulscat.cli.main(["angular", "--eta", "1", "--delta", "auto", "--theta-n", "3"])]
+print(status, loaded())
+partialwave.os.cpu_count = lambda: 2
+table = partialwave.build_table(build_scenario_from_eta(10.0, 1e-2),
+                                partialwave.PhaseShiftModel.coulomb_exact())
+field = scan.sweep(table, scan.GridSpec(*{_LAZY_STDLIB_GRID!r}), scan.Quantity.PROBABILITY,
+                   workers=2)
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()) as csv:
+    coulscat.cli.main({_LAZY_STDLIB_ANGULAR!r})
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()) as doc:
+    coulscat.cli.main({_LAZY_STDLIB_ANGULAR!r} + ["--format", "json"])
+print(loaded())
+import json
+doc = json.loads(doc.getvalue())
+del doc["generated_unix"]
+print(repr((field.values.tolist(), field.checksum)))
+print(repr(csv.getvalue()))
+print(repr(doc))
 """
 
 

@@ -19,8 +19,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from coulscat import cli
-
 # recipe file-name prefix -> the command it runs
 COMMANDS = {
     "angular": "angular",
@@ -30,13 +28,27 @@ COMMANDS = {
 }
 
 
+def find_recipes(directory: Path) -> list:
+    """(path, command) of each *.cfg recipe in `directory`, sorted by name;
+    exits with status 2 when there is none."""
+    recipes = sorted(directory.glob("*.cfg"))
+    if not recipes:
+        print(f"no *.cfg recipes in {directory}", file=sys.stderr)
+        sys.exit(2)
+    return [(r, next(c for prefix, c in COMMANDS.items() if r.name.startswith(prefix)))
+            for r in recipes]
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(recipe: Path, out: Path) -> str:
+def digest(recipe: Path, command: str, out: Path) -> str:
     """One line: the recipe's name, exit code and three digests."""
-    command = next(c for prefix, c in COMMANDS.items() if recipe.name.startswith(prefix))
+    # imported here, so tools/cold_start.py takes `find_recipes` without
+    # the package in its own process
+    from coulscat import cli
+
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main([command, "--config", str(recipe), "--out", str(out)])
@@ -51,13 +63,10 @@ def main(argv=None) -> int:
     parser.add_argument("--recipes", default="recipes", type=Path,
                         help="directory of *.cfg recipes (default: recipes)")
     args = parser.parse_args(argv)
-    recipes = sorted(args.recipes.glob("*.cfg"))
-    if not recipes:
-        print(f"no *.cfg recipes in {args.recipes}", file=sys.stderr)
-        return 2
+    recipes = find_recipes(args.recipes)
     with tempfile.TemporaryDirectory() as tmp:
-        for recipe in recipes:
-            print(digest(recipe, Path(tmp) / (recipe.name + ".out")))
+        for recipe, command in recipes:
+            print(digest(recipe, command, Path(tmp) / (recipe.name + ".out")))
     return 0
 
 
