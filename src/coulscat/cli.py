@@ -213,7 +213,11 @@ def cmd_angular(args) -> int:
         observables._scan_plan(table, grid.theta_n)  # the budget, before the angles
         probs = observables.delta_profile(table, grid.thetas).p_max
     else:
-        probs = scan.sweep(table, grid, scan.Quantity.PROBABILITY).values[:, 0]
+        # `scan.sweep`'s budget and evaluation, without its input checksum,
+        # which this command never reads and whose first call loads OpenSSL
+        plan = partialwave._check_budget(table, grid.theta_n, 1)
+        probs = partialwave._eval_grid(table, grid.thetas, grid.deltas, "full",
+                                       partialwave._abs2, plan=plan)[:, 0]
     pref = observables.dcs_factor(scenario)
 
     def rows():
@@ -236,9 +240,8 @@ def cmd_angular(args) -> int:
 def cmd_conservation(args) -> int:
     scenario, table = _table_from_args(args)
     wsum = observables.conservation_weight_sum(table)
-    observables._scan_plan(table, args.sphere_n)  # the budget, before the angles
-    prof = observables.delta_profile(table, observables.midpoint_thetas(args.sphere_n))
-    sphere = observables.probability_sphere_integral(table, prof)
+    # the budget before the angles, and no coarse scan kept
+    sphere = observables._peak_sphere_integral(table, args.sphere_n)
     # the sum rule holds to O(eps^2); 1e-5 is the eps = 1e-3 allowance
     wsum_tol = max(1e-5, scenario.eps ** 2)
     wsum_ok = abs(wsum - 1.0) <= wsum_tol

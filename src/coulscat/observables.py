@@ -175,9 +175,26 @@ def probability_sphere_integral(table: PartialWaveTable,
     expected = midpoint_thetas(n)
     if not np.allclose(thetas, expected, rtol=0.0, atol=1e-9):
         raise ValueError("profile thetas must be the midpoint grid of [0, pi]")
-    width = math.pi / n
-    integrand = np.sin(thetas) * np.asarray(profile.p_max, dtype=float)
+    return _midpoint_integral(table, thetas, np.asarray(profile.p_max, dtype=float))
+
+
+def _midpoint_integral(table: PartialWaveTable, thetas: np.ndarray,
+                       p_max: np.ndarray) -> float:
+    # the midpoint rule of `probability_sphere_integral` on its checked grid
+    width = math.pi / thetas.size
+    integrand = np.sin(thetas) * p_max
     return width * float(np.sum(integrand)) / (2.0 * table.eps ** 2)
+
+
+def _peak_sphere_integral(table: PartialWaveTable, n_intervals: int) -> float:
+    """`probability_sphere_integral` of the `delta_profile` of the midpoint
+    grid of n intervals, without the profile's coarse scan: the budget, with
+    the same count, is checked before the angles are built, and `_peaks`
+    drops each chunk's scan once it is reduced."""
+    deltas, h, chunks = _scan_plan(table, n_intervals)
+    thetas = midpoint_thetas(n_intervals)
+    _delta_max, p_max, _residual = _peaks(table, thetas, deltas, h, chunks)
+    return _midpoint_integral(table, thetas, p_max)
 
 
 def shadow_angle(eps: float, eta: float) -> float:
@@ -267,8 +284,22 @@ def delta_profile(table: PartialWaveTable, thetas,
     n = np.size(thetas)
     deltas, h, chunks = _scan_plan(table, n, delta_range, coarse_n)
     thetas = np.array(thetas, dtype=float)
-
     p_scan = np.empty((n, deltas.size))
+    delta_max, p_max, residual = _peaks(table, thetas, deltas, h, chunks, p_scan)
+    for arr in (thetas, delta_max, p_max, residual, deltas, p_scan):
+        arr.flags.writeable = False
+    return DeltaProfile(thetas=thetas, delta_max=delta_max, p_max=p_max,
+                        factorization_residual=residual, deltas=deltas, p_scan=p_scan)
+
+
+def _peaks(table: PartialWaveTable, thetas: np.ndarray, deltas: np.ndarray,
+           h: np.ndarray, chunks, p_scan: Optional[np.ndarray] = None
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(delta_max, p_max, factorization residual) of each angle from its
+    coarse scan on `deltas` (`_scan_plan`), warning of flat profiles.  Each
+    chunk's scan is reduced in a chunk-sized array, copied into the rows of
+    `p_scan` when one is given (`delta_profile`) and otherwise dropped."""
+    n = thetas.size
     delta_max = np.zeros(n)
     p_max = np.empty(n)
     residual = np.empty(n)
@@ -276,7 +307,9 @@ def delta_profile(table: PartialWaveTable, thetas,
 
     # each chunk's moments serve the coarse scan, p_max and the residual
     def reduce(i0, i1, moments):
-        grid = p_scan[i0:i1] = partialwave._abs2(*partialwave._combine(moments, h))
+        grid = partialwave._abs2(*partialwave._combine(moments, h))
+        if p_scan is not None:
+            p_scan[i0:i1] = grid
         flat[i0:i1] = grid.max(axis=1) - grid.min(axis=1) < 1e-12
         for k, row in enumerate(grid):
             # below the double-precision noise floor of the series the peak
@@ -299,11 +332,7 @@ def delta_profile(table: PartialWaveTable, thetas,
     n_flat = int(flat.sum())
     if n_flat:
         _warn(f"flat delta profile (peak prominence < 1e-12) at {n_flat} of {n} angles")
-
-    for arr in (thetas, delta_max, p_max, residual, deltas, p_scan):
-        arr.flags.writeable = False
-    return DeltaProfile(thetas=thetas, delta_max=delta_max, p_max=p_max,
-                        factorization_residual=residual, deltas=deltas, p_scan=p_scan)
+    return delta_max, p_max, residual
 
 
 def delta_max_at(table: PartialWaveTable, theta: float) -> tuple[float, float]:

@@ -37,7 +37,8 @@ scattering part A_S, each a kernel and a prefactor from `_PARTS` (A_F is
 real, and only its real component is summed).  `_check_budget` cuts the
 angles into equal Legendre chunks and bounds the memory of one in flight;
 `_each_chunk` runs the recurrence and `_moments` for each in turn on the
-calling thread, and `_eval_grid` (grids, `scan.sweep`) or
+calling thread, writing every chunk's rows into that thread's one row
+buffer, and `_eval_grid` (grids, `scan.sweep`) or
 `observables.delta_profile` reduces the moments into the chunk's rows of
 the one grid-sized output, on more than one worker split by rows over
 threads (`concurrent.futures` is imported only then).  A single point
@@ -49,6 +50,14 @@ depends on its length only (boxes stop at 8192 terms, short of where BLAS
 splits a dot across its own threads), so identical inputs give
 bit-identical results regardless of how work is partitioned across
 threads or batches, and a single point equals its grid cell.
+
+Each thread that runs an evaluation keeps its row buffer (`_row_buffer`)
+between evaluations: at most one chunk of rows, `_CHUNK_BYTES` (32 MiB),
+grown only when a later plan's largest chunk needs more.  glibc's malloc
+raises its mmap threshold when a mapped block is freed and then keeps
+freed blocks of that size resident (mallopt(3)), so a fresh chunk per
+evaluation left a process holding two chunks at its peak and faulting in
+every new one.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ import functools
 import math
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -450,6 +460,12 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
     terms); 2^14 per thread for numpy's iteration buffers; and the deltas'
     Hermite functions with temporaries, (K + 5) n_box per delta.  With no
     deltas the table's Hermite expansion is not read, so not built.
+    The rows of the chunk in flight are counted once: they are written into
+    the calling thread's row buffer (`_row_buffer`), never allocated beyond
+    the largest chunk of the plan that grows it.  The buffer outlives the
+    evaluation, at most one chunk (`_CHUNK_BYTES`, 32 MiB) per thread, so
+    that glibc's malloc never keeps a freed chunk resident beside a new one
+    (mallopt(3)).
     """
     rows = max(1, _CHUNK_BYTES // (8 * (table.l_max + 1)))
     parts = -(-n_theta // rows)
@@ -616,12 +632,36 @@ def _point_sum(moments: np.ndarray, hs: list) -> list:
     return sums
 
 
+# the thread's Legendre row buffer, `_row_buffer`
+_ROWS = threading.local()
+
+
+def _row_buffer(size: int) -> np.ndarray:
+    """The calling thread's flat float64 row buffer, at least `size` values.
+
+    It is kept between evaluations and replaced by one of exactly `size`
+    values only when a plan needs more, the old one dropped first so that
+    the two are never held at once.
+    """
+    buf = getattr(_ROWS, "buf", None)
+    if buf is None or buf.size < size:
+        _ROWS.buf = buf = None
+        buf = _ROWS.buf = np.empty(size)
+    return buf
+
+
 def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
                 chunks) -> None:
     """Call fn(i0, i1, moments) with the `_moments` of the series `part` for
-    each chunk thetas[i0:i1] of `chunks` in turn, on the calling thread."""
+    each chunk thetas[i0:i1] of `chunks` in turn, on the calling thread.
+    Every chunk's Legendre rows are written into a view of the thread's
+    `_row_buffer`, sized for the largest chunk."""
+    width = table.l_max + 1
+    buf = _row_buffer(width * max((i1 - i0 for i0, i1 in chunks), default=0))
     for i0, i1 in chunks:
-        fn(i0, i1, _moments(table, specfun.legendre_rows(thetas[i0:i1], table.l_max), part))
+        rows = buf[: (i1 - i0) * width].reshape(i1 - i0, width)
+        fn(i0, i1, _moments(
+            table, specfun.legendre_rows(thetas[i0:i1], table.l_max, out=rows), part))
 
 
 def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,

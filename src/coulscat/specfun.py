@@ -216,8 +216,9 @@ def _scalar_steps(l_max: int):
     return pairs, last, struct.Struct(f"{l_max - 1}d")
 
 
-def _row_at(x: float, l_max: int) -> np.ndarray:
-    """P_0 .. P_{l_max} at one x = cos theta, shape (l_max+1,).
+def _row_at(x: float, l_max: int, out: np.ndarray) -> np.ndarray:
+    """P_0 .. P_{l_max} at one x = cos theta, written into `out`, shape
+    (l_max+1,), and returned.
 
     At x = +-1 every step of the recurrence is exact and yields the
     integers (+-1)^l, so those rows (and rows of l_max < 2) are filled
@@ -226,7 +227,7 @@ def _row_at(x: float, l_max: int) -> np.ndarray:
     `struct` call.
     """
     if abs(x) == 1.0 or l_max < 2:
-        out = np.ones(l_max + 1)
+        out[:] = 1.0
         out[1::2] = x
         return out
     pairs, last, row_struct = _scalar_steps(l_max)
@@ -244,7 +245,6 @@ def _row_at(x: float, l_max: int) -> np.ndarray:
     if last:
         a, b, c = last
         append((a * x * p1 - b * p0) / c)
-    out = np.empty(l_max + 1)
     out[0], out[1] = 1.0, x
     out[2:] = np.frombuffer(row_struct.pack(*row))
     return out
@@ -271,9 +271,31 @@ def _ring_operands(l_max: int):
     return two_l1, tuple(views[:-1]), tuple(views[1:])
 
 
-def legendre_rows(thetas, l_max: int) -> np.ndarray:
+def _rows_out(out, shape: tuple) -> np.ndarray:
+    """`out` when it is a writable C-contiguous float64 array of `shape`,
+    a fresh array of `shape` when it is None; else ValueError."""
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64
+            and out.shape == shape and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writable C-contiguous float64 array of shape "
+                         f"{shape}, got {getattr(out, 'dtype', type(out).__name__)} "
+                         f"{getattr(out, 'shape', '')}")
+    return out
+
+
+def legendre_rows(thetas, l_max: int, *, out=None) -> np.ndarray:
     """Legendre values P_l(cos theta), shape (n_theta, l_max+1); for a
-    float `thetas`, one angle, its row alone, shape (l_max+1,).
+    float `thetas`, one angle, its row alone, shape (l_max+1,).  With `out`,
+    a writable C-contiguous float64 array of that shape, the rows are
+    written into it and it is returned (ValueError for any other `out`);
+    without, every call returns a fresh array.  `partialwave._each_chunk`
+    passes a view of its thread's row buffer, which every evaluation on
+    that thread re-uses, so the thread keeps at most one chunk of rows
+    (`partialwave._CHUNK_BYTES`, 32 MiB) between evaluations: glibc's
+    malloc keeps a freed block of that size resident (the dynamic mmap
+    threshold of mallopt(3)), so a fresh array per evaluation held two
+    chunks at the peak and faulted in every new one.
 
     Three-term recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, evaluated
     as ((2l+1) x P_l - l P_{l-1}) / (l+1) in one of two forms: for one angle
@@ -300,10 +322,11 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     if isinstance(thetas, float):
         if not 0.0 <= thetas <= math.pi:
             raise ValueError(f"theta must lie in [0, pi], got {thetas}")
+        row = _rows_out(out, (l_max + 1,))
         if thetas in (0.0, math.pi):
-            return _row_at(1.0 if thetas == 0.0 else -1.0, l_max)
+            return _row_at(1.0 if thetas == 0.0 else -1.0, l_max, row)
         # over a one-angle array, the inner loop every array of angles runs
-        return _row_at(np.cos(np.array([thetas])).item(), l_max)
+        return _row_at(np.cos(np.array([thetas])).item(), l_max, row)
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
         raise ValueError("thetas must be one-dimensional")
@@ -313,10 +336,10 @@ def legendre_rows(thetas, l_max: int) -> np.ndarray:
     x = np.cos(thetas)
     x[thetas == 0.0] = 1.0
     x[thetas == np.pi] = -1.0
-    P = np.empty((thetas.size, l_max + 1))
+    P = _rows_out(out, (thetas.size, l_max + 1))
     if thetas.size <= _SCALAR_MAX_ANGLES:
         for i, xi in enumerate(x.tolist()):
-            P[i] = _row_at(xi, l_max)
+            _row_at(xi, l_max, P[i])
         return P
     P[:, 0] = 1.0
     if l_max >= 1:

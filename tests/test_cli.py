@@ -128,9 +128,9 @@ class TestProfileDelta:
         rows = []
         original = specfun.legendre_rows
 
-        def counting(thetas, l_max):
+        def counting(thetas, l_max, **kwargs):
             rows.append(np.size(thetas))
-            return original(thetas, l_max)
+            return original(thetas, l_max, **kwargs)
 
         monkeypatch.setattr(specfun, "legendre_rows", counting)
         out = tmp_path / "prof.csv"
@@ -1003,3 +1003,11 @@ class TestCommandMemory:
         status, peak = self._peak(argv)
         assert status == 4 and peak < 4_000_000
         assert capsys.readouterr().err.startswith("resource error: 5000000 x ")
+
+    def test_conservation_keeps_no_coarse_scan(self, tmp_path):
+        # the 10,000 x 86 coarse scan alone would weigh 6.9 MB; each
+        # chunk's 1083 rows of it are reduced and dropped
+        argv = ["conservation", "--eta", "1", "--eps", "0.05", "--sphere-n", "10000",
+                "--out", str(tmp_path / "c.json")]
+        status, peak = self._peak(argv)
+        assert status == 0 and peak < 8 * 10_000 * 86

@@ -176,6 +176,17 @@ class TestSphereIntegral:
         val400 = probability_sphere_integral(table_eta800, prof400)
         assert abs(val400 - val200) < 0.002
 
+    @pytest.mark.parametrize("n", [1, 7, 35])
+    def test_without_the_profile_equals_the_profile_integral(self, table_eta10,
+                                                             monkeypatch, n):
+        # `conservation`'s path, which keeps no coarse scan, across 10-row
+        # chunks too
+        want = probability_sphere_integral(table_eta10, delta_profile(
+            table_eta10, midpoint_thetas(n)))
+        assert observables._peak_sphere_integral(table_eta10, n) == want
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 10 * 8 * (table_eta10.l_max + 1))
+        assert observables._peak_sphere_integral(table_eta10, n) == want
+
     def test_grid_validation(self, table_free):
         bad = DeltaProfile(thetas=np.linspace(0.0, math.pi, 10),
                            delta_max=np.zeros(10), p_max=np.zeros(10),
@@ -266,9 +277,9 @@ class TestDeltaProfile:
         rows = []
         original = specfun.legendre_rows
 
-        def counting(thetas, l_max):
+        def counting(thetas, l_max, **kwargs):
             rows.append(np.size(thetas))
-            return original(thetas, l_max)
+            return original(thetas, l_max, **kwargs)
 
         monkeypatch.setattr(specfun, "legendre_rows", counting)
         delta_profile(table_eta10, [0.03, 0.5, 1.0, 2.0])
@@ -491,9 +502,9 @@ class TestEnergyRatio:
         rows = []
         original = specfun.legendre_rows
 
-        def counting(thetas, l_max):
+        def counting(thetas, l_max, **kwargs):
             rows.append(np.size(thetas))
-            return original(thetas, l_max)
+            return original(thetas, l_max, **kwargs)
 
         monkeypatch.setattr(specfun, "legendre_rows", counting)
         rho, _eta, _dmax = observables.energy_ratio_rho(family, scenario.E)

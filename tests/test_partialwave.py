@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -206,6 +207,130 @@ class TestEvaluationBudget:
         monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", peak - 1)
         with pytest.raises(ResourceLimitError):
             evaluate(table, self.GRID)
+
+
+def _on_a_new_thread(fn):
+    """fn() on a thread of its own, which starts with no row buffer."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and result, "the thread hung or raised"
+    return result[0]
+
+
+class TestRowBuffer:
+    """Each thread writes every chunk of Legendre rows into one buffer,
+    kept between its evaluations and grown only to a larger plan's chunk."""
+
+    def test_a_fitting_evaluation_allocates_no_rows(self):
+        # 2000 x 1 cells at L = 600 (eps = 1e-2): a 9.6 MB row block, one
+        # chunk, against about 1 MB of moments, output and temporaries
+        table = build_table(build_scenario_from_eta(10.0, 1e-2),
+                            PhaseShiftModel.coulomb_exact())
+        thetas = np.linspace(0.01, 3.0, 2000)
+        block = 8 * thetas.size * (table.l_max + 1)
+        partialwave.probability_grid(table, thetas[:30], [0.0])  # the table's own data
+
+        def rise(evaluate):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                evaluate()
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        def twice():
+            first = rise(lambda: partialwave.probability_grid(table, thetas, [0.0]))
+            buffer = partialwave._row_buffer(0)
+            # sized for the plan, not for a full chunk of _CHUNK_BYTES
+            assert buffer.size == thetas.size * (table.l_max + 1)
+            fits = [rise(lambda: partialwave.probability_grid(table, thetas, [0.5])),
+                    rise(lambda: observables.delta_profile(table, thetas[::7])),
+                    rise(lambda: scan.sweep(table, scan.GridSpec(0.1, 3.0, 1500, 0.0, 1.0, 2),
+                                            scan.Quantity.FORWARD_PART))]
+            return first, fits, partialwave._row_buffer(0) is buffer
+
+        first, fits, kept = _on_a_new_thread(twice)
+        assert first > block and kept
+        assert all(peak < block for peak in fits), (block, fits)
+
+    def test_the_budget_counts_a_new_buffer(self, monkeypatch):
+        # `TestEvaluationBudget` on a thread with no buffer yet, so that the
+        # traced peak holds the rows its first plan allocates
+        table = build_table(build_scenario_from_eta(10.0, 1e-2),
+                            PhaseShiftModel.coulomb_exact())
+        partialwave.probability_grid(table, [0.5] * 30, [0.0])  # the table's own data
+        grid = TestEvaluationBudget.GRID
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 1 << 20)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                partialwave.probability_grid(table, grid.thetas, grid.deltas)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced = _on_a_new_thread(peak)
+        chunk = partialwave._check_budget(table, grid.theta_n, grid.delta_n)[0][0]
+        assert traced > 8 * (chunk[1] - chunk[0]) * (table.l_max + 1)
+        monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", traced - 1)
+        with pytest.raises(ResourceLimitError):
+            partialwave.probability_grid(table, grid.thetas, grid.deltas)
+
+    def test_it_grows_to_a_larger_plan_alone(self, table_eta10):
+        def grow():
+            sizes = []
+            for n in (5, 40, 12, 60):
+                partialwave.probability_grid(table_eta10, np.linspace(0.1, 3.0, n), [0.0])
+                sizes.append(partialwave._row_buffer(0).size // (table_eta10.l_max + 1))
+            return sizes
+
+        assert _on_a_new_thread(grow) == [5, 40, 40, 60]
+
+    def test_two_threads_at_once_equal_one_after_the_other(self, monkeypatch, table_eta10):
+        # 3-row chunks; both threads write a chunk of rows, wait for each
+        # other, then take its moments, so a buffer shared between them
+        # would hand one thread the other's rows
+        grids = [(np.linspace(0.02, 3.0, 17), np.linspace(-4.0, 6.0, 5)),
+                 (np.linspace(0.5, 2.5, 17)[::-1].copy(), np.array([0.0, 0.4]))]
+        alone = [partialwave.probability_grid(table_eta10, *g) for g in grids]
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 3 * 8 * (table_eta10.l_max + 1))
+        rows, barrier = specfun.legendre_rows, threading.Barrier(2, timeout=60)
+
+        def rows_then_wait(*args, **kwargs):
+            out = rows(*args, **kwargs)
+            barrier.wait()
+            return out
+
+        monkeypatch.setattr(specfun, "legendre_rows", rows_then_wait)
+        results = [None, None]
+
+        def run(i):
+            results[i] = partialwave.probability_grid(table_eta10, *grids[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(results, alone):
+            assert got.tobytes() == want.tobytes()
+
+    def test_a_grid_after_a_larger_one_equals_single_points(self, table_eta10):
+        thetas, deltas = [0.03, 0.9, 2.5], [-1.0, 0.4]
+
+        def small_after_large():
+            partialwave.probability_grid(table_eta10, np.linspace(0.01, 3.1, 300), [0.2])
+            return partialwave.probability_grid(table_eta10, thetas, deltas)
+
+        grid = _on_a_new_thread(small_after_large)
+        for i, theta in enumerate(thetas):
+            for j, delta in enumerate(deltas):
+                assert grid[i, j] == probability(table_eta10, theta, delta)
 
 
 class TestAmplitude:

@@ -152,7 +152,8 @@ class TestSweep:
         calls = []
 
         def on(name, fn):
-            return lambda *args: calls.append((name, threading.get_ident())) or fn(*args)
+            return lambda *args, **kwargs: (calls.append((name, threading.get_ident()))
+                                             or fn(*args, **kwargs))
 
         monkeypatch.setattr(specfun, "legendre_rows", on("rows", specfun.legendre_rows))
         monkeypatch.setattr(partialwave, "_moments", on("moments", partialwave._moments))

@@ -361,6 +361,50 @@ class TestLegendre:
         with pytest.raises(ValueError, match="l_max must be >= 0"):
             specfun.legendre_rows(0.5, -1)
 
+    @pytest.mark.parametrize("n", [3, specfun._SCALAR_MAX_ANGLES + 5])
+    def test_out_is_filled_with_the_fresh_rows(self, n):
+        # both forms, and stale values in `out` do not reach the rows
+        thetas = np.concatenate(([0.0, math.pi], np.linspace(0.05, 3.05, n - 2)))
+        out = np.full((n, 131), np.nan)
+        assert specfun.legendre_rows(thetas, 130, out=out) is out
+        assert out.tobytes() == specfun.legendre_rows(thetas, 130).tobytes()
+        for theta in (0.0, 0.7, math.pi):
+            row = np.full(131, np.nan)
+            assert specfun.legendre_rows(theta, 130, out=row) is row
+            assert row.tobytes() == specfun.legendre_rows(theta, 130).tobytes()
+
+    def test_calls_without_out_share_no_memory(self, table_eta10):
+        # an evaluation before them leaves its thread's row buffer behind
+        partialwave.probability_grid(table_eta10, np.linspace(0.1, 3.0, 30), [0.0])
+        buffer = partialwave._row_buffer(0)
+        for thetas in (np.linspace(0.1, 3.0, 30), np.array([0.5, 0.6]), 0.5):
+            a = specfun.legendre_rows(thetas, table_eta10.l_max)
+            b = specfun.legendre_rows(thetas, table_eta10.l_max)
+            assert np.array_equal(a, b)
+            assert not np.shares_memory(a, b)
+            assert not np.shares_memory(a, buffer) and not np.shares_memory(b, buffer)
+
+    @pytest.mark.parametrize("out", [
+        np.empty((3, 11)), np.empty((2, 12)), np.empty(22),
+        np.empty((2, 11), dtype=np.float32), np.empty((2, 11), dtype=complex),
+        np.empty((2, 11), order="F"), np.empty((2, 22))[:, ::2], np.empty((4, 11))[::2],
+        [[0.0] * 11] * 2,
+    ], ids=["rows", "degrees", "flat", "float32", "complex", "fortran", "strided-degrees",
+            "strided-rows", "list"])
+    def test_a_bad_out_is_rejected(self, out):
+        with pytest.raises(ValueError, match="out must be"):
+            specfun.legendre_rows(np.array([0.5, 0.6]), 10, out=out)
+
+    def test_a_bad_one_angle_out_is_rejected(self):
+        for out in (np.empty((1, 11)), np.empty(12), np.empty(11, dtype=np.float32),
+                    np.empty(22)[::2]):
+            with pytest.raises(ValueError, match="out must be"):
+                specfun.legendre_rows(0.5, 10, out=out)
+        read_only = np.empty((2, 11))
+        read_only.flags.writeable = False
+        with pytest.raises(ValueError, match="out must be"):
+            specfun.legendre_rows(np.array([0.5, 0.6]), 10, out=read_only)
+
 
 class TestScalarSteps:
     """The scalar branch steps two degrees per iteration, plus one last
@@ -443,9 +487,10 @@ class TestStartUp:
         return _run_python(_LAZY_STDLIB_SCRIPT).stdout.decode().splitlines()
 
     def test_commands_load_no_thread_pool_checksum_or_json(self, lazy_stdlib_run):
-        # import coulscat.cli, one profile-delta and one angular --delta auto
-        # writing CSV: none loads concurrent.futures, hashlib or json
-        assert lazy_stdlib_run[0] == "[0, 0] []"
+        # import coulscat.cli, one profile-delta and one angular at
+        # --delta auto and at a fixed delta writing CSV: none loads
+        # concurrent.futures, hashlib or json
+        assert lazy_stdlib_run[0] == "[0, 0, 0] []"
 
     def test_lazy_stdlib_paths_give_this_process_values(self, lazy_stdlib_run, capsys):
         # a two-thread sweep loads the pool and the checksum's hashlib, and a
@@ -520,7 +565,8 @@ def loaded():
 
 with contextlib.redirect_stdout(io.StringIO()):
     status = [coulscat.cli.main(["profile-delta", "--eta", "10", "--theta", "0.03"]),
-              coulscat.cli.main(["angular", "--eta", "1", "--delta", "auto", "--theta-n", "3"])]
+              coulscat.cli.main(["angular", "--eta", "1", "--delta", "auto", "--theta-n", "3"]),
+              coulscat.cli.main(["angular", "--eta", "1", "--delta", "0.4", "--theta-n", "3"])]
 print(status, loaded())
 partialwave.os.cpu_count = lambda: 2
 table = partialwave.build_table(build_scenario_from_eta(10.0, 1e-2),

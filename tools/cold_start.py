@@ -8,7 +8,9 @@ Run from the root of a checkout.  Each recipe runs N times (default 7);
 one line per recipe gives the median wall time of a run, the median peak
 resident set of the child and the number of modules it had loaded when
 `main` returned.  Two reference lines do the same for `import numpy` alone
-and `import coulscat.cli` alone.  The lines take turns, one run each per
+and `import coulscat.cli` alone, and a third ("8 recipes, one process")
+for one child that runs every recipe through `main` in turn, a process
+whose evaluations come in several sizes.  The lines take turns, one run each per
 round, so a drift in the host's speed moves every line alike.  The package is compiled to bytecode
 first, so no run pays for compiling it.  Out files go to a temporary
 directory that is removed afterwards.  Exit status 1 when a run exits
@@ -40,6 +42,10 @@ REFERENCES = {
 }
 _RECIPE = ("import sys\nfrom coulscat.cli import main\ncode = main({argv!r})\n"
            + _REPORT + "\nsys.exit(code)")
+# every recipe in one child; it exits with the first non-zero exit code
+_ALL_RECIPES = ("import sys\nfrom coulscat.cli import main\n"
+                "codes = [main(argv) for argv in {argvs!r}]\n"
+                + _REPORT + "\nsys.exit(next((c for c in codes if c), 0))")
 
 
 def run_child(script: str, log: Path) -> tuple:
@@ -90,8 +96,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         log = Path(tmp) / "stderr"
         lines = dict(REFERENCES)
-        for recipe, command in recipes:
-            argv = [command, "--config", str(recipe), "--out", str(Path(tmp) / "out")]
+        argvs = [[command, "--config", str(recipe), "--out", str(Path(tmp) / "out")]
+                 for recipe, command in recipes]
+        lines[f"{len(recipes)} recipes, one process"] = _ALL_RECIPES.format(argvs=argvs)
+        for (recipe, _command), argv in zip(recipes, argvs):
             lines[recipe.name] = _RECIPE.format(argv=argv)
         results = {name: [] for name in lines}
         for _ in range(args.runs):
