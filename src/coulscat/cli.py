@@ -210,18 +210,20 @@ def cmd_angular(args) -> int:
     grid = scan.GridSpec(args.theta_min, args.theta_max, args.theta_n, dval, dval, 1)
     scenario, table = _table_from_args(args)
     if auto:
-        observables._scan_plan(table, grid.theta_n)  # the budget, before the angles
-        probs = observables.delta_profile(table, grid.thetas).p_max
+        # the budget before the angles, and no coarse scan kept
+        prof = observables._peaks(table, grid.theta_n, lambda: grid.thetas)
+        thetas, probs = prof.thetas, prof.p_max
     else:
         # `scan.sweep`'s budget and evaluation, without its input checksum,
         # which this command never reads and whose first call loads OpenSSL
         plan = partialwave._check_budget(table, grid.theta_n, 1)
-        probs = partialwave._eval_grid(table, grid.thetas, grid.deltas, "full",
+        thetas = grid.thetas
+        probs = partialwave._eval_grid(table, thetas, grid.deltas, "full",
                                        partialwave._abs2, plan=plan)[:, 0]
     pref = observables.dcs_factor(scenario)
 
     def rows():
-        for t, p in zip(map(float, grid.thetas), map(float, probs)):
+        for t, p in zip(map(float, thetas), map(float, probs)):
             if t > 0.0:
                 ruth_p = observables.rutherford_probability(scenario, t)
                 ruth_d = observables.rutherford_dcs(scenario, t)
@@ -241,7 +243,8 @@ def cmd_conservation(args) -> int:
     scenario, table = _table_from_args(args)
     wsum = observables.conservation_weight_sum(table)
     # the budget before the angles, and no coarse scan kept
-    sphere = observables._peak_sphere_integral(table, args.sphere_n)
+    sphere = observables.probability_sphere_integral(table, observables._peaks(
+        table, args.sphere_n, lambda: observables.midpoint_thetas(args.sphere_n)))
     # the sum rule holds to O(eps^2); 1e-5 is the eps = 1e-3 allowance
     wsum_tol = max(1e-5, scenario.eps ** 2)
     wsum_ok = abs(wsum - 1.0) <= wsum_tol

@@ -175,26 +175,8 @@ def probability_sphere_integral(table: PartialWaveTable,
     expected = midpoint_thetas(n)
     if not np.allclose(thetas, expected, rtol=0.0, atol=1e-9):
         raise ValueError("profile thetas must be the midpoint grid of [0, pi]")
-    return _midpoint_integral(table, thetas, np.asarray(profile.p_max, dtype=float))
-
-
-def _midpoint_integral(table: PartialWaveTable, thetas: np.ndarray,
-                       p_max: np.ndarray) -> float:
-    # the midpoint rule of `probability_sphere_integral` on its checked grid
-    width = math.pi / thetas.size
-    integrand = np.sin(thetas) * p_max
-    return width * float(np.sum(integrand)) / (2.0 * table.eps ** 2)
-
-
-def _peak_sphere_integral(table: PartialWaveTable, n_intervals: int) -> float:
-    """`probability_sphere_integral` of the `delta_profile` of the midpoint
-    grid of n intervals, without the profile's coarse scan: the budget, with
-    the same count, is checked before the angles are built, and `_peaks`
-    drops each chunk's scan once it is reduced."""
-    deltas, h, chunks = _scan_plan(table, n_intervals)
-    thetas = midpoint_thetas(n_intervals)
-    _delta_max, p_max, _residual = _peaks(table, thetas, deltas, h, chunks)
-    return _midpoint_integral(table, thetas, p_max)
+    integrand = np.sin(thetas) * np.asarray(profile.p_max, dtype=float)
+    return (math.pi / n) * float(np.sum(integrand)) / (2.0 * table.eps ** 2)
 
 
 def shadow_angle(eps: float, eta: float) -> float:
@@ -243,13 +225,34 @@ def _coarse_scan(table: PartialWaveTable, lo: float, hi: float,
     return deltas, partialwave._hermite(table, deltas)
 
 
-def _scan_plan(table: PartialWaveTable, n_theta: int,
-               delta_range: Optional[tuple[float, float]] = None,
-               coarse_n: Optional[int] = None) -> tuple[np.ndarray, np.ndarray, list]:
-    """The coarse-scan deltas, their Hermite functions and the Legendre
-    chunks of a `delta_profile` of n_theta angles: the window and the budget
-    are checked before anything that size.  The default window's scan is
-    built on its first read and kept with the table."""
+def delta_profile(table: PartialWaveTable, thetas,
+                  delta_range: Optional[tuple[float, float]] = None,
+                  coarse_n: Optional[int] = None) -> DeltaProfile:
+    """Locate the probability peak in delta for each theta.
+
+    Coarse scan over `delta_range` (default: `default_delta_range`, step 0.2)
+    followed by parabolic refinement on log P; p_max re-evaluates P at the
+    refined location.  The range must span at least [-8, 8] so the scan
+    cannot miss a peak pushed outside the xi hull by interference.  The
+    profile keeps the coarse scan (`p_scan`), one grid-sized array, counted
+    against the memory budget before the angles are copied.
+    """
+    # the copy keeps the profile from following later writes to the
+    # caller's array
+    return _peaks(table, np.size(thetas), lambda: np.array(thetas, dtype=float),
+                  delta_range, coarse_n, keep_scan=True)
+
+
+def _peaks(table: PartialWaveTable, n_theta: int, angles,
+           delta_range: Optional[tuple[float, float]] = None,
+           coarse_n: Optional[int] = None, keep_scan: bool = False) -> DeltaProfile:
+    """The `delta_profile` of the n_theta angles that angles() builds, its
+    arrays read-only, warning of flat profiles.  The window and the memory
+    budget are checked from the count before angles() runs, and the default
+    window's scan is built on its first read and kept with the table.  Each
+    chunk's scan is reduced in a chunk-sized array, copied into the rows of
+    `p_scan` with `keep_scan` (`delta_profile`) and otherwise dropped, with
+    `p_scan` left None."""
     default = delta_range is None and coarse_n is None
     if delta_range is None:
         delta_range = default_delta_range(table)
@@ -266,49 +269,17 @@ def _scan_plan(table: PartialWaveTable, n_theta: int,
     deltas, h = (table._derive("default coarse scan",
                                lambda t: _coarse_scan(t, lo, hi, coarse_n))
                  if default else _coarse_scan(table, lo, hi, coarse_n))
-    return deltas, h, chunks
-
-
-def delta_profile(table: PartialWaveTable, thetas,
-                  delta_range: Optional[tuple[float, float]] = None,
-                  coarse_n: Optional[int] = None) -> DeltaProfile:
-    """Locate the probability peak in delta for each theta.
-
-    Coarse scan over `delta_range` (default: `default_delta_range`, step 0.2)
-    followed by parabolic refinement on log P; p_max re-evaluates P at the
-    refined location.  The range must span at least [-8, 8] so the scan
-    cannot miss a peak pushed outside the xi hull by interference.
-    """
-    # the coarse scan is the one grid-sized array, checked before the copy
-    # that keeps the profile from following later writes to the caller's array
-    n = np.size(thetas)
-    deltas, h, chunks = _scan_plan(table, n, delta_range, coarse_n)
-    thetas = np.array(thetas, dtype=float)
-    p_scan = np.empty((n, deltas.size))
-    delta_max, p_max, residual = _peaks(table, thetas, deltas, h, chunks, p_scan)
-    for arr in (thetas, delta_max, p_max, residual, deltas, p_scan):
-        arr.flags.writeable = False
-    return DeltaProfile(thetas=thetas, delta_max=delta_max, p_max=p_max,
-                        factorization_residual=residual, deltas=deltas, p_scan=p_scan)
-
-
-def _peaks(table: PartialWaveTable, thetas: np.ndarray, deltas: np.ndarray,
-           h: np.ndarray, chunks, p_scan: Optional[np.ndarray] = None
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(delta_max, p_max, factorization residual) of each angle from its
-    coarse scan on `deltas` (`_scan_plan`), warning of flat profiles.  Each
-    chunk's scan is reduced in a chunk-sized array, copied into the rows of
-    `p_scan` when one is given (`delta_profile`) and otherwise dropped."""
-    n = thetas.size
-    delta_max = np.zeros(n)
-    p_max = np.empty(n)
-    residual = np.empty(n)
-    flat = np.zeros(n, dtype=bool)
+    thetas = angles()
+    p_scan = np.empty((n_theta, coarse_n)) if keep_scan else None
+    delta_max = np.zeros(n_theta)
+    p_max = np.empty(n_theta)
+    residual = np.empty(n_theta)
+    flat = np.zeros(n_theta, dtype=bool)
 
     # each chunk's moments serve the coarse scan, p_max and the residual
     def reduce(i0, i1, moments):
         grid = partialwave._abs2(*partialwave._combine(moments, h))
-        if p_scan is not None:
+        if keep_scan:
             p_scan[i0:i1] = grid
         flat[i0:i1] = grid.max(axis=1) - grid.min(axis=1) < 1e-12
         for k, row in enumerate(grid):
@@ -331,13 +302,18 @@ def _peaks(table: PartialWaveTable, thetas: np.ndarray, deltas: np.ndarray,
     partialwave._each_chunk(table, thetas, "full", reduce, chunks)
     n_flat = int(flat.sum())
     if n_flat:
-        _warn(f"flat delta profile (peak prominence < 1e-12) at {n_flat} of {n} angles")
-    return delta_max, p_max, residual
+        _warn(f"flat delta profile (peak prominence < 1e-12) at {n_flat} of {n_theta} angles")
+    for arr in (thetas, delta_max, p_max, residual, deltas, p_scan):
+        if arr is not None:
+            arr.flags.writeable = False
+    return DeltaProfile(thetas=thetas, delta_max=delta_max, p_max=p_max,
+                        factorization_residual=residual, deltas=deltas, p_scan=p_scan)
 
 
 def delta_max_at(table: PartialWaveTable, theta: float) -> tuple[float, float]:
-    """(delta_max, p_max) at a single angle."""
-    prof = delta_profile(table, [theta])
+    """(delta_max, p_max) at a single angle: `delta_profile(table, [theta])`'s
+    values, from the same search without keeping its coarse scan."""
+    prof = _peaks(table, 1, lambda: np.array([theta], dtype=float))
     return float(prof.delta_max[0]), float(prof.p_max[0])
 
 

@@ -38,8 +38,8 @@ real, and only its real component is summed).  `_check_budget` cuts the
 angles into equal Legendre chunks and bounds the memory of one in flight;
 `_each_chunk` runs the recurrence and `_moments` for each in turn on the
 calling thread, writing every chunk's rows into that thread's one row
-buffer, and `_eval_grid` (grids, `scan.sweep`) or
-`observables.delta_profile` reduces the moments into the chunk's rows of
+buffer, and `_eval_grid` (grids, `scan.sweep`) or the delta-peak search
+(`observables._peaks`) reduces the moments into the chunk's rows of
 the one grid-sized output, on more than one worker split by rows over
 threads (`concurrent.futures` is imported only then).  A single point
 (`_point`) takes one row's `_moments` and does the rest on Python floats.
@@ -53,11 +53,7 @@ threads or batches, and a single point equals its grid cell.
 
 Each thread that runs an evaluation keeps its row buffer (`_row_buffer`)
 between evaluations: at most one chunk of rows, `_CHUNK_BYTES` (32 MiB),
-grown only when a later plan's largest chunk needs more.  glibc's malloc
-raises its mmap threshold when a mapped block is freed and then keeps
-freed blocks of that size resident (mallopt(3)), so a fresh chunk per
-evaluation left a process holding two chunks at its peak and faulting in
-every new one.
+grown only when a later plan's largest chunk needs more.
 """
 
 from __future__ import annotations
@@ -204,7 +200,7 @@ class PartialWaveTable:
                    relative to sum_l |kern_l P_l| (at most 2^-56)
 
     and `sin2_sums`, each series part's kernel (`_kernel`) and the default
-    coarse delta scan of `observables.delta_profile` (`_derive`), all
+    coarse delta scan of the delta-peak search (`observables._peaks`), all
     read-only and read on an evaluation's calling thread alone.
     """
 
@@ -461,11 +457,7 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
     Hermite functions with temporaries, (K + 5) n_box per delta.  With no
     deltas the table's Hermite expansion is not read, so not built.
     The rows of the chunk in flight are counted once: they are written into
-    the calling thread's row buffer (`_row_buffer`), never allocated beyond
-    the largest chunk of the plan that grows it.  The buffer outlives the
-    evaluation, at most one chunk (`_CHUNK_BYTES`, 32 MiB) per thread, so
-    that glibc's malloc never keeps a freed chunk resident beside a new one
-    (mallopt(3)).
+    the calling thread's row buffer (`_row_buffer`).
     """
     rows = max(1, _CHUNK_BYTES // (8 * (table.l_max + 1)))
     parts = -(-n_theta // rows)
@@ -641,7 +633,10 @@ def _row_buffer(size: int) -> np.ndarray:
 
     It is kept between evaluations and replaced by one of exactly `size`
     values only when a plan needs more, the old one dropped first so that
-    the two are never held at once.
+    the two are never held at once.  glibc's malloc raises its mmap
+    threshold when a mapped block is freed and then keeps freed blocks of
+    that size resident (mallopt(3)), so a fresh chunk per evaluation left a
+    process holding two chunks at its peak and faulting in every new one.
     """
     buf = getattr(_ROWS, "buf", None)
     if buf is None or buf.size < size:

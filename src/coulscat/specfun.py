@@ -289,13 +289,7 @@ def legendre_rows(thetas, l_max: int, *, out=None) -> np.ndarray:
     float `thetas`, one angle, its row alone, shape (l_max+1,).  With `out`,
     a writable C-contiguous float64 array of that shape, the rows are
     written into it and it is returned (ValueError for any other `out`);
-    without, every call returns a fresh array.  `partialwave._each_chunk`
-    passes a view of its thread's row buffer, which every evaluation on
-    that thread re-uses, so the thread keeps at most one chunk of rows
-    (`partialwave._CHUNK_BYTES`, 32 MiB) between evaluations: glibc's
-    malloc keeps a freed block of that size resident (the dynamic mmap
-    threshold of mallopt(3)), so a fresh array per evaluation held two
-    chunks at the peak and faulted in every new one.
+    without, every call returns a fresh array.
 
     Three-term recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, evaluated
     as ((2l+1) x P_l - l P_{l-1}) / (l+1) in one of two forms: for one angle

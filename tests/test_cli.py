@@ -1011,3 +1011,12 @@ class TestCommandMemory:
                 "--out", str(tmp_path / "c.json")]
         status, peak = self._peak(argv)
         assert status == 0 and peak < 8 * 10_000 * 86
+
+    def test_angular_auto_keeps_no_coarse_scan(self, tmp_path):
+        # as `conservation`: only each angle's p_max outlives its chunk
+        out = tmp_path / "ang.csv"
+        argv = ["angular", "--eta", "1", "--eps", "0.05", "--delta", "auto",
+                "--theta-n", "10000", "--out", str(out)]
+        status, peak = self._peak(argv)
+        assert status == 0 and peak < 8 * 10_000 * 86
+        assert len(out.read_text().splitlines()) == 10_001

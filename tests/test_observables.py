@@ -183,9 +183,15 @@ class TestSphereIntegral:
         # chunks too
         want = probability_sphere_integral(table_eta10, delta_profile(
             table_eta10, midpoint_thetas(n)))
-        assert observables._peak_sphere_integral(table_eta10, n) == want
+
+        def without_the_scan():
+            prof = observables._peaks(table_eta10, n, lambda: midpoint_thetas(n))
+            assert prof.p_scan is None
+            return probability_sphere_integral(table_eta10, prof)
+
+        assert without_the_scan() == want
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 10 * 8 * (table_eta10.l_max + 1))
-        assert observables._peak_sphere_integral(table_eta10, n) == want
+        assert without_the_scan() == want
 
     def test_grid_validation(self, table_free):
         bad = DeltaProfile(thetas=np.linspace(0.0, math.pi, 10),
