@@ -61,6 +61,8 @@ def _typed(convert, ok, rule: str):
 
 
 _count = _typed(int, lambda n: n >= 1, "an integer >= 1")
+# a charge a float holds exactly, so that Z1 Z2 alpha is a finite float
+_charge = _typed(int, lambda z: abs(z) <= 2 ** 53, "an integer of magnitude at most 2**53")
 _finite = _typed(float, math.isfinite, "a finite number")
 _positive = _typed(float, lambda x: math.isfinite(x) and x > 0.0,
                    "a positive finite number")
@@ -75,14 +77,16 @@ def _energies(text: str) -> list[float]:
 
 def _write_table(args, columns: str, rows, **meta) -> None:
     """Write `rows` as CSV under the comma-separated `columns` header or, with
-    `--format json`, as one document: the command, `meta`, columns and rows.
-    Either way the rows are written as they come, none held."""
+    `--format json`, as one document: the command, `meta`, columns and rows,
+    a non-finite value as null (JSON has no infinity).  Either way the rows
+    are written as they come, none held."""
     if args.format in (None, "csv"):
         scan.write_csv(args.out, columns, rows)
     else:
         scan.write_json(args.out, {
             "command": args.command, **meta, "columns": columns.split(","),
-            "rows": ([float(v) for v in row] for row in rows),
+            "rows": ([v if math.isfinite(v) else None for v in map(float, row)]
+                     for row in rows),
         })
 
 
@@ -91,8 +95,8 @@ def _add_scenario(parser: argparse.ArgumentParser) -> None:
     particles and eps."""
     parser.add_argument("--config", help="key = value file; flags given on the "
                         "command line override it")
-    parser.add_argument("--Z1", type=int, default=79)
-    parser.add_argument("--Z2", type=int, default=2)
+    parser.add_argument("--Z1", type=_charge, default=79)
+    parser.add_argument("--Z2", type=_charge, default=2)
     parser.add_argument("--mass-mev", type=float, default=ALPHA_PARTICLE_MASS_MEV)
     parser.add_argument("--eps", type=float, default=1e-3)
 

@@ -66,26 +66,33 @@ class PhysicalScenario:
     R: float
 
 
-def _validate_inputs(m0: float, E: float, eps: float) -> None:
-    if not (0.0 < m0 < math.inf):
-        raise ScenarioError(f"projectile mass must be positive and finite, got {m0}")
-    if not (0.0 < E < math.inf):
-        raise ScenarioError(f"kinetic energy must be positive and finite, got {E}")
+def _positive_finite(name: str, value: float) -> float:
+    """`value`, or a ScenarioError naming it unless it is positive and finite."""
+    if not 0.0 < value < math.inf:
+        raise ScenarioError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def build_scenario(Z1: int, Z2: int, m0: float, E: float, eps: float) -> PhysicalScenario:
+    """Build a scenario from charges, mass, kinetic energy and eps (all MeV-based).
+
+    Finite inputs can give kinematics that are not (a 1e300 mass), so the
+    derived values are checked before they are divided by, as are 2pR (its
+    log is in xi_l) and 16 eps^4 p^2 (`observables.dcs_factor`)."""
+    _positive_finite("projectile mass", m0)
+    _positive_finite("kinetic energy", E)
     if not (0.0 < eps < EPS_MAX):
         raise ScenarioError(
             f"fractional momentum spread must satisfy 0 < eps < {EPS_MAX}, got {eps}"
         )
-
-
-def build_scenario(Z1: int, Z2: int, m0: float, E: float, eps: float) -> PhysicalScenario:
-    """Build a scenario from charges, mass, kinetic energy and eps (all MeV-based)."""
-    _validate_inputs(m0, E, eps)
-    p = math.sqrt(2.0 * m0 * E)
-    beta = p / m0
+    p = _positive_finite("momentum p = sqrt(2 m0 E)", math.sqrt(2.0 * m0 * E))
+    beta = _positive_finite("speed beta = p / m0", p / m0)
+    sigma_p = _positive_finite("momentum spread sigma_p = eps p", eps * p)
+    sigma_x = _positive_finite("position spread sigma_x = 1 / (2 sigma_p)", 0.5 / sigma_p)
+    R = _positive_finite("distance R = sigma_x / sqrt(eps)", sigma_x / math.sqrt(eps))
+    _positive_finite("2pR", 2.0 * p * R)
+    _positive_finite("16 eps^4 p^2", 16.0 * eps ** 4 * p ** 2)
     eta = Z1 * Z2 * FINE_STRUCTURE_ALPHA / beta
-    sigma_p = eps * p
-    sigma_x = 0.5 / sigma_p
-    R = sigma_x / math.sqrt(eps)
     return PhysicalScenario(Z1=Z1, Z2=Z2, m0=m0, E=E, eps=eps, p=p, beta=beta,
                             eta=eta, sigma_p=sigma_p, sigma_x=sigma_x, R=R)
 
@@ -122,7 +129,8 @@ def eta_bound(eps: float) -> float:
     if not (0.0 < eps < 1.0 / math.e):
         raise ScenarioError(f"eta_bound requires 0 < eps < 1/e, got {eps}")
     denom = 4.0 * eps ** 1.5 * abs(1.5 * math.log(1.0 / eps) - 1.0)
-    if denom == 0.0:
+    # 0 where eps ** 1.5 underflows (eps < 2e-216), NaN at a subnormal eps
+    if not denom > 0.0:
         raise ScenarioError(f"eta_bound denominator vanishes at eps={eps}")
     return 1.0 / denom
 
@@ -134,8 +142,6 @@ def log_shift(scenario: PhysicalScenario) -> float:
     state built at nominal radius R therefore actually peaks at R - Delta(R).
     Sign follows sign(eta): repulsive fields lag, attractive fields lead.
     """
-    if scenario.eta == 0.0:
-        return 0.0
     return (scenario.eta / scenario.p) * (math.log(2.0 * scenario.p * scenario.R) - 1.0)
 
 
@@ -165,6 +171,5 @@ def eps_from_energy_width(energy_width: float, E: float) -> float:
     E = p^2/2m gives sigma_E/E = 2 sigma_p/p, so eps = energy_width / (2 E)
     when the linewidth is read as the energy spread of the packet.
     """
-    if not (energy_width > 0.0 and E > 0.0):
-        raise ScenarioError("energy width and energy must be positive")
-    return energy_width / (2.0 * E)
+    width = _positive_finite("energy width", energy_width)
+    return width / (2.0 * _positive_finite("kinetic energy", E))

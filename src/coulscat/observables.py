@@ -218,13 +218,6 @@ def _refine_peak(deltas: np.ndarray, p_row: np.ndarray) -> float:
     return float(deltas[i] + offset * step)
 
 
-def _coarse_scan(table: PartialWaveTable, lo: float, hi: float,
-                 n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n deltas from lo to hi and their `_hermite` functions."""
-    deltas = np.linspace(lo, hi, n)
-    return deltas, partialwave._hermite(table, deltas)
-
-
 def delta_profile(table: PartialWaveTable, thetas,
                   delta_range: Optional[tuple[float, float]] = None,
                   coarse_n: Optional[int] = None) -> DeltaProfile:
@@ -266,9 +259,13 @@ def _peaks(table: PartialWaveTable, n_theta: int, angles,
     if coarse_n < 5:
         raise ValueError("coarse_n must be at least 5")
     chunks, _threads = partialwave._check_budget(table, n_theta, coarse_n)
-    deltas, h = (table._derive("default coarse scan",
-                               lambda t: _coarse_scan(t, lo, hi, coarse_n))
-                 if default else _coarse_scan(table, lo, hi, coarse_n))
+
+    def coarse_scan(t):
+        deltas = np.linspace(lo, hi, coarse_n)
+        return deltas, partialwave._hermite(t, deltas)
+
+    deltas, h = (table._derive("default coarse scan", coarse_scan)
+                 if default else coarse_scan(table))
     thetas = angles()
     p_scan = np.empty((n_theta, coarse_n)) if keep_scan else None
     delta_max = np.zeros(n_theta)
@@ -394,9 +391,14 @@ def energy_ratio_rho(family: ScenarioFamily, E_mev: float,
     table = partialwave.build_table(scenario, PhaseShiftModel.coulomb_exact(),
                                     tail_tol=tail_tol)
     theta = math.pi / 4.0
+    ruth = rutherford_dcs(scenario, theta)
+    if not ruth:
+        raise ValueError(f"at E = {E_mev:g} MeV the Rutherford cross section underflows to 0")
     # p_max is the probability at dmax, so this is dcs(table, theta, dmax)
     # without rebuilding the angle's Legendre row
     dmax, p_max = delta_max_at(table, theta)
-    rho = p_max * dcs_factor(scenario) / rutherford_dcs(scenario, theta)
+    rho = p_max * dcs_factor(scenario) / ruth
+    if not math.isfinite(rho):
+        raise ValueError(f"at E = {E_mev:g} MeV rho is not finite, got {rho}")
     return rho, scenario.eta, dmax
 

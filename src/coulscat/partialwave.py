@@ -110,8 +110,8 @@ _BOX_MAX_TERMS = 8192
 _TRUNCATION_TOL = 2.0 ** -56
 _SQRT8 = math.sqrt(8.0)
 # (L+1)-value arrays held at the peak by a table with all its derived data
-# (33.1 measured at eta = 800, where K = 22: 30.1 held and `sin2_sums`'
-# three) plus a short-range model's two
+# (34.1 measured at eta = 800, where K = 22: 30.1 held and `sin2_sums`'
+# four) plus a short-range model's two
 _TABLE_ROWS = 40
 
 
@@ -258,22 +258,10 @@ class PartialWaveTable:
         """Gaussian-damped sums of (2l+1) sin^2(sigma_l): (4 eps^2 damping,
         2 eps^2 damping)."""
         eps = self.eps
-        # three L+1 arrays, each operation in place where it can be
-        base = np.arange(self.l_max + 1, dtype=float)
-        x = base + 0.5
-        base *= 2.0
-        base += 1.0
-        work = np.subtract(1.0, self.phase_cos)
-        work *= 0.5
-        base *= work  # (2l+1) sin^2 sigma_l
-        sums = []
-        for c in (-4.0 * eps * eps, -2.0 * eps * eps):
-            np.multiply(c, x, out=work)
-            work *= x
-            np.exp(work, out=work)
-            work *= base
-            sums.append(float(np.sum(work)))
-        return tuple(sums)
+        x = np.arange(self.l_max + 1, dtype=float) + 0.5
+        base = (2.0 * x) * ((1.0 - self.phase_cos) * 0.5)  # (2l+1) sin^2 sigma_l
+        return tuple(float(np.sum(np.exp(c * x * x) * base))
+                     for c in (-4.0 * eps * eps, -2.0 * eps * eps))
 
 
 def _hermite_expansion(xi: np.ndarray) -> _Expansion:
@@ -660,20 +648,17 @@ def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
 
 
 def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,
-               plan=None) -> np.ndarray:
+               plan) -> np.ndarray:
     """reduce(*components) of the series `part` (see `PartialWaveTable._kernel`)
     on the outer product of thetas and deltas, a float array of shape
     (n_theta, n_delta): each chunk is reduced into its rows of the one
     output, split by rows over the plan's threads.  `plan` is the
-    `_check_budget` of a caller that checked the budget from the counts,
-    before it made the angles (with its worker count); by default it is
-    checked here, on one thread.
+    `_check_budget` of the caller, which checked the budget from the
+    counts, before it made the angles (with its worker count).
     `probability_grid` and `scan.sweep` evaluate here; a single point
     evaluates in `_point`, with the same operations in the same order, so
     it equals its cell here."""
     thetas = np.asarray(thetas, dtype=float)
-    if plan is None:
-        plan = _check_budget(table, thetas.size, np.size(deltas))
     chunks, threads = plan
     h = _hermite(table, deltas)
     out = np.empty((thetas.size, h.shape[1]))
@@ -708,7 +693,8 @@ def _point(table: PartialWaveTable, theta, delta, part: str) -> list:
 
 def probability_grid(table: PartialWaveTable, thetas, deltas) -> np.ndarray:
     """P = |A|^2 on the outer product of thetas and deltas."""
-    return _eval_grid(table, thetas, deltas, "full", _abs2)
+    return _eval_grid(table, thetas, deltas, "full", _abs2,
+                      _check_budget(table, np.size(thetas), np.size(deltas)))
 
 
 def amplitude(table: PartialWaveTable, theta: float, delta: float) -> complex:

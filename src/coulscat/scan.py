@@ -214,15 +214,15 @@ def _stream(path):
 def write_csv(path, header: str, rows) -> None:
     """Write a `header` line and one comma-separated line per row.
 
-    Each row holds one value per header column.  Every value is written with
-    17 significant digits (ints as plain integers) and no timestamp is added,
-    so the bytes depend only on the data.  `path` None or '-' writes to
-    stdout.  `field_to_csv` writes the same format for a grid.
+    Each row holds one value per header column.  Every value is written as
+    `%.17g` (17 significant digits, ints as plain integers) and no timestamp
+    is added, so the bytes depend only on the data.  `path` None or '-'
+    writes to stdout.  `field_to_csv` writes the same format for a grid.
     """
-    line = (",".join(["{:.17g}"] * (header.count(",") + 1)) + "\n").format
+    line = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
     with _stream(path) as out:
         out.write(header + "\n")
-        out.writelines(line(*row) for row in rows)
+        out.writelines(line % tuple(row) for row in rows)
 
 
 # rows an export converts to Python floats, and items of an iterator value
@@ -237,26 +237,28 @@ def write_json(path, payload: dict) -> None:
     A value that is an iterator, such as a generator of table rows, is
     written as a JSON list `_BATCH` items at a time, so its items are
     never all held: one `json.dumps` per batch, without its brackets, keeps
-    the per-call cost off short items.  `path` None or '-' writes to stdout.
+    the per-call cost off short items.  A NaN or infinity, which JSON
+    lacks, is a ValueError.  `path` None or '-' writes to stdout.
     """
     # imported here, where a command writes JSON (see the package docstring)
     import json
 
+    dumps = json.JSONEncoder(allow_nan=False).encode
     with _stream(path) as out:
         out.write("{")
         for key, value in payload.items():
-            out.write(json.dumps(key) + ": ")
+            out.write(dumps(key) + ": ")
             if isinstance(value, collections.abc.Iterator):
                 out.write("[")
                 sep = ""
                 while batch := list(itertools.islice(value, _BATCH)):
-                    out.write(sep + json.dumps(batch)[1:-1])
+                    out.write(sep + dumps(batch)[1:-1])
                     sep = ", "
                 out.write("]")
             else:
-                out.write(json.dumps(value))
+                out.write(dumps(value))
             out.write(", ")
-        out.write('"generated_unix": ' + json.dumps(time.time()) + "}\n")
+        out.write('"generated_unix": ' + dumps(time.time()) + "}\n")
 
 
 def _float_rows(values: np.ndarray):
@@ -272,8 +274,8 @@ def field_to_csv(result: FieldResult, path) -> None:
 
     Each theta and each delta is formatted once per grid: a theta row's
     lines are one `%`-template, the row's theta and the grid's deltas
-    already in it, applied to the row's values (`_float_rows`).  `%.17g`
-    and `{:.17g}` give the same digits, so the bytes are those of a
+    already in it, applied to the row's values (`_float_rows`).  Every
+    number is `write_csv`'s `%.17g`, so the bytes are those of a
     `write_csv` of the triples.
     """
     tails = [",%.17g,%%.17g\n" % d for d in result.grid.deltas.tolist()]

@@ -509,6 +509,19 @@ class TestOutputFormats:
         assert main(argv + ["--out", "-"]) == 0
         assert capsys.readouterr().out == csv_out.read_text()
 
+    def test_json_has_no_infinity(self, capsys):
+        # the Rutherford columns are infinite at theta = 0: JSON (RFC 8259)
+        # has no such token, so they are null
+        assert main(["angular", "--eta", "10", "--theta-n", "3", "--delta", "0",
+                     "--format", "json"]) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        rows = json.loads(capsys.readouterr().out, parse_constant=reject)["rows"]
+        assert rows[0][2] is None and rows[0][4] is None
+        assert None not in rows[0][:2] + rows[1] + rows[2]
+
 
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, tmp_path):
@@ -694,6 +707,24 @@ class TestConfigAndErrors:
         assert name in captured.err and "finite" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
 
+    # finite flags whose kinematics are not: p = 0 (a 1e-300 mass) and a
+    # Rutherford cross section that underflows to 0 (E = 1e297 MeV) each
+    # raised ZeroDivisionError, and a subnormal 16 eps^4 p^2 made
+    # dcs_factor inf and wrote rho = nan with exit 0
+    @pytest.mark.parametrize("argv, name", [
+        (["angular", "--eta", "10", "--mass-mev", "1e-300", "--theta-n", "3"], "momentum p"),
+        (["conservation", "--eta", "10", "--mass-mev", "1e-300"], "momentum p"),
+        (["energy-scan", "--energies-kev", "1e300"], "E = 1e+297 MeV"),
+        (["energy-scan", "--mass-mev", "3e-158", "--energies-kev", "1.7e-155",
+          "--eps", "0.05"], "rho is not finite"),
+    ], ids=["angular", "conservation", "energy-scan", "energy-scan-nan"])
+    def test_kinematics_out_of_range_are_config_errors(self, argv, name, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error:") and name in lines[0]
+
     # no command takes `--workers`: every value, non-positive or not, is an
     # unknown argument
     @pytest.mark.parametrize("workers", ["0", "-5", "2"])
@@ -776,6 +807,9 @@ class TestTypedFlags:
         ("energy-scan", "--e-min-kev", "-5"),
         ("energy-scan", "--e-max-kev", "inf"),
         ("energy-scan", "--energies-kev", "3.8,0"),
+        # Z1 Z2 alpha past the float range was an OverflowError traceback
+        ("angular", "--Z1", str(10 ** 400)),
+        ("energy-scan", "--Z2", str(-2 ** 53 - 1)),
     ]
 
     @pytest.fixture(autouse=True)

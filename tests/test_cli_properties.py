@@ -9,6 +9,9 @@ grids to 400 intervals, so that `energy-scan` finds energies inside the
 strength bound and `conservation` resolves the forward peak: every command
 reaches exit 0 in some examples.  Invalid values (reversed or out-of-range
 bounds, zero or negative sizes, NaN and infinities) are drawn on purpose.
+So are masses and energies from the whole positive float range, subnormals
+and 1e308 included, and charges past the float range, whose derived
+kinematics (p, beta, sigma_x, R) overflow or underflow.
 The examples are derandomized, so every run of the suite draws the same
 200.
 """
@@ -36,6 +39,11 @@ def _num(lo, hi):
     return _mostly(st.floats(lo, hi), st.sampled_from(ODD))
 
 
+# every positive float, with the extremes drawn for sure
+_WIDE = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                  st.sampled_from([5e-324, 1e-300, 1e300, 1e308]))
+
+
 def _flag(name, values):
     """`[name=value]` or nothing, with the value drawn from `values`; the `=`
     form lets values such as `-inf` and `-1e-05` reach the program, which
@@ -55,6 +63,10 @@ def _common(draw, command, model):
     """The flags `command` takes besides its own; `optical` takes an energy
     and a well radius in its square-well mode only."""
     argv = [f"--eps={draw(st.floats(0.01, 0.09))}"]
+    argv += draw(_flag("--mass-mev", st.one_of(st.floats(0.5, 1e4), _WIDE)))
+    for name in ("--Z1", "--Z2"):
+        argv += draw(_flag(name, _mostly(st.integers(-100, 100),
+                                         st.sampled_from([10 ** 310, -(10 ** 400)]))))
     tail_tol = _flag("--tail-tol", _mostly(st.sampled_from([1e-12, 1e-6]),
                                            st.sampled_from([0.0, -1.0, *ODD])))
     if command in _TAKES_FORMAT:
@@ -73,7 +85,7 @@ def _common(draw, command, model):
     if energy == "--eta":
         argv += [f"--eta={draw(_mostly(st.floats(-3.0, 3.0), _num(-100.0, 100.0)))}"]
     elif energy is not None:
-        argv += [f"{energy}={draw(_num(-1.0, 50.0))}"]
+        argv += [f"{energy}={draw(st.one_of(_num(-1.0, 50.0), _WIDE))}"]
     if model == "square-well":
         argv += [f"--well-radius-fm={draw(_num(-1.0, 50.0))}"]
         argv += draw(_flag("--well-depth-mev", _num(-1.0, 5.0)))
@@ -106,7 +118,8 @@ def _command(draw):
         argv += [f"--eta-n={draw(_mostly(st.integers(1, 3), st.integers(-1, 0)))}"]
     elif command == "energy-scan":
         if draw(st.booleans()):
-            energies = draw(st.lists(_num(-5.0, 3e5), min_size=1, max_size=3))
+            energies = draw(st.lists(st.one_of(_num(-5.0, 3e5), _WIDE),
+                                     min_size=1, max_size=3))
             argv += ["--energies-kev=" + ",".join(map(str, energies))]
         else:
             argv += draw(_flag("--e-min-kev", _num(-5.0, 3e5)))

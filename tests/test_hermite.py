@@ -94,13 +94,19 @@ def _direct(table, thetas, deltas, part):
     return pref * amp, pref * scale
 
 
+def _plan(table, thetas, deltas):
+    """The one-thread `_check_budget` plan of the grid."""
+    return partialwave._check_budget(table, np.size(thetas), np.size(deltas))
+
+
 def _series(table, thetas, deltas, part):
     """`_eval_grid` of the series `part`: complex, re + 1j * im of its two
     components, or real for the forward part, whose one component is its
     real part."""
+    plan = _plan(table, thetas, deltas)
     if part == "forward":
-        return partialwave._eval_grid(table, thetas, deltas, part, partialwave._real)
-    re, im = (partialwave._eval_grid(table, thetas, deltas, part, lambda *c, k=k: c[k])
+        return partialwave._eval_grid(table, thetas, deltas, part, partialwave._real, plan)
+    re, im = (partialwave._eval_grid(table, thetas, deltas, part, lambda *c, k=k: c[k], plan)
               for k in (0, 1))
     return re + 1j * im
 
@@ -442,7 +448,8 @@ def _components(table, thetas, deltas, part):
     """The series `part`'s components on the grid, through `_eval_grid`,
     stacked: shape (c, n_theta, n_delta)."""
     return np.stack([partialwave._eval_grid(table, thetas, deltas, part,
-                                            lambda *c, k=k: c[k])
+                                            lambda *c, k=k: c[k],
+                                            _plan(table, thetas, deltas))
                      for k in range(len(table._kernel(part)))])
 
 
@@ -469,7 +476,7 @@ class TestPointSeriesEqualTheirGridCells:
         full = _components(table, self.THETAS, deltas, "full")
         (forward,) = _components(table, self.THETAS, deltas, "forward")
         scatter = _components(table, self.THETAS, deltas, "scatter")
-        p_grid = partialwave._eval_grid(table, self.THETAS, deltas, "full", partialwave._abs2)
+        p_grid = partialwave.probability_grid(table, self.THETAS, deltas)
         factor = dcs_factor(table.scenario)
         for i, theta in enumerate(self.THETAS):
             cells = {

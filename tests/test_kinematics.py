@@ -56,6 +56,26 @@ class TestBuildScenario:
         assert abs(sc.sigma_x * sc.sigma_p - 0.5) <= 3e-16
         assert abs(2.0 * sc.p * sc.R * eps ** 1.5 - 1.0) <= 1e-14
 
+    # finite inputs whose derived kinematics overflow or underflow: p = inf
+    # left sigma_x = R = 0 and a NaN xi that hung the Hermite boxes, p = 0
+    # divided by zero
+    @pytest.mark.parametrize("m0", [1e300, 1e-300])
+    def test_from_eta_rejects_a_mass_whose_kinematics_are_not_finite(self, m0):
+        with pytest.raises(ScenarioError, match="momentum p"):
+            build_scenario_from_eta(10.0, 1e-3, m0=m0)
+
+    @pytest.mark.parametrize("Z1, m0, E, eps, name", [
+        (79, 5e-324, 1e300, 1e-3, "beta"),           # p / m0 overflows
+        (79, 1e300, 1.0, 1e-300, "2pR"),             # 2pR = eps^-1.5 = 1e450
+        (79, 1e-160, 1e-160, 0.01, "16 eps"),        # a subnormal p^2 times eps^4
+    ], ids=["beta", "2pR", "cross-section-scale"])
+    def test_rejects_inputs_whose_derived_values_are_not_finite(self, Z1, m0, E, eps, name):
+        with pytest.raises(ScenarioError, match=name):
+            build_scenario(Z1, 2, m0, E, eps)
+        # the same mass and eps at eta = 1, whose energy is derived
+        with pytest.raises(ScenarioError):
+            build_scenario_from_eta(1.0, eps, Z1=Z1, m0=m0)
+
     def test_sign_of_eta_follows_charge_product(self):
         assert build_scenario(79, -2, M0, 1.0, 1e-3).eta < 0.0
         assert build_scenario(79, 2, M0, 1.0, 1e-3).eta > 0.0
@@ -88,6 +108,13 @@ class TestEtaBound:
     def test_domain(self):
         with pytest.raises(ScenarioError):
             eta_bound(0.5)
+
+    # eps^1.5 underflows to 0, and at a subnormal eps 1/eps overflows and
+    # the denominator is NaN
+    @pytest.mark.parametrize("eps", [1e-300, 5e-324])
+    def test_a_vanishing_denominator_is_rejected(self, eps):
+        with pytest.raises(ScenarioError, match="denominator vanishes"):
+            eta_bound(eps)
 
 
 class TestLogShift:
@@ -174,3 +201,10 @@ class TestUnits:
         eps = eps_from_energy_width(2e-3, 4.8)
         assert eps < 2.1e-4
         assert abs(eps * 1e4 - 2.1) < 0.05
+
+    # an infinite width read as eps = inf, and an infinite energy as eps = 0
+    @pytest.mark.parametrize("width, E", [(0.0, 4.8), (2e-3, -1.0), (math.inf, 4.8),
+                                          (2e-3, math.inf), (math.nan, 4.8)])
+    def test_linewidth_rejects_what_is_not_positive_and_finite(self, width, E):
+        with pytest.raises(ScenarioError, match="must be positive and finite"):
+            eps_from_energy_width(width, E)

@@ -95,7 +95,7 @@ class TestBuildTable:
 
     @pytest.mark.parametrize("eta", [0.0, 10.0, -800.0])
     def test_sin2_sums_equal_the_direct_sums(self, eta):
-        # the in-place form makes the same roundings as the plain expressions
+        # the same sums, each term rounded as `sin2_sums` rounds it
         t = build_table(build_scenario_from_eta(eta, EPS), PhaseShiftModel.coulomb_exact())
         l = np.arange(t.l_max + 1, dtype=float)
         x = l + 0.5

@@ -484,7 +484,7 @@ class TestSerialization:
     @pytest.mark.parametrize("payload", [
         {},
         {"command": "angular", "eta": -10.0, "columns": ["a", "b"],
-         "rows": [[0.0, math.inf], [1.0 / 3.0, -0.0], [5e-324, -1e300]]},
+         "rows": [[0.0, None], [1.0 / 3.0, -0.0], [5e-324, -1e300]]},
         {"rows": [], "n": 3, "nested": {"x": [1, 2.5]}},
         {"rows": [[i / 7.0] for i in range(129)]},
     ], ids=["empty", "table", "no-rows", "three-batches"])
@@ -499,6 +499,13 @@ class TestSerialization:
         assert capsys.readouterr().out == want
         scan.write_json("-", payload)
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_json_refuses_non_finite_values(self, value, tmp_path):
+        # JSON (RFC 8259) has no token for them
+        for payload in ({"x": value}, {"rows": iter([[1.0, value]])}):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                scan.write_json(tmp_path / "out.json", payload)
 
     @pytest.fixture(scope="class")
     def tall_field(self):

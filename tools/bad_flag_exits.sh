@@ -34,5 +34,7 @@ energy-scan --e-n=many
 energy-scan --e-min-kev=-5
 energy-scan --e-max-kev=inf
 energy-scan --energies-kev=3.8,0
+angular --Z1=100000000000000000000
+energy-scan --Z2=-9007199254740993
 LIST
 exit $failed
