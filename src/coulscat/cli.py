@@ -218,8 +218,9 @@ def cmd_angular(args) -> int:
         prof = observables._peaks(table, grid.theta_n, lambda: grid.thetas)
         thetas, probs = prof.thetas, prof.p_max
     else:
-        # `scan.sweep`'s budget and evaluation, without its input checksum,
-        # which this command never reads and whose first call loads OpenSSL
+        # `scan.sweep`'s budget and evaluation, not `scan.sweep` itself: its
+        # FieldResult also range-checks P, whose ValueError would turn a run
+        # this command writes (exit 0) into exit 2
         plan = partialwave._check_budget(table, grid.theta_n, 1)
         thetas = grid.thetas
         probs = partialwave._eval_grid(table, thetas, grid.deltas, "full",

@@ -6,12 +6,16 @@ angles exist, and runs `partialwave._eval_grid`, which reduces each
 Legendre chunk's moments to the quantity in the chunk's own rows of the
 sweep's one output (a DCS field is then scaled in place), on more than one
 worker split by rows over threads, so results are bit-identical for any
-worker count.  Its `_input_checksum` imports `hashlib` on first use.
+worker count.  Its `_input_checksum` hashes with CPython's builtin SHA-256,
+imported on first use; `hashlib`, which loads OpenSSL, is imported only on
+a build without it.
 
-The writers stream: a field's rows are converted to Python floats a batch
-at a time, and `write_json`, which imports `json` on first use, writes a
-value given as an iterator a batch of items at a time, so an export holds
-a few rows, never the whole grid as Python objects.
+The writers stream, in batches of `_BATCH_VALUES` values: a field's rows
+are converted to Python floats as many rows at a time as fit the budget,
+and `write_json`, which imports `json` on first use, encodes a value given
+as an iterator as many items at a time, so an export holds about one
+budget, or one row when a row is longer, never the whole grid as Python
+objects.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import collections.abc
 import contextlib
 import enum
-import itertools
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -113,12 +116,24 @@ class FieldResult:
 
 
 def _input_checksum(table: PartialWaveTable, grid: GridSpec, quantity: Quantity) -> str:
-    # imported here, not at module level (see the package docstring): it
-    # loads OpenSSL, and only a sweep needs it
-    import hashlib
+    """SHA-256 hex digest of the sweep's inputs: the scenario, the model with
+    a short-range model's phase shifts, l_max, the grid and the quantity.
+
+    It uses CPython's builtin SHA-256 (`_sha2` from 3.12, `_sha256` before),
+    which gives hashlib's digest without loading OpenSSL for a few hundred
+    bytes, and `hashlib` only on a build without it.  Imported here, not at
+    module level (see the package docstring): only a sweep needs it.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
 
     sc = table.scenario
-    h = hashlib.sha256()
+    h = sha256()
     h.update(repr((sc.Z1, sc.Z2, sc.m0, sc.E, sc.eps, sc.eta)).encode())
     h.update(repr((table.model.kind.value, table.l_max)).encode())
     if table.model.kind is PhaseShiftKind.SHORT_RANGE_TABLE:
@@ -225,9 +240,25 @@ def write_csv(path, header: str, rows) -> None:
         out.writelines(line % tuple(row) for row in rows)
 
 
-# rows an export converts to Python floats, and items of an iterator value
-# that `write_json` encodes, in one call
-_BATCH = 64
+# values an export converts to Python floats, or `write_json` encodes, in
+# one call: a batch of rows or items holds at most this many, or one row
+_BATCH_VALUES = 1024
+
+
+def _batches(items):
+    """Consecutive `items` in lists of at most `_BATCH_VALUES` values, a list
+    counting its length and anything else 1; a longer item is a batch of
+    its own, so every batch holds at least one item."""
+    batch, size = [], 0
+    for item in items:
+        n = len(item) if isinstance(item, list) else 1
+        if batch and size + n > _BATCH_VALUES:
+            yield batch
+            batch, size = [], 0
+        batch.append(item)
+        size += n
+    if batch:
+        yield batch
 
 
 def write_json(path, payload: dict) -> None:
@@ -235,10 +266,11 @@ def write_json(path, payload: dict) -> None:
     the bytes of `json.dumps` of the whole.
 
     A value that is an iterator, such as a generator of table rows, is
-    written as a JSON list `_BATCH` items at a time, so its items are
+    written as a JSON list a batch at a time (`_batches`), so its items are
     never all held: one `json.dumps` per batch, without its brackets, keeps
-    the per-call cost off short items.  A NaN or infinity, which JSON
-    lacks, is a ValueError.  `path` None or '-' writes to stdout.
+    the per-call cost off short items, and the budget of values keeps long
+    rows from piling up.  A NaN or infinity, which JSON lacks, is a
+    ValueError.  `path` None or '-' writes to stdout.
     """
     # imported here, where a command writes JSON (see the package docstring)
     import json
@@ -251,7 +283,7 @@ def write_json(path, payload: dict) -> None:
             if isinstance(value, collections.abc.Iterator):
                 out.write("[")
                 sep = ""
-                while batch := list(itertools.islice(value, _BATCH)):
+                for batch in _batches(value):
                     out.write(sep + dumps(batch)[1:-1])
                     sep = ", "
                 out.write("]")
@@ -262,10 +294,12 @@ def write_json(path, payload: dict) -> None:
 
 
 def _float_rows(values: np.ndarray):
-    """The rows of `values` as lists of Python floats, converted `_BATCH`
-    rows at a time, so an export never holds the whole grid that way."""
-    for i0 in range(0, values.shape[0], _BATCH):
-        yield from values[i0:i0 + _BATCH].tolist()
+    """The rows of `values` as lists of Python floats, converted as many rows
+    at a time as hold `_BATCH_VALUES` values, or one row when a row holds
+    more, so an export never holds the whole grid that way."""
+    rows = max(1, _BATCH_VALUES // values.shape[1])
+    for i0 in range(0, values.shape[0], rows):
+        yield from values[i0:i0 + rows].tolist()
 
 
 def field_to_csv(result: FieldResult, path) -> None:

@@ -12,8 +12,11 @@ bounds, zero or negative sizes, NaN and infinities) are drawn on purpose.
 So are masses and energies from the whole positive float range, subnormals
 and 1e308 included, and charges past the float range, whose derived
 kinematics (p, beta, sigma_x, R) overflow or underflow.
-The examples are derandomized, so every run of the suite draws the same
-200.
+The examples are derandomized, but they are not fixed: Hypothesis mixes
+constants from the source of the modules loaded in the process into its
+float draws, so which 200 are drawn depends on what else the run
+imported, and running this file alone can draw other examples than the
+whole suite does.
 """
 
 import math

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from coulscat import (
 )
 import coulscat
 from coulscat import partialwave, scan, specfun
-from coulscat.partialwave import PhaseShiftModel, build_table
+from coulscat.partialwave import PhaseShiftKind, PhaseShiftModel, build_table
 from coulscat.scan import FieldResult
 
 EPS = 1e-3
@@ -351,6 +352,52 @@ class TestSweep:
                         wall_time_s=0.0, checksum="x", terms_summed=0)
 
 
+class TestChecksum:
+    """`FieldResult.checksum` is hashlib's SHA-256 of the sweep's inputs,
+    whether CPython's builtin SHA-256 or hashlib computed it."""
+
+    @pytest.fixture(params=["coulomb", "short-range"])
+    def case(self, request, table_eta10):
+        if request.param == "coulomb":
+            return table_eta10, GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3), Quantity.PROBABILITY
+        sc = build_scenario_from_eta(0.0, 0.05)
+        model = partialwave.square_well_phase_shifts(0.5, 5.0 / sc.p, sc, l_max=130)
+        return build_table(sc, model), GridSpec(0.1, 0.2, 2, 0.0, 1.0, 2), Quantity.DCS
+
+    @staticmethod
+    def _reference(table, grid, quantity):
+        sc, model = table.scenario, table.model
+        data = [repr((sc.Z1, sc.Z2, sc.m0, sc.E, sc.eps, sc.eta)).encode(),
+                repr((model.kind.value, table.l_max)).encode()]
+        if model.kind is PhaseShiftKind.SHORT_RANGE_TABLE:
+            data += [model.delta_l.tobytes(), model.ddelta_dk.tobytes()]
+        data += [repr((grid.theta_min, grid.theta_max, grid.theta_n,
+                       grid.delta_min, grid.delta_max, grid.delta_n)).encode(),
+                 quantity.value.encode()]
+        return hashlib.sha256(b"".join(data)).hexdigest()
+
+    def test_equals_a_hashlib_digest_of_the_inputs(self, case):
+        table, grid, quantity = case
+        assert sweep(table, grid, quantity).checksum == self._reference(table, grid, quantity)
+
+    def test_hashlib_fallback_gives_the_same_digest(self, case, monkeypatch):
+        # a build without the builtin modules: importing one raises
+        # ImportError, and the checksum falls back to hashlib's sha256
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+        table, grid, quantity = case
+        want = self._reference(table, grid, quantity)
+        calls, sha256 = [], hashlib.sha256
+
+        def counted(*args):
+            calls.append(args)
+            return sha256(*args)
+
+        monkeypatch.setattr(hashlib, "sha256", counted)
+        assert scan._input_checksum(table, grid, quantity) == want
+        assert len(calls) == 1
+
+
 class TestEtaSweep:
     """Tables looked up per eta in a TableCache, as a sweep over eta does."""
 
@@ -486,7 +533,8 @@ class TestSerialization:
         {"command": "angular", "eta": -10.0, "columns": ["a", "b"],
          "rows": [[0.0, None], [1.0 / 3.0, -0.0], [5e-324, -1e300]]},
         {"rows": [], "n": 3, "nested": {"x": [1, 2.5]}},
-        {"rows": [[i / 7.0] for i in range(129)]},
+        # 129 rows of 20 values: batches of 51, 51 and 27 rows
+        {"rows": [[i / 7.0 + j for j in range(20)] for i in range(129)]},
     ], ids=["empty", "table", "no-rows", "three-batches"])
     def test_json_streams_an_iterator_with_the_bytes_of_json_dumps(
             self, payload, monkeypatch, capsys):
@@ -500,6 +548,20 @@ class TestSerialization:
         scan.write_json("-", payload)
         assert capsys.readouterr().out == want
 
+    @pytest.mark.parametrize("items, sizes", [
+        ([[0.5] * 20] * 129, [51, 51, 27]),
+        ([1.0] * 2500, [1024, 1024, 452]),
+        ([[0.5] * 4000, [0.5] * 3, 7.0, [0.5] * 4000], [1, 2, 1]),
+        ([[0.5] * 1000, [0.5] * 24, [0.5]], [2, 1]),
+        ([], []),
+    ], ids=["rows", "scalars", "long-rows", "exact-fit", "empty"])
+    def test_batches_hold_at_most_the_budget_or_one_item(self, items, sizes):
+        # a list counts its length and anything else 1; a batch closes
+        # before the item that would take it past the budget
+        batches = list(scan._batches(iter(items)))
+        assert [len(b) for b in batches] == sizes
+        assert [item for b in batches for item in b] == items
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_json_refuses_non_finite_values(self, value, tmp_path):
         # JSON (RFC 8259) has no token for them
@@ -507,30 +569,46 @@ class TestSerialization:
             with pytest.raises(ValueError, match="JSON compliant"):
                 scan.write_json(tmp_path / "out.json", payload)
 
+    @staticmethod
+    def _traced_peak(export, field, path):
+        tracemalloc.start()
+        try:
+            export(field, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     @pytest.fixture(scope="class")
     def tall_field(self):
-        # 20,000 x 20 probabilities, a 3.2 MB array, at eta = 1, eps = 0.05
+        # 2,000 x 20 probabilities, a 0.32 MB array, at eta = 1, eps = 0.05
         table = build_table(build_scenario_from_eta(1.0, 0.05), PhaseShiftModel.coulomb_exact())
-        return sweep(table, GridSpec(0.01, 3.1, 20000, -4.0, 4.0, 20), Quantity.PROBABILITY)
+        return sweep(table, GridSpec(0.01, 3.1, 2000, -4.0, 4.0, 20), Quantity.PROBABILITY)
 
     @pytest.mark.parametrize("export", [field_to_csv, field_to_json])
     def test_export_holds_a_few_rows(self, tall_field, export, tmp_path):
-        # converting the whole grid with values.tolist() peaked at 16.0 MB
-        # (CSV) and 32.8 MB (JSON) traced; a row at a time holds less than
-        # half the array itself
-        path = tmp_path / "field"
-        tracemalloc.start()
-        try:
-            export(tall_field, path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < tall_field.values.nbytes / 2
+        # converting the whole grid with values.tolist() peaked at 1.97 MB
+        # (CSV) and 5.86 MB (JSON) traced; batches of 51 rows peak at 0.52
+        # and 0.31 MB
+        assert self._traced_peak(export, tall_field, tmp_path / "field") < 1.0e6
+
+    @pytest.fixture(scope="class")
+    def wide_field(self):
+        # 32 x 4000 probabilities, a 1.0 MB array, at eta = 1, eps = 1e-2
+        table = build_table(build_scenario_from_eta(1.0, 1e-2), PhaseShiftModel.coulomb_exact())
+        return sweep(table, GridSpec(0.01, 3.1, 32, -4.0, 4.0, 4000), Quantity.PROBABILITY)
+
+    @pytest.mark.parametrize("export", [field_to_csv, field_to_json])
+    def test_wide_export_holds_one_row(self, wide_field, export, tmp_path):
+        # batches of 64 rows took in the whole grid and peaked at 4.94 MB
+        # (CSV) and 10.7 MB (JSON) traced; a budget of 1024 values converts
+        # and encodes one 4000-value row at a time, 0.97 and 0.71 MB
+        assert self._traced_peak(export, wide_field, tmp_path / "field") < 2.0e6
 
     def test_json_bytes_equal_one_dumps_of_the_whole_grid(self, table_eta10, tmp_path,
                                                           monkeypatch):
-        # 129 rows convert and stream in batches of 64, 64 and 1
-        field = sweep(table_eta10, GridSpec(0.1, 3.0, 129, -1.0, 1.0, 2), Quantity.PROBABILITY)
+        # 129 rows of 20 values convert and stream in batches of 51, 51 and
+        # 27 rows
+        field = sweep(table_eta10, GridSpec(0.1, 3.0, 129, -1.0, 1.0, 20), Quantity.PROBABILITY)
         path = tmp_path / "field.json"
         monkeypatch.setattr(scan.time, "time", lambda: 1700000000.125)
         field_to_json(field, path)

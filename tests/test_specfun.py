@@ -489,16 +489,17 @@ class TestStartUp:
     def test_commands_load_no_thread_pool_checksum_or_json(self, lazy_stdlib_run):
         # import coulscat.cli, one profile-delta and one angular at
         # --delta auto and at a fixed delta writing CSV: none loads
-        # concurrent.futures, hashlib or json
+        # concurrent.futures, hashlib (or OpenSSL's _hashlib) or json
         assert lazy_stdlib_run[0] == "[0, 0, 0] []"
 
     def test_lazy_stdlib_paths_give_this_process_values(self, lazy_stdlib_run, capsys):
-        # a two-thread sweep loads the pool and the checksum's hashlib, and a
-        # --format json write loads json; each gives this process's values
+        # a two-thread sweep loads the pool, and its checksum CPython's
+        # builtin SHA-256, not hashlib or _hashlib; a --format json write
+        # loads json; each gives this process's values
         assert lazy_stdlib_run[1:4] == [
-            "['concurrent.futures', 'hashlib']",
-            "['concurrent.futures', 'hashlib']",
-            "['concurrent.futures', 'hashlib', 'json']",
+            "['concurrent.futures']",
+            "['concurrent.futures']",
+            "['concurrent.futures', 'json']",
         ]
         table = partialwave.build_table(build_scenario_from_eta(10.0, 1e-2),
                                         partialwave.PhaseShiftModel.coulomb_exact())
@@ -561,7 +562,8 @@ from coulscat import partialwave, scan
 from coulscat.kinematics import build_scenario_from_eta
 
 def loaded():
-    return [m for m in ("concurrent.futures", "hashlib", "json") if m in sys.modules]
+    return [m for m in ("concurrent.futures", "hashlib", "_hashlib", "json")
+            if m in sys.modules]
 
 with contextlib.redirect_stdout(io.StringIO()):
     status = [coulscat.cli.main(["profile-delta", "--eta", "10", "--theta", "0.03"]),

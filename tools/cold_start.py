@@ -8,10 +8,13 @@ Run from the root of a checkout.  Each recipe runs N times (default 7);
 one line per recipe gives the median wall time of a run, the median peak
 resident set of the child and the number of modules it had loaded when
 `main` returned.  Two reference lines do the same for `import numpy` alone
-and `import coulscat.cli` alone, and a third ("8 recipes, one process")
-for one child that runs every recipe through `main` in turn, a process
-whose evaluations come in several sizes.  The lines take turns, one run each per
-round, so a drift in the host's speed moves every line alike.  The package is compiled to bytecode
+and `import coulscat.cli` alone, a third ("8 recipes, one process") for
+one child that runs every recipe through `main` in turn, a process whose
+evaluations come in several sizes, and a fourth for a sweep as a library
+user runs one: a 48 x 800 `scan.sweep` at eta = 800 on 2 workers, then
+`field_to_json` of the field (to the null device).  The lines take
+turns, one run each per round, so a drift in the host's speed moves every
+line alike.  The package is compiled to bytecode
 first, so no run pays for compiling it.  Out files go to a temporary
 directory that is removed afterwards.  Exit status 1 when a run exits
 non-zero (each line prints its exit codes), else 0.  Standard library only;
@@ -36,9 +39,19 @@ from recipe_digests import find_recipes
 
 # each child reports its module count on a line of its own, last on stderr
 _REPORT = "print('modules', len(sys.modules), file=sys.stderr)"
+_SWEEP = """import os, sys
+from coulscat import scan
+from coulscat.kinematics import build_scenario_from_eta
+from coulscat.partialwave import PhaseShiftModel, build_table
+table = build_table(build_scenario_from_eta(800.0, 1e-3), PhaseShiftModel.coulomb_exact())
+field = scan.sweep(table, scan.GridSpec(0.2, 2.2, 48, -4.0, 10.0, 800),
+                   scan.Quantity.PROBABILITY, workers=2)
+scan.field_to_json(field, os.devnull)
+"""
 REFERENCES = {
     "import numpy": "import sys\nimport numpy\n" + _REPORT,
     "import coulscat.cli": "import sys\nimport coulscat.cli\n" + _REPORT,
+    "sweep 48 x 800, 2 workers, json": _SWEEP + _REPORT,
 }
 _RECIPE = ("import sys\nfrom coulscat.cli import main\ncode = main({argv!r})\n"
            + _REPORT + "\nsys.exit(code)")
