@@ -218,13 +218,10 @@ def cmd_angular(args) -> int:
         prof = observables._peaks(table, grid.theta_n, lambda: grid.thetas)
         thetas, probs = prof.thetas, prof.p_max
     else:
-        # `scan.sweep`'s budget and evaluation, not `scan.sweep` itself: its
-        # FieldResult also range-checks P, whose ValueError would turn a run
-        # this command writes (exit 0) into exit 2
-        plan = partialwave._check_budget(table, grid.theta_n, 1)
+        # the sweep checks the budget before it builds its angles, and the
+        # weights keep P within its unitarity check (tests/test_scan.py)
+        probs = scan.sweep(table, grid, scan.Quantity.PROBABILITY).values[:, 0]
         thetas = grid.thetas
-        probs = partialwave._eval_grid(table, thetas, grid.deltas, "full",
-                                       partialwave._abs2, plan=plan)[:, 0]
     pref = observables.dcs_factor(scenario)
 
     def rows():

@@ -287,9 +287,8 @@ def _peaks(table: PartialWaveTable, n_theta: int, angles,
         # P at each row's own peak: one delta per row, and a one-row chunk
         # is a single point
         if i1 - i0 == 1:
-            re, im = partialwave._point_sum(
-                moments[:, 0], partialwave._point_hermite(table, float(delta_max[i0])))
-            p_max[i0] = re * re + im * im
+            p_max[i0] = partialwave._abs2(*partialwave._point_sum(
+                moments[:, 0], partialwave._point_hermite(table, float(delta_max[i0]))))
         else:
             p_max[i0:i1] = partialwave._abs2(*partialwave._combine(
                 moments, partialwave._hermite(table, delta_max[i0:i1, None])))[:, 0]

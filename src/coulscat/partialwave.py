@@ -705,8 +705,7 @@ def amplitude(table: PartialWaveTable, theta: float, delta: float) -> complex:
 
 def probability(table: PartialWaveTable, theta: float, delta: float) -> float:
     """P(theta, delta) = |A|^2 at a single point."""
-    re, im = _point(table, theta, delta, "full")
-    return re * re + im * im
+    return _abs2(*_point(table, theta, delta, "full"))
 
 
 def amplitude_forward(table: PartialWaveTable, theta: float, delta: float) -> float:

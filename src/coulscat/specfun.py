@@ -167,9 +167,7 @@ def dsigma_deta(l: int, eta: float) -> float:
     """d sigma_l / d eta = Re psi(l+1+i eta); equal to `dsigma_deta_table`'s
     entry l."""
     _check_phase_args(l, eta)
-    if l + 1 < _STIRLING_MIN:
-        return _re_psi_shifted(eta)[l]
-    return float(_re_psi_stirling(np.array([l + 1.0]), eta)[0])
+    return float(dsigma_deta_table(l, eta)[l])
 
 
 def dsigma_deta_table(l_max: int, eta: float) -> np.ndarray:

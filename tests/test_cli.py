@@ -989,12 +989,14 @@ class TestSelftest:
 
 
 class TestCommandMemory:
-    """What a command holds besides its evaluation, traced with 1 MiB
-    Legendre chunks (1083 rows at eps = 0.05, where L = 120)."""
+    """What a command holds besides its evaluation, traced with 64 KiB
+    Legendre chunks (67 rows at eps = 0.05, where L = 120).  Each bound lies
+    between the peak measured on a correct tree and on the tree before the
+    test, where the defect it names lived and the test fails."""
 
     @pytest.fixture(autouse=True)
     def small_chunks(self, monkeypatch):
-        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 1 << 20)
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 1 << 16)
 
     @staticmethod
     def _peak(argv):
@@ -1006,26 +1008,27 @@ class TestCommandMemory:
             tracemalloc.stop()
 
     def test_angular_streams_its_rows(self, tmp_path):
-        # 50,000 rows of six floats held as tuples weigh about 12 MB; the
-        # sweep's output and the angles 0.4 MB each
+        # 5,000 rows of six floats held as tuples weigh about 1.2 MB; the
+        # sweep's output and the angles 40 kB each.  Peak 0.60 MB streamed,
+        # 1.59 MB with the rows held (`fae18a9`)
         out = tmp_path / "ang.csv"
         argv = ["angular", "--eta", "1", "--eps", "0.05", "--delta", "0.4",
-                "--theta-n", "50000", "--out", str(out)]
+                "--theta-n", "5000", "--out", str(out)]
         status, peak = self._peak(argv)
-        assert status == 0 and peak < 6_000_000
-        assert len(out.read_text().splitlines()) == 50_001
+        assert status == 0 and peak < 1_000_000
+        assert len(out.read_text().splitlines()) == 5_001
 
     def test_angular_streams_its_json_rows(self, tmp_path):
         # the rows as lists of Python floats and one string of the whole
-        # document weighed about 34 MB
+        # document: peak 4.73 MB (`3c43d5c`), 0.39 MB streamed
         out = tmp_path / "ang.json"
         argv = ["angular", "--eta", "1", "--eps", "0.05", "--delta", "0.4",
-                "--theta-n", "50000", "--format", "json", "--out", str(out)]
+                "--theta-n", "5000", "--format", "json", "--out", str(out)]
         status, peak = self._peak(argv)
-        assert status == 0 and peak < 6_000_000
+        assert status == 0 and peak < 1_000_000
         doc = json.loads(out.read_text())
         assert list(doc) == ["command", "eta", "eps", "columns", "rows", "generated_unix"]
-        assert len(doc["rows"]) == 50_000 and len(doc["rows"][0]) == 6
+        assert len(doc["rows"]) == 5_000 and len(doc["rows"][0]) == 6
 
     @pytest.mark.parametrize("argv", [
         ["conservation", "--eta", "1", "--eps", "0.05", "--sphere-n", "5000000"],
@@ -1039,18 +1042,20 @@ class TestCommandMemory:
         assert capsys.readouterr().err.startswith("resource error: 5000000 x ")
 
     def test_conservation_keeps_no_coarse_scan(self, tmp_path):
-        # the 10,000 x 86 coarse scan alone would weigh 6.9 MB; each
-        # chunk's 1083 rows of it are reduced and dropped
-        argv = ["conservation", "--eta", "1", "--eps", "0.05", "--sphere-n", "10000",
+        # the 2,000 x 86 coarse scan alone would weigh 1.38 MB; each
+        # chunk's 67 rows of it are reduced and dropped.  Peak 0.44 MB, and
+        # 1.82 MB with the scan kept (`4a0affa`)
+        argv = ["conservation", "--eta", "1", "--eps", "0.05", "--sphere-n", "2000",
                 "--out", str(tmp_path / "c.json")]
         status, peak = self._peak(argv)
-        assert status == 0 and peak < 8 * 10_000 * 86
+        assert status == 0 and peak < 8 * 2_000 * 86
 
     def test_angular_auto_keeps_no_coarse_scan(self, tmp_path):
-        # as `conservation`: only each angle's p_max outlives its chunk
+        # as `conservation`: only each angle's p_max outlives its chunk.
+        # Peak 0.45 MB, and 1.82 MB with the scan kept (`c70b0fb`)
         out = tmp_path / "ang.csv"
         argv = ["angular", "--eta", "1", "--eps", "0.05", "--delta", "auto",
-                "--theta-n", "10000", "--out", str(out)]
+                "--theta-n", "2000", "--out", str(out)]
         status, peak = self._peak(argv)
-        assert status == 0 and peak < 8 * 10_000 * 86
-        assert len(out.read_text().splitlines()) == 10_001
+        assert status == 0 and peak < 8 * 2_000 * 86
+        assert len(out.read_text().splitlines()) == 2_001

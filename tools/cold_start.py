@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 
 # this tool's directory is on sys.path when it runs as a script
-from recipe_digests import find_recipes
+from digests import find_recipes
 
 # each child reports its module count on a line of its own, last on stderr
 _REPORT = "print('modules', len(sys.modules), file=sys.stderr)"
