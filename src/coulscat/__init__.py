@@ -23,6 +23,7 @@ from .errors import (
     ScenarioError,
     StrengthBoundError,
     TruncationMismatchError,
+    UndefinedRatioError,
 )
 from .kinematics import (
     ALPHA_PARTICLE_MASS_MEV,

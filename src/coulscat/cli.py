@@ -28,7 +28,9 @@ from .errors import (
     MatchingError,
     NonConvergenceError,
     ResourceLimitError,
+    ScenarioError,
     StrengthBoundError,
+    UndefinedRatioError,
 )
 from .kinematics import (
     ALPHA_PARTICLE_MASS_MEV,
@@ -316,12 +318,15 @@ def cmd_energy_scan(args) -> int:
         try:
             rho, eta, dmax = observables.energy_ratio_rho(
                 family, ek * 1e-3, tail_tol=args.tail_tol)
-        except StrengthBoundError as exc:
+        except (StrengthBoundError, ScenarioError, UndefinedRatioError) as exc:
+            # past the strength bound, or kinematics or a ratio this energy
+            # leaves undefined: the other energies still have their rows
             print(f"warning: skipping E={ek:g} keV: {exc}", file=sys.stderr)
             continue
         rows.append((float(ek), eta, dmax, rho))
     if not rows:
-        raise ValueError("every energy exceeds the strength bound; no table written")
+        raise ValueError("every energy exceeds the strength bound or has no defined rho; "
+                         "no table written")
     _write_table(args, "E_keV,eta,delta_max,rho", rows, eps=args.eps)
     return EXIT_OK
 

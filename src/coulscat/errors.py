@@ -9,6 +9,12 @@ class StrengthBoundError(ValueError):
     """|eta| exceeds the spreading-negligibility bound for the given eps."""
 
 
+class UndefinedRatioError(ValueError):
+    """A ratio to the Rutherford cross section that an energy leaves
+    undefined: the cross section underflows to 0, or the ratio is not
+    finite."""
+
+
 class TruncationMismatchError(ValueError):
     """A short-range phase-shift table is shorter than the requested l_max."""
 

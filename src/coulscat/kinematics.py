@@ -73,18 +73,25 @@ def _positive_finite(name: str, value: float) -> float:
     return value
 
 
+def check_mass_and_eps(m0: float, eps: float) -> None:
+    """ScenarioError unless the mass is positive and finite and
+    0 < eps < EPS_MAX: `build_scenario`'s checks of the inputs that a scan
+    over energy holds fixed."""
+    _positive_finite("projectile mass", m0)
+    if not (0.0 < eps < EPS_MAX):
+        raise ScenarioError(
+            f"fractional momentum spread must satisfy 0 < eps < {EPS_MAX}, got {eps}"
+        )
+
+
 def build_scenario(Z1: int, Z2: int, m0: float, E: float, eps: float) -> PhysicalScenario:
     """Build a scenario from charges, mass, kinetic energy and eps (all MeV-based).
 
     Finite inputs can give kinematics that are not (a 1e300 mass), so the
     derived values are checked before they are divided by, as are 2pR (its
     log is in xi_l) and 16 eps^4 p^2 (`observables.dcs_factor`)."""
-    _positive_finite("projectile mass", m0)
+    check_mass_and_eps(m0, eps)
     _positive_finite("kinetic energy", E)
-    if not (0.0 < eps < EPS_MAX):
-        raise ScenarioError(
-            f"fractional momentum spread must satisfy 0 < eps < {EPS_MAX}, got {eps}"
-        )
     p = _positive_finite("momentum p = sqrt(2 m0 E)", math.sqrt(2.0 * m0 * E))
     beta = _positive_finite("speed beta = p / m0", p / m0)
     sigma_p = _positive_finite("momentum spread sigma_p = eps p", eps * p)

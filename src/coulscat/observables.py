@@ -22,8 +22,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import partialwave, specfun
-from .errors import CoulscatWarning, NonConvergenceError
-from .kinematics import PhysicalScenario, build_scenario
+from .errors import CoulscatWarning, NonConvergenceError, UndefinedRatioError
+from .kinematics import PhysicalScenario, build_scenario, check_mass_and_eps
 from .partialwave import PartialWaveTable, PhaseShiftKind, PhaseShiftModel
 
 __all__ = [
@@ -59,20 +59,23 @@ class DeltaProfile:
     unit Gaussian in delta, over the scanned delta samples (diagnostic only).
     deltas are the coarse scan's samples and p_scan the probability on
     them, shape (n_theta, deltas.size); each cell equals the single-point
-    probability.
+    probability.  A search that does not keep its scan (`_peaks` without
+    `keep_scan`) leaves p_scan and factorization_residual None.
     """
 
     thetas: np.ndarray
     delta_max: np.ndarray
     p_max: np.ndarray
-    factorization_residual: np.ndarray
+    factorization_residual: Optional[np.ndarray]
     deltas: np.ndarray
-    p_scan: np.ndarray
+    p_scan: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
 class ScenarioFamily:
-    """Fixed charges, mass and eps; energy varies across a scan."""
+    """Fixed charges, mass and eps; energy varies across a scan.  The mass
+    and eps are checked as `build_scenario` checks them, once for every
+    energy (ScenarioError)."""
 
     Z1: int
     Z2: int
@@ -83,6 +86,7 @@ class ScenarioFamily:
         # rho is a ratio to the Rutherford cross section, 0 at a zero charge
         if 0 in (self.Z1, self.Z2):
             raise ValueError(f"{'Z2' if self.Z1 else 'Z1'} = 0: a free family's rho is 0/0")
+        check_mass_and_eps(self.m0, self.eps)
 
     def at_energy(self, E_mev: float) -> PhysicalScenario:
         return build_scenario(self.Z1, self.Z2, self.m0, E_mev, self.eps)
@@ -151,8 +155,8 @@ def conservation_weight_sum(table: PartialWaveTable) -> float:
     probability is integrated over all angles and time shifts.
     """
     eps = table.eps
-    x = np.arange(table.l_max + 1, dtype=float) + 0.5
-    return 8.0 * eps * eps * float(np.sum(x * np.exp(-4.0 * eps * eps * x * x)))
+    shared = partialwave._eps_arrays(eps, table.l_max)
+    return 8.0 * eps * eps * float(np.sum(shared.x * shared.damping4))
 
 
 def midpoint_thetas(n_intervals: int) -> np.ndarray:
@@ -244,8 +248,9 @@ def _peaks(table: PartialWaveTable, n_theta: int, angles,
     budget are checked from the count before angles() runs, and the default
     window's scan is built on its first read and kept with the table.  Each
     chunk's scan is reduced in a chunk-sized array, copied into the rows of
-    `p_scan` with `keep_scan` (`delta_profile`) and otherwise dropped, with
-    `p_scan` left None."""
+    `p_scan` and measured against the factorized form with `keep_scan`
+    (`delta_profile`), and otherwise dropped, with `p_scan` and
+    `factorization_residual` left None."""
     default = delta_range is None and coarse_n is None
     if delta_range is None:
         delta_range = default_delta_range(table)
@@ -270,10 +275,11 @@ def _peaks(table: PartialWaveTable, n_theta: int, angles,
     p_scan = np.empty((n_theta, coarse_n)) if keep_scan else None
     delta_max = np.zeros(n_theta)
     p_max = np.empty(n_theta)
-    residual = np.empty(n_theta)
+    residual = np.empty(n_theta) if keep_scan else None
     flat = np.zeros(n_theta, dtype=bool)
 
-    # each chunk's moments serve the coarse scan, p_max and the residual
+    # each chunk's moments serve the coarse scan, p_max and, with the scan
+    # kept, the residual
     def reduce(i0, i1, moments):
         grid = partialwave._abs2(*partialwave._combine(moments, h))
         if keep_scan:
@@ -292,8 +298,9 @@ def _peaks(table: PartialWaveTable, n_theta: int, angles,
         else:
             p_max[i0:i1] = partialwave._abs2(*partialwave._combine(
                 moments, partialwave._hermite(table, delta_max[i0:i1, None])))[:, 0]
-        gauss = np.exp(-((deltas - delta_max[i0:i1, None]) ** 2) / 4.0)
-        residual[i0:i1] = np.max(np.abs(grid - gauss * p_max[i0:i1, None]), axis=1)
+        if keep_scan:
+            gauss = np.exp(-((deltas - delta_max[i0:i1, None]) ** 2) / 4.0)
+            residual[i0:i1] = np.max(np.abs(grid - gauss * p_max[i0:i1, None]), axis=1)
 
     partialwave._each_chunk(table, thetas, "full", reduce, chunks)
     n_flat = int(flat.sum())
@@ -383,8 +390,10 @@ def energy_ratio_rho(family: ScenarioFamily, E_mev: float,
     exact Coulomb phases at E_mev.
 
     Returns (rho, eta, delta_max).  delta_max is recomputed from the profile
-    at each energy rather than fitted across energies.  Strength-bound errors
-    propagate to the caller.
+    at each energy rather than fitted across energies.  Strength-bound and
+    scenario errors propagate to the caller, and an energy whose ratio is
+    undefined (the Rutherford cross section underflows to 0, or rho is not
+    finite) raises UndefinedRatioError.
     """
     scenario = family.at_energy(E_mev)
     table = partialwave.build_table(scenario, PhaseShiftModel.coulomb_exact(),
@@ -392,12 +401,13 @@ def energy_ratio_rho(family: ScenarioFamily, E_mev: float,
     theta = math.pi / 4.0
     ruth = rutherford_dcs(scenario, theta)
     if not ruth:
-        raise ValueError(f"at E = {E_mev:g} MeV the Rutherford cross section underflows to 0")
+        raise UndefinedRatioError(
+            f"at E = {E_mev:g} MeV the Rutherford cross section underflows to 0")
     # p_max is the probability at dmax, so this is dcs(table, theta, dmax)
     # without rebuilding the angle's Legendre row
     dmax, p_max = delta_max_at(table, theta)
     rho = p_max * dcs_factor(scenario) / ruth
     if not math.isfinite(rho):
-        raise ValueError(f"at E = {E_mev:g} MeV rho is not finite, got {rho}")
+        raise UndefinedRatioError(f"at E = {E_mev:g} MeV rho is not finite, got {rho}")
     return rho, scenario.eta, dmax
 

@@ -110,8 +110,9 @@ _BOX_MAX_TERMS = 8192
 _TRUNCATION_TOL = 2.0 ** -56
 _SQRT8 = math.sqrt(8.0)
 # (L+1)-value arrays held at the peak by a table with all its derived data
-# (34.1 measured at eta = 800, where K = 22: 30.1 held and `sin2_sums`'
-# four) plus a short-range model's two
+# (36.2 measured at eta = 800, where K = 22: 33.1 held, three of them the
+# shared `_eps_arrays` beside the weights, and `sin2_sums`' three) plus a
+# short-range model's two
 _TABLE_ROWS = 40
 
 
@@ -180,17 +181,24 @@ class PartialWaveTable:
 
     weight[l]    = (2l+1) exp(-2 eps^2 (l+1/2)^2)
     phase_cos/sin = cos/sin of 2 sigma_l (or 2 delta_l for short range)
-    xi[l]        = per-l spatial shift in sigma_x units
     tail_bound   = rigorous bound on the neglected angular weight beyond
                    l_max, relative to the retained total
 
-    `__post_init__` makes the four arrays read-only, so every table (a
+    `__post_init__` makes the three arrays read-only, so every table (a
     `dataclasses.replace` too) is an immutable value, equal only to itself
-    and hashed by identity.  Data derived from these is built on its first
+    and hashed by identity.  The weights and the tail bound depend on eps
+    and l_max alone, and every table of one eps and l_max shares them
+    (`_eps_arrays`).  Data derived from the fields is built on its first
     read and kept with the table (`functools.cached_property`), so a table
     whose readers never need it never builds it; a `dataclasses.replace` is
-    a new table that builds its own.  The Hermite expansion in delta, read
-    only by evaluations at a time shift:
+    a new table that builds its own.  First the per-l spatial shifts,
+
+    xi[l]        = per-l spatial shift in sigma_x units (`_time_shifts`),
+
+    read by every evaluation at a time shift and never by the sums at none
+    (`sin2_sums`, `observables.scattering_amplitude_f`), so the digamma
+    table behind a Coulomb table's xi is built only for a table that needs
+    it.  Then the Hermite expansion in delta, built from xi:
 
     box_edges    = box b holds l in [box_edges[b], box_edges[b+1])
     box_centres  = centre c of each box, the midpoint of its xi range
@@ -201,25 +209,31 @@ class PartialWaveTable:
 
     and `sin2_sums`, each series part's kernel (`_kernel`) and the default
     coarse delta scan of the delta-peak search (`observables._peaks`), all
-    read-only and read on an evaluation's calling thread alone.
+    read-only and read on an evaluation's calling thread alone, before any
+    pool thread starts (`cached_property` holds no lock from Python 3.12).
     """
 
     l_max: int
     weight: np.ndarray
     phase_cos: np.ndarray
     phase_sin: np.ndarray
-    xi: np.ndarray
     scenario: PhysicalScenario
     model: PhaseShiftModel
     tail_bound: float
 
     def __post_init__(self):
-        for arr in (self.weight, self.phase_cos, self.phase_sin, self.xi):
+        for arr in (self.weight, self.phase_cos, self.phase_sin):
             arr.flags.writeable = False
 
     @property
     def eps(self) -> float:
         return self.scenario.eps
+
+    @functools.cached_property
+    def xi(self) -> np.ndarray:
+        xi = _time_shifts(self.scenario, self.model, self.l_max)
+        xi.flags.writeable = False
+        return xi
 
     @functools.cached_property
     def _expansion(self) -> _Expansion:
@@ -257,11 +271,45 @@ class PartialWaveTable:
     def sin2_sums(self) -> tuple[float, float]:
         """Gaussian-damped sums of (2l+1) sin^2(sigma_l): (4 eps^2 damping,
         2 eps^2 damping)."""
-        eps = self.eps
-        x = np.arange(self.l_max + 1, dtype=float) + 0.5
-        base = (2.0 * x) * ((1.0 - self.phase_cos) * 0.5)  # (2l+1) sin^2 sigma_l
-        return tuple(float(np.sum(np.exp(c * x * x) * base))
-                     for c in (-4.0 * eps * eps, -2.0 * eps * eps))
+        shared = _eps_arrays(self.eps, self.l_max)
+        base = (2.0 * shared.x) * ((1.0 - self.phase_cos) * 0.5)  # (2l+1) sin^2 sigma_l
+        return tuple(float(np.sum(damping * base))
+                     for damping in (shared.damping4, shared.damping2))
+
+
+class _EpsArrays(NamedTuple):
+    """What every table of one eps and l_max shares; see `_eps_arrays`."""
+
+    x: np.ndarray
+    weight: np.ndarray
+    tail_bound: float
+    damping4: np.ndarray
+    damping2: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def _eps_arrays(eps: float, l_max: int) -> _EpsArrays:
+    """x = l + 1/2 for l = 0 .. l_max, the weights (2l+1) e^{-2 eps^2 x^2},
+    the tail bound of `build_table`, and the dampings e^{-4 eps^2 x^2} and
+    e^{-2 eps^2 x^2} of `PartialWaveTable.sin2_sums` and
+    `observables.conservation_weight_sum`, the arrays read-only.
+
+    Every table of one eps and l_max shares them: `build_table` computes
+    only its phases (and a table its xi on first read).  2x is 2l+1
+    exactly, so the weights are (2l+1) times the 2 eps^2 damping.  The
+    cache keeps the last four (eps, l_max), like `specfun._scalar_steps`.
+    """
+    x = np.arange(l_max + 1, dtype=float) + 0.5
+    damping4 = np.exp(-4.0 * eps * eps * x * x)
+    damping2 = np.exp(-2.0 * eps * eps * x * x)
+    weight = (2.0 * x) * damping2
+    # sum of neglected weights is bounded by the integral of 2x e^{-2 eps^2 x^2}
+    # from l_max + 1/2; normalize by the retained sum
+    tail_abs = math.exp(-2.0 * eps * eps * (l_max + 0.5) ** 2) / (2.0 * eps * eps)
+    tail_bound = tail_abs / float(np.sum(weight))
+    for arr in (x, weight, damping4, damping2):
+        arr.flags.writeable = False
+    return _EpsArrays(x, weight, tail_bound, damping4, damping2)
 
 
 def _hermite_expansion(xi: np.ndarray) -> _Expansion:
@@ -379,29 +427,10 @@ def build_table(scenario: PhysicalScenario, model: PhaseShiftModel,
                 f"{bound:.6g} for eps = {eps:.6g}"
             )
 
-    l = np.arange(l_max + 1, dtype=float)
-    x = l + 0.5
-    weight = (2.0 * l + 1.0) * np.exp(-2.0 * eps * eps * x * x)
-
     if model.kind is PhaseShiftKind.COULOMB_EXACT:
         sigma2 = 2.0 * specfun.coulomb_sigma_table(l_max, eta)
-        if eta == 0.0:
-            xi = np.zeros(l_max + 1)
-        else:
-            ln2pr = math.log(2.0 * scenario.p * scenario.R)
-            xi = 4.0 * eps * eta * (ln2pr - 1.0 - specfun.dsigma_deta_table(l_max, eta))
     elif model.kind is PhaseShiftKind.COULOMB_ASYMPTOTIC:
         sigma2 = 2.0 * specfun.coulomb_sigma_asymptotic_table(l_max, eta)
-        if eta == 0.0:
-            xi = np.zeros(l_max + 1)
-        else:
-            # literal asymptotic shift, carrying both "-1" offsets; differs
-            # from the derivative of the asymptotic phase by exactly -4 eps eta
-            ln2pr = math.log(2.0 * scenario.p * scenario.R)
-            lp1 = l + 1.0
-            xi = 4.0 * eps * eta * (
-                ln2pr - 1.0 - 0.5 * np.log(lp1 * lp1 + eta * eta) - 1.0
-            )
     else:
         if model.delta_l.size < l_max + 1:
             raise TruncationMismatchError(
@@ -409,19 +438,31 @@ def build_table(scenario: PhysicalScenario, model: PhaseShiftModel,
                 f"but l_max = {l_max} is required"
             )
         sigma2 = 2.0 * model.delta_l[: l_max + 1]
-        xi = (2.0 / scenario.sigma_x) * model.ddelta_dk[: l_max + 1]
 
-    phase_cos = np.cos(sigma2)
-    phase_sin = np.sin(sigma2)
+    shared = _eps_arrays(eps, l_max)
+    return PartialWaveTable(l_max=l_max, weight=shared.weight, phase_cos=np.cos(sigma2),
+                            phase_sin=np.sin(sigma2), scenario=scenario, model=model,
+                            tail_bound=shared.tail_bound)
 
-    # sum of neglected weights is bounded by the integral of 2x e^{-2 eps^2 x^2}
-    # from l_max + 1/2; normalize by the retained sum
-    tail_abs = math.exp(-2.0 * eps * eps * (l_max + 0.5) ** 2) / (2.0 * eps * eps)
-    tail_bound = tail_abs / float(np.sum(weight))
 
-    return PartialWaveTable(l_max=l_max, weight=weight, phase_cos=phase_cos,
-                            phase_sin=phase_sin, xi=xi, scenario=scenario,
-                            model=model, tail_bound=tail_bound)
+def _time_shifts(scenario: PhysicalScenario, model: PhaseShiftModel,
+                 l_max: int) -> np.ndarray:
+    """xi_l for l = 0 .. l_max, a new array: `PartialWaveTable.xi`, built on
+    its first read from the table's scenario, model and l_max, which
+    `build_table` has checked."""
+    if model.kind is PhaseShiftKind.SHORT_RANGE_TABLE:
+        return (2.0 / scenario.sigma_x) * model.ddelta_dk[: l_max + 1]
+    eps = scenario.eps
+    eta = scenario.eta
+    if eta == 0.0:
+        return np.zeros(l_max + 1)
+    ln2pr = math.log(2.0 * scenario.p * scenario.R)
+    if model.kind is PhaseShiftKind.COULOMB_EXACT:
+        return 4.0 * eps * eta * (ln2pr - 1.0 - specfun.dsigma_deta_table(l_max, eta))
+    # literal asymptotic shift, carrying both "-1" offsets; differs from the
+    # derivative of the asymptotic phase by exactly -4 eps eta
+    lp1 = np.arange(l_max + 1, dtype=float) + 1.0
+    return 4.0 * eps * eta * (ln2pr - 1.0 - 0.5 * np.log(lp1 * lp1 + eta * eta) - 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,11 @@ def _patch_tables(monkeypatch, corrupt):
 
 def test_negative_control_scaled_time_shifts(monkeypatch):
     """xi scaled by 3.5 moves the eta = 10 peak near the old +0.4 pin and
-    must fail criterion 5."""
-    _patch_tables(monkeypatch,
-                  lambda t: dataclasses.replace(t, xi=3.5 * t.xi))
+    must fail criterion 5.  A replaced table derives its xi afresh, here
+    through a scaled `_time_shifts`."""
+    shifts = partialwave._time_shifts
+    monkeypatch.setattr(partialwave, "_time_shifts", lambda *args: 3.5 * shifts(*args))
+    _patch_tables(monkeypatch, dataclasses.replace)
     bad = acceptance.run_criterion(5)
     assert not bad.passed, bad.detail
     assert acceptance.run_criterion(4).passed

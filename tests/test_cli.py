@@ -393,6 +393,22 @@ class TestEnergyScan:
         assert rows[0][0] == 3.8
         assert 1.0e-7 <= rows[0][3] <= 5.5e-7
 
+    @pytest.mark.parametrize("energy, fault", [
+        ("1e300", "Rutherford cross section underflows to 0"),
+        ("1e308", "momentum p = sqrt(2 m0 E) must be positive and finite"),
+    ])
+    def test_skips_an_energy_without_a_ratio(self, energy, fault, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["energy-scan", "--energies-kev", f"3.8,{energy}",
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"warning: skipping E={float(energy):g} keV") and fault in lines[0]
+        header, rows = read_csv(out)
+        assert header == ["E_keV", "eta", "delta_max", "rho"]
+        assert len(rows) == 1 and rows[0][0] == 3.8
+        assert 1.0e-7 <= rows[0][3] <= 5.5e-7
+
     def test_unexpected_errors_are_not_swallowed(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("not a strength-bound error")
@@ -710,7 +726,9 @@ class TestConfigAndErrors:
     # finite flags whose kinematics are not: p = 0 (a 1e-300 mass) and a
     # Rutherford cross section that underflows to 0 (E = 1e297 MeV) each
     # raised ZeroDivisionError, and a subnormal 16 eps^4 p^2 made
-    # dcs_factor inf and wrote rho = nan with exit 0
+    # dcs_factor inf and wrote rho = nan with exit 0.  `energy-scan` skips
+    # such an energy with a warning naming the fault, and with no energy
+    # left writes no table
     @pytest.mark.parametrize("argv, name", [
         (["angular", "--eta", "10", "--mass-mev", "1e-300", "--theta-n", "3"], "momentum p"),
         (["conservation", "--eta", "10", "--mass-mev", "1e-300"], "momentum p"),
@@ -723,6 +741,10 @@ class TestConfigAndErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
+        if argv[0] == "energy-scan":
+            warning, *lines = lines
+            assert warning.startswith("warning: skipping") and name in warning
+            name = "no table written"
         assert len(lines) == 1 and lines[0].startswith("config error:") and name in lines[0]
 
     # no command takes `--workers`: every value, non-positive or not, is an

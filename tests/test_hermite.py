@@ -31,7 +31,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from coulscat import cli, partialwave, scan, specfun
+from coulscat import cli, observables, partialwave, scan, specfun
 from coulscat.kinematics import (
     ALPHA_PARTICLE_MASS_MEV,
     build_scenario,
@@ -171,10 +171,15 @@ def test_non_monotone_time_shifts_use_several_boxes():
     assert table.box_centres.size > 1
 
 
-def test_replacing_xi_rebuilds_the_expansion():
+def test_replacing_xi_rebuilds_the_expansion(monkeypatch):
+    # a replaced table derives its own xi, here through a scaled `_time_shifts`
     base = _coulomb(10.0)
-    scaled = dataclasses.replace(base, xi=3.5 * base.xi)
-    assert scaled.box_centres[0] == pytest.approx(3.5 * base.box_centres[0])
+    centre = base.box_centres[0]
+    shifts = partialwave._time_shifts
+    monkeypatch.setattr(partialwave, "_time_shifts", lambda *args: 3.5 * shifts(*args))
+    scaled = dataclasses.replace(base)
+    assert np.array_equal(scaled.xi, 3.5 * base.xi)
+    assert scaled.box_centres[0] == pytest.approx(3.5 * centre)
     want, _scale = _direct(scaled, [0.5], [0.3], "full")
     got = partialwave.amplitude(scaled, 0.5, 0.3)
     assert abs(got - want[0, 0]) <= 1e-15
@@ -184,6 +189,90 @@ def test_free_case_needs_one_term():
     table = _coulomb(0.0)
     assert table.n_hermite == 1 and table.hermite_bound == 0.0
     assert table.box_centres.tolist() == [0.0]
+
+
+def _eager_xi(scenario, model, l_max):
+    """xi_l as `build_table` once computed it for every table, eagerly."""
+    eps, eta = scenario.eps, scenario.eta
+    l = np.arange(l_max + 1, dtype=float)
+    if model.kind is partialwave.PhaseShiftKind.SHORT_RANGE_TABLE:
+        return (2.0 / scenario.sigma_x) * model.ddelta_dk[: l_max + 1]
+    if eta == 0.0:
+        return np.zeros(l_max + 1)
+    ln2pr = math.log(2.0 * scenario.p * scenario.R)
+    if model.kind is partialwave.PhaseShiftKind.COULOMB_EXACT:
+        return 4.0 * eps * eta * (ln2pr - 1.0 - specfun.dsigma_deta_table(l_max, eta))
+    lp1 = l + 1.0
+    return 4.0 * eps * eta * (ln2pr - 1.0 - 0.5 * np.log(lp1 * lp1 + eta * eta) - 1.0)
+
+
+class TestTimeShiftsBuiltOnFirstRead:
+    """A table builds xi on its first read, once, on the calling thread;
+    the sums at no time shift never read it, so a Coulomb table they use
+    never builds its digamma table.  A spy on `specfun.dsigma_deta_table`
+    counts the digamma tables."""
+
+    @pytest.fixture
+    def digammas(self, monkeypatch):
+        threads = []
+        table = specfun.dsigma_deta_table
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            return table(*args)
+
+        monkeypatch.setattr(specfun, "dsigma_deta_table", spy)
+        return threads
+
+    def test_sums_at_no_time_shift_build_none(self, digammas):
+        table = _coulomb(10.0)
+        assert digammas == [] and "xi" not in vars(table)
+        observables.optical_ratio(table)
+        observables.total_cross_section(table, table.scenario)
+        observables.scattering_amplitude_f(table, table.scenario, 0.0)
+        observables.scattering_amplitude_f(table, table.scenario, 0.7)
+        assert digammas == [] and "xi" not in vars(table)
+
+    def test_optical_sweep_builds_none(self, digammas, tmp_path):
+        out = tmp_path / "optical.csv"
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(["optical", "--eta-min", "1", "--eta-max", "3",
+                             "--eta-n", "3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
+        assert digammas == []
+
+    def test_first_read_builds_once_on_the_caller(self, digammas):
+        table = _coulomb(10.0)
+        xi = table.xi
+        assert digammas == [threading.get_ident()]
+        assert table.xi is xi and table.n_hermite >= 1
+        probability(table, 0.5, 0.3)
+        assert len(digammas) == 1
+
+    def test_xi_and_the_shared_eps_arrays_are_read_only(self):
+        table = _coulomb(10.0)
+        shared = partialwave._eps_arrays(table.eps, table.l_max)
+        assert table.weight is shared.weight
+        for arr in (table.xi, shared.x, shared.weight, shared.damping4, shared.damping2):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.xi = np.zeros(table.l_max + 1)
+
+    @pytest.mark.parametrize("eta", [0.0, 10.0, -10.0, 800.0])
+    @pytest.mark.parametrize("model", [PhaseShiftModel.coulomb_exact(),
+                                       PhaseShiftModel.coulomb_asymptotic()],
+                             ids=["exact", "asymptotic"])
+    def test_xi_equals_the_eager_formula(self, eta, model):
+        table = build_table(build_scenario_from_eta(eta, EPS), model)
+        want = _eager_xi(table.scenario, model, table.l_max)
+        assert _bits(table.xi) == _bits(want)
+
+    def test_square_well_xi_equals_the_eager_formula(self):
+        table = _square_well()
+        want = _eager_xi(table.scenario, table.model, table.l_max)
+        assert _bits(table.xi) == _bits(want)
 
 
 class TestExpansionBuiltOnFirstRead:

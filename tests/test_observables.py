@@ -11,7 +11,9 @@ from coulscat import (
     NonConvergenceError,
     PhaseShiftModel,
     ResourceLimitError,
+    ScenarioError,
     ScenarioFamily,
+    UndefinedRatioError,
     build_scenario,
     build_scenario_from_eta,
     build_table,
@@ -186,7 +188,7 @@ class TestSphereIntegral:
 
         def without_the_scan():
             prof = observables._peaks(table_eta10, n, lambda: midpoint_thetas(n))
-            assert prof.p_scan is None
+            assert prof.p_scan is None and prof.factorization_residual is None
             return probability_sphere_integral(table_eta10, prof)
 
         assert without_the_scan() == want
@@ -481,6 +483,23 @@ class TestEnergyRatio:
         # rho divides by the Rutherford cross section, 0 at a zero charge
         with pytest.raises(ValueError, match=f"^{name} = 0: a free family's rho is 0/0$"):
             ScenarioFamily(*charges, ALPHA_PARTICLE_MASS_MEV, EPS)
+
+    @pytest.mark.parametrize("m0, eps, name", [(-1.0, EPS, "projectile mass"),
+                                               (math.inf, EPS, "projectile mass"),
+                                               (ALPHA_PARTICLE_MASS_MEV, 0.5, "eps")])
+    def test_a_family_with_bad_fixed_inputs_is_refused(self, m0, eps, name):
+        # no energy can mend them, so they are refused once, not per energy
+        with pytest.raises(ScenarioError, match=name):
+            ScenarioFamily(79, 2, m0, eps)
+
+    @pytest.mark.parametrize("m0, E_mev, eps, message", [
+        (ALPHA_PARTICLE_MASS_MEV, 1e297, EPS, "Rutherford cross section underflows to 0"),
+        (3e-158, 1.7e-158, 0.05, "rho is not finite"),
+    ], ids=["underflow", "not-finite"])
+    def test_an_undefined_ratio_has_its_own_error(self, m0, E_mev, eps, message):
+        family = ScenarioFamily(79, 2, m0, eps)
+        with pytest.raises(UndefinedRatioError, match=message):
+            observables.energy_ratio_rho(family, E_mev)
 
     def test_reference_point(self):
         family = ScenarioFamily(79, 2, ALPHA_PARTICLE_MASS_MEV, EPS)

@@ -81,11 +81,22 @@ class TestBuildTable:
 
     def test_a_replaced_table_is_read_only(self, table_eta10):
         t = table_eta10
-        for field in ("weight", "phase_cos", "phase_sin", "xi"):
+        for field in ("weight", "phase_cos", "phase_sin"):
             new = dataclasses.replace(t, **{field: 3.5 * getattr(t, field)})
             assert not getattr(new, field).flags.writeable
             with pytest.raises(ValueError):
                 getattr(new, field)[0] = 0.0
+        # xi is derived data, not a field: a replaced table builds its own,
+        # read-only, and neither replace nor assignment can set it
+        new = dataclasses.replace(t)
+        assert new.xi is not t.xi and np.array_equal(new.xi, t.xi)
+        assert not new.xi.flags.writeable
+        with pytest.raises(ValueError):
+            new.xi[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            new.xi = 3.5 * t.xi
+        with pytest.raises(TypeError, match="xi"):
+            dataclasses.replace(t, xi=3.5 * t.xi)
 
     def test_forward_kernel_is_a_read_only_view_of_the_weights(self, table_eta10):
         kern = table_eta10._kernel("forward")
