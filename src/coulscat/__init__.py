@@ -35,8 +35,6 @@ from .kinematics import (
     eta_bound,
     free_transit_time,
     log_shift,
-    scaled_shift,
-    spreading_width,
     time_shift_seconds,
 )
 from .observables import (

@@ -143,7 +143,22 @@ def _scenario_from_args(args):
     return build_scenario(args.Z1, args.Z2, args.mass_mev, e_mev, args.eps)
 
 
+def _check_l_max(args, scenario) -> None:
+    """Refuse a given `--l-max` below `choose_l_max(eps, 1e-3)`, where the
+    weights' tail beyond it, exp(-2 eps^2 (l_max + 1/2)^2), exceeds 1e-3, the
+    ceiling of `--tail-tol`: a series cut inside its weights' width sums to
+    numbers that mean nothing.  `table-dump` sums nothing and takes any."""
+    if args.l_max is None or args.command == "table-dump":
+        return
+    floor = partialwave.choose_l_max(scenario.eps, 1e-3)
+    if args.l_max < floor:
+        raise ValueError(f"--l-max {args.l_max} cuts the series inside its weights "
+                         f"at eps = {scenario.eps:g}; the smallest admissible is {floor}")
+
+
 def _model_from_args(args, scenario) -> PhaseShiftModel:
+    """The phase-shift model the flags ask for, after `_check_l_max`."""
+    _check_l_max(args, scenario)
     if args.model != "square-well":
         _reject_given(f"--model {args.model}",
                       (("--well-depth-mev", args.well_depth_mev),
@@ -217,7 +232,7 @@ def cmd_angular(args) -> int:
     scenario, table = _table_from_args(args)
     if auto:
         # the budget before the angles, and no coarse scan kept
-        prof = observables._peaks(table, grid.theta_n, lambda: grid.thetas)
+        prof = observables.delta_peaks(table, grid.theta_n, lambda: grid.thetas)
         thetas, probs = prof.thetas, prof.p_max
     else:
         # the sweep checks the budget before it builds its angles, and the
@@ -247,7 +262,7 @@ def cmd_conservation(args) -> int:
     scenario, table = _table_from_args(args)
     wsum = observables.conservation_weight_sum(table)
     # the budget before the angles, and no coarse scan kept
-    sphere = observables.probability_sphere_integral(table, observables._peaks(
+    sphere = observables.probability_sphere_integral(table, observables.delta_peaks(
         table, args.sphere_n, lambda: observables.midpoint_thetas(args.sphere_n)))
     # the sum rule holds to O(eps^2); 1e-5 is the eps = 1e-3 allowance
     wsum_tol = max(1e-5, scenario.eps ** 2)

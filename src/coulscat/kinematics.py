@@ -157,19 +157,9 @@ def free_transit_time(scenario: PhysicalScenario) -> float:
     return (2.0 * scenario.R - 2.0 * log_shift(scenario)) / scenario.beta
 
 
-def scaled_shift(scenario: PhysicalScenario, T: float) -> float:
-    """Dimensionless time-shift variable delta = (beta T - beta T_free) / sigma_x."""
-    return scenario.beta * (T - free_transit_time(scenario)) / scenario.sigma_x
-
-
 def time_shift_seconds(scenario: PhysicalScenario, delta: float) -> float:
     """Convert a scaled shift delta into a time delay in seconds (delta sigma_x / beta)."""
     return delta * scenario.sigma_x / scenario.beta * SECONDS_PER_INVERSE_MEV
-
-
-def spreading_width(scenario: PhysicalScenario, t: float) -> float:
-    """Gaussian wavepacket width sigma_x(t) = sqrt(sigma_x^2 + eps^2 (beta t)^2)."""
-    return math.hypot(scenario.sigma_x, scenario.eps * scenario.beta * t)
 
 
 def eps_from_energy_width(energy_width: float, E: float) -> float:

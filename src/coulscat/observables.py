@@ -40,6 +40,7 @@ __all__ = [
     "shadow_angle",
     "default_delta_range",
     "delta_profile",
+    "delta_peaks",
     "delta_max_at",
     "scattering_amplitude_f",
     "total_cross_section",
@@ -59,8 +60,8 @@ class DeltaProfile:
     unit Gaussian in delta, over the scanned delta samples (diagnostic only).
     deltas are the coarse scan's samples and p_scan the probability on
     them, shape (n_theta, deltas.size); each cell equals the single-point
-    probability.  A search that does not keep its scan (`_peaks` without
-    `keep_scan`) leaves p_scan and factorization_residual None.
+    probability.  A search that does not keep its scan (`delta_peaks`
+    without `keep_scan`) leaves p_scan and factorization_residual None.
     """
 
     thetas: np.ndarray
@@ -236,21 +237,23 @@ def delta_profile(table: PartialWaveTable, thetas,
     """
     # the copy keeps the profile from following later writes to the
     # caller's array
-    return _peaks(table, np.size(thetas), lambda: np.array(thetas, dtype=float),
-                  delta_range, coarse_n, keep_scan=True)
+    return delta_peaks(table, np.size(thetas), lambda: np.array(thetas, dtype=float),
+                       delta_range, coarse_n, keep_scan=True)
 
 
-def _peaks(table: PartialWaveTable, n_theta: int, angles,
-           delta_range: Optional[tuple[float, float]] = None,
-           coarse_n: Optional[int] = None, keep_scan: bool = False) -> DeltaProfile:
+def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
+                delta_range: Optional[tuple[float, float]] = None,
+                coarse_n: Optional[int] = None, *,
+                keep_scan: bool = False) -> DeltaProfile:
     """The `delta_profile` of the n_theta angles that angles() builds, its
-    arrays read-only, warning of flat profiles.  The window and the memory
-    budget are checked from the count before angles() runs, and the default
-    window's scan is built on its first read and kept with the table.  Each
-    chunk's scan is reduced in a chunk-sized array, copied into the rows of
-    `p_scan` and measured against the factorized form with `keep_scan`
-    (`delta_profile`), and otherwise dropped, with `p_scan` and
-    `factorization_residual` left None."""
+    arrays read-only, warning of flat profiles: every delta-peak search
+    runs here.  The scan window and the memory budget are checked from
+    n_theta before angles() builds anything, so a refused request never
+    holds its angles.  The default window's scan is built on its first
+    read and kept with the table.  Each chunk's scan is reduced in a
+    chunk-sized array, copied into the rows of `p_scan` and measured
+    against the factorized form with `keep_scan` (`delta_profile`), and
+    otherwise dropped, with `p_scan` and `factorization_residual` None."""
     default = delta_range is None and coarse_n is None
     if delta_range is None:
         delta_range = default_delta_range(table)
@@ -316,7 +319,7 @@ def _peaks(table: PartialWaveTable, n_theta: int, angles,
 def delta_max_at(table: PartialWaveTable, theta: float) -> tuple[float, float]:
     """(delta_max, p_max) at a single angle: `delta_profile(table, [theta])`'s
     values, from the same search without keeping its coarse scan."""
-    prof = _peaks(table, 1, lambda: np.array([theta], dtype=float))
+    prof = delta_peaks(table, 1, lambda: np.array([theta], dtype=float))
     return float(prof.delta_max[0]), float(prof.p_max[0])
 
 

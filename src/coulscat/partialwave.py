@@ -39,7 +39,7 @@ angles into equal Legendre chunks and bounds the memory of one in flight;
 `_each_chunk` runs the recurrence and `_moments` for each in turn on the
 calling thread, writing every chunk's rows into that thread's one row
 buffer, and `_eval_grid` (grids, `scan.sweep`) or the delta-peak search
-(`observables._peaks`) reduces the moments into the chunk's rows of
+(`observables.delta_peaks`) reduces the moments into the chunk's rows of
 the one grid-sized output, on more than one worker split by rows over
 threads (`concurrent.futures` is imported only then).  A single point
 (`_point`) takes one row's `_moments` and does the rest on Python floats.
@@ -208,9 +208,9 @@ class PartialWaveTable:
                    relative to sum_l |kern_l P_l| (at most 2^-56)
 
     and `sin2_sums`, each series part's kernel (`_kernel`) and the default
-    coarse delta scan of the delta-peak search (`observables._peaks`), all
-    read-only and read on an evaluation's calling thread alone, before any
-    pool thread starts (`cached_property` holds no lock from Python 3.12).
+    coarse delta scan of the delta-peak search (`observables.delta_peaks`),
+    all read-only and read on an evaluation's calling thread alone, before
+    any pool thread starts (`cached_property` holds no lock from Python 3.12).
     """
 
     l_max: int
@@ -287,7 +287,7 @@ class _EpsArrays(NamedTuple):
     damping2: np.ndarray
 
 
-@functools.lru_cache(maxsize=4)
+@specfun._cache_to_l_max
 def _eps_arrays(eps: float, l_max: int) -> _EpsArrays:
     """x = l + 1/2 for l = 0 .. l_max, the weights (2l+1) e^{-2 eps^2 x^2},
     the tail bound of `build_table`, and the dampings e^{-4 eps^2 x^2} and
@@ -297,7 +297,9 @@ def _eps_arrays(eps: float, l_max: int) -> _EpsArrays:
     Every table of one eps and l_max shares them: `build_table` computes
     only its phases (and a table its xi on first read).  2x is 2l+1
     exactly, so the weights are (2l+1) times the 2 eps^2 damping.  The
-    cache keeps the last four (eps, l_max), like `specfun._scalar_steps`.
+    cache keeps the last four (eps, l_max) of l_max up to
+    `specfun._CACHED_L_MAX`, like `specfun._scalar_steps`, at 32 bytes a
+    degree: at most 4.2 MB.  Above it each call builds the arrays anew.
     """
     x = np.arange(l_max + 1, dtype=float) + 0.5
     damping4 = np.exp(-4.0 * eps * eps * x * x)

@@ -192,7 +192,31 @@ _SCALAR_MAX_ANGLES = 20
 _RING_DEGREES = 64
 
 
-@functools.lru_cache(maxsize=4)
+# the largest l_max whose data the per-l_max caches keep (`_scalar_steps`,
+# `_ring_operands` and `partialwave._eps_arrays`, four entries each).
+# Their entries take 80, 128 and 32 bytes a degree (tracemalloc, CPython
+# 3.11), so together they hold at most 4 x 256 x 2^15 bytes, 32 MiB: 1/32
+# of `partialwave.DEFAULT_MEMORY_BUDGET`, which does not count them.  The
+# default L = 6/eps stays below it down to eps = 1.9e-4
+_CACHED_L_MAX = 1 << 15
+
+
+def _cache_to_l_max(build):
+    """`build`, whose last argument is l_max, through an lru_cache of four
+    entries that keeps only the results of l_max <= _CACHED_L_MAX: a larger
+    l_max builds its result on every call, freed with its last reader.
+    `cache_info` and `cache_clear` are the cache's."""
+    cached = functools.lru_cache(maxsize=4)(build)
+
+    @functools.wraps(build)
+    def lookup(*args):
+        return (cached if args[-1] <= _CACHED_L_MAX else build)(*args)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
+
+
+@_cache_to_l_max
 def _scalar_steps(l_max: int):
     """The scalar loop's coefficients, two steps per tuple:
     (2l+1, l, l+1, 2l+3, l+2) for l = 1, 3, 5, ... (the second step's l is
@@ -204,7 +228,8 @@ def _scalar_steps(l_max: int):
     so that a value two steps share is one object.  The struct packs a row
     into native doubles, each IEEE-754 value unchanged (-0.0 and subnormals
     too), for `np.frombuffer`: one copy in place of numpy's per-float list
-    conversion.  The cache keeps the last four `l_max`, one per eps.
+    conversion.  The cache keeps the last four `l_max` up to
+    `_CACHED_L_MAX`, one per eps, at 80 bytes a degree: at most 10.5 MB.
     """
     f = np.arange(2.0 * l_max).tolist()
     pairs = tuple((f[2 * l + 1], f[l], f[l + 1], f[2 * l + 3], f[l + 2])
@@ -248,7 +273,7 @@ def _row_at(x: float, l_max: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=4)
+@_cache_to_l_max
 def _ring_operands(l_max: int):
     """2l+1 for l = 1 .. l_max-1 as a read-only array (the ring's
     `(2l+1) x` rows), and l and l+1 as two tuples of read-only 0-d arrays,
@@ -259,7 +284,8 @@ def _ring_operands(l_max: int):
     tuples hold views into one array of 1 .. l_max.  The values are those of
     `_scalar_steps`: the arithmetic is unchanged.  Built on the first
     vectorized call at each `l_max` (about 0.77 MB and 2 ms at l_max = 6000),
-    so one-angle callers pay for none of it.
+    so one-angle callers pay for none of it.  The cache keeps the last four
+    `l_max` up to `_CACHED_L_MAX`, at 128 bytes a degree: at most 16.8 MB.
     """
     values = np.arange(1.0, l_max + 1.0)
     two_l1 = 2.0 * values[:-1] + 1.0

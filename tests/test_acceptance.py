@@ -83,10 +83,19 @@ def test_negative_control_halved_weight_exponent(monkeypatch):
     assert acceptance.run_criterion(4).passed
 
 
-def test_runner_reports_every_criterion(capsys):
+def test_runner_reports_every_criterion(monkeypatch):
+    """`run_all`'s report, over a stand-in list of one passing and one
+    failing criterion: `test_criterion` runs each real one."""
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        (3, "passes", lambda: acceptance.CriterionResult(3, "passes", True, "ok")),
+        (12, "fails", lambda: acceptance.CriterionResult(12, "fails", False, "off")),
+    ])
     lines = []
     results = acceptance.run_all(report=lines.append)
+    assert [r.passed for r in results] == [True, False]
     assert len(results) == len(acceptance.CRITERIA)
     assert len(lines) == len(results)
     assert all(line.startswith("[PASS]") or line.startswith("[FAIL]")
                for line in lines)
+    assert lines == ["[PASS] criterion  3: passes -- ok",
+                     "[FAIL] criterion 12: fails -- off"]

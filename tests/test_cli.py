@@ -342,8 +342,9 @@ class TestOptical:
         (["--well-radius-fm=inf"], "radius must be positive and finite"),
         (["--well-radius-fm=11.4", "--well-depth-mev=nan"], "depth must be finite"),
         (["--well-radius-fm=11.4", "--well-depth-mev=inf"], "depth must be finite"),
-        # phase shifts still large at l = 40: the l window is too short
-        (["--well-radius-fm=400", "--l-max=40"], "not converged"),
+        # phase shifts still large at l = 186, the smallest l_max admitted
+        # at eps = 1e-2: the l window is too short
+        (["--eps=1e-2", "--well-radius-fm=400", "--l-max=186"], "not converged"),
         # y_l overflows inside the matched l window
         (["--well-radius-fm=1e-8"], "matching failed for l = [31,"),
     ])
@@ -992,6 +993,50 @@ class TestOneRuleOneOwner:
             warnings.simplefilter("error")
             with pytest.raises(RuntimeWarning, match="noisy factor"):
                 main(argv)
+
+
+class TestTruncatedSeries:
+    """A given --l-max below choose_l_max(eps, 1e-3) cuts the series inside
+    its weights, and every command that sums the series refuses it
+    (`table-dump` takes any: `TestTableDump::test_dump`)."""
+
+    COMMANDS = {
+        "angular": ["angular", "--eta", "1", "--delta", "0", "--theta-n", "3"],
+        "profile-delta": ["profile-delta", "--eta", "1", "--theta", "0.5"],
+        "optical-sweep": ["optical", "--eta-min", "1", "--eta-max", "2", "--eta-n", "2"],
+        "optical-square-well": ["optical", "--model", "square-well", "--energy-mev", "1",
+                                "--well-radius-fm", "11.4"],
+        "conservation": ["conservation", "--eta", "1", "--sphere-n", "60"],
+    }
+
+    # before the floor, angular summed each row with exit 0 and conservation
+    # reported weight sums of 0.647, 0.983, 0.0104 and 0 with exit 3
+    @pytest.mark.parametrize("eps, l_max, floor", [
+        ("1e-2", "50", 186), ("1e-2", "100", 186), ("1e-3", "50", 1858),
+        ("1e-60", "50", partialwave.choose_l_max(1e-60, 1e-3)),
+    ])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_l_max_below_the_floor_exits_2_before_any_table(self, command, eps, l_max,
+                                                            floor, monkeypatch, tmp_path,
+                                                            capsys):
+        def not_built(*_args, **_kwargs):
+            raise AssertionError("table or phase shifts built before the check")
+
+        monkeypatch.setattr(partialwave, "build_table", not_built)
+        monkeypatch.setattr(partialwave, "square_well_phase_shifts", not_built)
+        out = tmp_path / "out"
+        argv = self.COMMANDS[command] + ["--eps", eps, "--l-max", l_max, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (f"config error: --l-max {l_max} cuts the series inside "
+                                f"its weights at eps = {float(eps):g}; the smallest "
+                                f"admissible is {floor}\n")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_the_floor_itself_is_admitted(self, command, tmp_path):
+        argv = self.COMMANDS[command] + ["--eps", "1e-2", "--l-max", "186"]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
 class TestSelftest:

@@ -11,8 +11,6 @@ from coulscat import (
     eta_bound,
     free_transit_time,
     log_shift,
-    scaled_shift,
-    spreading_width,
     time_shift_seconds,
 )
 
@@ -150,17 +148,6 @@ class TestTransitAndShift:
         total = free_transit_time(plus) + free_transit_time(minus)
         assert total == pytest.approx(4.0 * plus.R / plus.beta, rel=1e-13)
 
-    def test_scaled_shift_definition(self):
-        sc = build_scenario_from_eta(10.0, 1e-3)
-        t_free = free_transit_time(sc)
-        assert scaled_shift(sc, t_free) == 0.0
-        assert scaled_shift(sc, t_free + sc.sigma_x / sc.beta) == pytest.approx(1.0, abs=1e-12)
-
-    def test_round_trip_inversion(self):
-        sc = build_scenario_from_eta(-3.0, 1e-3)
-        for delta in (-4.5, 0.0, 0.37, 6.0):
-            t = free_transit_time(sc) + delta * sc.sigma_x / sc.beta
-            assert scaled_shift(sc, t) == pytest.approx(delta, abs=1e-12)
 
 
 class TestTimeShiftSeconds:
@@ -176,22 +163,26 @@ class TestTimeShiftSeconds:
             2.0 * time_shift_seconds(sc, 1.3), rel=1e-15)
 
 
+def _width_after_transit(sc):
+    """The free Gaussian packet's width sqrt(sigma_x^2 + (eps beta t)^2)
+    after the 2R transit, t = 2R / beta."""
+    t = 2.0 * sc.R / sc.beta
+    return math.hypot(sc.sigma_x, sc.eps * sc.beta * t)
+
+
 class TestSpreading:
-    def test_minimal_at_t_zero_and_even(self):
-        sc = build_scenario(79, 2, M0, 1.0, 1e-3)
-        assert spreading_width(sc, 0.0) == sc.sigma_x
-        assert spreading_width(sc, 3.0e5) == spreading_width(sc, -3.0e5)
+    """The choice R = sigma_x / sqrt(eps) keeps the packet's spreading over
+    the 2R transit of order eps."""
 
     def test_transit_growth_factor(self):
         sc = build_scenario(79, 2, M0, 1.0, 1e-3)
-        t = 2.0 * sc.R / sc.beta
-        ratio = spreading_width(sc, t) / sc.sigma_x
+        ratio = _width_after_transit(sc) / sc.sigma_x
         assert ratio == pytest.approx(math.sqrt(1.0 + 4.0 * sc.eps), rel=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-3, 1e-2])
     def test_spreading_negligible_over_experiment(self, eps):
         sc = build_scenario(79, 2, M0, 1.0, eps)
-        growth = spreading_width(sc, 2.0 * sc.R / sc.beta) / sc.sigma_x - 1.0
+        growth = _width_after_transit(sc) / sc.sigma_x - 1.0
         assert growth <= 2.0 * eps
 
 

@@ -187,7 +187,7 @@ class TestSphereIntegral:
             table_eta10, midpoint_thetas(n)))
 
         def without_the_scan():
-            prof = observables._peaks(table_eta10, n, lambda: midpoint_thetas(n))
+            prof = observables.delta_peaks(table_eta10, n, lambda: midpoint_thetas(n))
             assert prof.p_scan is None and prof.factorization_residual is None
             return probability_sphere_integral(table_eta10, prof)
 
@@ -359,6 +359,18 @@ class TestDeltaProfile:
         finally:
             tracemalloc.stop()
         assert peak < thetas.nbytes // 8
+
+    @pytest.mark.parametrize("n_theta, delta_range, error", [
+        (10 ** 12, None, ResourceLimitError),
+        (3, (-7.0, 9.0), ValueError),
+    ], ids=["budget", "window"])
+    def test_delta_peaks_checks_before_it_builds_the_angles(self, table_eta10,
+                                                            n_theta, delta_range, error):
+        def angles():
+            raise AssertionError("angles built before the request was checked")
+
+        with pytest.raises(error):
+            observables.delta_peaks(table_eta10, n_theta, angles, delta_range)
 
 
 class TestScatteringAmplitude:

@@ -173,6 +173,39 @@ class TestResolveLMax:
             tracemalloc.stop()
         assert peak <= 8 * partialwave._TABLE_ROWS * (table.l_max + 1)
 
+    def test_dropped_tables_leave_the_caches_within_their_bound(self, monkeypatch):
+        # the per-l_max caches (`_eps_arrays`, `specfun._scalar_steps` and
+        # `specfun._ring_operands`, 32 + 80 + 128 bytes a degree) keep four
+        # entries each of l_max up to `specfun._CACHED_L_MAX`, so they hold
+        # at most 4 x 256 bytes a degree of it.  At its real 2^15 the traced
+        # run takes seconds, so the cap is lowered here (`raising=False`:
+        # caches that keep every l_max have no cap).  Caches that kept every
+        # l_max held 1.85 MB after the tables of 2 cap on CPython 3.11,
+        # against the 1.05 MB bound, and 192 MB after four of l_max 200,000
+        cap = 1024
+        monkeypatch.setattr(specfun, "_CACHED_L_MAX", cap, raising=False)
+        bound = 4 * 256 * cap
+
+        def held_after(l_maxes):
+            tracemalloc.start()
+            try:
+                for i, l_max in enumerate(l_maxes):
+                    table = build_table(build_scenario_from_eta(1.0, (i + 1) * 1e-2),
+                                        PhaseShiftModel.coulomb_exact(), l_max=l_max)
+                    table.sin2_sums
+                    specfun.legendre_rows(0.5, l_max)
+                    specfun.legendre_rows(np.linspace(0.1, 3.0, 30), l_max)
+                    del table
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        # four entries at the cap are kept, within the bound
+        assert held_after([cap - i for i in range(4)]) <= bound
+        # and none above it: what stays is CPython's free list of five-tuples
+        # (82 KB here)
+        assert held_after([2 * cap + i for i in range(4)]) <= bound // 4
+
 
 class TestEvaluationBudget:
     """What an evaluation holds at its peak is no more than `_check_budget`

@@ -1,6 +1,8 @@
-"""The public surface: every exported name exists, and the README's library
-example runs as written."""
+"""The public surface: every exported name exists, the command line and
+the tools reach the package through public names only, and the README's
+library example runs as written."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -11,7 +13,8 @@ import pytest
 import coulscat
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(coulscat.__path__))
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -20,6 +23,82 @@ def test_every_all_entry_resolves(name):
     missing = [attr for attr in getattr(module, "__all__", ())
                if not hasattr(module, attr)]
     assert not missing
+
+
+PACKAGE_MODULES = {"coulscat"} | {f"coulscat.{name}" for name in MODULES}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _module_of(node, modules: dict):
+    """The coulscat module that the expression `node` names, or None."""
+    if isinstance(node, ast.Name):
+        return modules.get(node.id)
+    if isinstance(node, ast.Attribute):
+        parent = _module_of(node.value, modules)
+        if parent and f"{parent}.{node.attr}" in PACKAGE_MODULES:
+            return f"{parent}.{node.attr}"
+    return None
+
+
+def _private_uses(path: Path) -> list:
+    """Each `_`-prefixed name of a coulscat module that the file reads as an
+    attribute or imports, as `module.name`.  Imports anywhere in the file
+    bind their names for the whole file; a relative import is one inside
+    the package."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    modules, found = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name in PACKAGE_MODULES and alias.asname:
+                    modules[alias.asname] = alias.name
+                elif alias.name in PACKAGE_MODULES:
+                    # `import coulscat.scan` binds the name coulscat
+                    modules["coulscat"] = "coulscat"
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["coulscat" if node.level else None,
+                                          node.module]))
+            if base not in PACKAGE_MODULES:
+                continue
+            for alias in node.names:
+                name = f"{base}.{alias.name}"
+                if _private(alias.name):
+                    found.append(name)
+                elif name in PACKAGE_MODULES:
+                    modules[alias.asname or alias.name] = name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            module = _module_of(node.value, modules)
+            if module:
+                found.append(f"{module}.{node.attr}")
+    return found
+
+
+@pytest.mark.parametrize("path", [ROOT / "src" / "coulscat" / "cli.py",
+                                  *sorted((ROOT / "tools").glob("*.py"))],
+                         ids=lambda path: path.name)
+def test_cli_and_tools_use_public_names_only(path):
+    assert _private_uses(path) == []
+
+
+def test_private_uses_are_found(tmp_path):
+    path = tmp_path / "uses.py"
+    path.write_text("import coulscat.scan as s\n"
+                    "from . import observables\n"
+                    "from coulscat import partialwave as pw, build_table\n"
+                    "from coulscat.specfun import _row_at\n"
+                    "def f():\n"
+                    "    import coulscat\n"
+                    "    return (observables._peaks, pw._check_budget, s._BATCH,\n"
+                    "            coulscat.kinematics._positive_finite, coulscat.__version__,\n"
+                    "            build_table._x, observables.delta_peaks)\n")
+    assert sorted(_private_uses(path)) == [
+        "coulscat.kinematics._positive_finite", "coulscat.observables._peaks",
+        "coulscat.partialwave._check_budget", "coulscat.scan._BATCH",
+        "coulscat.specfun._row_at"]
 
 
 def test_readme_library_example_runs():
