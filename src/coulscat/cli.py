@@ -260,10 +260,13 @@ def cmd_angular(args) -> int:
 
 def cmd_conservation(args) -> int:
     scenario, table = _table_from_args(args)
+    # L ~ 6/eps intervals, pi eps / 6 wide, resolve the forward peak, about
+    # 2 eps wide
+    n = args.sphere_n or partialwave.choose_l_max(scenario.eps)
     wsum = observables.conservation_weight_sum(table)
     # the budget before the angles, and no coarse scan kept
     sphere = observables.probability_sphere_integral(table, observables.delta_peaks(
-        table, args.sphere_n, lambda: observables.midpoint_thetas(args.sphere_n)))
+        table, n, lambda: observables.midpoint_thetas(n)))
     # the sum rule holds to O(eps^2); 1e-5 is the eps = 1e-3 allowance
     wsum_tol = max(1e-5, scenario.eps ** 2)
     wsum_ok = abs(wsum - 1.0) <= wsum_tol
@@ -272,13 +275,13 @@ def cmd_conservation(args) -> int:
     summary_to = sys.stderr if args.out == "-" else sys.stdout
     print(f"weight sum        = {wsum:.9f}  (|.-1| <= {wsum_tol:g}: "
           f"{'ok' if wsum_ok else 'BREACH'})", file=summary_to)
-    print(f"sphere integral   = {sphere:.6f}  ({args.sphere_n} midpoint intervals, "
+    print(f"sphere integral   = {sphere:.6f}  ({n} midpoint intervals, "
           f"|.-1| <= 0.01: {'ok' if sphere_ok else 'BREACH'})", file=summary_to)
     if args.out:
         scan.write_json(args.out, {
             "command": "conservation", "eta": scenario.eta, "eps": scenario.eps,
             "weight_sum": wsum, "sphere_integral": sphere,
-            "sphere_intervals": args.sphere_n,
+            "sphere_intervals": n,
         })
     return EXIT_OK if (wsum_ok and sphere_ok) else EXIT_TOLERANCE
 
@@ -436,7 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario(p)
     _add_model(p)
     _add_output(p, formats=False)
-    p.add_argument("--sphere-n", type=_count, default=200)
+    p.add_argument("--sphere-n", type=_count,
+                   help="midpoint intervals on [0, pi] (default: choose_l_max(eps))")
     p.set_defaults(func=cmd_conservation)
 
     p = sub.add_parser("optical", help="optical-theorem ratio gamma(eta)")

@@ -24,7 +24,12 @@ import numpy as np
 from . import partialwave, specfun
 from .errors import CoulscatWarning, NonConvergenceError, UndefinedRatioError
 from .kinematics import PhysicalScenario, build_scenario, check_mass_and_eps
-from .partialwave import PartialWaveTable, PhaseShiftKind, PhaseShiftModel
+from .partialwave import (
+    PartialWaveTable,
+    PhaseShiftKind,
+    PhaseShiftModel,
+    default_delta_range,
+)
 
 __all__ = [
     "DeltaProfile",
@@ -195,13 +200,6 @@ def shadow_angle(eps: float, eta: float) -> float:
     return 4.0 * eps * abs(eta)
 
 
-def default_delta_range(table: PartialWaveTable) -> tuple[float, float]:
-    """Scan window: [-8, 8] widened to cover the xi hull plus 8 on each side."""
-    lo = min(-8.0, float(np.min(table.xi)) - 8.0)
-    hi = max(8.0, float(np.max(table.xi)) + 8.0)
-    return lo, hi
-
-
 def _refine_peak(deltas: np.ndarray, p_row: np.ndarray) -> float:
     """Coarse argmax plus 3-point parabolic refinement on log P.
 
@@ -249,8 +247,8 @@ def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
     arrays read-only, warning of flat profiles: every delta-peak search
     runs here.  The scan window and the memory budget are checked from
     n_theta before angles() builds anything, so a refused request never
-    holds its angles.  The default window's scan is built on its first
-    read and kept with the table.  Each chunk's scan is reduced in a
+    holds its angles.  The default window's scan is the table's
+    (`PartialWaveTable._default_scan`).  Each chunk's scan is reduced in a
     chunk-sized array, copied into the rows of `p_scan` and measured
     against the factorized form with `keep_scan` (`delta_profile`), and
     otherwise dropped, with `p_scan` and `factorization_residual` None."""
@@ -263,17 +261,15 @@ def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
     if lo > -8.0 or hi < 8.0:
         raise ValueError(f"delta_range must span at least [-8, 8], got [{lo}, {hi}]")
     if coarse_n is None:
-        coarse_n = int(round((hi - lo) / 0.2)) + 1
+        coarse_n = partialwave._scan_size(lo, hi)
     if coarse_n < 5:
         raise ValueError("coarse_n must be at least 5")
     chunks, _threads = partialwave._check_budget(table, n_theta, coarse_n)
-
-    def coarse_scan(t):
+    if default:
+        deltas, h = table._default_scan
+    else:
         deltas = np.linspace(lo, hi, coarse_n)
-        return deltas, partialwave._hermite(t, deltas)
-
-    deltas, h = (table._derive("default coarse scan", coarse_scan)
-                 if default else coarse_scan(table))
+        h = partialwave._hermite(table, deltas)
     thetas = angles()
     p_scan = np.empty((n_theta, coarse_n)) if keep_scan else None
     delta_max = np.zeros(n_theta)

@@ -33,9 +33,10 @@ bound on the truncated expansion, which it records (`hermite_bound`, relative
 to sum_l |kern_l P_l|).
 
 The series is the full amplitude A, its forward part A_F or its
-scattering part A_S, each a kernel and a prefactor from `_PARTS` (A_F is
-real, and only its real component is summed).  `_check_budget` cuts the
-angles into equal Legendre chunks and bounds the memory of one in flight;
+scattering part A_S, each a kernel of the table (`PartialWaveTable._kernel`)
+and a prefactor from `_PARTS` (A_F is real, and only its real component is
+summed).  `_check_budget` cuts the angles into equal Legendre chunks and
+bounds the memory of one in flight;
 `_each_chunk` runs the recurrence and `_moments` for each in turn on the
 calling thread, writing every chunk's rows into that thread's one row
 buffer, and `_eval_grid` (grids, `scan.sweep`) or the delta-peak search
@@ -114,6 +115,11 @@ _SQRT8 = math.sqrt(8.0)
 # shared `_eps_arrays` beside the weights, and `sin2_sums`' three) plus a
 # short-range model's two
 _TABLE_ROWS = 40
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 class PhaseShiftKind(enum.Enum):
@@ -198,7 +204,7 @@ class PartialWaveTable:
     read by every evaluation at a time shift and never by the sums at none
     (`sin2_sums`, `observables.scattering_amplitude_f`), so the digamma
     table behind a Coulomb table's xi is built only for a table that needs
-    it.  Then the Hermite expansion in delta, built from xi:
+    it.  Then the Hermite expansion in delta (`_expansion`), built from xi:
 
     box_edges    = box b holds l in [box_edges[b], box_edges[b+1])
     box_centres  = centre c of each box, the midpoint of its xi range
@@ -207,10 +213,11 @@ class PartialWaveTable:
     hermite_bound = Cramér bound on the truncated expansion's error,
                    relative to sum_l |kern_l P_l| (at most 2^-56)
 
-    and `sin2_sums`, each series part's kernel (`_kernel`) and the default
-    coarse delta scan of the delta-peak search (`observables.delta_peaks`),
-    all read-only and read on an evaluation's calling thread alone, before
-    any pool thread starts (`cached_property` holds no lock from Python 3.12).
+    and `sin2_sums`, each series part's kernel (`_kern_full`, `_kern_forward`
+    and `_kern_scatter`, read through `_kernel`) and the default coarse delta
+    scan of the delta-peak search (`_default_scan`), all read-only and read
+    on an evaluation's calling thread alone, before any pool thread starts
+    (`cached_property` holds no lock from Python 3.12).
     """
 
     l_max: int
@@ -231,9 +238,7 @@ class PartialWaveTable:
 
     @functools.cached_property
     def xi(self) -> np.ndarray:
-        xi = _time_shifts(self.scenario, self.model, self.l_max)
-        xi.flags.writeable = False
-        return xi
+        return _read_only(_time_shifts(self.scenario, self.model, self.l_max))
 
     @functools.cached_property
     def _expansion(self) -> _Expansion:
@@ -246,26 +251,36 @@ class PartialWaveTable:
     hermite_bound = property(operator.attrgetter("_expansion.hermite_bound"))
 
     @functools.cached_property
-    def _derived(self) -> dict:
-        # key -> the value `_derive` built for it
-        return {}
+    def _kern_full(self) -> np.ndarray:
+        # e^{2i sigma_l} kernel
+        return _read_only(np.stack((self.weight * self.phase_cos,
+                                    self.weight * self.phase_sin)))
 
-    def _derive(self, key, build):
-        """build(self), an array or a tuple of arrays, built on the first
-        read of `key`, made read-only and kept with the table."""
-        value = self._derived.get(key)
-        if value is None:
-            value = build(self)
-            for arr in value if isinstance(value, tuple) else (value,):
-                arr.flags.writeable = False
-            self._derived[key] = value
-        return value
+    @functools.cached_property
+    def _kern_forward(self) -> np.ndarray:
+        # unit kernel (the "1" of e^{2i sigma} = 1 + 2i e^{i sigma} sin sigma):
+        # A_F is real, so only its real component, the weights themselves, is
+        # summed (a view of the read-only weights, not a copy)
+        return self.weight[None]
+
+    @functools.cached_property
+    def _kern_scatter(self) -> np.ndarray:
+        # e^{i sigma} sin sigma = sin(2 sigma)/2 + i (1 - cos(2 sigma))/2
+        return _read_only(np.stack((self.weight * self.phase_sin * 0.5,
+                                    self.weight * (1.0 - self.phase_cos) * 0.5)))
 
     def _kernel(self, part: str) -> np.ndarray:
         """The kernel of the series `part` (see `_PARTS`) as read-only stacked
-        components, (re, im), or (re,) for a real part, shape (c, L+1); built
-        on the part's first read and kept with the table."""
-        return self._derive(part, _PARTS[part][0])
+        components, (re, im), or (re,) for a real part, shape (c, L+1)."""
+        return getattr(self, "_kern_" + part)
+
+    @functools.cached_property
+    def _default_scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """The deltas of the delta-peak search's default scan, over
+        `default_delta_range` at `_scan_size`'s step, and their `_hermite`."""
+        lo, hi = default_delta_range(self)
+        deltas = _read_only(np.linspace(lo, hi, _scan_size(lo, hi)))
+        return deltas, _read_only(_hermite(self, deltas))
 
     @functools.cached_property
     def sin2_sums(self) -> tuple[float, float]:
@@ -510,31 +525,10 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
     return list(zip(edges[:-1], edges[1:])), threads
 
 
-def _kern_full(table: PartialWaveTable) -> np.ndarray:
-    # e^{2i sigma_l} kernel
-    return np.stack((table.weight * table.phase_cos, table.weight * table.phase_sin))
-
-
-def _kern_forward(table: PartialWaveTable) -> np.ndarray:
-    # unit kernel (the "1" of e^{2i sigma} = 1 + 2i e^{i sigma} sin sigma):
-    # A_F is real, so only its real component, the weights themselves, is
-    # summed (a view, not a copy)
-    return table.weight[None]
-
-
-def _kern_scatter(table: PartialWaveTable) -> np.ndarray:
-    # e^{i sigma} sin sigma = sin(2 sigma)/2 + i (1 - cos(2 sigma))/2
-    return np.stack((table.weight * table.phase_sin * 0.5,
-                     table.weight * (1.0 - table.phase_cos) * 0.5))
-
-
-# part -> (stacked kernel, prefactor / eps^2): A = A_F + i A_S, with
-# A = 2 eps^2 sum(full), A_F = 2 eps^2 sum(forward), A_S = 4 eps^2 sum(scatter)
-_PARTS = {
-    "full": (_kern_full, 2.0),
-    "forward": (_kern_forward, 2.0),
-    "scatter": (_kern_scatter, 4.0),
-}
+# part -> prefactor / eps^2 of its kernel (`PartialWaveTable._kernel`):
+# A = A_F + i A_S, with A = 2 eps^2 sum(full), A_F = 2 eps^2 sum(forward)
+# and A_S = 4 eps^2 sum(scatter)
+_PARTS = {"full": 2.0, "forward": 2.0, "scatter": 4.0}
 
 
 def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -544,6 +538,18 @@ def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 def _real(re: np.ndarray) -> np.ndarray:
     return re
+
+
+def default_delta_range(table: PartialWaveTable) -> tuple[float, float]:
+    """Scan window: [-8, 8] widened to cover the xi hull plus 8 on each side."""
+    lo = min(-8.0, float(np.min(table.xi)) - 8.0)
+    hi = max(8.0, float(np.max(table.xi)) + 8.0)
+    return lo, hi
+
+
+def _scan_size(lo: float, hi: float) -> int:
+    """Deltas of a coarse scan over [lo, hi] at step 0.2."""
+    return int(round((hi - lo) / 0.2)) + 1
 
 
 def _hermite(table: PartialWaveTable, deltas) -> np.ndarray:
@@ -610,7 +616,7 @@ def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarr
     batch size).
     """
     kern = table._kernel(part)
-    pref = _PARTS[part][1]
+    pref = _PARTS[part]
     terms = np.empty_like(kern)
     # each box's slice of the row's terms, refilled for every row, beside
     # the table's slice of y_powers

@@ -26,7 +26,6 @@ import enum
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -190,11 +189,10 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
 
 
 class TableCache:
-    """Cache of built tables, keyed by the resolved request: the scenario
-    (every field: a short-range model's xi_l depends on sigma_x, a Coulomb
-    table's on p and R), the model's kind with a short-range model's
-    phase-shift arrays, and the l_max of `partialwave.resolve_l_max`, so
-    requests that resolve to one l_max share one table.
+    """Cache of built tables, keyed by the request: the scenario (every
+    field: a short-range model's xi_l depends on sigma_x, a Coulomb table's
+    on p and R) and the model's kind with a short-range model's phase-shift
+    arrays.  A table's l_max is `build_table`'s default, which eps fixes.
     """
 
     def __init__(self):
@@ -202,18 +200,16 @@ class TableCache:
         self.hits = 0
         self.misses = 0
 
-    def get_or_build(self, scenario: PhysicalScenario, model: PhaseShiftModel,
-                     tail_tol: Optional[float] = None,
-                     l_max: Optional[int] = None) -> PartialWaveTable:
-        l_max = partialwave.resolve_l_max(scenario.eps, tail_tol, l_max)
-        key = (scenario, model.kind, l_max)
+    def get_or_build(self, scenario: PhysicalScenario,
+                     model: PhaseShiftModel) -> PartialWaveTable:
+        key = (scenario, model.kind)
         if model.kind is PhaseShiftKind.SHORT_RANGE_TABLE:
             key += (model.delta_l.tobytes(), model.ddelta_dk.tobytes())
         if key in self._store:
             self.hits += 1
         else:
             self.misses += 1
-            self._store[key] = partialwave.build_table(scenario, model, l_max=l_max)
+            self._store[key] = partialwave.build_table(scenario, model)
         return self._store[key]
 
 

@@ -286,6 +286,13 @@ class TestConservation:
         err = capsys.readouterr().err
         assert "--sphere-n" in err and len(err.strip().splitlines()) == 1
 
+    def test_default_grid_resolves_the_forward_peak(self, capsys):
+        # choose_l_max(eps) intervals; the old default of 200 gave a sphere
+        # integral of 1.0159 here, exit 3
+        rc = main(["conservation", "--eta", "1", "--eps", "1e-2", "--out", "-"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["sphere_intervals"] == 600
+
     def test_unresolved_grid_breaches_tolerance(self):
         # 200 midpoint intervals cannot resolve the eps-wide forward peak
         rc = main(["conservation", "--eta", "0", "--eps", "0.01",

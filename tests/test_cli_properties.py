@@ -3,12 +3,18 @@ commands that take them are given, `main()` returns 0, 2, 3 or 4 and never
 raises.  `selftest` takes no arguments and runs for seconds, so it is left
 out.
 
-Grids stay small (at most 400 angles) and `--eps` lies in [0.01, 0.09] (so
-L <= 600), so no example allocates much memory.  Energies run up to 300 MeV and sphere
-grids to 400 intervals, so that `energy-scan` finds energies inside the
-strength bound and `conservation` resolves the forward peak: every command
-reaches exit 0 in some examples.  Invalid values (reversed or out-of-range
-bounds, zero or negative sizes, NaN and infinities) are drawn on purpose.
+Grids that run stay small (at most 400 angles) and `--eps` lies in
+[0.01, 0.09] (so L <= 600), so no example allocates much memory.  Energies
+run up to 300 MeV and sphere grids to 400 intervals, so that `energy-scan`
+finds energies inside the strength bound and `conservation` resolves the
+forward peak: every command reaches exit 0 in some examples.  Invalid
+values (reversed or out-of-range bounds, zero or negative sizes, NaN and
+infinities) are drawn on purpose.  So are `--theta-n` (`angular`) and
+`--sphere-n` (`conservation`) of at least 2^27 angles, which need over
+6 GB even with one delta, so the memory budget refuses them (exit 4)
+before any angle exists.  Huge `--eta-n` and `--e-n` are not drawn:
+numpy allocates them before any check, and `TestFailedAllocation` in
+`tests/test_cli.py` covers them with patched array makers.
 So are masses and energies from the whole positive float range, subnormals
 and 1e308 included, and charges past the float range, whose derived
 kinematics (p, beta, sigma_x, R) overflow or underflow.
@@ -45,6 +51,11 @@ def _num(lo, hi):
 # every positive float, with the extremes drawn for sure
 _WIDE = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                   st.sampled_from([5e-324, 1e-300, 1e300, 1e308]))
+
+
+# a count argparse refuses, or one the memory budget refuses before any
+# angle exists
+_BAD_COUNT = st.one_of(st.integers(-1, 0), st.integers(2 ** 27, 2 ** 40))
 
 
 def _flag(name, values):
@@ -112,9 +123,9 @@ def _command(draw):
         argv += draw(_flag("--delta", st.one_of(st.just("auto"), _num(-20.0, 20.0))))
         argv += draw(_flag("--theta-min", _mostly(st.floats(0.0, 1.5), _num(-0.5, 3.5))))
         argv += draw(_flag("--theta-max", _mostly(st.floats(1.5, 3.14), _num(-0.5, 3.5))))
-        argv += [f"--theta-n={draw(_mostly(st.integers(1, 12), st.integers(-1, 0)))}"]
+        argv += [f"--theta-n={draw(_mostly(st.integers(1, 12), _BAD_COUNT))}"]
     elif command == "conservation":
-        argv += [f"--sphere-n={draw(_mostly(st.integers(1, 400), st.integers(-1, 0)))}"]
+        argv += [f"--sphere-n={draw(_mostly(st.integers(1, 400), _BAD_COUNT))}"]
     elif command == "optical" and model != "square-well":
         argv += [f"--eta-min={draw(_mostly(st.floats(0.01, 1.0), _num(-1.0, 20.0)))}"]
         argv += [f"--eta-max={draw(_mostly(st.floats(1.0, 3.0), _num(-1.0, 20.0)))}"]

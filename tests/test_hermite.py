@@ -81,17 +81,26 @@ def _series_row(table, p_row, g, kern_re, kern_im):
 def _direct(table, thetas, deltas, part):
     """The series `part` summed directly, and its scale pref * sum |kern_l P_l|
     per angle."""
-    kernel, pref = partialwave._PARTS[part]
-    kern = kernel(table)
+    kern = table._kernel(part)
     # a real part's kernel is one row: its imaginary part is zero
     kern_re, kern_im = kern if len(kern) == 2 else (kern[0], np.zeros_like(kern[0]))
-    pref = pref * table.eps ** 2
+    pref = partialwave._PARTS[part] * table.eps ** 2
     g = _delta_factors(table, deltas)
     rows = specfun.legendre_rows(np.asarray(thetas, dtype=float), table.l_max)
     amp = np.array([re + 1j * im for re, im in
                     (_series_row(table, row, g, kern_re, kern_im) for row in rows)])
     scale = np.array([np.sum(np.hypot(kern_re, kern_im) * np.abs(row)) for row in rows])
     return pref * amp, pref * scale
+
+
+def _spy_on_property(monkeypatch, name, calls):
+    """Append the building thread's id to `calls` whenever the table
+    property `name` is built (a `functools.cached_property`, whose `func`
+    runs on a first read only)."""
+    prop = vars(partialwave.PartialWaveTable)[name]
+    build = prop.func
+    monkeypatch.setattr(prop, "func",
+                        lambda t: calls.append(threading.get_ident()) or build(t))
 
 
 def _plan(table, thetas, deltas):
@@ -338,11 +347,10 @@ class TestExpansionBuiltOnFirstRead:
         # functions, which the caller makes from the expansion and kernel
         table = _coulomb(10.0)
         builds, kernels = [], []
-        expansion, (full, pref) = partialwave._hermite_expansion, partialwave._PARTS["full"]
+        expansion = partialwave._hermite_expansion
         monkeypatch.setattr(partialwave, "_hermite_expansion",
                             lambda xi: builds.append(threading.get_ident()) or expansion(xi))
-        monkeypatch.setitem(partialwave._PARTS, "full",
-                            (lambda t: kernels.append(threading.get_ident()) or full(t), pref))
+        _spy_on_property(monkeypatch, "_kern_full", kernels)
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table.l_max + 1))
         monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         thetas = np.linspace(0.1, 3.0, 4)
@@ -356,6 +364,26 @@ class TestExpansionBuiltOnFirstRead:
         partialwave._each_chunk(table, thetas, "full",
                                 lambda i0, i1, _m: seen.append((i0, i1)), chunks)
         assert seen == [(0, 2), (2, 4)]
+        # kept with the table: the later reads built nothing
+        assert builds == kernels == [threading.get_ident()]
+
+    def test_kernels_and_default_scan_are_built_once_on_the_caller(self, monkeypatch):
+        # every reader of a kernel or of the default scan, twice over, with
+        # each sweep split over two threads
+        names = ("_kern_full", "_kern_forward", "_kern_scatter", "_default_scan")
+        calls = {name: [] for name in names}
+        for name in names:
+            _spy_on_property(monkeypatch, name, calls[name])
+        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
+        table = _coulomb(10.0)
+        grid = scan.GridSpec(0.1, 3.0, 4, -1.0, 0.5, 2)
+        for _ in range(2):
+            for quantity in scan.Quantity:
+                scan.sweep(table, grid, quantity, workers=2)
+            delta_profile(table, [0.5, 1.5])
+            delta_max_at(table, 2.5)
+            observables.scattering_amplitude_f(table, table.scenario, 0.5)
+        assert calls == {name: [threading.get_ident()] for name in names}
 
     def test_budget_check_without_deltas_builds_none(self, builds):
         table = _coulomb(10.0)

@@ -21,6 +21,7 @@ from coulscat import (
     dcs,
     delta_max_at,
     delta_profile,
+    eta_bound,
     midpoint_thetas,
     optical_ratio,
     optical_theorem_check_short_range,
@@ -451,6 +452,34 @@ class TestOptical:
 
     def test_gamma_golden_pin(self, table_eta10):
         assert optical_ratio(table_eta10) == pytest.approx(GOLDEN_GAMMA_ETA10, rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [100.0, 300.0, 800.0])
+    def test_gamma_at_large_eta_is_the_ratio_of_damped_sums(self, eta):
+        # With sin^2 sigma_l = (1 - cos 2 sigma_l)/2, gamma is
+        # (S(4 eps^2) - C(4 eps^2)) / (S(2 eps^2) - C(2 eps^2)), where
+        # S(a) = sum_l 2x e^{-a x^2} at x = l + 1/2 and C(a) the same sum
+        # weighted by cos 2 sigma_l.  For l << eta each step of 2 sigma_l,
+        # 2 atan(eta / (l+1)), is near pi, so the cosine sums cancel, and
+        # the midpoint Euler-Maclaurin expansion gives
+        # S(a) = 1/a + 1/12 + 7a/480 + O(a^2): 0.50000008333340694 at
+        # eps = 1e-3.  The O(a^2) remainder (about 0.0038 a^2 against
+        # 40-digit sums) is below 1e-18 of S here, and the tail beyond L
+        # below e^{-72}.
+        # Bound, from rounding alone: each damped sum of L+1 positive terms
+        # carries at most (L+1) u relative error, so the ratio at most
+        # (2(L+1) + 1) u, 1.3e-12 at L = 6000.  The cosine sums' residual
+        # is measured, not derived: 1.1e-16 to 3.6e-15 on these etas.
+        # Scaling the 4 eps^2 damping by 1 + 1e-9 moves gamma by 5.0e-10.
+        # At eps = 1e-2 the strength bound is 42.3, so no eta >= 100 exists.
+        assert eta_bound(1e-2) < 100.0
+        closed = [1.0 / a + 1.0 / 12.0 + 7.0 * a / 480.0
+                  for a in (4.0 * EPS * EPS, 2.0 * EPS * EPS)]
+        want = closed[0] / closed[1]
+        assert want == pytest.approx(0.50000008333340694, rel=1e-16, abs=0.0)
+        table = build_table(build_scenario_from_eta(eta, EPS),
+                            PhaseShiftModel.coulomb_exact())
+        bound = (2 * (table.l_max + 1) + 1) * 2.0 ** -53
+        assert abs(optical_ratio(table) / want - 1.0) <= bound
 
     def test_short_range_check(self):
         sc = build_scenario(79, 2, ALPHA_PARTICLE_MASS_MEV, 1.0, EPS)

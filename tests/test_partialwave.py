@@ -168,6 +168,7 @@ class TestResolveLMax:
             for part in ("full", "forward", "scatter"):
                 table._kernel(part)
             table.sin2_sums
+            table._default_scan
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
