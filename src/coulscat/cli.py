@@ -92,6 +92,11 @@ def _write_table(args, columns: str, rows, **meta) -> None:
         })
 
 
+def _summarize(data_on_stdout: bool, *lines: str) -> None:
+    """Print summary lines to stdout, or to stderr when the data go there."""
+    print(*lines, sep="\n", file=sys.stderr if data_on_stdout else sys.stdout)
+
+
 def _add_scenario(parser: argparse.ArgumentParser) -> None:
     """The flags every command with arguments reads: the config file, the
     particles and eps."""
@@ -193,21 +198,12 @@ def cmd_profile_delta(args) -> int:
         raise ValueError(f"--delta-min must be <= --delta-max, got "
                          f"{args.delta_min:g} > {args.delta_max:g}")
     scenario, table = _table_from_args(args)
-    lo, hi = observables.default_delta_range(table)
-    if args.delta_min is not None:
-        lo = min(args.delta_min, -8.0)
-    if args.delta_max is not None:
-        hi = max(args.delta_max, 8.0)
-    # honor the requested step exactly; stretch the upper bound to fit
-    n = int(math.ceil((hi - lo) / args.delta_step))
-    hi = lo + n * args.delta_step
-    n += 1
-    if n < 5:
-        raise ValueError(f"--delta-step {args.delta_step:g} leaves {n} points on "
-                         f"[{lo:g}, {hi:g}]; the peak refinement needs at least 5")
+    # a given bound widens to cover [-8, 8]; None is the default window's
+    lo = None if args.delta_min is None else min(args.delta_min, -8.0)
+    hi = None if args.delta_max is None else max(args.delta_max, 8.0)
     # the CSV is the profile's own coarse scan: one Legendre row, one set of
     # moments
-    prof = observables.delta_profile(table, [args.theta], (lo, hi), n)
+    prof = observables.delta_profile(table, [args.theta], (lo, hi), args.delta_step)
     deltas, (probs,) = prof.deltas, prof.p_scan
     if args.format in (None, "csv"):
         scan.write_csv(args.out, "delta,probability", zip(deltas.tolist(), probs.tolist()))
@@ -217,10 +213,8 @@ def cmd_profile_delta(args) -> int:
             "eps": scenario.eps, "delta": deltas.tolist(), "probability": probs.tolist(),
             "delta_max": float(prof.delta_max[0]), "p_max": float(prof.p_max[0]),
         })
-    summary_to = sys.stdout if args.out not in (None, "-") else sys.stderr
-    print(f"theta={args.theta:g} eta={scenario.eta:g}: "
-          f"delta_max={prof.delta_max[0]:+.4f} p_max={prof.p_max[0]:.6e}",
-          file=summary_to)
+    _summarize(args.out in (None, "-"), f"theta={args.theta:g} eta={scenario.eta:g}: "
+               f"delta_max={prof.delta_max[0]:+.4f} p_max={prof.p_max[0]:.6e}")
     return EXIT_OK
 
 
@@ -271,12 +265,11 @@ def cmd_conservation(args) -> int:
     wsum_tol = max(1e-5, scenario.eps ** 2)
     wsum_ok = abs(wsum - 1.0) <= wsum_tol
     sphere_ok = abs(sphere - 1.0) <= 0.01
-    # the summary goes to stderr when the JSON record goes to stdout
-    summary_to = sys.stderr if args.out == "-" else sys.stdout
-    print(f"weight sum        = {wsum:.9f}  (|.-1| <= {wsum_tol:g}: "
-          f"{'ok' if wsum_ok else 'BREACH'})", file=summary_to)
-    print(f"sphere integral   = {sphere:.6f}  ({n} midpoint intervals, "
-          f"|.-1| <= 0.01: {'ok' if sphere_ok else 'BREACH'})", file=summary_to)
+    _summarize(args.out == "-",
+               f"weight sum        = {wsum:.9f}  (|.-1| <= {wsum_tol:g}: "
+               f"{'ok' if wsum_ok else 'BREACH'})",
+               f"sphere integral   = {sphere:.6f}  ({n} midpoint intervals, "
+               f"|.-1| <= 0.01: {'ok' if sphere_ok else 'BREACH'})")
     if args.out:
         scan.write_json(args.out, {
             "command": "conservation", "eta": scenario.eta, "eps": scenario.eps,
@@ -295,10 +288,9 @@ def cmd_optical(args) -> int:
         scenario = _scenario_from_args(args)
         model = _model_from_args(args, scenario)
         check = observables.optical_theorem_check_short_range(model, scenario)
-        summary_to = sys.stderr if args.out == "-" else sys.stdout
-        print(f"sigma             = {check.sigma:.10e}", file=summary_to)
-        print(f"(4 pi / p) Im f0  = {check.optical_sigma:.10e}", file=summary_to)
-        print(f"relative diff     = {check.rel_diff:.3e}", file=summary_to)
+        _summarize(args.out == "-", f"sigma             = {check.sigma:.10e}",
+                   f"(4 pi / p) Im f0  = {check.optical_sigma:.10e}",
+                   f"relative diff     = {check.rel_diff:.3e}")
         if args.out:
             scan.write_json(args.out, {
                 "command": "optical", "model": "square-well",

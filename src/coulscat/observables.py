@@ -24,12 +24,7 @@ import numpy as np
 from . import partialwave, specfun
 from .errors import CoulscatWarning, NonConvergenceError, UndefinedRatioError
 from .kinematics import PhysicalScenario, build_scenario, check_mass_and_eps
-from .partialwave import (
-    PartialWaveTable,
-    PhaseShiftKind,
-    PhaseShiftModel,
-    default_delta_range,
-)
+from .partialwave import PartialWaveTable, PhaseShiftKind, PhaseShiftModel
 
 __all__ = [
     "DeltaProfile",
@@ -43,7 +38,6 @@ __all__ = [
     "midpoint_thetas",
     "probability_sphere_integral",
     "shadow_angle",
-    "default_delta_range",
     "delta_profile",
     "delta_peaks",
     "delta_max_at",
@@ -222,26 +216,25 @@ def _refine_peak(deltas: np.ndarray, p_row: np.ndarray) -> float:
 
 
 def delta_profile(table: PartialWaveTable, thetas,
-                  delta_range: Optional[tuple[float, float]] = None,
-                  coarse_n: Optional[int] = None) -> DeltaProfile:
+                  delta_range: Optional[tuple[Optional[float], Optional[float]]] = None,
+                  delta_step: Optional[float] = None) -> DeltaProfile:
     """Locate the probability peak in delta for each theta.
 
-    Coarse scan over `delta_range` (default: `default_delta_range`, step 0.2)
-    followed by parabolic refinement on log P; p_max re-evaluates P at the
-    refined location.  The range must span at least [-8, 8] so the scan
-    cannot miss a peak pushed outside the xi hull by interference.  The
+    Coarse scan over `delta_range` at about 0.2 or exactly `delta_step`
+    (the window rules are `partialwave._scan_window`'s), then parabolic
+    refinement on log P; p_max re-evaluates P at the refined location.  The
     profile keeps the coarse scan (`p_scan`), one grid-sized array, counted
     against the memory budget before the angles are copied.
     """
     # the copy keeps the profile from following later writes to the
     # caller's array
     return delta_peaks(table, np.size(thetas), lambda: np.array(thetas, dtype=float),
-                       delta_range, coarse_n, keep_scan=True)
+                       delta_range, delta_step, keep_scan=True)
 
 
 def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
-                delta_range: Optional[tuple[float, float]] = None,
-                coarse_n: Optional[int] = None, *,
+                delta_range: Optional[tuple[Optional[float], Optional[float]]] = None,
+                delta_step: Optional[float] = None, *,
                 keep_scan: bool = False) -> DeltaProfile:
     """The `delta_profile` of the n_theta angles that angles() builds, its
     arrays read-only, warning of flat profiles: every delta-peak search
@@ -252,26 +245,15 @@ def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
     chunk-sized array, copied into the rows of `p_scan` and measured
     against the factorized form with `keep_scan` (`delta_profile`), and
     otherwise dropped, with `p_scan` and `factorization_residual` None."""
-    default = delta_range is None and coarse_n is None
-    if delta_range is None:
-        delta_range = default_delta_range(table)
-    lo, hi = float(delta_range[0]), float(delta_range[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"delta_range must be finite, got [{lo}, {hi}]")
-    if lo > -8.0 or hi < 8.0:
-        raise ValueError(f"delta_range must span at least [-8, 8], got [{lo}, {hi}]")
-    if coarse_n is None:
-        coarse_n = partialwave._scan_size(lo, hi)
-    if coarse_n < 5:
-        raise ValueError("coarse_n must be at least 5")
-    chunks, _threads = partialwave._check_budget(table, n_theta, coarse_n)
-    if default:
+    lo, hi, n_delta = partialwave._scan_window(table, delta_range, delta_step)
+    chunks, _threads = partialwave._check_budget(table, n_theta, n_delta)
+    if delta_range is None and delta_step is None:
         deltas, h = table._default_scan
     else:
-        deltas = np.linspace(lo, hi, coarse_n)
+        deltas = np.linspace(lo, hi, n_delta)
         h = partialwave._hermite(table, deltas)
     thetas = angles()
-    p_scan = np.empty((n_theta, coarse_n)) if keep_scan else None
+    p_scan = np.empty((n_theta, n_delta)) if keep_scan else None
     delta_max = np.zeros(n_theta)
     p_max = np.empty(n_theta)
     residual = np.empty(n_theta) if keep_scan else None

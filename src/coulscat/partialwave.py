@@ -276,10 +276,9 @@ class PartialWaveTable:
 
     @functools.cached_property
     def _default_scan(self) -> tuple[np.ndarray, np.ndarray]:
-        """The deltas of the delta-peak search's default scan, over
-        `default_delta_range` at `_scan_size`'s step, and their `_hermite`."""
-        lo, hi = default_delta_range(self)
-        deltas = _read_only(np.linspace(lo, hi, _scan_size(lo, hi)))
+        """The deltas of the delta-peak search's default scan
+        (`_scan_window`'s default) and their `_hermite`."""
+        deltas = _read_only(np.linspace(*_scan_window(self)))
         return deltas, _read_only(_hermite(self, deltas))
 
     @functools.cached_property
@@ -540,16 +539,41 @@ def _real(re: np.ndarray) -> np.ndarray:
     return re
 
 
-def default_delta_range(table: PartialWaveTable) -> tuple[float, float]:
-    """Scan window: [-8, 8] widened to cover the xi hull plus 8 on each side."""
-    lo = min(-8.0, float(np.min(table.xi)) - 8.0)
-    hi = max(8.0, float(np.max(table.xi)) + 8.0)
-    return lo, hi
-
-
-def _scan_size(lo: float, hi: float) -> int:
-    """Deltas of a coarse scan over [lo, hi] at step 0.2."""
-    return int(round((hi - lo) / 0.2)) + 1
+def _scan_window(table: PartialWaveTable, delta_range=None,
+                 delta_step: Optional[float] = None) -> tuple[float, float, int]:
+    """(lo, hi, n) of the delta-peak search's coarse scan: every rule on its
+    window.  A range or side that is None is the default's, [-8, 8] widened
+    to the xi hull plus 8 each side; a window is finite and spans [-8, 8],
+    so the scan cannot miss a peak that interference pushes outside the
+    hull.  Its at least 5 deltas are about 0.2 apart, or exactly
+    `delta_step` with hi stretched to the first whole step at or above it."""
+    lo, hi = (None, None) if delta_range is None else delta_range
+    lo = min(-8.0, float(np.min(table.xi)) - 8.0) if lo is None else float(lo)
+    hi = max(8.0, float(np.max(table.xi)) + 8.0) if hi is None else float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"delta_range must be finite, got [{lo}, {hi}]")
+    if lo > -8.0 or hi < 8.0:
+        raise ValueError(f"delta_range must span at least [-8, 8], got [{lo}, {hi}]")
+    step = 0.2 if delta_step is None else float(delta_step)
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"delta_step must be positive and finite, got {step}")
+    count = (hi - lo) / step
+    if not math.isfinite(count):
+        raise ResourceLimitError(f"a scan of [{lo:g}, {hi:g}] in steps of {step:g} "
+                                 f"has more deltas than a float can count")
+    if delta_step is None:
+        return lo, hi, int(round(count)) + 1
+    n = math.ceil(count)
+    if lo + n * step < hi:  # the product rounded below hi
+        n += 1
+    top = lo + n * step
+    if not math.isfinite(top - lo):
+        raise ValueError(f"delta_step {step:g} stretches [{lo:g}, {hi:g}] past the "
+                         f"largest float")
+    if n + 1 < 5:
+        raise ValueError(f"delta_step {step:g} leaves {n + 1} deltas on [{lo:g}, "
+                         f"{top:g}]; the peak refinement needs at least 5")
+    return lo, top, n + 1
 
 
 def _hermite(table: PartialWaveTable, deltas) -> np.ndarray:

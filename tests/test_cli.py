@@ -80,15 +80,61 @@ class TestProfileDelta:
         assert doc["delta_max"] == pytest.approx(0.0, abs=1e-9)
         assert doc["p_max"] == pytest.approx(1.0, abs=1e-6)
 
-    # a step of 10 leaves 3 points on the default range, fewer than the 5
-    # the peak refinement needs
+    # argparse names the flag; a step of 10 leaves 3 points on the default
+    # range, fewer than the 5 the peak refinement needs, which the library
+    # refuses in its own words
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf", "10"])
     def test_bad_delta_step_is_config_error(self, step, capsys):
         rc = main(["profile-delta", "--eta", "10", "--theta", "0.03",
                    "--delta-step", step])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "--delta-step" in err and len(err.strip().splitlines()) == 1
+        expected = "delta_step 10 leaves 3 deltas" if step == "10" else "--delta-step"
+        assert expected in err and len(err.strip().splitlines()) == 1
+
+    # windows whose count of deltas is not a finite float: exit 4, as a
+    # finite count over the memory budget (--delta-step 1e-300) is
+    @pytest.mark.parametrize("flags", [
+        ["--delta-step", "5e-324"],
+        ["--delta-step", "1e-310"],
+        ["--delta-max=1e300", "--delta-step", "1e-10"],
+        ["--delta-min=-1e308", "--delta-max=1e308", "--delta-step", "1"],
+        ["--delta-step", "1e-300"],
+    ], ids=["subnormal-step", "tiny-step", "huge-top", "float-range", "over-budget"])
+    def test_uncountable_window_is_resource_error(self, flags, capsys):
+        rc = main(["profile-delta", "--eta", "10", "--theta", "0.03", *flags])
+        captured = capsys.readouterr()
+        assert rc == 4 and captured.out == ""
+        assert captured.err.startswith("resource error: ")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_step_that_stretches_past_the_float_range_is_config_error(self, capsys):
+        # 18 steps of 1e307 from -1.7e308 reach past 8, but span more than
+        # the largest float
+        rc = main(["profile-delta", "--eta", "10", "--theta", "0.03",
+                   "--delta-min=-1.7e308", "--delta-step", "1e307"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("config error: delta_step 1e+307 stretches")
+        assert len(captured.err.strip().splitlines()) == 1
+
+    def test_a_top_that_rounds_below_the_window_gets_one_step_more(self, tmp_path):
+        # 12000 steps of 0.009 from -100 round to 7.999999999999986, short of
+        # the default window's top at eta = -10, 8; the scan ends one step on
+        out = tmp_path / "prof.csv"
+        assert main(["profile-delta", "--eta=-10", "--theta", "0.03", "--delta-min=-100",
+                     "--delta-step", "0.009", "--out", str(out)]) == 0
+        _header, rows = read_csv(out)
+        assert len(rows) == 12002 and rows[0][0] == -100.0 and rows[-1][0] >= 8.0
+
+    def test_without_out_the_csv_goes_to_stdout_and_the_summary_to_stderr(self, capsys):
+        assert main(["profile-delta", "--eta", "10", "--theta", "0.03"]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "delta,probability" and len(lines) > 5
+        assert all(len([float(x) for x in line.split(",")]) == 2 for line in lines[1:])
+        assert captured.err.startswith("theta=0.03 eta=10: delta_max=")
+        assert len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("flag", ["--delta-min", "--delta-max"])
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])

@@ -17,7 +17,9 @@ numpy allocates them before any check, and `TestFailedAllocation` in
 `tests/test_cli.py` covers them with patched array makers.
 So are masses and energies from the whole positive float range, subnormals
 and 1e308 included, and charges past the float range, whose derived
-kinematics (p, beta, sigma_x, R) overflow or underflow.
+kinematics (p, beta, sigma_x, R) overflow or underflow, and `profile-delta`
+steps and bounds of extreme magnitude, whose count of deltas overflows a
+float or the memory budget.
 The examples are derandomized, but they are not fixed: Hypothesis mixes
 constants from the source of the modules loaded in the process into its
 float draws, so which 200 are drawn depends on what else the run
@@ -51,6 +53,17 @@ def _num(lo, hi):
 # every positive float, with the extremes drawn for sure
 _WIDE = st.one_of(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                   st.sampled_from([5e-324, 1e-300, 1e300, 1e308]))
+
+
+# magnitudes at the ends of the float range, subnormals and the largest
+# finite float included, for profile-delta's steps and bounds: with them a
+# scan's count of deltas is either beyond any float or the memory budget,
+# or below 4e4 (a step of at least 1e304), so no example allocates much
+_TINY = st.floats(min_value=0.0, max_value=1e-9, exclude_min=True)
+_HUGE = st.floats(min_value=1e304, allow_infinity=False)
+_EXTREME_STEP = st.one_of(_TINY, _HUGE, st.sampled_from([5e-324, 1e-310, 1e307, 1e308]))
+_EXTREME_BOUND = st.one_of(_TINY, _HUGE, st.sampled_from([1e300, 1e308, 1.7e308])).flatmap(
+    lambda x: st.sampled_from([x, -x]))
 
 
 # a count argparse refuses, or one the memory budget refuses before any
@@ -115,10 +128,10 @@ def _command(draw):
     argv = [command]
     if command == "profile-delta":
         argv += [f"--theta={draw(_mostly(st.floats(0.0, 3.14), _num(-0.5, 3.5)))}"]
-        argv += draw(_flag("--delta-step", _mostly(st.floats(0.1, 2.0),
-                                                   st.sampled_from([0.0, -0.2, *ODD]))))
-        argv += draw(_flag("--delta-min", _num(-30.0, 30.0)))
-        argv += draw(_flag("--delta-max", _num(-30.0, 30.0)))
+        argv += draw(_flag("--delta-step", st.one_of(
+            _mostly(st.floats(0.1, 2.0), st.sampled_from([0.0, -0.2, *ODD])), _EXTREME_STEP)))
+        argv += draw(_flag("--delta-min", st.one_of(_num(-30.0, 30.0), _EXTREME_BOUND)))
+        argv += draw(_flag("--delta-max", st.one_of(_num(-30.0, 30.0), _EXTREME_BOUND)))
     elif command == "angular":
         argv += draw(_flag("--delta", st.one_of(st.just("auto"), _num(-20.0, 20.0))))
         argv += draw(_flag("--theta-min", _mostly(st.floats(0.0, 1.5), _num(-0.5, 3.5))))

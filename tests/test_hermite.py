@@ -40,7 +40,6 @@ from coulscat.kinematics import (
 from coulscat.observables import (
     dcs,
     dcs_factor,
-    default_delta_range,
     delta_max_at,
     delta_profile,
 )
@@ -650,8 +649,8 @@ class TestDeltaMaxAtIsAProfileRow:
             assert again.deltas is first.deltas and not first.deltas.flags.writeable
             assert calls == []
             # an explicit window builds its own scan, equal to the default one
-            lo, hi = default_delta_range(table)
-            explicit = delta_profile(table, [0.5], (lo, hi), first.deltas.size)
+            lo, hi, _n = partialwave._scan_window(table)
+            explicit = delta_profile(table, [0.5], (lo, hi))
         assert explicit.deltas is not first.deltas and len(calls) == 1
         assert np.array_equal(explicit.deltas, first.deltas)
         assert _bits(explicit.p_scan) == _bits(first.p_scan)

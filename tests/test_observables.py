@@ -281,6 +281,40 @@ class TestDeltaProfile:
         with pytest.raises(ValueError):
             delta_profile(table_eta10, [0.1], delta_range=(-2.0, 8.0))
 
+    def test_a_step_is_exact_and_stretches_the_top(self, table_eta10):
+        # a side that is None is the default window's
+        lo, hi, n = partialwave._scan_window(table_eta10)
+        prof = delta_profile(table_eta10, [0.5], (-9.0, None), 0.5)
+        assert prof.deltas[0] == -9.0 and prof.deltas[-1] >= hi
+        assert prof.deltas[-1] - 0.5 < hi and prof.deltas.size == 1 + math.ceil((hi + 9.0) / 0.5)
+        assert partialwave._scan_window(table_eta10, (None, 20.0))[:2] == (lo, 20.0)
+        assert partialwave._scan_window(table_eta10, (-9.0, 9.0), 0.5) == (-9.0, 9.0, 37)
+
+    def test_a_top_that_rounds_below_hi_gets_one_step_more(self, table_eta10):
+        # -100 + 12000 * 0.009 rounds to 7.999999999999986
+        assert -100.0 + 12000 * 0.009 < 8.0
+        assert partialwave._scan_window(table_eta10, (-100.0, 8.0), 0.009) == (
+            -100.0, -100.0 + 12001 * 0.009, 12002)
+
+    @pytest.mark.parametrize("delta_range, delta_step", [
+        ((-1e308, 1e308), None), ((-1e308, 1e308), 1.0), (None, 5e-324), ((-8.0, 1e300), 1e-10),
+    ], ids=["span-default-step", "span", "subnormal-step", "huge-top"])
+    def test_an_uncountable_scan_is_over_the_budget(self, table_eta10, delta_range, delta_step):
+        with pytest.raises(ResourceLimitError, match="more deltas than a float can count"):
+            partialwave._scan_window(table_eta10, delta_range, delta_step)
+
+    @pytest.mark.parametrize("delta_range, delta_step, match", [
+        ((-1.7e308, None), 1e307, r"delta_step 1e\+307 stretches"),
+        (None, 10.0, "delta_step 10 leaves 3 deltas"),
+        (None, 0.0, "delta_step must be positive and finite"),
+        (None, -0.2, "delta_step must be positive and finite"),
+        (None, math.nan, "delta_step must be positive and finite"),
+        (None, math.inf, "delta_step must be positive and finite"),
+    ], ids=["past-the-float-range", "too-few", "zero", "negative", "nan", "inf"])
+    def test_a_bad_step_is_rejected(self, table_eta10, delta_range, delta_step, match):
+        with pytest.raises(ValueError, match=match):
+            partialwave._scan_window(table_eta10, delta_range, delta_step)
+
     def test_each_angle_builds_one_legendre_row(self, table_eta10, monkeypatch):
         # the coarse scan, p_max and the local integral share one row
         rows = []
@@ -310,8 +344,7 @@ class TestDeltaProfile:
     def test_coarse_scan_is_the_probability_grid_and_read_only(self, table_eta10):
         thetas = [0.03, 0.5, 2.0]
         prof = delta_profile(table_eta10, thetas)
-        lo, hi = observables.default_delta_range(table_eta10)
-        assert np.array_equal(prof.deltas, np.linspace(lo, hi, prof.deltas.size))
+        assert np.array_equal(prof.deltas, np.linspace(*partialwave._scan_window(table_eta10)))
         assert np.array_equal(prof.p_scan,
                               partialwave.probability_grid(table_eta10, thetas, prof.deltas))
         for arr in (prof.deltas, prof.p_scan):
@@ -328,12 +361,12 @@ class TestDeltaProfile:
         with pytest.raises(ValueError, match="read-only"):
             prof.thetas[0] = 0.0
 
-    @pytest.mark.parametrize("coarse_n", [50, None])
+    @pytest.mark.parametrize("delta_step", [0.5, None])
     @pytest.mark.parametrize("bounds", [(math.nan, 9.0), (-math.inf, 9.0), (-9.0, math.inf)],
                              ids=["nan-9", "-inf-9", "-9-inf"])
-    def test_non_finite_range_is_rejected(self, table_eta10, bounds, coarse_n):
+    def test_non_finite_range_is_rejected(self, table_eta10, bounds, delta_step):
         with pytest.raises(ValueError, match="delta_range must be finite"):
-            delta_profile(table_eta10, [0.5], bounds, coarse_n)
+            delta_profile(table_eta10, [0.5], bounds, delta_step)
 
     def test_profile_across_chunks_equals_one_chunk(self, table_eta10, monkeypatch):
         thetas = np.linspace(0.02, 3.0, 35)
@@ -479,6 +512,56 @@ class TestOptical:
         table = build_table(build_scenario_from_eta(eta, EPS),
                             PhaseShiftModel.coulomb_exact())
         bound = (2 * (table.l_max + 1) + 1) * 2.0 ** -53
+        assert abs(optical_ratio(table) / want - 1.0) <= bound
+
+    @pytest.mark.parametrize("eps", [1e-3, 1e-2])
+    @pytest.mark.parametrize("eta", [1e-4, -1e-4, 1e-3, -1e-3])
+    def test_gamma_at_small_eta_is_the_digamma_ratio(self, eps, eta):
+        # sigma_l = Im ln Gamma(l + 1 + i eta)
+        #         = eta psi - eta^3 psi''/6 + eta^5 psi''''/120 - ...,
+        # psi = psi(l + 1), and sin^2 s = s^2 - s^4/3 + 2 s^6/45 - ..., so
+        # sin^2 sigma_l = eta^2 [a - eta^2 b + eta^4 c + ...] with a = psi^2,
+        # b = (psi psi'' + psi^4)/3 and
+        # c = psi''^2/36 + psi psi''''/60 + 2 psi^3 psi''/9 + 2 psi^6/45.
+        # With A_k = sum_l 2x e^{-k eps^2 x^2} a_l (x = l + 1/2), B_k and C_k
+        # alike, r = B/A and s = C/A,
+        # gamma = (A4 - eta^2 B4 + eta^4 C4 - ...) / (A2 - eta^2 B2 + ...)
+        #       = G0 [1 + eta^2 (r2 - r4) + eta^4 (s4 - s2 + r2^2 - r4 r2) + ...],
+        # G0 = A4/A2.  The oracle stops at eta^2; successive terms shrink by
+        # about eta^2 psi(L+1)^2 <= 8e-5 here, so twice the eta^4 term
+        # bounds the rest.  numpy and scipy.special only; the dampings are
+        # the table's expressions, so their rounding is common to both sides.
+        from scipy.special import digamma, polygamma
+
+        table = build_table(build_scenario_from_eta(eta, eps),
+                            PhaseShiftModel.coulomb_exact())
+        big_l = table.l_max
+        x = np.arange(big_l + 1.0) + 0.5
+        psi, psi2, psi4 = digamma(x + 0.5), polygamma(2, x + 0.5), polygamma(4, x + 0.5)
+        assert eta * eta * psi[-1] ** 2 <= 8e-5
+        terms = (psi ** 2, (psi * psi2 + psi ** 4) / 3.0,
+                 psi2 ** 2 / 36.0 + psi * psi4 / 60.0 + 2.0 * psi ** 3 * psi2 / 9.0
+                 + 2.0 * psi ** 6 / 45.0)
+        w4, w2 = ((2.0 * x) * np.exp(-k * eps * eps * x * x) for k in (4.0, 2.0))
+        (a4, b4, c4), (a2, b2, c2) = ([float(np.sum(w * t)) for t in terms] for w in (w4, w2))
+        g0 = a4 / a2
+        want = g0 * (1.0 + eta ** 2 * (b2 / a2 - b4 / a4))
+        eta4 = g0 * eta ** 4 * (c4 / a4 - c2 / a2 + (b2 / a2) ** 2 - b4 / a4 * b2 / a2)
+        # Rounding, relative, in units of u = 2^-53:
+        # - cos 2 sigma_l is within 1 ulp, u as it lies in [0.5, 1], and
+        #   1 - cos is exact, so a damped sum carries the cancellation
+        #   kappa = sum w / sum w (1 - cos 2 sigma_l), with
+        #   1 - cos 2 sigma = 2 sin^2 sigma from the oracle's terms;
+        # - sigma_l is an fsum of parts adding to 12.3 |sigma_0|, then l
+        #   atan2 steps summed in order, and |sigma_0| <= 1.37 |sigma_l| for
+        #   l >= 1, so it is within (L + 57) u and sin^2 within twice that;
+        #   two products and the sum of L + 1 terms add L + 2: 3L + 116 a sum;
+        # - the oracle's sums of L + 1 positive terms (digamma within 4 u)
+        #   and its ratios: 2L + 24;
+        # kappa4 + kappa2 + 8L + 257 in all, below kappa4 + kappa2 + 8 (L + 33).
+        kappa4, kappa2 = (float(np.sum(w)) / (2.0 * eta * eta * (a - eta * eta * b))
+                          for w, a, b in ((w4, a4, b4), (w2, a2, b2)))
+        bound = (kappa4 + kappa2 + 8 * (big_l + 33)) * 2.0 ** -53 + 2.0 * abs(eta4 / want)
         assert abs(optical_ratio(table) / want - 1.0) <= bound
 
     def test_short_range_check(self):
