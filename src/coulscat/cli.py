@@ -201,18 +201,13 @@ def cmd_profile_delta(args) -> int:
     # a given bound widens to cover [-8, 8]; None is the default window's
     lo = None if args.delta_min is None else min(args.delta_min, -8.0)
     hi = None if args.delta_max is None else max(args.delta_max, 8.0)
-    # the CSV is the profile's own coarse scan: one Legendre row, one set of
-    # moments
+    # the table is the profile's own coarse scan: one Legendre row, one set
+    # of moments
     prof = observables.delta_profile(table, [args.theta], (lo, hi), args.delta_step)
-    deltas, (probs,) = prof.deltas, prof.p_scan
-    if args.format in (None, "csv"):
-        scan.write_csv(args.out, "delta,probability", zip(deltas.tolist(), probs.tolist()))
-    else:
-        scan.write_json(args.out, {
-            "command": "profile-delta", "theta": args.theta, "eta": scenario.eta,
-            "eps": scenario.eps, "delta": deltas.tolist(), "probability": probs.tolist(),
-            "delta_max": float(prof.delta_max[0]), "p_max": float(prof.p_max[0]),
-        })
+    _write_table(args, "delta,probability",
+                 zip(prof.deltas.tolist(), prof.p_scan[0].tolist()), theta=args.theta,
+                 eta=scenario.eta, eps=scenario.eps, delta_max=float(prof.delta_max[0]),
+                 p_max=float(prof.p_max[0]))
     _summarize(args.out in (None, "-"), f"theta={args.theta:g} eta={scenario.eta:g}: "
                f"delta_max={prof.delta_max[0]:+.4f} p_max={prof.p_max[0]:.6e}")
     return EXIT_OK
@@ -413,7 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
                    "required here or in the config file")
     p.add_argument("--delta-min", type=_finite)
     p.add_argument("--delta-max", type=_finite)
-    p.add_argument("--delta-step", type=_positive, default=0.2)
+    p.add_argument("--delta-step", type=_positive,
+                   help="exact spacing of the deltas (default: the delta-peak "
+                   "search's own scan, the one delta_max_at, conservation and "
+                   "angular's auto delta run)")
     p.set_defaults(func=cmd_profile_delta)
 
     p = sub.add_parser("angular", help="angular curve at fixed or auto delta")

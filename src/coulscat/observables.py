@@ -14,6 +14,7 @@ the forward direction where the bounded wavepacket probability is not.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -161,6 +162,7 @@ def conservation_weight_sum(table: PartialWaveTable) -> float:
 
 def midpoint_thetas(n_intervals: int) -> np.ndarray:
     """Midpoints of n equal intervals covering [0, pi]."""
+    n_intervals = operator.index(n_intervals)
     if n_intervals < 1:
         raise ValueError("need at least one interval")
     return (np.arange(n_intervals, dtype=float) + 0.5) * (math.pi / n_intervals)
@@ -226,10 +228,8 @@ def delta_profile(table: PartialWaveTable, thetas,
     profile keeps the coarse scan (`p_scan`), one grid-sized array, counted
     against the memory budget before the angles are copied.
     """
-    # the copy keeps the profile from following later writes to the
-    # caller's array
-    return delta_peaks(table, np.size(thetas), lambda: np.array(thetas, dtype=float),
-                       delta_range, delta_step, keep_scan=True)
+    return delta_peaks(table, np.size(thetas), lambda: thetas, delta_range, delta_step,
+                       keep_scan=True)
 
 
 def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
@@ -240,11 +240,14 @@ def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
     arrays read-only, warning of flat profiles: every delta-peak search
     runs here.  The scan window and the memory budget are checked from
     n_theta before angles() builds anything, so a refused request never
-    holds its angles.  The default window's scan is the table's
+    holds its angles.  What angles() returns is copied as floats, so the
+    profile neither follows nor freezes the caller's array, and must have
+    shape (n_theta,) (ValueError).  The default window's scan is the table's
     (`PartialWaveTable._default_scan`).  Each chunk's scan is reduced in a
     chunk-sized array, copied into the rows of `p_scan` and measured
     against the factorized form with `keep_scan` (`delta_profile`), and
     otherwise dropped, with `p_scan` and `factorization_residual` None."""
+    n_theta = operator.index(n_theta)
     lo, hi, n_delta = partialwave._scan_window(table, delta_range, delta_step)
     chunks, _threads = partialwave._check_budget(table, n_theta, n_delta)
     if delta_range is None and delta_step is None:
@@ -252,7 +255,9 @@ def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
     else:
         deltas = np.linspace(lo, hi, n_delta)
         h = partialwave._hermite(table, deltas)
-    thetas = angles()
+    thetas = np.array(angles(), dtype=float)
+    if thetas.shape != (n_theta,):
+        raise ValueError(f"angles() built shape {thetas.shape}, not ({n_theta},)")
     p_scan = np.empty((n_theta, n_delta)) if keep_scan else None
     delta_max = np.zeros(n_theta)
     p_max = np.empty(n_theta)
@@ -297,7 +302,7 @@ def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
 def delta_max_at(table: PartialWaveTable, theta: float) -> tuple[float, float]:
     """(delta_max, p_max) at a single angle: `delta_profile(table, [theta])`'s
     values, from the same search without keeping its coarse scan."""
-    prof = delta_peaks(table, 1, lambda: np.array([theta], dtype=float))
+    prof = delta_peaks(table, 1, lambda: [theta])
     return float(prof.delta_max[0]), float(prof.p_max[0])
 
 

@@ -196,6 +196,22 @@ class TestProfileDelta:
         assert p_max == pytest.approx(partialwave.probability(table, 0.03, d_max),
                                       rel=1e-5)
 
+    # without --delta-step the table is the search's own default scan, the
+    # one delta_max_at runs, so both report one peak; a default step of 0.2
+    # once scanned other deltas and moved delta_max by up to 3.7e-10
+    @pytest.mark.parametrize("eta, theta", [(1.0, 0.5), (10.0, 0.5), (-10.0, 0.5),
+                                            (800.0, 1.5)])
+    def test_without_a_window_flag_it_is_the_default_search(self, eta, theta, capsys):
+        assert main(["profile-delta", f"--eta={eta}", f"--theta={theta}",
+                     "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        table = build_table(build_scenario_from_eta(eta, 1e-3),
+                            partialwave.PhaseShiftModel.coulomb_exact())
+        prof = observables.delta_profile(table, [theta])
+        assert doc["rows"] == [list(row) for row in zip(prof.deltas.tolist(),
+                                                        prof.p_scan[0].tolist())]
+        assert (doc["delta_max"], doc["p_max"]) == observables.delta_max_at(table, theta)
+
     def test_oversized_profile_is_resource_error(self, capsys):
         rc = main(["profile-delta", "--eta", "10", "--theta", "0.03",
                    "--delta-step", "1e-9"])
@@ -564,7 +580,8 @@ class TestOutputFormats:
          "--theta-max", "1.0", "--theta-n", "5"],
         ["optical", "--eta-min", "0.1", "--eta-max", "10", "--eta-n", "3"],
         ["energy-scan", "--energies-kev", "3.8,10"],
-    ], ids=["angular", "optical", "energy-scan"])
+        ["profile-delta", "--eta", "10", "--theta", "0.5"],
+    ], ids=["angular", "optical", "energy-scan", "profile-delta"])
     def test_csv_and_json_carry_the_same_table(self, argv, tmp_path, capsys):
         csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
         assert main(argv + ["--out", str(csv_out)]) == 0
@@ -633,7 +650,11 @@ class TestConfigAndErrors:
         assert main(["profile-delta", "--eta", "10", "--theta", "0.03",
                      "--out", str(without)]) == 0
         _header, rows = read_csv(without)
-        assert rows[1][0] - rows[0][0] == pytest.approx(0.2, abs=1e-9)
+        # the search's default scan, not the file's step of 0.5
+        table = build_table(build_scenario_from_eta(10.0, 1e-3),
+                            partialwave.PhaseShiftModel.coulomb_exact())
+        want = observables.delta_profile(table, [0.03]).deltas
+        assert [r[0] for r in rows] == want.tolist()
 
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()

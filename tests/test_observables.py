@@ -196,6 +196,12 @@ class TestSphereIntegral:
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 10 * 8 * (table_eta10.l_max + 1))
         assert without_the_scan() == want
 
+    def test_the_interval_count_is_an_integer(self):
+        # 2.5 once gave three points, the last at pi
+        with pytest.raises(TypeError):
+            midpoint_thetas(2.5)
+        assert np.array_equal(midpoint_thetas(np.int64(3)), midpoint_thetas(3))
+
     def test_grid_validation(self, table_free):
         bad = DeltaProfile(thetas=np.linspace(0.0, math.pi, 10),
                            delta_max=np.zeros(10), p_max=np.zeros(10),
@@ -405,6 +411,30 @@ class TestDeltaProfile:
 
         with pytest.raises(error):
             observables.delta_peaks(table_eta10, n_theta, angles, delta_range)
+
+    def test_angles_of_another_count_are_refused(self, table_eta10):
+        # three angles for two once gave thetas of shape (3,) beside
+        # delta_max of shape (2,)
+        with pytest.raises(ValueError, match=r"shape \(3,\), not \(2,\)"):
+            observables.delta_peaks(table_eta10, 2, lambda: np.array([0.1, 0.2, 0.3]))
+
+    def test_angles_may_be_a_list(self, table_eta10):
+        # a list once ended in an AttributeError after the whole evaluation
+        prof = observables.delta_peaks(table_eta10, 1, lambda: [0.5])
+        assert prof.thetas.tolist() == [0.5]
+        assert (prof.delta_max[0], prof.p_max[0]) == delta_max_at(table_eta10, 0.5)
+
+    def test_a_scalar_angle_is_refused(self, table_eta10):
+        # once an IndexError inside the chunk loop
+        with pytest.raises(ValueError, match=r"shape \(\), not \(1,\)"):
+            delta_profile(table_eta10, 0.5)
+
+    def test_the_callers_angles_stay_writeable(self, table_eta10):
+        mine = np.array([0.3, 0.6])
+        prof = observables.delta_peaks(table_eta10, 2, lambda: mine)
+        assert mine.flags.writeable
+        mine[0] = 7.0
+        assert prof.thetas.tolist() == [0.3, 0.6]
 
 
 class TestScatteringAmplitude:
