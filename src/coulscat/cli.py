@@ -77,6 +77,24 @@ def _energies(text: str) -> list[float]:
     return [_positive(e) for e in text.split(",")]
 
 
+# bytes an eta of `optical`'s sweep and an energy of `energy-scan`'s hold
+# at the command's peak: its float64 and its row, a tuple of four floats in
+# a list (and an energy's numpy float in the list of energies).  tracemalloc
+# on CPython 3.11 with numpy 2.4 read 193 and 208 bytes an item (the peak's
+# growth from 10^4 to 3 x 10^4 etas and from 5,000 to 15,000 energies)
+_ETA_BYTES = 200
+_ENERGY_BYTES = 216
+
+
+def _check_count(count: int, item_bytes: int, items: str) -> None:
+    """Refuse a sweep of `count` items of `item_bytes` each that would not
+    fit in the memory budget (exit 4), before numpy makes any of them."""
+    need = count * item_bytes
+    if need > partialwave.DEFAULT_MEMORY_BUDGET:
+        raise ResourceLimitError(f"{count} {items} need {need} bytes (their values and "
+                                 f"rows), budget is {partialwave.DEFAULT_MEMORY_BUDGET}")
+
+
 def _write_table(args, columns: str, rows, **meta) -> None:
     """Write `rows` as CSV under the comma-separated `columns` header or, with
     `--format json`, as one document: the command, `meta`, columns and rows,
@@ -301,7 +319,9 @@ def cmd_optical(args) -> int:
     if args.eta_max < args.eta_min:
         raise ValueError(f"optical sweep requires --eta-max >= --eta-min, got "
                          f"{args.eta_max:g} < {args.eta_min:g}")
-    etas = np.geomspace(args.eta_min, args.eta_max, args.eta_n or 25)
+    n_eta = args.eta_n or 25
+    _check_count(n_eta, _ETA_BYTES, "etas")
+    etas = np.geomspace(args.eta_min, args.eta_max, n_eta)
     rows = []
     for eta in etas:
         scenario, table = _table_from_args(args, build_scenario_from_eta(
@@ -316,6 +336,8 @@ def cmd_optical(args) -> int:
 
 def cmd_energy_scan(args) -> int:
     family = observables.ScenarioFamily(args.Z1, args.Z2, args.mass_mev, args.eps)
+    if args.energies_kev is None:
+        _check_count(args.e_n, _ENERGY_BYTES, "energies")
     energies = args.energies_kev or list(np.geomspace(args.e_min_kev, args.e_max_kev,
                                                       args.e_n))
     rows = []

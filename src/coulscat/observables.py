@@ -319,9 +319,10 @@ def scattering_amplitude_f(table: PartialWaveTable, scenario: PhysicalScenario,
     _check_scenario(table, scenario)
     partialwave._check_budget(table, 1, 0)
     row = specfun.legendre_rows(float(theta), table.l_max)
+    # the scatter kernel is 2 e^{i sigma} sin sigma: each sum is halved
     kern_re, kern_im = table._kernel("scatter")
-    re = float(np.sum(kern_re * row))
-    im = float(np.sum(kern_im * row))
+    re = 0.5 * float(np.sum(kern_re * row))
+    im = 0.5 * float(np.sum(kern_im * row))
     return (re + 1j * im) / scenario.p
 
 

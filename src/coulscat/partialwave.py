@@ -34,9 +34,11 @@ to sum_l |kern_l P_l|).
 
 The series is the full amplitude A, its forward part A_F or its
 scattering part A_S, each a kernel of the table (`PartialWaveTable._kernel`)
-and a prefactor from `_PARTS` (A_F is real, and only its real component is
-summed).  `_check_budget` cuts the angles into equal Legendre chunks and
-bounds the memory of one in flight;
+summed with the one prefactor 2 eps^2 (A_F is real, and only its real
+component is summed).  The kernels split each partial wave as the source
+paper does, e^{2i sigma} = 1 + 2i e^{i sigma} sin sigma: full = forward +
+i scatter, so A = A_F + i A_S.  `_check_budget` cuts the angles into
+equal Legendre chunks and bounds the memory of one in flight;
 `_each_chunk` runs the recurrence and `_moments` for each in turn on the
 calling thread, writing every chunk's rows into that thread's one row
 buffer, and `_eval_grid` (grids, `scan.sweep`) or the delta-peak search
@@ -265,13 +267,15 @@ class PartialWaveTable:
 
     @functools.cached_property
     def _kern_scatter(self) -> np.ndarray:
-        # e^{i sigma} sin sigma = sin(2 sigma)/2 + i (1 - cos(2 sigma))/2
-        return _read_only(np.stack((self.weight * self.phase_sin * 0.5,
-                                    self.weight * (1.0 - self.phase_cos) * 0.5)))
+        # 2 e^{i sigma} sin sigma = (e^{2i sigma} - 1)/i
+        # = sin(2 sigma) + i (1 - cos(2 sigma))
+        return _read_only(np.stack((self.weight * self.phase_sin,
+                                    self.weight * (1.0 - self.phase_cos))))
 
     def _kernel(self, part: str) -> np.ndarray:
-        """The kernel of the series `part` (see `_PARTS`) as read-only stacked
-        components, (re, im), or (re,) for a real part, shape (c, L+1)."""
+        """The kernel of the series `part` ("full", "forward" or "scatter")
+        as read-only stacked components, (re, im), or (re,) for a real part,
+        shape (c, L+1); full = forward + i scatter."""
         return getattr(self, "_kern_" + part)
 
     @functools.cached_property
@@ -524,12 +528,6 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
     return list(zip(edges[:-1], edges[1:])), threads
 
 
-# part -> prefactor / eps^2 of its kernel (`PartialWaveTable._kernel`):
-# A = A_F + i A_S, with A = 2 eps^2 sum(full), A_F = 2 eps^2 sum(forward)
-# and A_S = 4 eps^2 sum(scatter)
-_PARTS = {"full": 2.0, "forward": 2.0, "scatter": 4.0}
-
-
 def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     """|re + i im|^2, elementwise."""
     return re * re + im * im
@@ -626,7 +624,7 @@ def _point_hermite(table: PartialWaveTable, delta: float) -> list:
 
 
 def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarray:
-    """Hermite moments pref * sum_{l in box} kern_l P_l y_l^n / n! of the
+    """Hermite moments 2 eps^2 sum_{l in box} kern_l P_l y_l^n / n! of the
     series `part` for each Legendre row of a block; the `_kernel`
     components stacked, shape (c, n_rows, n_box * K), box-major like
     `_hermite`.
@@ -640,7 +638,6 @@ def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarr
     batch size).
     """
     kern = table._kernel(part)
-    pref = _PARTS[part]
     terms = np.empty_like(kern)
     # each box's slice of the row's terms, refilled for every row, beside
     # the table's slice of y_powers
@@ -650,7 +647,7 @@ def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarr
         np.multiply(kern, p_row, out=terms)
         for b, (box_terms, box_powers) in enumerate(boxes):
             np.vecdot(box_terms, box_powers, out=out[:, i, b])
-    out *= pref * table.eps ** 2
+    out *= 2.0 * table.eps ** 2
     return out.reshape(len(kern), len(p_rows), -1)
 
 
@@ -755,9 +752,10 @@ def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,
 
 def _point(table: PartialWaveTable, theta, delta, part: str) -> list:
     """The components of the series `part` at one (theta, delta), Python
-    floats: the budget check, one Legendre row (`legendre_rows`' one-angle
-    entry), its moments (`_moments`), and the Hermite recurrence and
-    sum_j M_j h_j on Python floats (`_point_hermite`, `_point_sum`)."""
+    floats: the budget check, one Legendre row (`legendre_rows` of a float,
+    which `specfun._row_of` builds), its moments (`_moments`), and the
+    Hermite recurrence and sum_j M_j h_j on Python floats
+    (`_point_hermite`, `_point_sum`)."""
     _check_budget(table, 1, 1)
     hs = _point_hermite(table, float(delta))
     row = specfun.legendre_rows(float(theta), table.l_max)

@@ -25,6 +25,14 @@ and `loggamma` read 2.0e-15 and 1.1e-15; the relative error grows only
 near a zero, such as that of Re psi(1 + i eta) at eta = 0.884.  scipy is
 imported lazily, only by the quadrature oracle (`i_integral_quadrature`
 and its Bessel `j0`).
+
+Legendre rows P_l(cos theta) come from the three-term recurrence
+(`legendre_rows`): a loop on Python floats per angle for a float or a few
+angles, else a loop over l vectorized across the angles.  One angle's
+rules (its range check, the exact x = +-1 at theta = 0 and pi, and x from
+`np.cos`) are stated once, in `_row_of`, which a float and each of a few
+angles go through; the array masks and clamp belong to the vectorized
+form alone.  Both forms round alike, so a row does not depend on its batch.
 """
 
 from __future__ import annotations
@@ -308,6 +316,21 @@ def _rows_out(out, shape: tuple) -> np.ndarray:
     return out
 
 
+def _row_of(theta: float, l_max: int, out: np.ndarray) -> np.ndarray:
+    """P_0 .. P_{l_max} at one angle theta, a float, written into `out` and
+    returned: the one-angle rules of `legendre_rows`, stated once.  A NaN or
+    an angle outside [0, pi] is a ValueError; x is exactly +-1 at theta = 0
+    and pi, and otherwise `np.cos` over a one-angle array, the inner loop
+    every array of angles runs.  Callers inside the package reach it
+    through `legendre_rows` only, so that a patched `legendre_rows` sees
+    every call."""
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    if theta in (0.0, math.pi):
+        return _row_at(1.0 if theta == 0.0 else -1.0, l_max, out)
+    return _row_at(np.cos(np.array([theta])).item(), l_max, out)
+
+
 def legendre_rows(thetas, l_max: int, *, out=None) -> np.ndarray:
     """Legendre values P_l(cos theta), shape (n_theta, l_max+1); for a
     float `thetas`, one angle, its row alone, shape (l_max+1,).  With `out`,
@@ -318,14 +341,16 @@ def legendre_rows(thetas, l_max: int, *, out=None) -> np.ndarray:
     Three-term recurrence (l+1) P_{l+1} = (2l+1) x P_l - l P_{l-1}, evaluated
     as ((2l+1) x P_l - l P_{l-1}) / (l+1) in one of two forms: for one angle
     or a few, a loop on Python floats per angle (`_row_at`); otherwise a
-    loop over l vectorized across angles.  A float takes the lean entry: the
-    checks and x of one angle, without the array form's masks.  The vectorized
-    loop runs on an (l, theta) ring of `_RING_DEGREES` degrees, each degree
-    one contiguous row across the angles, with four ufunc calls per degree:
-    outputs passed positionally, l and l+1 as the 0-d arrays of
-    `_ring_operands`, and the row views and ufuncs bound once per call.  It
-    copies each finished block of degrees into the (theta, l) result
-    through one basic slice.
+    loop over l vectorized across angles.  A float, and each angle of an
+    array of at most `_SCALAR_MAX_ANGLES`, goes through `_row_of`, which
+    checks it and takes its x alone; only the vectorized form runs the
+    array masks.  On a bad angle of a few, the rows before it may already
+    be written into `out`.  The vectorized loop runs on an (l, theta) ring
+    of `_RING_DEGREES` degrees, each degree one contiguous row across the
+    angles, with four ufunc calls per degree: outputs passed positionally,
+    l and l+1 as the 0-d arrays of `_ring_operands`, and the row views and
+    ufuncs bound once per call.  It copies each finished block of degrees
+    into the (theta, l) result through one basic slice.
     Both forms take 2l+1, l and l+1 with the same values and perform the
     same IEEE-754 operations in the same order, so each row is
     bit-identical whichever form built it and whatever batch it came in.
@@ -338,27 +363,21 @@ def legendre_rows(thetas, l_max: int, *, out=None) -> np.ndarray:
     if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     if isinstance(thetas, float):
-        if not 0.0 <= thetas <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {thetas}")
-        row = _rows_out(out, (l_max + 1,))
-        if thetas in (0.0, math.pi):
-            return _row_at(1.0 if thetas == 0.0 else -1.0, l_max, row)
-        # over a one-angle array, the inner loop every array of angles runs
-        return _row_at(np.cos(np.array([thetas])).item(), l_max, row)
+        return _row_of(thetas, l_max, _rows_out(out, (l_max + 1,)))
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 1:
         raise ValueError("thetas must be one-dimensional")
+    P = _rows_out(out, (thetas.size, l_max + 1))
+    if thetas.size <= _SCALAR_MAX_ANGLES:
+        for i, theta in enumerate(thetas.tolist()):
+            _row_of(theta, l_max, P[i])
+        return P
     ok = (thetas >= 0.0) & (thetas <= np.pi)
     if not np.all(ok):
         raise ValueError(f"theta must lie in [0, pi], got {thetas[~ok][0]}")
     x = np.cos(thetas)
     x[thetas == 0.0] = 1.0
     x[thetas == np.pi] = -1.0
-    P = _rows_out(out, (thetas.size, l_max + 1))
-    if thetas.size <= _SCALAR_MAX_ANGLES:
-        for i, xi in enumerate(x.tolist()):
-            _row_at(xi, l_max, P[i])
-        return P
     P[:, 0] = 1.0
     if l_max >= 1:
         P[:, 1] = x

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 import tracemalloc
 import warnings
 
@@ -942,10 +943,10 @@ class TestFailedAllocation:
     over the memory budget.  numpy's array makers are replaced so that a
     request of more than 1e9 values raises the MemoryError numpy raises
     when an allocation fails, and nothing is allocated: on a host that
-    overcommits memory a real 745 GiB request could be granted.  A sweep's
-    and a delta profile's budget is checked from the count before the
-    angles are made, so `angular` (either delta mode) and `conservation`
-    allocate nothing."""
+    overcommits memory a real 745 GiB request could be granted.  Every
+    command checks the budget from its count before numpy makes the angles,
+    etas or energies, so none allocates; with the budget lifted, `optical`'s
+    and `energy-scan`'s allocation fails instead."""
 
     HUGE = 100_000_000_000
 
@@ -970,22 +971,28 @@ class TestFailedAllocation:
             abs(a) for a in args if isinstance(a, (int, float)))))
         return counts
 
+    # `budget`: the word after the count in the budget's refusal, or None
+    # with the budget lifted past the request
     @pytest.mark.parametrize("argv, budget", [
-        (["angular", "--eta", "10", "--delta", "0", "--theta-n"], True),
-        (["angular", "--eta", "10", "--delta", "auto", "--theta-n"], True),
-        (["conservation", "--eta", "0", "--sphere-n"], True),
-        (["optical", "--eta-min", "1", "--eta-max", "2", "--eta-n"], False),
-        (["energy-scan", "--e-n"], False),
+        (["angular", "--eta", "10", "--delta", "0", "--theta-n"], "x"),
+        (["angular", "--eta", "10", "--delta", "auto", "--theta-n"], "x"),
+        (["conservation", "--eta", "0", "--sphere-n"], "x"),
+        (["optical", "--eta-min", "1", "--eta-max", "2", "--eta-n"], "etas"),
+        (["energy-scan", "--e-n"], "energies"),
+        (["optical", "--eta-min", "1", "--eta-max", "2", "--eta-n"], None),
+        (["energy-scan", "--e-n"], None),
     ], ids=["angular-fixed-delta", "angular-auto-delta", "conservation", "optical",
-            "energy-scan"])
+            "energy-scan", "optical-past-the-budget", "energy-scan-past-the-budget"])
     def test_count_too_large_to_allocate_is_resource_error(self, argv, budget, refused,
-                                                           capsys):
+                                                           monkeypatch, capsys):
+        if budget is None:
+            monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", 2 ** 62)
         assert main(argv + [str(self.HUGE)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         if budget:
             assert refused == []
-            assert captured.err.startswith(f"resource error: {self.HUGE} x ")
+            assert captured.err.startswith(f"resource error: {self.HUGE} {budget} ")
             assert len(captured.err.splitlines()) == 1
         else:
             assert refused == [self.HUGE]
@@ -1181,6 +1188,23 @@ class TestCommandMemory:
         status, peak = self._peak(argv)
         assert status == 4 and peak < 4_000_000
         assert capsys.readouterr().err.startswith("resource error: 5000000 x ")
+
+    @pytest.mark.parametrize("argv", [
+        ["optical", "--eta-min", "1", "--eta-max", "2", "--eta-n", "100000000"],
+        ["energy-scan", "--e-n", "100000000"],
+    ], ids=["optical", "energy-scan"])
+    def test_a_refused_sweep_makes_no_values(self, argv, capsys):
+        # 10^8 etas alone are 800 MB, and 10^8 energies as a list of numpy
+        # floats 4.8 GB: without the count's check (`bf1eec0`) `optical`
+        # ran until it was killed
+        start = time.perf_counter()
+        status, peak = self._peak(argv)
+        assert time.perf_counter() - start < 1.0
+        assert status == 4 and peak < 1_000_000
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("resource error: 100000000 ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_conservation_keeps_no_coarse_scan(self, tmp_path):
         # the 2,000 x 86 coarse scan alone would weigh 1.38 MB; each

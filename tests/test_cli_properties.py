@@ -11,10 +11,10 @@ forward peak: every command reaches exit 0 in some examples.  Invalid
 values (reversed or out-of-range bounds, zero or negative sizes, NaN and
 infinities) are drawn on purpose.  So are `--theta-n` (`angular`) and
 `--sphere-n` (`conservation`) of at least 2^27 angles, which need over
-6 GB even with one delta, so the memory budget refuses them (exit 4)
-before any angle exists.  Huge `--eta-n` and `--e-n` are not drawn:
-numpy allocates them before any check, and `TestFailedAllocation` in
-`tests/test_cli.py` covers them with patched array makers.
+6 GB even with one delta, and `--eta-n` (`optical`) and `--e-n`
+(`energy-scan`) of at least 2^27 etas or energies, which need over 26 GB
+with their rows, so the memory budget refuses them (exit 4) before any
+angle, eta or energy exists.
 So are masses and energies from the whole positive float range, subnormals
 and 1e308 included, and charges past the float range, whose derived
 kinematics (p, beta, sigma_x, R) overflow or underflow, and `profile-delta`
@@ -67,7 +67,7 @@ _EXTREME_BOUND = st.one_of(_TINY, _HUGE, st.sampled_from([1e300, 1e308, 1.7e308]
 
 
 # a count argparse refuses, or one the memory budget refuses before any
-# angle exists
+# angle, eta or energy exists
 _BAD_COUNT = st.one_of(st.integers(-1, 0), st.integers(2 ** 27, 2 ** 40))
 
 
@@ -142,7 +142,7 @@ def _command(draw):
     elif command == "optical" and model != "square-well":
         argv += [f"--eta-min={draw(_mostly(st.floats(0.01, 1.0), _num(-1.0, 20.0)))}"]
         argv += [f"--eta-max={draw(_mostly(st.floats(1.0, 3.0), _num(-1.0, 20.0)))}"]
-        argv += [f"--eta-n={draw(_mostly(st.integers(1, 3), st.integers(-1, 0)))}"]
+        argv += [f"--eta-n={draw(_mostly(st.integers(1, 3), _BAD_COUNT))}"]
     elif command == "energy-scan":
         if draw(st.booleans()):
             energies = draw(st.lists(st.one_of(_num(-5.0, 3e5), _WIDE),
@@ -151,7 +151,7 @@ def _command(draw):
         else:
             argv += draw(_flag("--e-min-kev", _num(-5.0, 3e5)))
             argv += draw(_flag("--e-max-kev", _num(-5.0, 3e5)))
-            argv += [f"--e-n={draw(_mostly(st.integers(1, 3), st.integers(-1, 0)))}"]
+            argv += [f"--e-n={draw(_mostly(st.integers(1, 3), _BAD_COUNT))}"]
     out = draw(_mostly(st.just("file"), st.sampled_from(["-", None])))
     return argv + draw(_common(command, model)), out
 

@@ -4,8 +4,8 @@
 expansion replaced: the (n_delta, L+1) matrix of e^{-(delta - xi_l)^2 / 8}
 reduced against each Legendre row.  They are the oracle here.  The
 expansion must match them within the table's recorded truncation bound
-times the series' scale pref * sum_l |kern_l P_l| (pref = 2 eps^2, or
-4 eps^2 for the scatter part), plus 8 ulp of that scale for the rounding of
+times the series' scale pref * sum_l |kern_l P_l| (pref = 2 eps^2, the
+one prefactor of every part), plus 8 ulp of that scale for the rounding of
 the two sums.  The oracle sums 6001 terms pairwise (np.sum), whose error
 bound grows like log2(6001) = 13 ulp of the scale.  The expansion computes
 each moment as one BLAS dot product over its box, whose SIMD partial sums
@@ -83,7 +83,7 @@ def _direct(table, thetas, deltas, part):
     kern = table._kernel(part)
     # a real part's kernel is one row: its imaginary part is zero
     kern_re, kern_im = kern if len(kern) == 2 else (kern[0], np.zeros_like(kern[0]))
-    pref = partialwave._PARTS[part] * table.eps ** 2
+    pref = 2.0 * table.eps ** 2
     g = _delta_factors(table, deltas)
     rows = specfun.legendre_rows(np.asarray(thetas, dtype=float), table.l_max)
     amp = np.array([re + 1j * im for re, im in

@@ -611,16 +611,18 @@ class TestSerialization:
 
     @pytest.fixture(scope="class")
     def wide_field(self):
-        # 32 x 4000 probabilities, a 1.0 MB array, at eta = 1, eps = 1e-2
+        # 24 x 1200 probabilities, a 0.23 MB array, at eta = 1, eps = 1e-2:
+        # each row is longer than a batch of `scan._BATCH_VALUES`
         table = build_table(build_scenario_from_eta(1.0, 1e-2), PhaseShiftModel.coulomb_exact())
-        return sweep(table, GridSpec(0.01, 3.1, 32, -4.0, 4.0, 4000), Quantity.PROBABILITY)
+        return sweep(table, GridSpec(0.01, 3.1, 24, -4.0, 4.0, 1200), Quantity.PROBABILITY)
 
     @pytest.mark.parametrize("export", [field_to_csv, field_to_json])
     def test_wide_export_holds_one_row(self, wide_field, export, tmp_path):
-        # batches of 64 rows took in the whole grid and peaked at 4.94 MB
-        # (CSV) and 10.7 MB (JSON) traced; a budget of 1024 values converts
-        # and encodes one 4000-value row at a time, 0.97 and 0.71 MB
-        assert self._traced_peak(export, wide_field, tmp_path / "field") < 2.0e6
+        # batches of 64 rows took in the whole grid and peaked at 1.18 MB
+        # (CSV) and 4.12 MB (JSON) traced (`6f92119`); a budget of 1024
+        # values converts and encodes one 1200-value row at a time, 0.30
+        # and 0.22 MB.  The bound lies between the two
+        assert self._traced_peak(export, wide_field, tmp_path / "field") < 0.6e6
 
     def test_json_bytes_equal_one_dumps_of_the_whole_grid(self, table_eta10, tmp_path,
                                                           monkeypatch):

@@ -337,13 +337,31 @@ class TestLegendre:
         for theta, row in zip(thetas, batch):
             assert row.tobytes() == np.array(_recurrence_row(theta, l_max)).tobytes()
 
-    @pytest.mark.parametrize("theta", [math.nan, -0.1, math.pi + 1e-12])
+    @pytest.mark.parametrize("theta", [math.nan, -0.1, math.pi + 1e-12, math.inf])
     def test_rejects_angles_outside_0_pi(self, theta):
-        with pytest.raises(ValueError, match=r"\[0, pi\]"):
-            specfun.legendre_rows(np.array([0.5, theta]), 10)
-        # the one-angle entry checks as the array form does
-        with pytest.raises(ValueError, match=r"\[0, pi\]"):
-            specfun.legendre_rows(theta, 10)
+        # the bad angle is named alike by a few angles, a ring batch and the
+        # one-angle entry
+        ring = np.full(specfun._SCALAR_MAX_ANGLES + 1, 0.5)
+        ring[-1] = theta
+        message = f"theta must lie in [0, pi], got {theta}"
+        for angles in (np.array([0.5, theta]), ring, theta):
+            with pytest.raises(ValueError) as caught:
+                specfun.legendre_rows(angles, 10)
+            assert str(caught.value) == message
+
+    def test_a_few_angles_take_the_one_angle_rules(self, monkeypatch):
+        # each angle of at most `_SCALAR_MAX_ANGLES` goes through `_row_of`,
+        # as a float does, and a ring batch through none of it
+        seen = []
+        row_of = specfun._row_of
+        monkeypatch.setattr(specfun, "_row_of",
+                            lambda theta, *args: seen.append(theta) or row_of(theta, *args))
+        thetas = np.linspace(0.0, math.pi, specfun._SCALAR_MAX_ANGLES)
+        specfun.legendre_rows(thetas, 70)
+        assert seen == thetas.tolist()
+        seen.clear()
+        specfun.legendre_rows(np.linspace(0.0, math.pi, specfun._SCALAR_MAX_ANGLES + 1), 70)
+        assert seen == []
 
     @pytest.mark.parametrize("l_max", [0, 1, 2, 3, 64, 65, 6000])
     def test_one_angle_entry_equals_the_array_rows(self, l_max):

@@ -5,9 +5,10 @@
 # line.  Exit 2: each flag whose number the parser checks, given one bad
 # value, and each command that sums the series, given an --l-max below its
 # floor.  Exit 4: profile-delta windows whose count of deltas overflows a
-# float, refused as a finite count over the memory budget (the last line)
-# is.  A line of the list is the expected status, a command and its flags,
-# split at spaces.  The arguments are the command that runs coulscat:
+# float, refused as a finite count over the memory budget is, and optical
+# and energy-scan sweeps whose count of etas or energies is over the
+# budget, refused before numpy makes them.  A line of the list is the
+# expected status, a command and its flags, split at spaces.  The arguments are the command that runs coulscat:
 #
 #     sh tools/bad_flag_exits.sh coulscat
 #     PYTHONPATH=src sh tools/bad_flag_exits.sh python -m coulscat.cli
@@ -63,5 +64,7 @@ done <<'LIST'
 4 profile-delta --eta=10 --theta=0.03 --delta-max=1e300 --delta-step=1e-10
 4 profile-delta --eta=10 --theta=0.03 --delta-min=-1e308 --delta-max=1e308 --delta-step=1
 4 profile-delta --eta=10 --theta=0.03 --delta-step=1e-300
+4 optical --eta-min=1 --eta-max=2 --eta-n=100000000
+4 energy-scan --e-n=100000000
 LIST
 exit $failed
