@@ -336,10 +336,15 @@ def cmd_optical(args) -> int:
 
 def cmd_energy_scan(args) -> int:
     family = observables.ScenarioFamily(args.Z1, args.Z2, args.mass_mev, args.eps)
-    if args.energies_kev is None:
-        _check_count(args.e_n, _ENERGY_BYTES, "energies")
-    energies = args.energies_kev or list(np.geomspace(args.e_min_kev, args.e_max_kev,
-                                                      args.e_n))
+    if args.energies_kev is not None:
+        _reject_given("--energies-kev, which lists the energies",
+                      (("--e-min-kev", args.e_min_kev), ("--e-max-kev", args.e_max_kev),
+                       ("--e-n", args.e_n)))
+        energies = args.energies_kev
+    else:
+        e_n = args.e_n or 6
+        _check_count(e_n, _ENERGY_BYTES, "energies")
+        energies = list(np.geomspace(args.e_min_kev or 3.8, args.e_max_kev or 200.0, e_n))
     rows = []
     for ek in energies:
         try:
@@ -470,9 +475,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-tol", type=float)
     _add_output(p)
     p.add_argument("--energies-kev", type=_energies, help="comma-separated energies in keV")
-    p.add_argument("--e-min-kev", type=_positive, default=3.8)
-    p.add_argument("--e-max-kev", type=_positive, default=200.0)
-    p.add_argument("--e-n", type=_count, default=6)
+    # the range's flags default to None, so that one given beside
+    # --energies-kev is seen and refused
+    p.add_argument("--e-min-kev", type=_positive)
+    p.add_argument("--e-max-kev", type=_positive)
+    p.add_argument("--e-n", type=_count)
     p.set_defaults(func=cmd_energy_scan)
 
     p = sub.add_parser("table-dump", help="per-l weights, phases and shifts")

@@ -636,6 +636,16 @@ def _moments(table: PartialWaveTable, p_rows: np.ndarray, part: str) -> np.ndarr
     memory offset of the row, so a row's moments never depend on the rows
     beside it (a matrix product over the batch would: it blocks its sums by
     batch size).
+
+    Why the moments stay per-row dots (measured on a 2-core x86 host with
+    OpenBLAS 0.3.31): a gemm fusion, in which the Legendre ring sent each
+    64-degree block straight into the moments with one BLAS gemm over all
+    angles, took the benchmark's `recipes` from 46.5 to 35.5 cal and
+    `grid-sweep` from 115.6 to 86.4, but under OPENBLAS_CORETYPE=Haswell,
+    Nehalem and Prescott a row's product changed with the batch size, so a
+    grid cell no longer equalled its single point.  Gemm calls of a fixed
+    two rows kept the bits on all five kernels tried but were no faster,
+    and a ring step of three ufuncs kept them but was slower.
     """
     kern = table._kernel(part)
     terms = np.empty_like(kern)

@@ -480,6 +480,17 @@ class TestEnergyScan:
         assert len(rows) == 1 and rows[0][0] == 3.8
         assert 1.0e-7 <= rows[0][3] <= 5.5e-7
 
+    # the range's flags default to None, so one given beside --energies-kev
+    # is seen and rejected rather than ignored
+    @pytest.mark.parametrize("flag", ["--e-min-kev=5", "--e-max-kev=5", "--e-n=2"])
+    def test_range_flag_beside_a_list_is_config_error(self, flag, tmp_path, capsys):
+        out = tmp_path / "scan.csv"
+        assert main(["energy-scan", "--energies-kev", "3800", flag, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == (f"config error: {flag.split('=')[0]} does not apply to "
+                                "--energies-kev, which lists the energies\n")
+
     def test_unexpected_errors_are_not_swallowed(self, monkeypatch):
         def broken(*args, **kwargs):
             raise RuntimeError("not a strength-bound error")
@@ -881,7 +892,7 @@ _RUNS = {
     "angular": {"--eta": "10", "--theta-n": "3", "--delta": "0"},
     "conservation": {"--eta": "0", "--sphere-n": "20"},
     "optical": {"--eta-min": "1", "--eta-max": "2", "--eta-n": "2"},
-    "energy-scan": {"--energies-kev": "3.8", "--e-n": "2"},
+    "energy-scan": {"--e-min-kev": "3.8", "--e-max-kev": "10", "--e-n": "2"},
 }
 
 

@@ -1,9 +1,12 @@
 """The public surface: every exported name exists, the command line and
-the tools reach the package through public names only, and the README's
-library example runs as written."""
+the tools reach the package through public names only, and the README
+documents that surface and nothing private: its library example runs as
+written, it names every public name, flag and exit code, and no private
+name of the package."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -124,14 +127,74 @@ def _readme_cli_flags():
     return table
 
 
-def test_readme_cli_table_matches_each_commands_help(capsys):
+def _help_flags(capsys) -> dict:
+    """{command: flags} as each command's `--help` shows them, without
+    `--help` itself."""
     from coulscat.cli import main
 
     assert main(["--help"]) == 0
     commands = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out).group(1).split(",")
-    readme = _readme_cli_flags()
-    assert set(readme) <= set(commands)
+    flags = {}
     for command in commands:
         assert main([command, "--help"]) == 0
         shown = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", capsys.readouterr().out))
-        assert shown - {"--help"} == readme.get(command, set()), command
+        flags[command] = shown - {"--help"}
+    return flags
+
+
+def test_readme_cli_table_matches_each_commands_help(capsys):
+    readme = _readme_cli_flags()
+    shown = _help_flags(capsys)
+    assert set(readme) <= set(shown)
+    for command, flags in shown.items():
+        assert flags == readme.get(command, set()), command
+
+
+def _readme_code(text: str) -> str:
+    """README's code: its fenced blocks and its inline code spans."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M)
+    prose = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    return "\n".join(blocks + re.findall(r"`([^`\n]+)`", prose))
+
+
+def _public_names() -> set:
+    """Every name in a module's `__all__`, and every name the package
+    itself exports (the errors and the kinematics have no `__all__`)."""
+    names = {name for name, value in vars(coulscat).items()
+             if not name.startswith("_") and not inspect.ismodule(value)}
+    for module in MODULES:
+        names |= set(getattr(importlib.import_module(f"coulscat.{module}"), "__all__", ()))
+    return names
+
+
+def test_readme_names_no_private_attribute():
+    words = set(re.findall(r"\w+", README.read_text(encoding="utf-8")))
+    private = {f"{module}.{name}" for module in MODULES
+               for name in vars(importlib.import_module(f"coulscat.{module}"))
+               if _private(name) and name in words}
+    assert not private
+
+
+def test_readme_names_every_public_name_and_flag(capsys):
+    code = _readme_code(README.read_text(encoding="utf-8"))
+    assert not _public_names() - set(re.findall(r"\w+", code))
+    flags = set().union(*_help_flags(capsys).values())
+    assert not flags - set(re.findall(r"--[\w-]+", code))
+
+
+def test_readme_module_attributes_exist():
+    code = _readme_code(README.read_text(encoding="utf-8"))
+    named = re.findall(rf"\b({'|'.join(MODULES)})\.(\w+)", code)
+    assert named
+    missing = [f"{module}.{name}" for module, name in named
+               if name != "py" and not hasattr(importlib.import_module(f"coulscat.{module}"), name)]
+    assert not missing
+
+
+def test_readme_states_every_exit_code():
+    from coulscat import cli
+
+    section = README.read_text(encoding="utf-8").split("### Exit codes", 1)[1]
+    stated = {int(code) for code in re.findall(r"^\| (\d+) \| ", section, re.M)}
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    assert stated == codes == {0, 2, 3, 4}

@@ -3,12 +3,14 @@
 # and check that it exits with the status its line names, with one line on
 # stderr and nothing on stdout; a line of exit 4 must be a `resource error: `
 # line.  Exit 2: each flag whose number the parser checks, given one bad
-# value, and each command that sums the series, given an --l-max below its
-# floor.  Exit 4: profile-delta windows whose count of deltas overflows a
-# float, refused as a finite count over the memory budget is, and optical
-# and energy-scan sweeps whose count of etas or energies is over the
-# budget, refused before numpy makes them.  A line of the list is the
-# expected status, a command and its flags, split at spaces.  The arguments are the command that runs coulscat:
+# value; each command that sums the series, given an --l-max below its
+# floor; and an energy-scan range flag given beside --energies-kev.
+# Exit 4: profile-delta windows whose count of deltas overflows a float,
+# refused as a finite count over the memory budget is, and optical and
+# energy-scan sweeps whose count of etas or energies is over the budget,
+# refused before numpy makes them.  A line of the list is the expected
+# status, a command and its flags, split at spaces.  The arguments are the
+# command that runs coulscat:
 #
 #     sh tools/bad_flag_exits.sh coulscat
 #     PYTHONPATH=src sh tools/bad_flag_exits.sh python -m coulscat.cli
@@ -52,6 +54,7 @@ done <<'LIST'
 2 energy-scan --e-min-kev=-5
 2 energy-scan --e-max-kev=inf
 2 energy-scan --energies-kev=3.8,0
+2 energy-scan --energies-kev=3800 --e-n=2 --e-min-kev=5
 2 angular --Z1=100000000000000000000
 2 energy-scan --Z2=-9007199254740993
 2 angular --eta=1 --delta=0 --theta-n=3 --eps=1e-2 --l-max=50
