@@ -186,6 +186,7 @@ def test_readme_module_attributes_exist():
     code = _readme_code(README.read_text(encoding="utf-8"))
     named = re.findall(rf"\b({'|'.join(MODULES)})\.(\w+)", code)
     assert named
+    # `<module>.py` is the module's file name
     missing = [f"{module}.{name}" for module, name in named
                if name != "py" and not hasattr(importlib.import_module(f"coulscat.{module}"), name)]
     assert not missing
