@@ -250,15 +250,9 @@ def cmd_angular(args) -> int:
 
     def rows():
         for t, p in zip(map(float, thetas), map(float, probs)):
-            if t > 0.0:
-                ruth_p = observables.rutherford_probability(scenario, t)
-                ruth_d = observables.rutherford_dcs(scenario, t)
-                ratio = p / ruth_p if ruth_p > 0.0 else 0.0
-            else:
-                # the Rutherford reference diverges in the forward direction
-                ruth_p = ruth_d = math.inf
-                ratio = 0.0
-            yield t, p, ruth_p, p * pref, ruth_d, ratio
+            ruth = observables.rutherford_probability(scenario, t)
+            yield (t, p, ruth, p * pref, observables.rutherford_dcs(scenario, t),
+                   p / ruth if ruth else 0.0)
 
     _write_table(args, "theta,probability,rutherford_probability,dcs,rutherford_dcs,ratio",
                  rows(), eta=scenario.eta, eps=scenario.eps)
@@ -342,9 +336,13 @@ def cmd_energy_scan(args) -> int:
                        ("--e-n", args.e_n)))
         energies = args.energies_kev
     else:
+        e_min, e_max = args.e_min_kev or 3.8, args.e_max_kev or 200.0
+        if e_max < e_min:
+            raise ValueError(f"energy scan requires --e-max-kev >= --e-min-kev, got "
+                             f"{e_max:g} < {e_min:g}")
         e_n = args.e_n or 6
         _check_count(e_n, _ENERGY_BYTES, "energies")
-        energies = list(np.geomspace(args.e_min_kev or 3.8, args.e_max_kev or 200.0, e_n))
+        energies = list(np.geomspace(e_min, e_max, e_n))
     rows = []
     for ek in energies:
         try:

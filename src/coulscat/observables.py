@@ -122,31 +122,26 @@ def dcs(table: PartialWaveTable, theta: float, delta: float) -> float:
 
 
 def rutherford_dcs(scenario: PhysicalScenario, theta: float) -> float:
-    """Rutherford differential cross section eta^2 / (4 p^2 sin^4(theta/2))."""
-    if not (0.0 < theta <= math.pi):
-        raise ValueError("Rutherford cross section diverges at theta = 0")
-    s2 = math.sin(0.5 * theta) ** 2
-    return _divide(scenario.eta ** 2, 4.0 * scenario.p ** 2 * s2 * s2)
+    """Rutherford differential cross section eta^2 / (4 p^2 sin^4(theta/2)):
+    `rutherford_probability` times `dcs_factor`, 0 where that is 0 (an
+    overflowed `dcs_factor` makes no 0 * inf)."""
+    ruth = rutherford_probability(scenario, theta)
+    return ruth * dcs_factor(scenario) if ruth else 0.0
 
 
 def rutherford_probability(scenario: PhysicalScenario, theta: float) -> float:
-    """Rutherford cross section converted to the probability scale.
-
-    4 eps^4 eta^2 / sin^4(theta/2); a reference curve only, exceeding unity
-    and diverging as theta -> 0.
-    """
-    if not (0.0 < theta <= math.pi):
-        raise ValueError("Rutherford probability diverges at theta = 0")
+    """The Rutherford cross section on the probability scale, the one
+    Rutherford formula: 4 eps^4 eta^2 / sin^4(theta/2) on [0, pi]
+    (ValueError elsewhere), a reference curve exceeding unity.  Where
+    sin^4(theta/2) is 0, at theta = 0 and where it underflows below
+    theta ~ 1e-81, it is its limit: inf, or 0 in the free case."""
+    if not (0.0 <= theta <= math.pi):
+        raise ValueError(f"Rutherford reference needs theta in [0, pi], got {theta}")
     s2 = math.sin(0.5 * theta) ** 2
-    return _divide(4.0 * scenario.eps ** 4 * scenario.eta ** 2, s2 * s2)
-
-
-def _divide(numerator: float, denominator: float) -> float:
-    # below theta ~ 1e-81 sin^4(theta/2) underflows to 0, where the quotient
-    # has long overflowed: inf, or 0 in the free case
-    if denominator == 0.0:
-        return math.inf if numerator else 0.0
-    return numerator / denominator
+    numerator = 4.0 * scenario.eps ** 4 * scenario.eta ** 2
+    if s2 * s2:
+        return numerator / (s2 * s2)
+    return math.inf if numerator else 0.0
 
 
 def conservation_weight_sum(table: PartialWaveTable) -> float:

@@ -146,8 +146,10 @@ class PhaseShiftModel:
         if self.kind is PhaseShiftKind.SHORT_RANGE_TABLE:
             if self.delta_l is None or self.ddelta_dk is None:
                 raise ValueError("short-range model requires delta_l and ddelta_dk")
-            dl = np.asarray(self.delta_l, dtype=float)
-            dd = np.asarray(self.ddelta_dk, dtype=float)
+            # read-only copies: the caller's arrays cannot change a built table
+            dl = np.array(self.delta_l, dtype=float)
+            dd = np.array(self.ddelta_dk, dtype=float)
+            dl.flags.writeable = dd.flags.writeable = False
             if dl.size < 1 or dl.shape != dd.shape:
                 raise ValueError("delta_l and ddelta_dk must be equal-length, size >= 1")
             if not (np.all(np.isfinite(dl)) and np.all(np.isfinite(dd))):
@@ -408,15 +410,16 @@ def choose_l_max(eps: float, tail_tol: Optional[float] = None) -> int:
 
 def resolve_l_max(eps: float, tail_tol: Optional[float] = None,
                   l_max: Optional[int] = None) -> int:
-    """`l_max` as given, else `choose_l_max(eps, tail_tol)`: ValueError when
-    both are given or l_max < 0, ResourceLimitError when a table of that
-    l_max would not fit in DEFAULT_MEMORY_BUDGET bytes with its derived data.
-    """
+    """`l_max` as given (an integer, by `operator.index`), else
+    `choose_l_max(eps, tail_tol)`: ValueError when both are given or l_max < 0,
+    ResourceLimitError when a table of that l_max would not fit in
+    DEFAULT_MEMORY_BUDGET bytes with its derived data."""
     if l_max is None:
         l_max = choose_l_max(eps, tail_tol)
     elif tail_tol is not None:
         raise ValueError(f"give tail_tol or l_max, not both, got {tail_tol:g} and {l_max}")
-    elif l_max < 0:
+    l_max = operator.index(l_max)
+    if l_max < 0:
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     need = 8 * _TABLE_ROWS * (l_max + 1)
     if need > DEFAULT_MEMORY_BUDGET:

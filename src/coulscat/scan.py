@@ -23,6 +23,7 @@ from __future__ import annotations
 import collections.abc
 import contextlib
 import enum
+import operator
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -62,6 +63,8 @@ class GridSpec:
     delta_n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "theta_n", operator.index(self.theta_n))
+        object.__setattr__(self, "delta_n", operator.index(self.delta_n))
         if self.theta_n < 1 or self.delta_n < 1:
             raise ValueError("grid sizes must be >= 1")
         if not np.all(np.isfinite([self.theta_min, self.theta_max,

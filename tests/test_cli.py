@@ -232,7 +232,7 @@ class TestAngular:
                           "dcs", "rutherford_dcs", "ratio"]
         # the faithful peak sits 1.6% below unity at eta = 0.1
         assert abs(rows[0][1] - 1.0) <= 0.025
-        assert rows[0][2] == float("inf")  # Rutherford sentinel at theta = 0
+        assert rows[0][2] == float("inf")  # the Rutherford limit at theta = 0
 
     def test_auto_delta_mode(self, tmp_path):
         out = tmp_path / "auto.csv"
@@ -297,6 +297,14 @@ class TestAngular:
         assert rc == 0
         first = capsys.readouterr().out.splitlines()[1].split(",")
         assert first[2] == first[4] == "inf" and first[5] == "0"
+
+    def test_free_case_reference_is_zero_at_theta_zero(self, capsys):
+        # the Rutherford reference is 0 at every angle when eta = 0, the
+        # forward direction too
+        assert main(["angular", "--eta", "0", "--delta", "0", "--theta-min", "0",
+                     "--theta-max", "0.01", "--theta-n", "3"]) == 0
+        first = capsys.readouterr().out.splitlines()[1].split(",")
+        assert first[0] == "0" and first[2] == first[4] == first[5] == "0"
 
     @pytest.mark.parametrize("delta", ["auto", "0"])
     @pytest.mark.parametrize("bounds, message", [
@@ -532,6 +540,23 @@ class TestEnergyScan:
         assert captured.out == ""
         assert "--e-n" in captured.err and len(captured.err.strip().splitlines()) == 1
 
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--e-min-kev=200", "--e-max-kev=3.8", "--e-n=2"], "got 3.8 < 200"),
+        # the default lower bound is 3.8 keV
+        (["--e-max-kev=2"], "got 2 < 3.8"),
+    ])
+    def test_reversed_energy_range_is_config_error(self, flags, message, monkeypatch,
+                                                   capsys):
+        def no_energy(*_args, **_kwargs):
+            raise AssertionError("an energy was evaluated before the range was checked")
+
+        monkeypatch.setattr(observables, "energy_ratio_rho", no_energy)
+        assert main(["energy-scan", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: energy scan requires --e-max-kev >= "
+                                f"--e-min-kev, {message}\n")
 
     # numpy's RuntimeWarning would mean the energies were made before the check
     @pytest.mark.filterwarnings("error")

@@ -89,16 +89,18 @@ class TestCrossSections:
         assert rutherford_dcs(sc, theta) == pytest.approx(direct, rel=1e-12)
 
     def test_divergence_guard(self):
+        # [0, pi] is the domain; theta = 0 is the limit (below)
         sc = build_scenario_from_eta(10.0, EPS)
-        with pytest.raises(ValueError):
-            rutherford_dcs(sc, 0.0)
-        with pytest.raises(ValueError):
-            rutherford_probability(sc, 0.0)
+        for theta in (math.nan, -1e-300, -0.5, math.pi + 1e-9, math.inf):
+            with pytest.raises(ValueError, match="theta in"):
+                rutherford_dcs(sc, theta)
+            with pytest.raises(ValueError, match="theta in"):
+                rutherford_probability(sc, theta)
 
-    @pytest.mark.parametrize("theta", [1e-81, 1e-200, 5e-324])
+    @pytest.mark.parametrize("theta", [0.0, 1e-81, 1e-200, 5e-324])
     def test_overflow_below_the_smallest_sine(self, theta):
-        # sin^4(theta/2) underflows to 0: the references overflow to inf,
-        # and vanish in the free case
+        # sin^4(theta/2) is 0 at theta = 0 and underflows to 0 below 1e-81:
+        # the references are their limit, inf, and vanish in the free case
         for eta, want in ((10.0, math.inf), (-1.0, math.inf), (0.0, 0.0)):
             sc = build_scenario_from_eta(eta, EPS)
             assert rutherford_dcs(sc, theta) == want
@@ -106,6 +108,22 @@ class TestCrossSections:
 
 
 class TestRutherfordProbability:
+    @pytest.mark.parametrize("eta", [-10.0, 0.0, 0.1, 1.0, 10.0, 800.0])
+    def test_the_cross_section_is_the_probability_times_dcs_factor(self, eta):
+        # one formula: the dcs is the probability scaled as every cross
+        # section is, bit for bit, at both ends of [0, pi] too
+        sc = build_scenario_from_eta(eta, EPS)
+        factor = observables.dcs_factor(sc)
+        thetas = np.linspace(0.0, math.pi, 501).tolist() + [1e-81, math.pi / 4.0]
+        for theta in thetas:
+            assert rutherford_dcs(sc, theta) == rutherford_probability(sc, theta) * factor
+
+    def test_a_zero_reference_stays_zero_when_dcs_factor_overflows(self):
+        # 16 eps^4 p^2 is subnormal at eps = 1e-80, so dcs_factor is inf
+        sc = build_scenario_from_eta(0.0, 1e-80)
+        assert observables.dcs_factor(sc) == math.inf
+        assert rutherford_dcs(sc, 0.0) == rutherford_dcs(sc, 1.0) == 0.0
+
     def test_backward_value(self):
         sc = build_scenario_from_eta(10.0, EPS)
         assert rutherford_probability(sc, math.pi) == pytest.approx(4e-10, rel=1e-10)

@@ -98,6 +98,24 @@ class TestBuildTable:
         with pytest.raises(TypeError, match="xi"):
             dataclasses.replace(t, xi=3.5 * t.xi)
 
+    def test_a_short_range_model_holds_read_only_copies(self):
+        # the caller's arrays stay the caller's: writing them after the
+        # table is built, before its xi is first read, changes nothing
+        sc = build_scenario_from_eta(0.0, EPS)
+        delta_l, ddelta_dk = np.zeros(6001), np.zeros(6001)
+        model = PhaseShiftModel.short_range(delta_l, ddelta_dk)
+        table = build_table(sc, model)
+        want = probability(build_table(sc, PhaseShiftModel.short_range(
+            np.zeros(6001), np.zeros(6001))), 0.3, 0.0)
+        delta_l[:], ddelta_dk[:] = 0.5, 1.0
+        assert np.all(table.xi == 0.0)
+        assert probability(table, 0.3, 0.0) == want > 0.0
+        for field in ("delta_l", "ddelta_dk"):
+            held = getattr(model, field)
+            assert np.all(held == 0.0) and not held.flags.writeable
+            with pytest.raises(ValueError):
+                held[0] = 1.0
+
     def test_forward_kernel_is_a_read_only_view_of_the_weights(self, table_eta10):
         kern = table_eta10._kernel("forward")
         assert kern.shape == (1, table_eta10.l_max + 1)
@@ -150,8 +168,17 @@ class TestResolveLMax:
         assert partialwave.resolve_l_max(EPS) == choose_l_max(EPS) == 6000
         assert partialwave.resolve_l_max(EPS, tail_tol=1e-6) == choose_l_max(EPS, 1e-6)
         assert partialwave.resolve_l_max(EPS, l_max=50) == 50
+        assert type(partialwave.resolve_l_max(EPS, l_max=np.int64(50))) is int
         with pytest.raises(ValueError, match="l_max must be >= 0"):
             partialwave.resolve_l_max(EPS, l_max=-1)
+        # a float l_max is refused where it enters, not by a slice inside
+        # `probability`
+        for l_max in (700.0, 650.5):
+            with pytest.raises(TypeError):
+                partialwave.resolve_l_max(EPS, l_max=l_max)
+            with pytest.raises(TypeError):
+                build_table(build_scenario_from_eta(10.0, EPS),
+                            PhaseShiftModel.coulomb_exact(), l_max=l_max)
 
     def test_tail_tol_and_l_max_together_are_rejected(self):
         with pytest.raises(ValueError, match="not both"):

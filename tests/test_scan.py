@@ -56,6 +56,14 @@ class TestGridSpec:
             GridSpec(1.0, 0.5, 5, 0.0, 1.0, 5)
         with pytest.raises(ValueError):
             GridSpec(0.0, 4.0, 5, 0.0, 1.0, 5)
+        # counts are integers where they enter, not only inside `sweep`
+        for count in (2.5, 3.0):
+            with pytest.raises(TypeError):
+                GridSpec(0.0, 1.0, count, 0.0, 1.0, 3)
+            with pytest.raises(TypeError):
+                GridSpec(0.0, 1.0, 3, 0.0, 1.0, count)
+        g = GridSpec(0.0, 1.0, np.int64(3), 0.0, 1.0, np.int32(2))
+        assert (type(g.theta_n), type(g.delta_n)) == (int, int)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("position", [0, 1, 3, 4])

@@ -4,7 +4,8 @@
 # stderr and nothing on stdout; a line of exit 4 must be a `resource error: `
 # line.  Exit 2: each flag whose number the parser checks, given one bad
 # value; each command that sums the series, given an --l-max below its
-# floor; and an energy-scan range flag given beside --energies-kev.
+# floor; an energy-scan range flag given beside --energies-kev; and an
+# energy-scan range reversed once the defaults (3.8 to 200 keV) apply.
 # Exit 4: profile-delta windows whose count of deltas overflows a float,
 # refused as a finite count over the memory budget is, and optical and
 # energy-scan sweeps whose count of etas or energies is over the budget,
@@ -55,6 +56,8 @@ done <<'LIST'
 2 energy-scan --e-max-kev=inf
 2 energy-scan --energies-kev=3.8,0
 2 energy-scan --energies-kev=3800 --e-n=2 --e-min-kev=5
+2 energy-scan --e-min-kev=200 --e-max-kev=3.8
+2 energy-scan --e-max-kev=2
 2 angular --Z1=100000000000000000000
 2 energy-scan --Z2=-9007199254740993
 2 angular --eta=1 --delta=0 --theta-n=3 --eps=1e-2 --l-max=50
