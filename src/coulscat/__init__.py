@@ -10,9 +10,7 @@ series, so a module imports at module level only numpy, the package and
 the standard-library modules that every command runs.  What only some
 commands need is imported in the function that uses it: scipy (square-well
 tables, the quadrature oracle, `selftest`), `concurrent.futures` (an
-evaluation planned on more than one thread), CPython's builtin SHA-256
-(a sweep's input checksum; `hashlib`, with OpenSSL, only on a build
-without it) and `json` (JSON output).
+evaluation planned on more than one thread) and `json` (JSON output).
 """
 
 from .errors import (

@@ -89,7 +89,8 @@ def build_scenario(Z1: int, Z2: int, m0: float, E: float, eps: float) -> Physica
 
     Finite inputs can give kinematics that are not (a 1e300 mass), so the
     derived values are checked before they are divided by, as are 2pR (its
-    log is in xi_l) and 16 eps^4 p^2 (`observables.dcs_factor`)."""
+    log is in xi_l), 16 eps^4 p^2 and its reciprocal, which a subnormal
+    product overflows (`observables.dcs_factor`)."""
     check_mass_and_eps(m0, eps)
     _positive_finite("kinetic energy", E)
     p = _positive_finite("momentum p = sqrt(2 m0 E)", math.sqrt(2.0 * m0 * E))
@@ -98,7 +99,8 @@ def build_scenario(Z1: int, Z2: int, m0: float, E: float, eps: float) -> Physica
     sigma_x = _positive_finite("position spread sigma_x = 1 / (2 sigma_p)", 0.5 / sigma_p)
     R = _positive_finite("distance R = sigma_x / sqrt(eps)", sigma_x / math.sqrt(eps))
     _positive_finite("2pR", 2.0 * p * R)
-    _positive_finite("16 eps^4 p^2", 16.0 * eps ** 4 * p ** 2)
+    scale = _positive_finite("16 eps^4 p^2", 16.0 * eps ** 4 * p ** 2)
+    _positive_finite("1 / (16 eps^4 p^2)", 1.0 / scale)
     eta = Z1 * Z2 * FINE_STRUCTURE_ALPHA / beta
     return PhysicalScenario(Z1=Z1, Z2=Z2, m0=m0, E=E, eps=eps, p=p, beta=beta,
                             eta=eta, sigma_p=sigma_p, sigma_x=sigma_x, R=R)

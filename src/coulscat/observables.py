@@ -123,10 +123,8 @@ def dcs(table: PartialWaveTable, theta: float, delta: float) -> float:
 
 def rutherford_dcs(scenario: PhysicalScenario, theta: float) -> float:
     """Rutherford differential cross section eta^2 / (4 p^2 sin^4(theta/2)):
-    `rutherford_probability` times `dcs_factor`, 0 where that is 0 (an
-    overflowed `dcs_factor` makes no 0 * inf)."""
-    ruth = rutherford_probability(scenario, theta)
-    return ruth * dcs_factor(scenario) if ruth else 0.0
+    `rutherford_probability` times `dcs_factor`."""
+    return rutherford_probability(scenario, theta) * dcs_factor(scenario)
 
 
 def rutherford_probability(scenario: PhysicalScenario, theta: float) -> float:

@@ -6,9 +6,7 @@ angles exist, and runs `partialwave._eval_grid`, which reduces each
 Legendre chunk's moments to the quantity in the chunk's own rows of the
 sweep's one output (a DCS field is then scaled in place), on more than one
 worker split by rows over threads, so results are bit-identical for any
-worker count.  Its `_input_checksum` hashes with CPython's builtin SHA-256,
-imported on first use; `hashlib`, which loads OpenSSL, is imported only on
-a build without it.
+worker count.
 
 The writers stream, in batches of `_BATCH_VALUES` values: a field's rows
 are converted to Python floats as many rows at a time as fit the budget,
@@ -86,10 +84,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldResult:
-    """Dense theta-major value matrix plus provenance.  terms_summed counts
-    the Hermite expansion's terms per component that ran (c = 2 for
-    (re, im), 1 for the real forward part): theta_n * cK(L+1) for the
-    moments plus theta_n * delta_n * c * n_box * K for the cells."""
+    """Dense theta-major value matrix plus the inputs that made it."""
 
     grid: GridSpec
     quantity: Quantity
@@ -97,9 +92,6 @@ class FieldResult:
     scenario: PhysicalScenario
     model_kind: PhaseShiftKind
     l_max: int
-    wall_time_s: float
-    checksum: str
-    terms_summed: int
 
     def __post_init__(self):
         if self.values.shape != (self.grid.theta_n, self.grid.delta_n):
@@ -115,36 +107,6 @@ class FieldResult:
             if lo < 0.0 or hi > bound:
                 raise ValueError(f"probability field outside [0, {bound}]: "
                                  f"min={lo}, max={hi}")
-
-
-def _input_checksum(table: PartialWaveTable, grid: GridSpec, quantity: Quantity) -> str:
-    """SHA-256 hex digest of the sweep's inputs: the scenario, the model with
-    a short-range model's phase shifts, l_max, the grid and the quantity.
-
-    It uses CPython's builtin SHA-256 (`_sha2` from 3.12, `_sha256` before),
-    which gives hashlib's digest without loading OpenSSL for a few hundred
-    bytes, and `hashlib` only on a build without it.  Imported here, not at
-    module level (see the package docstring): only a sweep needs it.
-    """
-    try:
-        from _sha2 import sha256
-    except ImportError:
-        try:
-            from _sha256 import sha256
-        except ImportError:
-            from hashlib import sha256
-
-    sc = table.scenario
-    h = sha256()
-    h.update(repr((sc.Z1, sc.Z2, sc.m0, sc.E, sc.eps, sc.eta)).encode())
-    h.update(repr((table.model.kind.value, table.l_max)).encode())
-    if table.model.kind is PhaseShiftKind.SHORT_RANGE_TABLE:
-        h.update(table.model.delta_l.tobytes())
-        h.update(table.model.ddelta_dk.tobytes())
-    h.update(repr((grid.theta_min, grid.theta_max, grid.theta_n,
-                   grid.delta_min, grid.delta_max, grid.delta_n)).encode())
-    h.update(quantity.value.encode())
-    return h.hexdigest()
 
 
 # quantity -> (series part, reduction of its components, (re, im) or the
@@ -164,8 +126,11 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
     PROBABILITY and DCS fields hold P and P / (16 eps^4 p^2); FORWARD_PART
     holds the (real) forward amplitude A_F and SCATTER_PART holds |A_S|^2.
     Every cell is bit-identical to the corresponding single-point evaluation.
+    `workers` is an integer >= 1 (TypeError, ValueError otherwise).
     """
-    start = time.perf_counter()
+    workers = operator.index(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     part, reduce = _QUANTITY_PARTS[quantity]
     # the budget, from the counts, before the grid's angles and deltas exist
     plan = partialwave._check_budget(table, grid.theta_n, grid.delta_n, workers)
@@ -173,10 +138,7 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
                                     plan=plan)
     if quantity is Quantity.DCS:
         values *= observables.dcs_factor(table.scenario)
-
-    wall = time.perf_counter() - start
     values.flags.writeable = False
-    components = len(table._kernel(part))
     return FieldResult(
         grid=grid,
         quantity=quantity,
@@ -184,10 +146,6 @@ def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
         scenario=table.scenario,
         model_kind=table.model.kind,
         l_max=table.l_max,
-        wall_time_s=wall,
-        checksum=_input_checksum(table, grid, quantity),
-        terms_summed=grid.theta_n * components * table.n_hermite * (
-            table.l_max + 1 + grid.delta_n * table.box_centres.size),
     )
 
 
@@ -320,7 +278,7 @@ def field_to_csv(result: FieldResult, path) -> None:
 
 
 def field_to_json(result: FieldResult, path) -> None:
-    """JSON envelope carrying provenance metadata alongside the matrix, whose
+    """JSON envelope carrying the sweep's inputs alongside the matrix, whose
     rows `write_json` streams from `_float_rows`: the bytes of one
     `json.dumps` of `values.tolist()`, without the whole list."""
     sc = result.scenario
@@ -333,8 +291,5 @@ def field_to_json(result: FieldResult, path) -> None:
         "model": result.model_kind.value,
         "l_max": result.l_max,
         "grid": asdict(result.grid),
-        "checksum": result.checksum,
-        "terms_summed": result.terms_summed,
-        "wall_time_s": result.wall_time_s,
         "values": _float_rows(result.values),
     })

@@ -838,16 +838,20 @@ class TestConfigAndErrors:
     # finite flags whose kinematics are not: p = 0 (a 1e-300 mass) and a
     # Rutherford cross section that underflows to 0 (E = 1e297 MeV) each
     # raised ZeroDivisionError, and a subnormal 16 eps^4 p^2 made
-    # dcs_factor inf and wrote rho = nan with exit 0.  `energy-scan` skips
-    # such an energy with a warning naming the fault, and with no energy
-    # left writes no table
+    # dcs_factor inf and wrote rho = nan with exit 0; a ratio that
+    # overflows (eta = 1e-158 at a 1e-300 mass) has no rho.  `energy-scan`
+    # skips such an energy with a warning naming the fault, and with no
+    # energy left writes no table
     @pytest.mark.parametrize("argv, name", [
         (["angular", "--eta", "10", "--mass-mev", "1e-300", "--theta-n", "3"], "momentum p"),
         (["conservation", "--eta", "10", "--mass-mev", "1e-300"], "momentum p"),
         (["energy-scan", "--energies-kev", "1e300"], "E = 1e+297 MeV"),
         (["energy-scan", "--mass-mev", "3e-158", "--energies-kev", "1.7e-155",
-          "--eps", "0.05"], "rho is not finite"),
-    ], ids=["angular", "conservation", "energy-scan", "energy-scan-nan"])
+          "--eps", "0.05"], "1 / (16 eps^4 p^2)"),
+        (["energy-scan", "--mass-mev", "1e-300", "--energies-kev", "6.6e18",
+          "--eps", "0.09"], "rho is not finite"),
+    ], ids=["angular", "conservation", "energy-scan", "energy-scan-nan",
+            "energy-scan-inf"])
     def test_kinematics_out_of_range_are_config_errors(self, argv, name, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()

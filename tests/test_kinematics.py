@@ -66,7 +66,9 @@ class TestBuildScenario:
         (79, 5e-324, 1e300, 1e-3, "beta"),           # p / m0 overflows
         (79, 1e300, 1.0, 1e-300, "2pR"),             # 2pR = eps^-1.5 = 1e450
         (79, 1e-160, 1e-160, 0.01, "16 eps"),        # a subnormal p^2 times eps^4
-    ], ids=["beta", "2pR", "cross-section-scale"])
+        # 16 eps^4 p^2 is subnormal, and dcs_factor, its reciprocal, inf
+        (79, M0, 1.0, 1e-80, r"1 / \(16 eps\^4 p\^2\)"),
+    ], ids=["beta", "2pR", "cross-section-scale", "dcs-factor"])
     def test_rejects_inputs_whose_derived_values_are_not_finite(self, Z1, m0, E, eps, name):
         with pytest.raises(ScenarioError, match=name):
             build_scenario(Z1, 2, m0, E, eps)

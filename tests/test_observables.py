@@ -118,12 +118,6 @@ class TestRutherfordProbability:
         for theta in thetas:
             assert rutherford_dcs(sc, theta) == rutherford_probability(sc, theta) * factor
 
-    def test_a_zero_reference_stays_zero_when_dcs_factor_overflows(self):
-        # 16 eps^4 p^2 is subnormal at eps = 1e-80, so dcs_factor is inf
-        sc = build_scenario_from_eta(0.0, 1e-80)
-        assert observables.dcs_factor(sc) == math.inf
-        assert rutherford_dcs(sc, 0.0) == rutherford_dcs(sc, 1.0) == 0.0
-
     def test_backward_value(self):
         sc = build_scenario_from_eta(10.0, EPS)
         assert rutherford_probability(sc, math.pi) == pytest.approx(4e-10, rel=1e-10)
@@ -673,7 +667,9 @@ class TestEnergyRatio:
 
     @pytest.mark.parametrize("m0, E_mev, eps, message", [
         (ALPHA_PARTICLE_MASS_MEV, 1e297, EPS, "Rutherford cross section underflows to 0"),
-        (3e-158, 1.7e-158, 0.05, "rho is not finite"),
+        # eta = 1e-158: a subnormal Rutherford probability under a free
+        # packet's P ~ 1e-7, over a finite dcs_factor of 7e286
+        (1e-300, 6.6e15, 0.09, "rho is not finite"),
     ], ids=["underflow", "not-finite"])
     def test_an_undefined_ratio_has_its_own_error(self, m0, E_mev, eps, message):
         family = ScenarioFamily(79, 2, m0, eps)

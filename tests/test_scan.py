@@ -1,5 +1,4 @@
 import concurrent.futures
-import hashlib
 import json
 import math
 import os
@@ -31,7 +30,7 @@ from coulscat import (
 )
 import coulscat
 from coulscat import partialwave, scan, specfun
-from coulscat.partialwave import PhaseShiftKind, PhaseShiftModel, build_table
+from coulscat.partialwave import PhaseShiftModel, build_table
 from coulscat.scan import FieldResult
 
 EPS = 1e-3
@@ -98,6 +97,14 @@ class TestSweep:
         for w in (2, 4, 8):
             other = sweep(table_eta10, g, Quantity.PROBABILITY, workers=w)
             assert np.array_equal(base.values, other.values)
+
+    @pytest.mark.parametrize("workers, error", [(0, ValueError), (-3, ValueError),
+                                                (2.5, TypeError)])
+    def test_workers_must_be_a_positive_integer(self, table_eta10, workers, error):
+        # 0 and -3 ran on one thread, and 2.5 as a float thread count
+        with pytest.raises(error):
+            sweep(table_eta10, GridSpec(0.1, 0.2, 2, 0.0, 1.0, 2), Quantity.PROBABILITY,
+                  workers=workers)
 
     @pytest.fixture
     def ten_row_chunks(self, monkeypatch, table_eta10):
@@ -271,39 +278,27 @@ class TestSweep:
         ring = field.values[(thetas >= 0.02) & (thetas <= 0.05), 0]
         assert inner.max() < 0.05 * ring.max()
 
-    def test_terms_counter_and_checksum(self, table_eta10):
-        g = GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3)
-        field = sweep(table_eta10, g, Quantity.PROBABILITY)
-        # the expansion's count at L = 6000, K = 11, one box: 4 angles'
-        # moments, 4 * 2K(L+1), and 4 x 3 cells of 2 * n_box * K terms each
-        assert (table_eta10.l_max, table_eta10.n_hermite, table_eta10.box_centres.size) \
-            == (6000, 11, 1)
-        assert field.terms_summed == 4 * 2 * 11 * 6001 + 4 * 3 * 2 * 1 * 11 == 528352
-        again = sweep(table_eta10, g, Quantity.PROBABILITY, workers=4)
-        assert field.checksum == again.checksum
-        other = sweep(table_eta10, g, Quantity.DCS)
-        assert other.checksum != field.checksum
-
-    def test_short_range_checksum_covers_the_phase_shifts(self):
+    def test_short_range_values_follow_the_phase_shifts(self):
+        # a copy of the phase shifts sweeps to the same values bit for bit;
+        # moving one delta_l moves the field
         sc = build_scenario_from_eta(0.0, 0.05)
         model = partialwave.square_well_phase_shifts(0.5, 5.0 / sc.p, sc, l_max=130)
         moved = np.array(model.delta_l)
         moved[3] += 1e-9
         g = GridSpec(0.1, 0.2, 2, 0.0, 1.0, 2)
 
-        def checksum(delta_l):
+        def values(delta_l):
             short = PhaseShiftModel.short_range(delta_l, model.ddelta_dk)
-            return sweep(build_table(sc, short), g, Quantity.PROBABILITY).checksum
+            return sweep(build_table(sc, short), g, Quantity.PROBABILITY).values
 
-        assert checksum(model.delta_l) == checksum(model.delta_l.copy())
-        assert checksum(moved) != checksum(model.delta_l)
+        base = values(model.delta_l)
+        assert np.array_equal(values(model.delta_l.copy()), base)
+        assert not np.array_equal(values(moved), base)
 
-    def test_forward_terms_counter_counts_the_real_component_only(self, table_eta10):
-        # A_F is real: its moments and cells are summed for re alone, half
-        # the (re, im) count above, and its values equal the single points
+    def test_forward_part_equals_the_single_points(self, table_eta10):
+        # A_F is real, reduced from the re component alone
         g = GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3)
         field = sweep(table_eta10, g, Quantity.FORWARD_PART)
-        assert field.terms_summed == 4 * 1 * 11 * 6001 + 4 * 3 * 1 * 1 * 11 == 264176
         assert field.values.tolist() == [
             [amplitude_forward(table_eta10, float(t), float(d)) for d in g.deltas]
             for t in g.thetas]
@@ -336,6 +331,8 @@ class TestSweep:
         g = GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3)
         assert partialwave._check_budget(table_eta10, g.theta_n, 0, 2)[1] == 2
         boxes, k = table_eta10.box_centres.size, table_eta10.n_hermite
+        # the expansion at L = 6000: K = 11 Hermite functions, one box
+        assert (table_eta10.l_max, k, boxes) == (6000, 11, 1)
         # per row: its Legendre row, the recurrence's ring, its moments and
         # six per delta; 8 per degree; per thread, numpy's buffers
         row = table_eta10.l_max + 6 + 2 * specfun._RING_DEGREES + 2 * boxes * k + 6 * 3
@@ -354,13 +351,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             FieldResult(grid=g, quantity=Quantity.PROBABILITY,
                         values=np.zeros((3, 2)), scenario=field.scenario,
-                        model_kind=field.model_kind, l_max=field.l_max,
-                        wall_time_s=0.0, checksum="x", terms_summed=0)
+                        model_kind=field.model_kind, l_max=field.l_max)
         with pytest.raises(ValueError):
             FieldResult(grid=g, quantity=Quantity.PROBABILITY,
                         values=np.full((2, 2), 2.0), scenario=field.scenario,
-                        model_kind=field.model_kind, l_max=field.l_max,
-                        wall_time_s=0.0, checksum="x", terms_summed=0)
+                        model_kind=field.model_kind, l_max=field.l_max)
 
 
 def _bound_tables():
@@ -386,52 +381,6 @@ def test_weights_keep_probability_within_its_check(scenario, model, l_max):
     table = build_table(scenario, model, l_max=l_max)
     eps = scenario.eps
     assert (2 * eps ** 2 * table.weight.sum()) ** 2 - 1 <= 0.5 * max(1e-6, eps ** 2)
-
-
-class TestChecksum:
-    """`FieldResult.checksum` is hashlib's SHA-256 of the sweep's inputs,
-    whether CPython's builtin SHA-256 or hashlib computed it."""
-
-    @pytest.fixture(params=["coulomb", "short-range"])
-    def case(self, request, table_eta10):
-        if request.param == "coulomb":
-            return table_eta10, GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3), Quantity.PROBABILITY
-        sc = build_scenario_from_eta(0.0, 0.05)
-        model = partialwave.square_well_phase_shifts(0.5, 5.0 / sc.p, sc, l_max=130)
-        return build_table(sc, model), GridSpec(0.1, 0.2, 2, 0.0, 1.0, 2), Quantity.DCS
-
-    @staticmethod
-    def _reference(table, grid, quantity):
-        sc, model = table.scenario, table.model
-        data = [repr((sc.Z1, sc.Z2, sc.m0, sc.E, sc.eps, sc.eta)).encode(),
-                repr((model.kind.value, table.l_max)).encode()]
-        if model.kind is PhaseShiftKind.SHORT_RANGE_TABLE:
-            data += [model.delta_l.tobytes(), model.ddelta_dk.tobytes()]
-        data += [repr((grid.theta_min, grid.theta_max, grid.theta_n,
-                       grid.delta_min, grid.delta_max, grid.delta_n)).encode(),
-                 quantity.value.encode()]
-        return hashlib.sha256(b"".join(data)).hexdigest()
-
-    def test_equals_a_hashlib_digest_of_the_inputs(self, case):
-        table, grid, quantity = case
-        assert sweep(table, grid, quantity).checksum == self._reference(table, grid, quantity)
-
-    def test_hashlib_fallback_gives_the_same_digest(self, case, monkeypatch):
-        # a build without the builtin modules: importing one raises
-        # ImportError, and the checksum falls back to hashlib's sha256
-        monkeypatch.setitem(sys.modules, "_sha2", None)
-        monkeypatch.setitem(sys.modules, "_sha256", None)
-        table, grid, quantity = case
-        want = self._reference(table, grid, quantity)
-        calls, sha256 = [], hashlib.sha256
-
-        def counted(*args):
-            calls.append(args)
-            return sha256(*args)
-
-        monkeypatch.setattr(hashlib, "sha256", counted)
-        assert scan._input_checksum(table, grid, quantity) == want
-        assert len(calls) == 1
 
 
 class TestEtaSweep:
@@ -510,6 +459,18 @@ class TestSerialization:
         assert len(lines) == 1 + 9
         theta, delta, value = (float(x) for x in lines[1].split(","))
         assert value == field.values[0, 0]
+
+    def test_json_repeats_byte_for_byte(self, table_eta10, tmp_path, monkeypatch):
+        # the envelope holds the inputs and the values, nothing a run
+        # measures, so two sweeps of the same inputs write the same bytes
+        g = GridSpec(0.1, 0.3, 3, -1.0, 1.0, 3)
+        monkeypatch.setattr(scan.time, "time", lambda: 1700000000.125)
+        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+        field_to_json(sweep(table_eta10, g, Quantity.PROBABILITY), p1)
+        field_to_json(sweep(table_eta10, g, Quantity.PROBABILITY), p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        assert json.loads(p1.read_text()).keys() == {
+            "quantity", "scenario", "model", "l_max", "grid", "values", "generated_unix"}
 
     @staticmethod
     def _reference_csv(field):
@@ -652,6 +613,5 @@ class TestSerialization:
         doc = json.loads(path.read_text())
         assert doc["quantity"] == "probability"
         assert doc["l_max"] == table_eta10.l_max
-        assert doc["checksum"] == field.checksum
         assert np.allclose(doc["values"], field.values)
         assert "generated_unix" in doc

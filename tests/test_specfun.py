@@ -507,13 +507,13 @@ class TestStartUp:
     def test_commands_load_no_thread_pool_checksum_or_json(self, lazy_stdlib_run):
         # import coulscat.cli, one profile-delta and one angular at
         # --delta auto and at a fixed delta writing CSV: none loads
-        # concurrent.futures, hashlib (or OpenSSL's _hashlib) or json
+        # concurrent.futures, a SHA-256 module (CPython's builtin _sha2 or
+        # _sha256, hashlib, OpenSSL's _hashlib) or json
         assert lazy_stdlib_run[0] == "[0, 0, 0] []"
 
     def test_lazy_stdlib_paths_give_this_process_values(self, lazy_stdlib_run, capsys):
-        # a two-thread sweep loads the pool, and its checksum CPython's
-        # builtin SHA-256, not hashlib or _hashlib; a --format json write
-        # loads json; each gives this process's values
+        # a two-thread sweep loads the pool and no SHA-256 module; a
+        # --format json write loads json; each gives this process's values
         assert lazy_stdlib_run[1:4] == [
             "['concurrent.futures']",
             "['concurrent.futures']",
@@ -522,7 +522,7 @@ class TestStartUp:
         table = partialwave.build_table(build_scenario_from_eta(10.0, 1e-2),
                                         partialwave.PhaseShiftModel.coulomb_exact())
         field = scan.sweep(table, scan.GridSpec(*_LAZY_STDLIB_GRID), scan.Quantity.PROBABILITY)
-        assert lazy_stdlib_run[4] == repr((field.values.tolist(), field.checksum))
+        assert lazy_stdlib_run[4] == repr(field.values.tolist())
         assert cli.main(_LAZY_STDLIB_ANGULAR) == 0
         assert lazy_stdlib_run[5] == repr(capsys.readouterr().out)
         assert cli.main(_LAZY_STDLIB_ANGULAR + ["--format", "json"]) == 0
@@ -580,7 +580,8 @@ from coulscat import partialwave, scan
 from coulscat.kinematics import build_scenario_from_eta
 
 def loaded():
-    return [m for m in ("concurrent.futures", "hashlib", "_hashlib", "json")
+    return [m for m in ("concurrent.futures", "_sha2", "_sha256", "hashlib", "_hashlib",
+                        "json")
             if m in sys.modules]
 
 with contextlib.redirect_stdout(io.StringIO()):
@@ -603,7 +604,7 @@ print(loaded())
 import json
 doc = json.loads(doc.getvalue())
 del doc["generated_unix"]
-print(repr((field.values.tolist(), field.checksum)))
+print(repr(field.values.tolist()))
 print(repr(csv.getvalue()))
 print(repr(doc))
 """

@@ -4,8 +4,10 @@
 # stderr and nothing on stdout; a line of exit 4 must be a `resource error: `
 # line.  Exit 2: each flag whose number the parser checks, given one bad
 # value; each command that sums the series, given an --l-max below its
-# floor; an energy-scan range flag given beside --energies-kev; and an
-# energy-scan range reversed once the defaults (3.8 to 200 keV) apply.
+# floor; an energy-scan range flag given beside --energies-kev; an
+# energy-scan range reversed once the defaults (3.8 to 200 keV) apply; and
+# an eps whose 1 / (16 eps^4 p^2) overflows, refused with the scenario,
+# before any table.
 # Exit 4: profile-delta windows whose count of deltas overflows a float,
 # refused as a finite count over the memory budget is, and optical and
 # energy-scan sweeps whose count of etas or energies is over the budget,
@@ -65,6 +67,7 @@ done <<'LIST'
 2 optical --eta-min=1 --eta-max=2 --eps=1e-2 --l-max=50
 2 optical --model=square-well --energy-mev=1 --well-radius-fm=11.4 --eps=1e-2 --l-max=50
 2 conservation --eta=1 --eps=1e-2 --l-max=50
+2 angular --eta=1 --eps=1e-80
 4 profile-delta --eta=10 --theta=0.03 --delta-step=5e-324
 4 profile-delta --eta=10 --theta=0.03 --delta-step=1e-310
 4 profile-delta --eta=10 --theta=0.03 --delta-max=1e300 --delta-step=1e-10
