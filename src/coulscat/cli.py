@@ -91,6 +91,8 @@ def _check_count(count: int, item_bytes: int, items: str) -> None:
     fit in the memory budget (exit 4), before numpy makes any of them."""
     need = count * item_bytes
     if need > partialwave.DEFAULT_MEMORY_BUDGET:
+        import decimal  # each count as `partialwave` writes one: a float may not hold it
+        count, need = (format(decimal.Decimal(n), ".15g") for n in (count, need))
         raise ResourceLimitError(f"{count} {items} need {need} bytes (their values and "
                                  f"rows), budget is {partialwave.DEFAULT_MEMORY_BUDGET}")
 

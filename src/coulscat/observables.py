@@ -196,18 +196,15 @@ def _refine_peak(deltas: np.ndarray, p_row: np.ndarray) -> float:
     argmax when the peak sits on the boundary or a neighbour is non-positive.
     """
     i = int(np.argmax(p_row))
-    if i == 0 or i == p_row.size - 1:
-        return float(deltas[i])
     window = p_row[i - 1 : i + 2]
-    if np.any(window <= 0.0):
+    if i in (0, p_row.size - 1) or np.any(window <= 0.0):
         return float(deltas[i])
     y = np.log(window)
     denom = y[0] - 2.0 * y[1] + y[2]
     if denom >= 0.0:
         return float(deltas[i])
     offset = 0.5 * (y[0] - y[2]) / denom
-    step = deltas[i + 1] - deltas[i]
-    return float(deltas[i] + offset * step)
+    return float(deltas[i] + offset * (deltas[i + 1] - deltas[i]))
 
 
 def delta_profile(table: PartialWaveTable, thetas,
@@ -236,10 +233,10 @@ def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
     holds its angles.  What angles() returns is copied as floats, so the
     profile neither follows nor freezes the caller's array, and must have
     shape (n_theta,) (ValueError).  The default window's scan is the table's
-    (`PartialWaveTable._default_scan`).  Each chunk's scan is reduced in a
-    chunk-sized array, copied into the rows of `p_scan` and measured
-    against the factorized form with `keep_scan` (`delta_profile`), and
-    otherwise dropped, with `p_scan` and `factorization_residual` None."""
+    (`PartialWaveTable._default_scan`).  Each chunk's scan, from the moments
+    of its `partialwave._each_chunk` rows, is reduced in a chunk-sized array,
+    copied into the rows of `p_scan` and measured against the factorized
+    form with `keep_scan` (`delta_profile`), else dropped (None)."""
     n_theta = operator.index(n_theta)
     lo, hi, n_delta = partialwave._scan_window(table, delta_range, delta_step)
     chunks, _threads = partialwave._check_budget(table, n_theta, n_delta)
@@ -259,7 +256,8 @@ def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
 
     # each chunk's moments serve the coarse scan, p_max and, with the scan
     # kept, the residual
-    def reduce(i0, i1, moments):
+    for i0, i1, p_rows in partialwave._each_chunk(table, thetas, chunks):
+        moments = partialwave._moments(table, p_rows, "full")
         grid = partialwave._abs2(*partialwave._combine(moments, h))
         if keep_scan:
             p_scan[i0:i1] = grid
@@ -281,7 +279,6 @@ def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
             gauss = np.exp(-((deltas - delta_max[i0:i1, None]) ** 2) / 4.0)
             residual[i0:i1] = np.max(np.abs(grid - gauss * p_max[i0:i1, None]), axis=1)
 
-    partialwave._each_chunk(table, thetas, "full", reduce, chunks)
     n_flat = int(flat.sum())
     if n_flat:
         _warn(f"flat delta profile (peak prominence < 1e-12) at {n_flat} of {n_theta} angles")

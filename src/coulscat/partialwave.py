@@ -32,35 +32,34 @@ place of O(n_delta L).  The table fixes the boxes and takes K from Cramér's
 bound on the truncated expansion, which it records (`hermite_bound`, relative
 to sum_l |kern_l P_l|).
 
-The series is the full amplitude A, its forward part A_F or its
-scattering part A_S, each a kernel of the table (`PartialWaveTable._kernel`)
-summed with the one prefactor 2 eps^2 (A_F is real, and only its real
-component is summed).  The kernels split each partial wave as the source
-paper does, e^{2i sigma} = 1 + 2i e^{i sigma} sin sigma: full = forward +
-i scatter, so A = A_F + i A_S.  `_check_budget` cuts the angles into
-equal Legendre chunks and bounds the memory of one in flight;
-`_each_chunk` runs the recurrence and `_moments` for each in turn on the
-calling thread, writing every chunk's rows into that thread's one row
-buffer, and `_eval_grid` (grids, `scan.sweep`) or the delta-peak search
-(`observables.delta_peaks`) reduces the moments into the chunk's rows of
-the one grid-sized output, on more than one worker split by rows over
-threads (`concurrent.futures` is imported only then).  A single point
+The series is the full amplitude A, its forward part A_F or its scattering
+part A_S, each a kernel of the table (`PartialWaveTable._kernel`) summed
+with the one prefactor 2 eps^2 (A_F is real, and only its real component is
+summed).  The kernels split each partial wave as the source paper does,
+e^{2i sigma} = 1 + 2i e^{i sigma} sin sigma: full = forward + i scatter, so
+A = A_F + i A_S.  `_check_budget` cuts the angles into equal Legendre
+chunks and bounds the memory of one in flight.  `_each_chunk` yields each
+chunk's Legendre rows in turn, built on the calling thread into its one row
+buffer (`_row_buffer`, kept between evaluations: at most one chunk of rows,
+`_CHUNK_BYTES` (32 MiB), grown only when a later plan's largest chunk needs
+more); `_eval_grid` (grids, `scan.sweep`) and the delta-peak search
+(`observables.delta_peaks`) are each one loop over it, taking the rows'
+`_moments` on the calling thread and reducing them into the chunk's rows of
+the one grid-sized output, in `_eval_grid` split by rows over threads
+(`concurrent.futures` is imported only for more than one).  A single point
 (`_point`) takes one row's `_moments` and does the rest on Python floats.
 `_moments` reduces one theta row at a time, each moment one dot product
-along a box's l, and `_combine` (or `_point_sum`) adds the terms in a
-fixed order elementwise.  A dot's summation order
-depends on its length only (boxes stop at 8192 terms, short of where BLAS
-splits a dot across its own threads), so identical inputs give
-bit-identical results regardless of how work is partitioned across
-threads or batches, and a single point equals its grid cell.
-
-Each thread that runs an evaluation keeps its row buffer (`_row_buffer`)
-between evaluations: at most one chunk of rows, `_CHUNK_BYTES` (32 MiB),
-grown only when a later plan's largest chunk needs more.
+along a box's l, and `_combine` (or `_point_sum`) adds the terms in a fixed
+order elementwise.  A dot's summation order depends on its length only
+(boxes stop at 8192 terms, short of where BLAS splits a dot across its own
+threads), so identical inputs give bit-identical results regardless of how
+work is partitioned across threads or batches, and a single point equals
+its grid cell.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import math
@@ -408,6 +407,13 @@ def choose_l_max(eps: float, tail_tol: Optional[float] = None) -> int:
     return math.ceil(math.sqrt(math.log(1.0 / tail_tol) / (2.0 * eps * eps)) - 0.5)
 
 
+def _count(n: int) -> str:
+    """n in full up to 15 digits, else to 15 significant digits: it may not fit a float."""
+    import decimal  # on the refusal path alone
+
+    return format(decimal.Decimal(n), ".15g")
+
+
 def resolve_l_max(eps: float, tail_tol: Optional[float] = None,
                   l_max: Optional[int] = None) -> int:
     """`l_max` as given (an integer, by `operator.index`), else
@@ -423,8 +429,8 @@ def resolve_l_max(eps: float, tail_tol: Optional[float] = None,
         raise ValueError(f"l_max must be >= 0, got {l_max}")
     need = 8 * _TABLE_ROWS * (l_max + 1)
     if need > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimitError(f"a table with l_max = {l_max} needs {need} bytes, "
-                                 f"budget is {DEFAULT_MEMORY_BUDGET}")
+        raise ResourceLimitError(f"a table with l_max = {_count(l_max)} needs "
+                                 f"{_count(need)} bytes, budget is {DEFAULT_MEMORY_BUDGET}")
     return l_max
 
 
@@ -501,15 +507,14 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
     or raise ResourceLimitError when the plan would hold more than
     DEFAULT_MEMORY_BUDGET bytes at once.  Counted, in float64 values: the
     one grid-sized output and five per angle (the angles, a delta profile's
-    results); per row of the one chunk in flight, its Legendre row,
+    results); per row of the one chunk in flight, its Legendre row (once:
+    `_each_chunk` builds every chunk in the calling thread's `_row_buffer`),
     2 _RING_DEGREES + 5 for the recurrence, 2 n_box K moments and six per
     delta (`_combine`'s (re, im) sum and term, the reduction's
     temporaries); 8 per degree (a one-angle row's Python floats, `_moments`'
     terms); 2^14 per thread for numpy's iteration buffers; and the deltas'
     Hermite functions with temporaries, (K + 5) n_box per delta.  With no
     deltas the table's Hermite expansion is not read, so not built.
-    The rows of the chunk in flight are counted once: they are written into
-    the calling thread's row buffer (`_row_buffer`).
     """
     rows = max(1, _CHUNK_BYTES // (8 * (table.l_max + 1)))
     parts = -(-n_theta // rows)
@@ -525,8 +530,8 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
         need += 8 * table.box_centres.size * ((k + 5) * n_delta + 2 * k * (q + (r > 0)))
     if need > DEFAULT_MEMORY_BUDGET:
         raise ResourceLimitError(
-            f"{n_theta} x {n_delta} grid needs {need} bytes (its output, Legendre "
-            f"rows and Hermite functions), budget is {DEFAULT_MEMORY_BUDGET}")
+            f"{_count(n_theta)} x {_count(n_delta)} grid needs {_count(need)} bytes (its "
+            f"output, Legendre rows and Hermite functions), budget is {DEFAULT_MEMORY_BUDGET}")
     edges = [i * q + min(i, r) for i in range(parts + 1)]
     return list(zip(edges[:-1], edges[1:])), threads
 
@@ -716,28 +721,25 @@ def _row_buffer(size: int) -> np.ndarray:
     return buf
 
 
-def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, part: str, fn,
-                chunks) -> None:
-    """Call fn(i0, i1, moments) with the `_moments` of the series `part` for
-    each chunk thetas[i0:i1] of `chunks` in turn, on the calling thread.
-    Every chunk's Legendre rows are written into a view of the thread's
-    `_row_buffer`, sized for the largest chunk."""
+def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, chunks):
+    """Yield (i0, i1, rows) for each chunk thetas[i0:i1] of `chunks` in turn,
+    rows its Legendre rows, built on the calling thread into the thread's
+    `_row_buffer` (sized for the largest chunk) and valid until the next step."""
     width = table.l_max + 1
     buf = _row_buffer(width * max((i1 - i0 for i0, i1 in chunks), default=0))
     for i0, i1 in chunks:
         rows = buf[: (i1 - i0) * width].reshape(i1 - i0, width)
-        fn(i0, i1, _moments(
-            table, specfun.legendre_rows(thetas[i0:i1], table.l_max, out=rows), part))
+        yield i0, i1, specfun.legendre_rows(thetas[i0:i1], table.l_max, out=rows)
 
 
 def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,
                plan) -> np.ndarray:
     """reduce(*components) of the series `part` (see `PartialWaveTable._kernel`)
     on the outer product of thetas and deltas, a float array of shape
-    (n_theta, n_delta): each chunk is reduced into its rows of the one
-    output, split by rows over the plan's threads.  `plan` is the
-    `_check_budget` of the caller, which checked the budget from the
-    counts, before it made the angles (with its worker count).
+    (n_theta, n_delta): each chunk's moments, taken on the calling thread,
+    are reduced into its rows of the one output, split by rows over the
+    plan's threads.  `plan` is the `_check_budget` of the caller, which
+    checked the budget from the counts, before it made the angles.
     `probability_grid` and `scan.sweep` evaluate here; a single point
     evaluates in `_point`, with the same operations in the same order, so
     it equals its cell here."""
@@ -749,17 +751,16 @@ def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,
     def fill(rows, moments):
         rows[...] = reduce(*_combine(moments, h))
 
-    if threads <= 1:
-        _each_chunk(table, thetas, part, lambda i0, i1, m: fill(out[i0:i1], m), chunks)
-        return out
-    # imported here, where a plan has more than one thread (see the
-    # package docstring): it loads logging and queue
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        _each_chunk(table, thetas, part, lambda i0, i1, m: list(pool.map(
-            fill, np.array_split(out[i0:i1], threads), np.array_split(m, threads, axis=1))),
-            chunks)
+    pool, run = contextlib.nullcontext(), map
+    if threads > 1:
+        # imported only for a pool (see the package docstring): it loads logging and queue
+        from concurrent.futures import ThreadPoolExecutor
+        pool = ThreadPoolExecutor(max_workers=threads)
+        run = pool.map
+    with pool:
+        for i0, i1, rows in _each_chunk(table, thetas, chunks):
+            list(run(fill, np.array_split(out[i0:i1], threads),
+                     np.array_split(_moments(table, rows, part), threads, axis=1)))
     return out
 
 

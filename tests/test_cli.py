@@ -24,6 +24,8 @@ from coulscat.kinematics import ALPHA_PARTICLE_MASS_MEV, HBARC_MEV_FM
 
 
 RECIPES = pathlib.Path(__file__).resolve().parents[1] / "recipes"
+# a count too long for a float
+_HUGE = "9" * 401
 
 
 def read_csv(path):
@@ -913,6 +915,30 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == (
             "resource error: a table with l_max = 6000 needs "
             f"{8 * partialwave._TABLE_ROWS * 6001} bytes, budget is 10000\n")
+
+    # a count of 401 digits does not fit a float; a step of 1e-300 makes a
+    # count of deltas of 302 digits
+    @pytest.mark.parametrize("argv", [
+        ["angular", "--eta", "1", f"--l-max={_HUGE}"],
+        ["angular", "--eta", "1", "--delta", "0", f"--theta-n={_HUGE}"],
+        ["angular", "--eta", "1", "--delta", "auto", f"--theta-n={_HUGE}"],
+        ["conservation", "--eta", "1", f"--sphere-n={_HUGE}"],
+        ["optical", "--eta-min", "1", "--eta-max", "2", f"--eta-n={_HUGE}"],
+        ["energy-scan", f"--e-n={_HUGE}"],
+        ["profile-delta", "--eta", "10", "--theta", "0.03", "--delta-step", "1e-300"],
+    ], ids=["l-max", "theta-n", "theta-n-auto", "sphere-n", "eta-n", "e-n", "delta-step"])
+    def test_over_budget_counts_are_one_short_line(self, argv, capsys):
+        # each count and byte need of more than 15 digits is written to 15
+        # significant digits with its exponent
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("resource error: ") and len(line) <= 200
+        assert "e+" in line
+        if argv[-1].startswith("--l-max"):
+            assert line == ("resource error: a table with l_max = 1.00000000000000e+401 "
+                            "needs 3.20000000000000e+403 bytes, budget is 1073741824")
 
 
 # flags with which each command runs to exit 0 or 3

@@ -360,11 +360,37 @@ class TestExpansionBuiltOnFirstRead:
         assert builds == kernels == [threading.get_ident()]
         assert np.array_equal(field, probability_grid(table, thetas, [0.0, 0.5]))
         seen = []
-        partialwave._each_chunk(table, thetas, "full",
-                                lambda i0, i1, _m: seen.append((i0, i1)), chunks)
+        for i0, i1, rows in partialwave._each_chunk(table, thetas, chunks):
+            partialwave._moments(table, rows, "full")
+            seen.append((i0, i1))
         assert seen == [(0, 2), (2, 4)]
         # kept with the table: the later reads built nothing
         assert builds == kernels == [threading.get_ident()]
+
+    def test_one_pass_of_rows_serves_two_series(self, monkeypatch):
+        # a caller that needs several series takes each one's moments from
+        # the same yielded rows: they equal separate passes, bit for bit,
+        # and reduce to the grid cells of each series
+        table = _coulomb(10.0)
+        monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table.l_max + 1))
+        grid = scan.GridSpec(0.1, 3.0, 4, -1.0, 0.5, 3)
+        chunks, _threads = partialwave._check_budget(table, grid.theta_n, grid.delta_n)
+        assert chunks == [(0, 2), (2, 4)]
+        shared = {"full": [], "forward": []}
+        for _i0, _i1, rows in partialwave._each_chunk(table, grid.thetas, chunks):
+            for part, moments in shared.items():
+                moments.append(partialwave._moments(table, rows, part))
+        for part, moments in shared.items():
+            alone = [partialwave._moments(table, rows, part)
+                     for _i0, _i1, rows in partialwave._each_chunk(table, grid.thetas, chunks)]
+            assert [_bits(m) for m in moments] == [_bits(m) for m in alone]
+        h = partialwave._hermite(table, grid.deltas)
+        full, forward = (np.concatenate(shared[part], axis=1) for part in ("full", "forward"))
+        assert _bits(partialwave._abs2(*partialwave._combine(full, h))) == _bits(
+            probability_grid(table, grid.thetas, grid.deltas))
+        (forward_part,) = partialwave._combine(forward, h)
+        assert _bits(forward_part) == _bits(
+            scan.sweep(table, grid, scan.Quantity.FORWARD_PART).values)
 
     def test_kernels_and_default_scan_are_built_once_on_the_caller(self, monkeypatch):
         # every reader of a kernel or of the default scan, twice over, with

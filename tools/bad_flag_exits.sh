@@ -1,19 +1,21 @@
 #!/bin/sh
 # Run each bad request of the list below through a given coulscat command
-# and check that it exits with the status its line names, with one line on
-# stderr and nothing on stdout; a line of exit 4 must be a `resource error: `
-# line.  Exit 2: each flag whose number the parser checks, given one bad
-# value; each command that sums the series, given an --l-max below its
-# floor; an energy-scan range flag given beside --energies-kev; an
-# energy-scan range reversed once the defaults (3.8 to 200 keV) apply; and
-# an eps whose 1 / (16 eps^4 p^2) overflows, refused with the scenario,
-# before any table.
+# and check that it exits with the status its line names, with one line of
+# at most 200 characters on stderr and nothing on stdout; a line of exit 4
+# must be a `resource error: ` line.  Exit 2: each flag whose number the
+# parser checks, given one bad value; each command that sums the series,
+# given an --l-max below its floor; an energy-scan range flag given beside
+# --energies-kev; an energy-scan range reversed once the defaults (3.8 to
+# 200 keV) apply; and an eps whose 1 / (16 eps^4 p^2) overflows, refused
+# with the scenario, before any table.
 # Exit 4: profile-delta windows whose count of deltas overflows a float,
-# refused as a finite count over the memory budget is, and optical and
+# refused as a finite count over the memory budget is; optical and
 # energy-scan sweeps whose count of etas or energies is over the budget,
-# refused before numpy makes them.  A line of the list is the expected
-# status, a command and its flags, split at spaces.  The arguments are the
-# command that runs coulscat:
+# refused before numpy makes them; and an l_max and counts of angles and
+# etas too long for a float (`$huge`, 512 nines), each written to 15
+# significant digits.  A line of the list is the expected status, a command
+# and its flags, split at spaces.  The arguments are the command that runs
+# coulscat:
 #
 #     sh tools/bad_flag_exits.sh coulscat
 #     PYTHONPATH=src sh tools/bad_flag_exits.sh python -m coulscat.cli
@@ -22,11 +24,17 @@ set -uf
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 failed=0
+# 512 nines, the list's one expansion (an unquoted here-document)
+huge=9
+while [ ${#huge} -lt 310 ]; do
+    huge=$huge$huge
+done
 while read -r want command flags; do
     # $flags unquoted: one word per flag
     "$@" "$command" $flags </dev/null >"$tmp/out" 2>"$tmp/err"
     status=$?
     lines=$(wc -l <"$tmp/err")
+    chars=$(wc -c <"$tmp/err")
     prefix=
     if [ "$want" -eq 4 ]; then
         prefix="resource error: "
@@ -35,15 +43,17 @@ while read -r want command flags; do
         "$prefix"*) prefixed=1 ;;
         *) prefixed=0 ;;
     esac
-    if [ "$status" -eq "$want" ] && [ "$lines" -eq 1 ] && [ ! -s "$tmp/out" ] \
-            && [ "$prefixed" -eq 1 ]; then
+    # one line of at most 200 characters and its newline
+    if [ "$status" -eq "$want" ] && [ "$lines" -eq 1 ] && [ "$chars" -le 201 ] \
+            && [ ! -s "$tmp/out" ] && [ "$prefixed" -eq 1 ]; then
         echo "ok   $command $flags: $(cat "$tmp/err")"
     else
-        echo "FAIL $command $flags: exit $status (want $want), $lines stderr lines" >&2
+        echo "FAIL $command $flags: exit $status (want $want), $lines stderr lines," \
+            "$chars characters" >&2
         cat "$tmp/out" "$tmp/err" >&2
         failed=1
     fi
-done <<'LIST'
+done <<LIST
 2 profile-delta --delta-min=nan
 2 profile-delta --delta-max=inf
 2 profile-delta --delta-step=0
@@ -75,5 +85,9 @@ done <<'LIST'
 4 profile-delta --eta=10 --theta=0.03 --delta-step=1e-300
 4 optical --eta-min=1 --eta-max=2 --eta-n=100000000
 4 energy-scan --e-n=100000000
+4 angular --eta=1 --delta=0 --theta-n=$huge
+4 conservation --eta=1 --sphere-n=$huge
+4 angular --eta=1 --l-max=$huge
+4 optical --eta-min=1 --eta-max=2 --eta-n=$huge
 LIST
 exit $failed
