@@ -9,8 +9,7 @@ Every command runs in a fresh process, where start-up can outweigh the
 series, so a module imports at module level only numpy, the package and
 the standard-library modules that every command runs.  What only some
 commands need is imported in the function that uses it: scipy (square-well
-tables, the quadrature oracle, `selftest`), `concurrent.futures` (an
-evaluation planned on more than one thread) and `json` (JSON output).
+tables, the quadrature oracle, `selftest`) and `json` (JSON output).
 """
 
 from .errors import (

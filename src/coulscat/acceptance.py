@@ -425,17 +425,20 @@ def _c14() -> CriterionResult:
 
 def _c15() -> CriterionResult:
     table = _table_for_eta(10.0)
-    # two Legendre chunks of 360 angles at L = 6000, each split over the threads
+    # two Legendre chunks of 360 angles at L = 6000, against three grids of
+    # 240 angles, one chunk each
     grid = scan.GridSpec(0.0, 0.5, 720, -4.0, 4.0, 9)
-    fields = [scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=w)
-              for w in (1, 4, 8)]
-    rerun = scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=4)
-    same_workers = all(np.array_equal(fields[0].values, f.values) for f in fields[1:])
-    same_rerun = np.array_equal(fields[1].values, rerun.values)
-    ok = same_workers and same_rerun
+    field = scan.sweep(table, grid, scan.Quantity.PROBABILITY).values
+    thetas, deltas = grid.thetas, grid.deltas
+    slices = [partialwave.probability_grid(table, thetas[i:i + 240], deltas)
+              for i in range(0, 720, 240)]
+    rerun = scan.sweep(table, grid, scan.Quantity.PROBABILITY).values
+    same_chunks = np.array_equal(field, np.concatenate(slices))
+    same_rerun = np.array_equal(field, rerun)
+    ok = same_chunks and same_rerun
     return CriterionResult(
-        15, "bit-identical sweeps across 1/4/8 workers and reruns", ok,
-        f"workers identical: {same_workers}; rerun identical: {same_rerun}",
+        15, "bit-identical sweeps across Legendre chunkings and reruns", ok,
+        f"chunkings identical: {same_chunks}; rerun identical: {same_rerun}",
     )
 
 

@@ -239,7 +239,7 @@ def delta_peaks(table: PartialWaveTable, n_theta: int, angles,
     form with `keep_scan` (`delta_profile`), else dropped (None)."""
     n_theta = operator.index(n_theta)
     lo, hi, n_delta = partialwave._scan_window(table, delta_range, delta_step)
-    chunks, _threads = partialwave._check_budget(table, n_theta, n_delta)
+    chunks = partialwave._check_budget(table, n_theta, n_delta)
     if delta_range is None and delta_step is None:
         deltas, h = table._default_scan
     else:

@@ -45,26 +45,23 @@ buffer (`_row_buffer`, kept between evaluations: at most one chunk of rows,
 more); `_eval_grid` (grids, `scan.sweep`) and the delta-peak search
 (`observables.delta_peaks`) are each one loop over it, taking the rows'
 `_moments` on the calling thread and reducing them into the chunk's rows of
-the one grid-sized output, in `_eval_grid` split by rows over threads
-(`concurrent.futures` is imported only for more than one).  A single point
-(`_point`) takes one row's `_moments` and does the rest on Python floats.
-`_moments` reduces one theta row at a time, each moment one dot product
-along a box's l, and `_combine` (or `_point_sum`) adds the terms in a fixed
-order elementwise.  A dot's summation order depends on its length only
+the one grid-sized output.  A single point (`_point`) takes one row's
+`_moments` and does the rest on Python floats.  `_moments` reduces one
+theta row at a time, each moment one dot product along a box's l, and
+`_combine` (or `_point_sum`) adds the terms in a fixed order elementwise.
+A dot's summation order depends on its length only
 (boxes stop at 8192 terms, short of where BLAS splits a dot across its own
 threads), so identical inputs give bit-identical results regardless of how
-work is partitioned across threads or batches, and a single point equals
-its grid cell.
+the angles are cut into chunks or batches, or which thread evaluates them,
+and a single point equals its grid cell.
 """
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import functools
 import math
 import operator
-import os
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -219,8 +216,8 @@ class PartialWaveTable:
     and `sin2_sums`, each series part's kernel (`_kern_full`, `_kern_forward`
     and `_kern_scatter`, read through `_kernel`) and the default coarse delta
     scan of the delta-peak search (`_default_scan`), all read-only and read
-    on an evaluation's calling thread alone, before any pool thread starts
-    (`cached_property` holds no lock from Python 3.12).
+    on an evaluation's calling thread alone (`cached_property` holds no lock
+    from Python 3.12).
     """
 
     l_max: int
@@ -498,12 +495,9 @@ def _time_shifts(scenario: PhysicalScenario, model: PhaseShiftModel,
 # series evaluation
 # ---------------------------------------------------------------------------
 
-def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
-                  workers: int = 1) -> tuple[list, int]:
-    """Plan an n_theta x n_delta evaluation and check its memory: return
-    (chunks, threads), ceil(n_theta / rows) Legendre chunks (i0, i1) equal
-    within one angle, and the threads that split each chunk's reduction by
-    rows (at most `workers`, one per CPU and one per row; one runs inline),
+def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int) -> list:
+    """Plan an n_theta x n_delta evaluation and check its memory: return its
+    ceil(n_theta / rows) Legendre chunks (i0, i1), equal within one angle,
     or raise ResourceLimitError when the plan would hold more than
     DEFAULT_MEMORY_BUDGET bytes at once.  Counted, in float64 values: the
     one grid-sized output and five per angle (the angles, a delta profile's
@@ -512,18 +506,15 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
     2 _RING_DEGREES + 5 for the recurrence, 2 n_box K moments and six per
     delta (`_combine`'s (re, im) sum and term, the reduction's
     temporaries); 8 per degree (a one-angle row's Python floats, `_moments`'
-    terms); 2^14 per thread for numpy's iteration buffers; and the deltas'
-    Hermite functions with temporaries, (K + 5) n_box per delta.  With no
-    deltas the table's Hermite expansion is not read, so not built.
+    terms); 2^14 for numpy's iteration buffers; and the deltas' Hermite
+    functions with temporaries, (K + 5) n_box per delta.  With no deltas the
+    table's Hermite expansion is not read, so not built.
     """
     rows = max(1, _CHUNK_BYTES // (8 * (table.l_max + 1)))
     parts = -(-n_theta // rows)
     # the first r chunks hold q + 1 angles, the others q
     q, r = divmod(n_theta, max(parts, 1))
-    threads = min(workers, q)
-    # os.cpu_count reads /sys on Linux: ask only when a pool could start
-    threads = threads if threads <= 1 else min(threads, os.cpu_count() or 1)
-    need = 8 * (n_theta * (n_delta + 5) + 8 * (table.l_max + 1) + threads * (1 << 14)
+    need = 8 * (n_theta * (n_delta + 5) + 8 * (table.l_max + 1) + (1 << 14)
                 + (q + (r > 0)) * (table.l_max + 6 + 2 * specfun._RING_DEGREES + 6 * n_delta))
     if n_delta:
         k = table.n_hermite
@@ -533,7 +524,7 @@ def _check_budget(table: PartialWaveTable, n_theta: int, n_delta: int,
             f"{_count(n_theta)} x {_count(n_delta)} grid needs {_count(need)} bytes (its "
             f"output, Legendre rows and Hermite functions), budget is {DEFAULT_MEMORY_BUDGET}")
     edges = [i * q + min(i, r) for i in range(parts + 1)]
-    return list(zip(edges[:-1], edges[1:])), threads
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _abs2(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -733,34 +724,20 @@ def _each_chunk(table: PartialWaveTable, thetas: np.ndarray, chunks):
 
 
 def _eval_grid(table: PartialWaveTable, thetas, deltas, part: str, reduce,
-               plan) -> np.ndarray:
+               chunks) -> np.ndarray:
     """reduce(*components) of the series `part` (see `PartialWaveTable._kernel`)
     on the outer product of thetas and deltas, a float array of shape
-    (n_theta, n_delta): each chunk's moments, taken on the calling thread,
-    are reduced into its rows of the one output, split by rows over the
-    plan's threads.  `plan` is the `_check_budget` of the caller, which
-    checked the budget from the counts, before it made the angles.
-    `probability_grid` and `scan.sweep` evaluate here; a single point
-    evaluates in `_point`, with the same operations in the same order, so
-    it equals its cell here."""
+    (n_theta, n_delta): each chunk's moments are reduced into its rows of the
+    one output, all on the calling thread.  `chunks` is the `_check_budget`
+    plan of the caller, which checked the budget from the counts, before it
+    made the angles.  `probability_grid` and `scan.sweep` evaluate here; a
+    single point evaluates in `_point`, with the same operations in the
+    same order, so it equals its cell here."""
     thetas = np.asarray(thetas, dtype=float)
-    chunks, threads = plan
     h = _hermite(table, deltas)
     out = np.empty((thetas.size, h.shape[1]))
-
-    def fill(rows, moments):
-        rows[...] = reduce(*_combine(moments, h))
-
-    pool, run = contextlib.nullcontext(), map
-    if threads > 1:
-        # imported only for a pool (see the package docstring): it loads logging and queue
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(max_workers=threads)
-        run = pool.map
-    with pool:
-        for i0, i1, rows in _each_chunk(table, thetas, chunks):
-            list(run(fill, np.array_split(out[i0:i1], threads),
-                     np.array_split(_moments(table, rows, part), threads, axis=1)))
+    for i0, i1, rows in _each_chunk(table, thetas, chunks):
+        out[i0:i1] = reduce(*_combine(_moments(table, rows, part), h))
     return out
 
 

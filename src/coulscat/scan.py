@@ -4,9 +4,8 @@ package's CSV and JSON file writers.
 A sweep checks the memory budget from the grid's counts, before its
 angles exist, and runs `partialwave._eval_grid`, which reduces each
 Legendre chunk's moments to the quantity in the chunk's own rows of the
-sweep's one output (a DCS field is then scaled in place), on more than one
-worker split by rows over threads, so results are bit-identical for any
-worker count.
+sweep's one output (a DCS field is then scaled in place), all on the
+calling thread.
 
 The writers stream, in batches of `_BATCH_VALUES` values: a field's rows
 are converted to Python floats as many rows at a time as fit the budget,
@@ -121,21 +120,23 @@ _QUANTITY_PARTS = {
 
 def sweep(table: PartialWaveTable, grid: GridSpec, quantity: Quantity,
           workers: int = 1) -> FieldResult:
-    """Evaluate a quantity over the grid with row-parallel, fixed-order assembly.
+    """Evaluate a quantity over the grid, chunk by chunk on the calling thread.
 
     PROBABILITY and DCS fields hold P and P / (16 eps^4 p^2); FORWARD_PART
     holds the (real) forward amplitude A_F and SCATTER_PART holds |A_S|^2.
     Every cell is bit-identical to the corresponding single-point evaluation.
-    `workers` is an integer >= 1 (TypeError, ValueError otherwise).
+    `workers` is an integer >= 1 (TypeError, ValueError otherwise) and
+    changes nothing; it stays for the callers that pass it, the benchmark's
+    `perfbench/worker.py` among them.
     """
     workers = operator.index(workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     part, reduce = _QUANTITY_PARTS[quantity]
     # the budget, from the counts, before the grid's angles and deltas exist
-    plan = partialwave._check_budget(table, grid.theta_n, grid.delta_n, workers)
+    chunks = partialwave._check_budget(table, grid.theta_n, grid.delta_n)
     values = partialwave._eval_grid(table, grid.thetas, grid.deltas, part, reduce,
-                                    plan=plan)
+                                    chunks)
     if quantity is Quantity.DCS:
         values *= observables.dcs_factor(table.scenario)
     values.flags.writeable = False

@@ -23,23 +23,22 @@ def test_criterion(cid, name):
     assert result.passed, f"criterion {cid} ({name}): {result.detail}"
 
 
-def test_determinism_criterion_sweeps_on_more_than_one_thread(monkeypatch):
-    """Criterion 15 compares sweeps on 1, 4 and 8 workers; each chunk's
-    reduction is split over the plan's threads, at most one per CPU."""
-    threads = []
+def test_determinism_criterion_compares_chunkings(monkeypatch):
+    """Criterion 15 compares a sweep in two Legendre chunks with the same
+    angles in three one-chunk grids, and with a rerun of the sweep."""
+    plans = []
     check = partialwave._check_budget
 
     def recording(*args):
-        plan = check(*args)
-        threads.append(plan[1])
-        return plan
+        chunks = check(*args)
+        plans.append(chunks)
+        return chunks
 
-    # four CPUs, so the plan shows the workers rather than the host
-    monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(partialwave, "_check_budget", recording)
     assert acceptance.run_criterion(15).passed
-    # workers 1, 4, 8 and the rerun on 4
-    assert threads == [1, 4, 4, 4]
+    # the sweep, the three slices and the rerun
+    sweep = [(0, 360), (360, 720)]
+    assert plans == [sweep, [(0, 240)], [(0, 240)], [(0, 240)], sweep]
 
 
 def test_negative_control_corrupted_constant(monkeypatch):

@@ -103,7 +103,7 @@ def _spy_on_property(monkeypatch, name, calls):
 
 
 def _plan(table, thetas, deltas):
-    """The one-thread `_check_budget` plan of the grid."""
+    """The `_check_budget` chunks of the grid."""
     return partialwave._check_budget(table, np.size(thetas), np.size(deltas))
 
 
@@ -328,22 +328,22 @@ class TestExpansionBuiltOnFirstRead:
         self._recipe("angular-eta10-delta0.4", tmp_path / "ang.csv")
         assert builds == [threading.get_ident()]
 
-    def test_two_chunk_sweep_on_two_threads_builds_one_on_the_caller(
+    def test_two_chunk_sweep_on_two_workers_builds_one_on_the_caller(
             self, builds, monkeypatch):
-        # each chunk of two rows is reduced one row per thread
+        # each chunk of two rows is reduced on the caller, whatever the
+        # worker count
         table = _coulomb(10.0)
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table.l_max + 1))
-        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         grid = scan.GridSpec(0.1, 3.0, 4, -1.0, 0.5, 2)
-        assert partialwave._check_budget(table, grid.theta_n, 0, 2) == ([(0, 2), (2, 4)], 2)
+        assert partialwave._check_budget(table, grid.theta_n, 0) == [(0, 2), (2, 4)]
         field = scan.sweep(table, grid, scan.Quantity.PROBABILITY, workers=2)
         assert builds == [threading.get_ident()]
         assert np.array_equal(field.values,
                               probability_grid(_coulomb(10.0), grid.thetas, grid.deltas))
 
-    def test_each_chunk_builds_what_its_threads_read_on_the_caller(self, monkeypatch):
-        # the reduction's threads read only the moments and the Hermite
-        # functions, which the caller makes from the expansion and kernel
+    def test_two_chunks_build_the_expansion_and_kernel_once_on_the_caller(
+            self, monkeypatch):
+        # the expansion and the kernel serve every chunk's moments
         table = _coulomb(10.0)
         builds, kernels = [], []
         expansion = partialwave._hermite_expansion
@@ -351,12 +351,11 @@ class TestExpansionBuiltOnFirstRead:
                             lambda xi: builds.append(threading.get_ident()) or expansion(xi))
         _spy_on_property(monkeypatch, "_kern_full", kernels)
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table.l_max + 1))
-        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         thetas = np.linspace(0.1, 3.0, 4)
-        chunks, threads = partialwave._check_budget(table, thetas.size, 0, 2)
-        assert (chunks, threads) == ([(0, 2), (2, 4)], 2)
+        chunks = partialwave._check_budget(table, thetas.size, 0)
+        assert chunks == [(0, 2), (2, 4)]
         field = partialwave._eval_grid(table, thetas, [0.0, 0.5], "full",
-                                       partialwave._abs2, plan=(chunks, threads))
+                                       partialwave._abs2, chunks)
         assert builds == kernels == [threading.get_ident()]
         assert np.array_equal(field, probability_grid(table, thetas, [0.0, 0.5]))
         seen = []
@@ -374,7 +373,7 @@ class TestExpansionBuiltOnFirstRead:
         table = _coulomb(10.0)
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table.l_max + 1))
         grid = scan.GridSpec(0.1, 3.0, 4, -1.0, 0.5, 3)
-        chunks, _threads = partialwave._check_budget(table, grid.theta_n, grid.delta_n)
+        chunks = partialwave._check_budget(table, grid.theta_n, grid.delta_n)
         assert chunks == [(0, 2), (2, 4)]
         shared = {"full": [], "forward": []}
         for _i0, _i1, rows in partialwave._each_chunk(table, grid.thetas, chunks):
@@ -393,18 +392,16 @@ class TestExpansionBuiltOnFirstRead:
             scan.sweep(table, grid, scan.Quantity.FORWARD_PART).values)
 
     def test_kernels_and_default_scan_are_built_once_on_the_caller(self, monkeypatch):
-        # every reader of a kernel or of the default scan, twice over, with
-        # each sweep split over two threads
+        # every reader of a kernel or of the default scan, twice over
         names = ("_kern_full", "_kern_forward", "_kern_scatter", "_default_scan")
         calls = {name: [] for name in names}
         for name in names:
             _spy_on_property(monkeypatch, name, calls[name])
-        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         table = _coulomb(10.0)
         grid = scan.GridSpec(0.1, 3.0, 4, -1.0, 0.5, 2)
         for _ in range(2):
             for quantity in scan.Quantity:
-                scan.sweep(table, grid, quantity, workers=2)
+                scan.sweep(table, grid, quantity)
             delta_profile(table, [0.5, 1.5])
             delta_max_at(table, 2.5)
             observables.scattering_amplitude_f(table, table.scenario, 0.5)
@@ -413,7 +410,6 @@ class TestExpansionBuiltOnFirstRead:
     def test_budget_check_without_deltas_builds_none(self, builds):
         table = _coulomb(10.0)
         partialwave._check_budget(table, 5, 0)
-        partialwave._check_budget(table, 1, 0, workers=2)
         assert builds == [] and "_expansion" not in vars(table)
         partialwave._check_budget(table, 1, 1)
         assert len(builds) == 1 and "_expansion" in vars(table)

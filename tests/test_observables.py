@@ -398,7 +398,7 @@ class TestDeltaProfile:
         whole = delta_profile(table_eta10, thetas)
         # 10 rows a chunk, so the 35 angles span 4 chunks
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 10 * 8 * (table_eta10.l_max + 1))
-        assert len(partialwave._check_budget(table_eta10, thetas.size, 0)[0]) == 4
+        assert len(partialwave._check_budget(table_eta10, thetas.size, 0)) == 4
         parts = delta_profile(table_eta10, thetas)
         for name in ("delta_max", "p_max", "factorization_residual", "deltas", "p_scan"):
             assert np.array_equal(getattr(parts, name), getattr(whole, name))

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import math
 import os
@@ -119,36 +118,23 @@ class TestSweep:
             assert np.array_equal(base.values, other.values)
 
     @pytest.mark.usefixtures("ten_row_chunks")
-    @pytest.mark.parametrize("workers, cpus, theta_n, threads", [
-        (2, 8, 35, 2),      # as asked
-        (16, 16, 35, 8),    # one thread per row of the smallest chunk (8, 9, 9, 9)
-        (8, 3, 35, 3),      # one thread per CPU
-        (4, None, 35, None),  # unknown CPU count: inline
-        (8, 8, 10, 8),      # a single chunk is split too
-        (8, 8, 1, None),    # a single angle runs inline
+    @pytest.mark.parametrize("workers, cpus, theta_n", [
+        (2, 8, 35),
+        (16, 16, 35),
+        (8, 3, 35),
+        (4, None, 35),    # unknown CPU count
+        (8, 8, 10),       # a single chunk
+        (8, 8, 1),        # a single angle
     ])
-    def test_pool_size(self, monkeypatch, table_eta10, workers, cpus, theta_n, threads):
-        sizes = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *items):
-                return map(fn, *items)
-
-        # _eval_grid imports the pool class when its plan has threads
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Pool)
-        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: cpus)
+    def test_no_thread_is_started(self, monkeypatch, table_eta10, workers, cpus, theta_n):
+        # neither the worker count nor the host's CPU count starts a thread
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self) or start(self))
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         g = GridSpec(0.1, 2.9, theta_n, 0.0, 1.0, 2)
         field = sweep(table_eta10, g, Quantity.PROBABILITY, workers=workers)
-        assert sizes == ([] if threads is None else [threads])
+        assert started == []
         assert np.array_equal(field.values,
                               sweep(table_eta10, g, Quantity.PROBABILITY).values)
 
@@ -156,11 +142,11 @@ class TestSweep:
         # 698 rows fit in a chunk at L = 6000; the chunks are cut equal, so
         # no chunk is a short tail
         assert table_eta10.l_max == 6000
-        assert partialwave._check_budget(table_eta10, 720, 24)[0] == [(0, 360), (360, 720)]
+        assert partialwave._check_budget(table_eta10, 720, 24) == [(0, 360), (360, 720)]
 
     @pytest.mark.parametrize("n", [1, 697, 698, 699, 1396, 1397, 5000])
     def test_chunks_cover_the_angles_equal_within_one(self, table_eta10, n):
-        chunks, _threads = partialwave._check_budget(table_eta10, n, 1)
+        chunks = partialwave._check_budget(table_eta10, n, 1)
         sizes = [i1 - i0 for i0, i1 in chunks]
         assert len(chunks) == math.ceil(n / 698) and max(sizes) - min(sizes) <= 1
         assert chunks[0][0] == 0 and chunks[-1][1] == n
@@ -177,37 +163,30 @@ class TestSweep:
         monkeypatch.setattr(specfun, "legendre_rows", on("rows", specfun.legendre_rows))
         monkeypatch.setattr(partialwave, "_moments", on("moments", partialwave._moments))
         monkeypatch.setattr(partialwave, "_combine", on("combine", partialwave._combine))
-        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         field = sweep(table_eta10, ten_row_chunks, Quantity.PROBABILITY, workers=2)
         caller = threading.get_ident()
-        # 35 angles in 4 chunks, each reduced in two halves on the pool
-        assert [c for c in calls if c[0] != "combine"] == [("rows", caller),
-                                                           ("moments", caller)] * 4
-        combined = [t for name, t in calls if name == "combine"]
-        assert len(combined) == 8 and caller not in combined
+        # 35 angles in 4 chunks, each reduced whole on the caller, whatever
+        # the worker count
+        assert calls == [("rows", caller), ("moments", caller), ("combine", caller)] * 4
         monkeypatch.undo()
         assert np.array_equal(field.values,
                               sweep(table_eta10, ten_row_chunks, Quantity.PROBABILITY).values)
 
-    def test_one_chunk_is_reduced_on_two_threads(self, monkeypatch, table_eta800,
-                                                 tmp_path):
-        # 400 angles are one chunk at L = 6000; on two workers each half of
-        # its rows is combined on its own thread, both at once (a barrier
-        # of two would time out on one thread)
+    def test_one_chunk_is_reduced_whole_on_the_caller(self, monkeypatch, table_eta800,
+                                                      tmp_path):
+        # 400 angles are one chunk at L = 6000; on two workers all 400 rows
+        # are combined at once on the calling thread
         grid = GridSpec(0.01, 3.0, 400, -8.0, 24.0, 161)
         base = sweep(table_eta800, grid, Quantity.PROBABILITY, workers=1)
-        combine, barrier, seen = partialwave._combine, threading.Barrier(2, timeout=60), []
+        combine, seen = partialwave._combine, []
 
-        def both_halves_at_once(moments, h):
+        def recording(moments, h):
             seen.append((threading.get_ident(), moments.shape[1]))
-            barrier.wait()
             return combine(moments, h)
 
-        monkeypatch.setattr(partialwave, "_combine", both_halves_at_once)
-        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(partialwave, "_combine", recording)
         field = sweep(table_eta800, grid, Quantity.PROBABILITY, workers=2)
-        assert sorted(rows for _t, rows in seen) == [200, 200]
-        assert len({t for t, _rows in seen} - {threading.get_ident()}) == 2
+        assert seen == [(threading.get_ident(), 400)]
         field_to_csv(base, tmp_path / "w1.csv")
         field_to_csv(field, tmp_path / "w2.csv")
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
@@ -222,7 +201,7 @@ class TestSweep:
         sizes = np.diff(table.box_edges)
         assert table.box_edges[-1] == 30001 and sizes.max() <= 8192
         g = GridSpec(0.001, 0.05, 150, -1.0, 1.0, 3)
-        assert len(partialwave._check_budget(table, g.theta_n, 0)[0]) == 2
+        assert len(partialwave._check_budget(table, g.theta_n, 0)) == 2
         base = sweep(table, g, Quantity.PROBABILITY, workers=1)
         assert np.array_equal(base.values,
                               sweep(table, g, Quantity.PROBABILITY, workers=2).values)
@@ -322,28 +301,25 @@ class TestSweep:
 
     def test_memory_budget_counts_the_hermite_functions_once(self, monkeypatch,
                                                              table_eta10):
-        # 4 x 3 grid in 2 chunks of 2 rows, each split over 2 threads: one
-        # chunk is in flight, and the threads share one set of Hermite
-        # functions, (K + 5) n_box values per delta with the recurrence's
-        # temporaries
+        # 4 x 3 grid in 2 chunks of 2 rows: one chunk is in flight, beside
+        # one set of Hermite functions, (K + 5) n_box values per delta with
+        # the recurrence's temporaries
         monkeypatch.setattr(partialwave, "_CHUNK_BYTES", 2 * 8 * (table_eta10.l_max + 1))
-        monkeypatch.setattr(partialwave.os, "cpu_count", lambda: 2)
         g = GridSpec(0.1, 0.2, 4, 0.0, 1.0, 3)
-        assert partialwave._check_budget(table_eta10, g.theta_n, 0, 2)[1] == 2
+        assert partialwave._check_budget(table_eta10, g.theta_n, 0) == [(0, 2), (2, 4)]
         boxes, k = table_eta10.box_centres.size, table_eta10.n_hermite
         # the expansion at L = 6000: K = 11 Hermite functions, one box
         assert (table_eta10.l_max, k, boxes) == (6000, 11, 1)
         # per row: its Legendre row, the recurrence's ring, its moments and
-        # six per delta; 8 per degree; per thread, numpy's buffers
+        # six per delta; 8 per degree; numpy's buffers
         row = table_eta10.l_max + 6 + 2 * specfun._RING_DEGREES + 2 * boxes * k + 6 * 3
-        need = 8 * (4 * (3 + 5) + 2 * row + 8 * (table_eta10.l_max + 1) + 2 * (1 << 14)
+        need = 8 * (4 * (3 + 5) + 2 * row + 8 * (table_eta10.l_max + 1) + (1 << 14)
                     + boxes * (k + 5) * 3)
         monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", need)
-        field = sweep(table_eta10, g, Quantity.PROBABILITY, workers=2)
-        assert np.array_equal(field.values, sweep(table_eta10, g, Quantity.PROBABILITY).values)
+        sweep(table_eta10, g, Quantity.PROBABILITY)
         monkeypatch.setattr(partialwave, "DEFAULT_MEMORY_BUDGET", need - 1)
         with pytest.raises(ResourceLimitError):
-            sweep(table_eta10, g, Quantity.PROBABILITY, workers=2)
+            sweep(table_eta10, g, Quantity.PROBABILITY)
 
     def test_field_validation(self, table_eta10):
         g = GridSpec(0.1, 0.2, 2, 0.0, 1.0, 2)

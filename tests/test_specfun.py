@@ -512,13 +512,9 @@ class TestStartUp:
         assert lazy_stdlib_run[0] == "[0, 0, 0] []"
 
     def test_lazy_stdlib_paths_give_this_process_values(self, lazy_stdlib_run, capsys):
-        # a two-thread sweep loads the pool and no SHA-256 module; a
+        # a two-worker sweep loads no thread pool and no SHA-256 module; a
         # --format json write loads json; each gives this process's values
-        assert lazy_stdlib_run[1:4] == [
-            "['concurrent.futures']",
-            "['concurrent.futures']",
-            "['concurrent.futures', 'json']",
-        ]
+        assert lazy_stdlib_run[1:4] == ["[]", "[]", "['json']"]
         table = partialwave.build_table(build_scenario_from_eta(10.0, 1e-2),
                                         partialwave.PhaseShiftModel.coulomb_exact())
         field = scan.sweep(table, scan.GridSpec(*_LAZY_STDLIB_GRID), scan.Quantity.PROBABILITY)
@@ -569,7 +565,7 @@ print([math.fsum(table.xi), specfun.i_integral_quadrature(3, 1e-3)])
 """
 
 # the fresh-process check's sweep grid (at eta = 10, eps = 1e-2, on two
-# threads there) and its fixed-delta angular
+# workers there) and its fixed-delta angular
 _LAZY_STDLIB_GRID = (0.1, 2.9, 6, -1.0, 1.0, 3)
 _LAZY_STDLIB_ANGULAR = ["angular", "--eta", "1", "--delta", "0.4", "--theta-n", "4"]
 
@@ -589,7 +585,6 @@ with contextlib.redirect_stdout(io.StringIO()):
               coulscat.cli.main(["angular", "--eta", "1", "--delta", "auto", "--theta-n", "3"]),
               coulscat.cli.main(["angular", "--eta", "1", "--delta", "0.4", "--theta-n", "3"])]
 print(status, loaded())
-partialwave.os.cpu_count = lambda: 2
 table = partialwave.build_table(build_scenario_from_eta(10.0, 1e-2),
                                 partialwave.PhaseShiftModel.coulomb_exact())
 field = scan.sweep(table, scan.GridSpec(*{_LAZY_STDLIB_GRID!r}), scan.Quantity.PROBABILITY,

@@ -15,9 +15,9 @@ Run from the root of a checkout; it takes no option.  Lines:
   workload's four |eta| bands, the free case eta = 0, and a square well
   whose xi needs several Hermite boxes;
 - `sweep`: the sha256 of the CSV of a 1400 x 161 probability sweep at
-  eta = 800, two Legendre chunks of 700 angles, each reduced by rows over
-  threads on two workers.  Exit status 1 when two workers write other bytes
-  than one.
+  eta = 800, two Legendre chunks of 700 angles.  Exit status 1 when its
+  values differ from `partialwave.probability_grid` on the same angles in
+  four grids of 350, one chunk each.
 
 Two checkouts that print the same lines give the same bits for all of
 these; compare them with `diff`.  Out files go to a temporary directory
@@ -117,19 +117,22 @@ def points_digest() -> str:
     return digest.hexdigest()
 
 
-def sweep_csvs(tmp: Path) -> list:
-    """The sweep's CSV bytes on one worker and on two."""
-    from coulscat import PhaseShiftModel, build_scenario_from_eta, build_table, scan
+def sweep_csv(tmp: Path) -> tuple:
+    """The sweep's CSV bytes, and whether its values equal the same angles
+    evaluated in slices of 350."""
+    import numpy as np
+
+    from coulscat import (PhaseShiftModel, build_scenario_from_eta, build_table,
+                          partialwave, scan)
 
     table = build_table(build_scenario_from_eta(800.0, 1e-3), PhaseShiftModel.coulomb_exact())
     grid = scan.GridSpec(0.01, 3.1, 1400, -8.0, 24.0, 161)
-    csvs = []
-    for workers in (1, 2):
-        path = tmp / f"workers-{workers}.csv"
-        scan.field_to_csv(scan.sweep(table, grid, scan.Quantity.PROBABILITY,
-                                     workers=workers), path)
-        csvs.append(path.read_bytes())
-    return csvs
+    field = scan.sweep(table, grid, scan.Quantity.PROBABILITY)
+    path = tmp / "sweep.csv"
+    scan.field_to_csv(field, path)
+    slices = [partialwave.probability_grid(table, grid.thetas[i:i + 350], grid.deltas)
+              for i in range(0, grid.theta_n, 350)]
+    return path.read_bytes(), np.array_equal(field.values, np.concatenate(slices))
 
 
 def main() -> int:
@@ -137,10 +140,10 @@ def main() -> int:
         for recipe, command in find_recipes(Path("recipes")):
             print(recipe_line(recipe, command, Path(tmp) / (recipe.name + ".out")))
         print(f"points {points_digest()}")
-        one, two = sweep_csvs(Path(tmp))
-    print(f"sweep {_sha256(one)}")
-    if one != two:
-        print(f"sweep on 2 workers: {_sha256(two)}, not the bytes of 1", file=sys.stderr)
+        csv, same = sweep_csv(Path(tmp))
+    print(f"sweep {_sha256(csv)}")
+    if not same:
+        print("sweep values differ from the same angles in slices of 350", file=sys.stderr)
         return 1
     return 0
 
